@@ -6,12 +6,14 @@ Run from a checkout; the library is imported from its `src` directory, and
 scratch files go to `.bench_work/` and are removed on exit. The last line
 of stdout is one JSON object: {"correct", "attempted", "failed", "metrics"}.
 
-With `--trace 0` the run sets its workload up several times (the median is
-`setup_s`) and runs ops in a closed loop, one caller, for `--seconds` in
-all, and reports the end-to-end metrics of BENCHMARK.json. With `--trace 1`
-it runs set-up plus a fixed number of ops three times: untraced, with
-spans, and with spans plus tracemalloc. It reports the per-layer metrics,
-and the traced minus untraced wall time as `trace.overhead_s`.
+With `--trace 0` the run sets its workload up several times (the fastest
+is `setup_s`) and goes through the workload's pool of ops again and again in a
+closed loop, one caller, for `--seconds` in all. Each op keeps its fastest
+latency, and `pass_ms` is their sum (see `measure` for why). With
+`--trace 1` it runs set-up plus a fixed number of ops three times:
+untraced, with spans, and with spans plus tracemalloc. It reports the
+per-layer metrics, and the traced minus untraced wall time as
+`trace.overhead_s`.
 
 Every answer passes a fingerprint gate (see `Gate`). A mismatch or a failed
 op makes the result `"correct": false` and the exit code 1; a checkout the
@@ -43,9 +45,9 @@ FINGERPRINTS = HERE / "fingerprints.json"
 WORK = ROOT / ".bench_work"
 
 ROUNDS = 3
-SETUP_MAX_REPEATS, SETUP_REPEAT_S = 50, 0.3
+CHEAP_SETUP_S = 0.1  # a set-up quicker than this also repeats after every pass
 TRACE_ONLY = ("support",)  # fingerprint fields only a traced pass can see
-TRACE_OPS = {"exact-audit": 3, "deliver": 400}  # 3: two dense audits and a sweep
+TRACE_OPS = {"exact-audit": 18, "deliver": 400}  # 18: one pass over the pool
 
 
 class Gate:
@@ -121,47 +123,60 @@ def _run_op(op, gate: Gate, tally: Tally, tracer) -> float:
 def measure(cls, seed: int, seconds: float, workdir: Path, gate: Gate, tally: Tally) -> dict:
     """Untraced run: end-to-end metrics.
 
-    The run is ROUNDS rounds of a set-up followed by ops for a share of
-    `seconds`, so set-ups and ops see the host over the same span of time.
-    A cheap set-up repeats within its round (at most SETUP_MAX_REPEATS
-    times, for at most SETUP_REPEAT_S). Each round's ops take up the stream
-    where the last round left it.
+    The run is ROUNDS rounds of a set-up followed by whole passes over the
+    pool for a share of `seconds`. A cheap set-up also repeats after every
+    pass, so that the set-ups, like the ops, sample the host over the whole
+    run.
+
+    On a shared host, work of neighbours on the same core can slow the same
+    code by half or more, in spells from milliseconds to a minute, so a
+    figure taken over the whole run says more about the spells than about
+    the code. Each op of the pool is therefore timed on every pass and keeps
+    its fastest latency, the time it takes when nothing holds the core
+    back, and `pass_ms` is the sum of these over the pool. Ops are short and
+    the pool is small, so every op runs dozens of times or more in a run and
+    some of those runs are undisturbed. `setup_s` is the fastest set-up, for
+    the same reason.
     """
     setups: list[float] = []
+    best: list[float] = []
     latencies: list[float] = []
     wall = 0.0
     for _ in range(ROUNDS):
-        spent, repeats = 0.0, 0
-        while repeats == 0 or (spent < SETUP_REPEAT_S and repeats < SETUP_MAX_REPEATS):
-            wl = cls(seed, workdir)
-            setups.append(_setup(wl, gate, None))
-            spent += setups[-1]
-            repeats += 1
+        wl = cls(seed, workdir)
+        setups.append(_setup(wl, gate, None))
         gc.collect()
-        ops = wl.ops(len(latencies))
+        pool = wl.pool()
+        best = best or [math.inf] * len(pool)
         start = time.perf_counter()
         while True:
-            latencies.append(_run_op(next(ops), gate, tally, None))
+            for i, op in enumerate(pool):
+                latency = _run_op(op, gate, tally, None)
+                latencies.append(latency)
+                best[i] = min(best[i], latency)
             if time.perf_counter() - start >= seconds / ROUNDS:
                 break
+            if setups[-1] < CHEAP_SETUP_S:  # the same inputs again, as the pool has them
+                setups.append(_setup(cls(seed, workdir), gate, None))
         wall += time.perf_counter() - start
 
     ms = sorted(x * 1000 for x in latencies)
     n = len(ms)
     rank = math.ceil(0.99 * n)  # nearest-rank p99; valid with 10 samples beyond it
     p99 = f"{ms[rank - 1]:.4f}" if n - rank >= 10 else f"n/a, {n} ops"
-    print(f"{cls.name}: {n} ops, op_p50_ms {statistics.median(ms):.4f}, op_p99_ms {p99}; "
-          f"{len(setups)} set-ups in {ROUNDS} rounds")
+    print(f"{cls.name}: {n // len(best)} passes over {len(best)} ops; over all {n} ops "
+          f"{n / wall:.4f} ops/s, op_p50_ms {statistics.median(ms):.4f}, op_p99_ms {p99}; "
+          f"fastest op_p50_ms {statistics.median(best) * 1000:.4f}; {len(setups)} set-ups, "
+          f"median {statistics.median(setups):.6f} s")
     return {
-        "setup_s": statistics.median(setups),
-        "ops_per_s": n / wall,
-        "op_p50_ms": statistics.median(ms),
+        "setup_s": min(setups),
+        "pass_ms": sum(best) * 1000,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 
 def _pass(cls, seed: int, n_ops: int | None, workdir: Path, gate: Gate, tally: Tally, tracer):
-    """Set-up plus the first `n_ops` ops (None: one of each input).
+    """Set-up plus the first `n_ops` ops of the repeated pool (None: one pass).
 
     Returns (wall seconds, distinct demand prefixes asked for).
     """
@@ -169,7 +184,8 @@ def _pass(cls, seed: int, n_ops: int | None, workdir: Path, gate: Gate, tally: T
     wl = cls(seed, workdir)
     _setup(wl, gate, tracer)
     prefixes = wl.setup_prefixes()
-    for op in itertools.islice(wl.ops(), n_ops or wl.distinct_ops()):
+    pool = wl.pool()
+    for op in itertools.islice(itertools.cycle(pool), n_ops or len(pool)):
         _run_op(op, gate, tally, tracer)
         prefixes += op.prefixes
     return time.perf_counter() - start, prefixes

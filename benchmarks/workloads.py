@@ -5,9 +5,9 @@ and `privseq.cli.main` in-process. Calls go through module attributes
 (`pipeline.encode_session`, not a name imported from it) so that the tracer
 in `tracer.py` can wrap them.
 
-A workload is built from `--seed` alone, and its ops come as an endless
-stream: `exact-audit` cycles through a pool of inputs, `deliver` draws rows
-as it goes.
+A workload is built from `--seed` alone. Its set-up builds a fixed pool of
+ops, and a run goes through the pool again and again, so that every op is
+timed many times over the run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
 
 from privseq import bounds, caching, cli, coding, pipeline
 from privseq.probability import Alphabet, JointDist, format_dist
@@ -87,14 +86,16 @@ class DenseShape:
     mode: str
 
 
-# Two dense multi-stage shapes at about 1.2 s per audit. Larger ones (the
-# ROADMAP grid's (3,3,2,(1,2,3)) costs 33-40 s, (2,3,2,(1,2,3)) 5-11 s) leave
-# a run too few audits to average over the seed-to-seed spread of their cost.
+# Two dense shapes at about 50 and 20 ms per audit. Every op of the pool
+# must run many times in a run (see run.py); larger shapes (the ROADMAP
+# grid's (3,3,2,(1,2,3)) costs 33-40 s, (2,4,1,(1,2,3,4)) 1.2 s) leave a
+# run too few repeats of each. An audit's cost depends on its database by
+# up to a third, so the pool holds several of each shape.
 DENSE_SHAPES = (
-    DenseShape("dense-x2-n4-f1", 2, 4, 1, (1, 2, 3, 4), coding.ENTROPY),
-    DenseShape("dense-x4-n3-f1", 4, 3, 1, (1, 2, 3), coding.FIXED),
+    DenseShape("dense-x2-n3-f1", 2, 3, 1, (1, 2, 3), coding.ENTROPY),
+    DenseShape("dense-x3-n2-f1", 3, 2, 1, (1, 2), coding.FIXED),
 )
-DENSE_POOL = 8  # databases per shape, and masked priors
+DENSE_POOL = 6  # databases per shape, and masked priors
 
 
 def dense_shape_database(seed: int, shape: DenseShape, index: int = 0) -> JointDist:
@@ -157,13 +158,9 @@ class Workload:
     def setup_prefixes(self) -> int:
         return 0
 
-    def ops(self, start: int = 0) -> Iterator[Op]:
-        """The op stream, endless, beginning with op number `start`."""
-        raise NotImplementedError
-
-    def distinct_ops(self) -> int:
-        """How many ops of the stream cover every input once."""
-        raise NotImplementedError
+    def pool(self) -> list[Op]:
+        """The ops a run repeats, built by `setup` from the seed."""
+        return self._pool
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +184,7 @@ class AuditOp(CliOp):
         }
 
 
-SWEEP_N, SWEEP_F, SWEEP_K = 4, 2, 3
+SWEEP_N, SWEEP_F, SWEEP_K = 3, 1, 2
 
 
 class SweepOp(CliOp):
@@ -215,9 +212,9 @@ class SweepOp(CliOp):
 class ExactAudit(Workload):
     """Dense single-vector audits and masked-family sweeps, two to one.
 
-    A sweep (24 demand vectors over a sparse 257-cell joint) costs about as
-    much as a dense audit but stresses per-call overhead and shared demand
-    prefixes instead of per-cell arithmetic.
+    A sweep (6 demand vectors over a sparse 9-cell joint) stresses
+    per-call overhead and shared demand prefixes instead of per-cell
+    arithmetic.
     """
 
     name = "exact-audit"
@@ -244,13 +241,6 @@ class ExactAudit(Workload):
                                       self.workdir / f"masked#{index}.json"))
         return {}
 
-    def ops(self, start: int = 0) -> Iterator[Op]:
-        for i in itertools.count(start):
-            yield self._pool[i % len(self._pool)]
-
-    def distinct_ops(self) -> int:
-        return len(self._pool)
-
 
 # ---------------------------------------------------------------------------
 # deliver: sampled write-and-read sessions, plain and coded-caching
@@ -260,6 +250,7 @@ PLAIN_SHAPE = DENSE_SHAPES[0]
 PLAIN_CHAINS = 4  # plain sessions spread over this many databases of the shape
 CACHE_CFG = caching.CacheConfig(n_files=4, k_users=4, cache_files=1, file_bits=4)
 PLAIN_PER_CACHE = 3  # plain sessions per delivery, in shuffled blocks
+DELIVER_BLOCKS = 48  # blocks in the pool: 144 sessions and 48 deliveries
 
 
 class PlainChain:
@@ -336,7 +327,7 @@ class Deliver(Workload):
     name = "deliver"
 
     def setup(self) -> dict:
-        # the first DENSE_POOL databases are exact-audit's for the same seed
+        # these are the first of the databases exact-audit audits for the same seed
         self.plain = [PlainChain(dense_shape_database(self.seed, PLAIN_SHAPE, index))
                       for index in range(PLAIN_CHAINS)]
 
@@ -354,6 +345,7 @@ class Deliver(Workload):
             raise CheckFailed("cache adversary view leaks the private symbol")
 
         self.draws = pipeline.RandomDraws(self.seed)
+        self._pool = self._draw_pool()
         chains = [p.chain for p in self.plain] + [self.cache_session.chain]
         return {
             "u_sizes": [list(c.u_sizes()) for c in chains],
@@ -366,10 +358,11 @@ class Deliver(Workload):
     def setup_prefixes(self) -> int:
         return PLAIN_CHAINS * len(PLAIN_SHAPE.demands) + CACHE_CFG.block_count
 
-    def ops(self, start: int = 0) -> Iterator[Op]:
-        """Fresh draws from the seed; every stream is the same, whatever `start`."""
+    def _draw_pool(self) -> list[Op]:
+        """Rows and keys drawn from the seed; auxiliary draws differ on each repeat."""
         rng = _rng(self.seed, self.name, "ops")
-        while True:
+        pool: list[Op] = []
+        for _ in range(DELIVER_BLOCKS):
             block: list[Op] = []
             for _ in range(PLAIN_PER_CACHE):
                 plain = rng.choice(self.plain)
@@ -378,10 +371,8 @@ class Deliver(Workload):
             block.append(CacheOp(self.draws, self.cache_session, self.cache_rows.draw(rng),
                                  rng.randrange(2)))
             rng.shuffle(block)
-            yield from block
-
-    def distinct_ops(self) -> int:
-        return PLAIN_PER_CACHE + 1
+            pool += block
+        return pool
 
 
 WORKLOADS = {w.name: w for w in (ExactAudit, Deliver)}
