@@ -16,7 +16,6 @@ from .frl import (
     cardinality_bound,
     frl_construct,
     frl_extend,
-    mechanism_entropy,
     min_entropy_search,
     new_chain,
 )

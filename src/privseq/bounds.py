@@ -10,16 +10,15 @@ a private realization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import LimitError, ValidationError
-from .frl import MechanismChain
+from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError
+from .frl import MechanismChain, cardinality_bound
 from .probability import Alphabet, JointDist
-
-DEFAULT_STATE_LIMIT = 10_000_000
 
 
 def ceil_log2(n: int) -> int:
@@ -39,14 +38,9 @@ def demand_names(p: JointDist, demands: Sequence[int]) -> list[str]:
 
 def cardinality_caps(x_size: int, y_sizes: Sequence[int]) -> list[int]:
     """Recursive per-stage caps: cap_i = |X| * cap_1*..*cap_{i-1} * (|Y_i|-1) + 1."""
-    if x_size < 1 or any(y < 1 for y in y_sizes):
-        raise ValidationError("alphabet sizes must be >= 1")
-    caps = []
-    prod = x_size
+    caps: list[int] = []
     for y in y_sizes:
-        cap = prod * (y - 1) + 1
-        caps.append(cap)
-        prod *= cap
+        caps.append(cardinality_bound(x_size, caps, y))
     return caps
 
 
@@ -129,18 +123,9 @@ def example1_build(params: Example1Params, limit: int = DEFAULT_STATE_LIMIT) -> 
     variables = [Alphabet("X", 2)] + [Alphabet(f"Y{j}", size) for j in range(1, n + 1)]
     table: dict[tuple[int, ...], Fraction] = {(0,) + (0,) * n: 1 - p}
     unit = p / Fraction(size ** n)
-    for files in _product_range(size, n):
+    for files in itertools.product(range(size), repeat=n):
         table[(1,) + files] = table.get((1,) + files, Fraction(0)) + unit
     return JointDist(variables, table)
-
-
-def _product_range(size: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in range(size):
-        for tail in _product_range(size, n - 1):
-            yield (head,) + tail
 
 
 def example1_ratio(k: int, f: int) -> float:

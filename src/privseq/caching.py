@@ -17,12 +17,10 @@ from typing import Iterable, Mapping, Sequence
 
 from . import pipeline
 from .bounds import upper_bound_cardinality
-from .coding import PadKey, otp_decrypt, otp_encrypt
-from .errors import LimitError, ValidationError
+from .coding import PadKey
+from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError
 from .frl import MechanismChain, build_chain
 from .probability import Alphabet, JointDist, ZERO
-
-DEFAULT_STATE_LIMIT = 10_000_000
 
 
 def subsets_colex(k: int, r: int) -> tuple[tuple[int, ...], ...]:
@@ -188,6 +186,7 @@ class CacheSession:
     blocks_dist: JointDist
     chain: MechanismChain
     mode: str
+    books: pipeline.Books
 
 
 def make_cache_session(cfg: CacheConfig, database_dist: JointDist, demands: Sequence[int],
@@ -196,7 +195,8 @@ def make_cache_session(cfg: CacheConfig, database_dist: JointDist, demands: Sequ
     bj = block_joint(cfg, database_dist, demands, limit)
     targets = [a.name for a in bj.variables[1:]]
     chain = build_chain(bj, bj.variables[0].name, targets)
-    return CacheSession(cfg=cfg, demands=demands, blocks_dist=bj, chain=chain, mode=mode)
+    return CacheSession(cfg=cfg, demands=demands, blocks_dist=bj, chain=chain, mode=mode,
+                        books=pipeline.session_codebooks(chain, mode))
 
 
 def private_wrap(session: CacheSession, stream: Iterable[int], x: int, key: PadKey,
@@ -204,57 +204,20 @@ def private_wrap(session: CacheSession, stream: Iterable[int], x: int, key: PadK
     """Pad the private symbol, then wrap blocks one at a time.
 
     `stream` is consumed lazily: the slot for block i is emitted before block
-    i+1 is read, matching a one-block encoder buffer. Each emitted slot is
-    appended to the public cache, which is what lets later stages condition
-    on the earlier auxiliaries.
+    i+1 is read, matching a one-block encoder buffer. The public cache logs
+    every auxiliary slot, which is what lets later stages condition on the
+    earlier auxiliaries.
     """
-    cfg = session.cfg
-    pad_book, stage_books = pipeline.session_codebooks(session.chain, session.mode)
-    x_size = pipeline.chain_private_size(session.chain)
-    if key.modulus != x_size:
-        raise ValidationError(f"pad key modulus {key.modulus} != |X| = {x_size}")
-    slots = [("pad", pad_book.encode(otp_encrypt(x, key)))]
-    log: list[str] = []
-    prefix: tuple[int, ...] = ()
-    it = iter(stream)
-    for i, stage in enumerate(session.chain.stages):
-        try:
-            block = next(it)
-        except StopIteration:
-            raise ValidationError(f"block stream ended early at block {i + 1}") from None
-        if not 0 <= block < 2 ** cfg.block_bits:
-            raise ValidationError(f"block value {block} outside [0, 2^{cfg.block_bits})")
-        cond = stage.conditional_u(x, prefix, block)
-        u = draws.pick(i, cond)
-        if u not in cond:
-            raise ValidationError(f"draw {u} outside the slot-{i} support")
-        word = stage_books[i].encode(u)
-        slots.append((f"u{i + 1}", word))
-        log.append(word)
-        prefix += (u,)
-    return pipeline.Transcript(tuple(slots)), PublicCache(tuple(log))
+    bits = session.cfg.block_bits
 
+    def checked(block: int) -> int:
+        if not 0 <= block < 2 ** bits:
+            raise ValidationError(f"block value {block} outside [0, 2^{bits})")
+        return block
 
-def decode_blocks(session: CacheSession, transcript: pipeline.Transcript,
-                  key: PadKey) -> tuple[int, tuple[int, ...]]:
-    """Recover (x, all delivery blocks) from a wrapped transcript."""
-    pad_book, stage_books = pipeline.session_codebooks(session.chain, session.mode)
-    if len(transcript.slots) != len(session.chain.stages) + 1:
-        raise ValidationError("slot count does not match the session")
-    xt, used = pad_book.decode_one(transcript.slots[0][1])
-    if used != len(transcript.slots[0][1]):
-        raise ValidationError("trailing bits in the pad slot")
-    x = otp_decrypt(xt, key)
-    blocks = []
-    prefix: tuple[int, ...] = ()
-    for i, stage in enumerate(session.chain.stages):
-        bits = transcript.slots[i + 1][1]
-        u, used = stage_books[i].decode_one(bits)
-        if used != len(bits):
-            raise ValidationError(f"trailing bits in slot {i + 1}")
-        blocks.append(stage.decode(x, prefix, u))
-        prefix += (u,)
-    return x, tuple(blocks)
+    transcript = pipeline.encode_walk(session.chain, session.books, x, key,
+                                      map(checked, stream), draws)
+    return transcript, PublicCache(transcript.bitstrings[1:])
 
 
 def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcript,
@@ -265,7 +228,7 @@ def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcrip
         raise ValidationError(f"user {user} outside 1..{cfg.k_users}")
     if cache.user != user:
         raise ValidationError(f"cache belongs to user {cache.user}, not {user}")
-    _x, blocks = decode_blocks(session, transcript, key)
+    _x, blocks = pipeline.decode_walk(session.chain, session.books, transcript, key)
     by_subset = dict(zip(cfg.block_subsets, blocks))
     demand = session.demands[user - 1]
 
@@ -289,25 +252,33 @@ def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcrip
     return out
 
 
-def adversary_view_distribution(session: CacheSession, key_size: int,
-                                limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
-    """Exact joint of ((transcript, public cache), X, W) for leakage audits.
-
-    The public cache replays the auxiliary slots verbatim, so the view symbol
-    is the transcript slots concatenated with the log entries.
-    """
-    td = pipeline.transcript_distribution(
+def delivery_distribution(session: CacheSession, key_size: int,
+                          limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
+    """Exact joint of (wrapped transcript, X, W) over every block of the session."""
+    return pipeline.transcript_distribution(
         session.blocks_dist, tuple(range(1, session.cfg.block_count + 1)),
         session.chain, key_size, session.mode, limit,
     )
-    views = []
-    for t in td.transcripts:
-        log = tuple(bits for label, bits in t.slots[1:])
-        views.append(pipeline.Transcript(t.slots + tuple(
-            (f"cache{i + 1}", bits) for i, bits in enumerate(log)
-        )))
-    return pipeline.TranscriptDistribution(td.joint, tuple(views),
+
+
+def adversary_view(td: pipeline.TranscriptDistribution) -> pipeline.TranscriptDistribution:
+    """Relabel each wrapped transcript as the adversary's (transcript, public cache) view.
+
+    The public cache replays the auxiliary slots verbatim, so the view symbol
+    is the transcript slots concatenated with the log entries; the joint is
+    unchanged.
+    """
+    views = tuple(pipeline.Transcript(t.slots + tuple(
+        (f"cache{i}", bits) for i, bits in enumerate(t.bitstrings[1:], 1)
+    )) for t in td.transcripts)
+    return pipeline.TranscriptDistribution(td.joint, views,
                                            tuple(v.total_length for v in views), td.parts)
+
+
+def adversary_view_distribution(session: CacheSession, key_size: int,
+                                limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
+    """Exact joint of ((transcript, public cache), X, W) for leakage audits."""
+    return adversary_view(delivery_distribution(session, key_size, limit))
 
 
 def delivery_bound(cfg: CacheConfig, x_size: int) -> int:

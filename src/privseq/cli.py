@@ -118,17 +118,13 @@ def cmd_frl_build(args) -> int:
 
 
 def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
-    chain = pipeline.session_chain(p, demands)
+    row, chain = pipeline.audit_demands(p, demands, args.mode, args.limit)
     x_size = p.variables[0].size
-    td = pipeline.transcript_distribution(p, demands, chain, x_size, args.mode, args.limit)
-    leak = pipeline.leakage_audit(td)
-    el = pipeline.expected_length(td)
     report = bounds_mod.BoundReport(
-        lower=bounds_mod.lower_bound(p, demands),
-        upper_cardinality=bounds_mod.upper_bound_cardinality(
-            x_size, [p.variables[d].size for d in demands]),
-        upper_entropy_estimate=bounds_mod.upper_bound_entropy_estimate(chain),
-        measured=el.max_over_w,
+        lower=row.lower,
+        upper_cardinality=row.upper_cardinality,
+        upper_entropy_estimate=row.upper_entropy_estimate,
+        measured=row.expected_len,
     )
 
     draws = pipeline.RandomDraws(args.seed)
@@ -146,15 +142,15 @@ def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
         "demands": list(demands),
         "mode": args.mode,
         "seed": args.seed,
-        "u_sizes": list(chain.u_sizes()),
+        "u_sizes": list(row.u_sizes),
         "stage_entropies": [round(s.mechanism.entropy(), 9) for s in chain.stages],
         "per_slot_bits": [len(bits) for _, bits in transcript.slots],
         "sample_transcript": ["{}={}".format(label, bits or "-") for label, bits in transcript.slots],
         "sample_roundtrip_ok": roundtrip,
-        "leakage_exact_zero": leak.exact_zero,
-        "leakage_bits": leak.bits,
-        "expected_len_per_w": list(el.per_w),
-        "expected_len_max": el.max_over_w,
+        "leakage_exact_zero": row.leakage_exact_zero,
+        "leakage_bits": row.leakage_bits,
+        "expected_len_per_w": list(row.per_w),
+        "expected_len_max": row.expected_len,
         "lower_bound": report.lower,
         "upper_cardinality": report.upper_cardinality,
         "upper_entropy_estimate": report.upper_entropy_estimate,
@@ -213,22 +209,18 @@ def cmd_audit(args) -> int:
     demands = _parse_demands(args.demands)
     if demands is None:
         raise ValidationError("audit needs an explicit demand vector")
-    chain = pipeline.session_chain(p, demands)
-    x_size = p.variables[0].size
-    td = pipeline.transcript_distribution(p, demands, chain, x_size, args.mode, args.limit)
-    leak = pipeline.leakage_audit(td)
-    el = pipeline.expected_length(td)
-    print(f"transcript support: {len(td.transcripts)}")
-    print(f"leakage: exact_zero={leak.exact_zero}  I = {leak.bits:.3g} bits")
-    print(f"E[len | w]: {['%.6f' % v for v in el.per_w]}  max {el.max_over_w:.6f}")
+    row, _chain = pipeline.audit_demands(p, demands, args.mode, args.limit)
+    print(f"transcript support: {row.transcript_support}")
+    print(f"leakage: exact_zero={row.leakage_exact_zero}  I = {row.leakage_bits:.3g} bits")
+    print(f"E[len | w]: {['%.6f' % v for v in row.per_w]}  max {row.expected_len:.6f}")
     _write_output(args, {
         "demands": list(demands),
-        "transcript_support": len(td.transcripts),
-        "leakage_exact_zero": leak.exact_zero,
-        "leakage_bits": leak.bits,
-        "expected_len_per_w": list(el.per_w),
+        "transcript_support": row.transcript_support,
+        "leakage_exact_zero": row.leakage_exact_zero,
+        "leakage_bits": row.leakage_bits,
+        "expected_len_per_w": list(row.per_w),
     })
-    return EXIT_OK if leak.exact_zero else EXIT_INVARIANT
+    return EXIT_OK if row.leakage_exact_zero else EXIT_INVARIANT
 
 
 SWEEP_COLUMNS = ["n", "k", "f", "demands", "lower", "upper_cardinality",
@@ -255,12 +247,10 @@ def cmd_bounds_sweep(args) -> int:
             if args.measure and (2 ** f) ** k * 2 <= args.limit:
                 params = bounds_mod.Example1Params(Fraction(args.p), k, k, f)
                 p = bounds_mod.example1_build(params, args.limit)
-                demands = tuple(range(1, k + 1))
-                chain = pipeline.session_chain(p, demands)
-                td = pipeline.transcript_distribution(p, demands, chain, 2, args.mode, args.limit)
-                row["lower"] = bounds_mod.lower_bound(p, demands)
-                row["measured"] = pipeline.expected_length(td).max_over_w
-                row["upper_entropy_estimate"] = bounds_mod.upper_bound_entropy_estimate(chain)
+                audit, _chain = pipeline.audit_demands(p, range(1, k + 1), args.mode, args.limit)
+                row["lower"] = audit.lower
+                row["measured"] = audit.expected_len
+                row["upper_entropy_estimate"] = audit.upper_entropy_estimate
             rows.append(row)
             print(f"k={k} f={f}: upper={row['upper_cardinality']} ratio={ratio:.6f}"
                   + (f" measured={row['measured']}" if row["measured"] != "" else ""))
@@ -333,11 +323,8 @@ def cmd_cache_demo(args) -> int:
         print(f"  user {cache.user} decodes file {demands[cache.user - 1]}: "
               f"{got:0{cfg.file_bits}b} ({'ok' if got == want else 'WRONG'})")
 
-    view = caching.adversary_view_distribution(session, x_size, args.limit)
-    leak = pipeline.leakage_audit(view)
-    td = pipeline.transcript_distribution(
-        session.blocks_dist, tuple(range(1, cfg.block_count + 1)),
-        session.chain, x_size, args.mode, args.limit)
+    td = caching.delivery_distribution(session, x_size, args.limit)
+    leak = pipeline.leakage_audit(caching.adversary_view(td))
     el = pipeline.expected_length(td)
     bound = caching.delivery_bound(cfg, x_size)
     print(f"adversary view: exact_zero={leak.exact_zero}  I = {leak.bits:.3g} bits")

@@ -181,13 +181,17 @@ _MAGIC = b"PSQ1"
 
 
 def pack_slots(slots: Sequence[tuple[str, str]]) -> bytes:
+    if len(slots) > 0xFFFF:
+        raise ValidationError(f"{len(slots)} slots exceed the format's 65535")
     head = bytearray(_MAGIC)
     head += struct.pack(">H", len(slots))
     stream = []
     for label, bits in slots:
+        if not label.isascii() or len(label) > 255:
+            raise ValidationError(f"slot label {label!r} is not ASCII of at most 255 bytes")
+        if bits.strip("01"):
+            raise ValidationError(f"slot {label!r} carries a non-binary string {bits!r}")
         raw = label.encode("ascii")
-        if len(raw) > 255:
-            raise ValidationError("slot label too long")
         head += struct.pack(">B", len(raw)) + raw + struct.pack(">I", len(bits))
         stream.append(bits)
     allbits = "".join(stream)
@@ -202,17 +206,20 @@ def unpack_slots(data: bytes) -> list[tuple[str, str]]:
     if data[:4] != _MAGIC:
         raise ValidationError("not a packed transcript (bad magic)")
     pos = 4
-    (count,) = struct.unpack_from(">H", data, pos)
-    pos += 2
     meta = []
-    for _ in range(count):
-        (llen,) = struct.unpack_from(">B", data, pos)
-        pos += 1
-        label = data[pos:pos + llen].decode("ascii")
-        pos += llen
-        (blen,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        meta.append((label, blen))
+    try:
+        (count,) = struct.unpack_from(">H", data, pos)
+        pos += 2
+        for _ in range(count):
+            (llen,) = struct.unpack_from(">B", data, pos)
+            pos += 1
+            label = data[pos:pos + llen].decode("ascii")
+            pos += llen
+            (blen,) = struct.unpack_from(">I", data, pos)
+            pos += 4
+            meta.append((label, blen))
+    except (struct.error, UnicodeDecodeError):
+        raise ValidationError("truncated or corrupt packed-transcript header") from None
     total = sum(b for _, b in meta)
     body = data[pos:]
     if len(body) != (total + 7) // 8:

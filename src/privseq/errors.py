@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: ValidationError -> 1,
 InvariantError -> 2, LimitError -> 3.
 """
 
+# Default enumeration budget, in weighted states or cells, behind LimitError.
+DEFAULT_STATE_LIMIT = 10_000_000
+
 
 class ValidationError(ValueError):
     """Bad input: malformed files, out-of-range symbols, inconsistent configs."""

@@ -8,8 +8,12 @@ function of (U, X), and the number of atoms is at most |X|(|Y|-1)+1.
 
 The same construction extends sequentially: to attach a target Y_next to an
 existing collection U_1..U_k, treat the compound (X, U_1..U_k) as the private
-variable and run the pair construction again. Independence of the whole
-prefix from X is preserved exactly and is re-verified on every extension.
+variable and run the pair construction again. Each extension multiplies the
+chain joint by the new stage's conditionals P(U_{k+1} | X, U_1..U_k, Y_next);
+every row of those must sum to exactly 1, so every earlier marginal, and with
+it every earlier stage's guarantee, is left unchanged and needs no re-check.
+The new stage alone is then verified: U_1..U_{k+1} independent of X, Y_next
+a function of (X, U_1..U_{k+1}), and |U_{k+1}| within its recursive cap.
 """
 
 from __future__ import annotations
@@ -198,10 +202,6 @@ def _verify_mechanism(mech: FrlMechanism, pxy: JointDist) -> None:
         raise InvariantError("mechanism joint does not reproduce the input pair")
 
 
-def mechanism_entropy(mech: FrlMechanism) -> float:
-    return mech.entropy()
-
-
 def cardinality_bound(x_size: int, u_sizes: Sequence[int], y_size: int) -> int:
     """|X| * |U_1| * ... * |U_k| * (|Y|-1) + 1."""
     if x_size < 1 or y_size < 1 or any(s < 1 for s in u_sizes):
@@ -307,14 +307,12 @@ def new_chain(base: JointDist, private: str) -> MechanismChain:
 
 def _extend(chain: MechanismChain, target: str, policy: OrderingPolicy | None,
             search_budget: int | None = None) -> MechanismChain:
+    """Add one stage; the caller guarantees U_1..U_k is independent of the private variable."""
     k = len(chain.stages)
     u_names = list(chain.u_names)
     if target == chain.private or target in u_names:
         raise ValidationError(f"cannot target {target!r}")
     chain.joint._axes([target])
-
-    if k and not chain.joint.is_independent(u_names, [chain.private]):
-        raise InvariantError("chain hypothesis violated: U prefix is not independent of the private variable")
 
     sub = chain.joint.marginalize([chain.private, *u_names, target])
     comp_marg = sub.marginalize([chain.private, *u_names])
@@ -334,42 +332,44 @@ def _extend(chain: MechanismChain, target: str, policy: OrderingPolicy | None,
         policy, _ = min_entropy_search(pair, search_budget)
     mech = frl_construct(pair, policy, u_name=u_name)
 
-    u_alpha = mech.u_alphabet
+    # one conditional row per positive (compound state, target) pair; a row
+    # summing to 1 keeps the marginal of every earlier variable unchanged
+    rows = {key: mech.conditional_u(*key) for key in pair.table}
+    for (state, y), row in rows.items():
+        if sum(row.values()) != 1:
+            raise InvariantError(
+                f"stage {k + 1}: P({u_name} | {states[state]}, {target}={y}) does not sum to 1"
+            )
     axes = chain.joint._axes([chain.private, *u_names, target])
     table: dict[tuple[int, ...], Fraction] = {}
     for cell, p in chain.joint.items():
-        state = tuple(cell[a] for a in axes[:-1])
-        y = cell[axes[-1]]
-        for u, q in mech.conditional_u(index[state], y).items():
+        row = rows[(index[tuple(cell[a] for a in axes[:-1])], cell[axes[-1]])]
+        for u, q in row.items():
             table[cell + (u,)] = p * q
-    joint = JointDist(chain.joint.variables + (u_alpha,), table)
+    joint = JointDist(chain.joint.variables + (mech.u_alphabet,), table)
 
     stage = ChainStage(target=target, mechanism=mech, compound=states, index=index)
     out = MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))
-    _verify_chain(out)
+    _verify_last_stage(out)
     return out
 
 
-def _verify_chain(chain: MechanismChain) -> None:
-    u_names = list(chain.u_names)
-    for i in range(1, len(u_names) + 1):
-        if not chain.joint.is_independent(u_names[:i], [chain.private]):
-            raise InvariantError(f"U_1..U_{i} not exactly independent of {chain.private}")
-    for i, stage in enumerate(chain.stages):
-        cond = [chain.private] + u_names[: i + 1]
-        seen: dict[tuple[int, ...], int] = {}
-        marg = chain.joint.marginalize(cond + [stage.target])
-        for cell, p in marg.items():
-            if seen.setdefault(cell[:-1], cell[-1]) != cell[-1]:
-                raise InvariantError(f"{stage.target} not a function of ({', '.join(cond)})")
-        x_size = chain.joint.variables[chain.joint._axes([chain.private])[0]].size
-        prev = [chain.stages[j].mechanism.u_size for j in range(i)]
-        y_size = chain.joint.variables[chain.joint._axes([stage.target])[0]].size
-        cap = cardinality_bound(x_size, prev, y_size)
-        if stage.mechanism.u_size > cap:
-            raise InvariantError(
-                f"stage {i + 1}: |U|={stage.mechanism.u_size} exceeds the recursive bound {cap}"
-            )
+def _verify_last_stage(chain: MechanismChain) -> None:
+    """Check the newest stage; _extend has left the earlier ones unchanged."""
+    k = len(chain.stages)
+    stage = chain.stages[-1]
+    cond = [chain.private, *chain.u_names]
+    marg = chain.joint.marginalize(cond + [stage.target])
+    if not marg.is_independent(cond[1:], [chain.private]):
+        raise InvariantError(f"U_1..U_{k} not exactly independent of {chain.private}")
+    seen: dict[tuple[int, ...], int] = {}
+    for cell, _ in marg.items():
+        if seen.setdefault(cell[:-1], cell[-1]) != cell[-1]:
+            raise InvariantError(f"{stage.target} not a function of ({', '.join(cond)})")
+    x_alpha, *_, y_alpha = marg.variables
+    cap = cardinality_bound(x_alpha.size, chain.u_sizes()[:-1], y_alpha.size)
+    if stage.mechanism.u_size > cap:
+        raise InvariantError(f"stage {k}: |U|={stage.mechanism.u_size} exceeds the recursive bound {cap}")
 
 
 def frl_extend(chain: MechanismChain, pnext: JointDist,

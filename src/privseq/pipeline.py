@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from . import bounds as bounds_mod
 from .coding import (
@@ -29,11 +29,9 @@ from .coding import (
     pack_slots,
     unpack_slots,
 )
-from .errors import LimitError, ValidationError
+from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError
 from .frl import MechanismChain, build_chain
 from .probability import Alphabet, JointDist, ZERO
-
-DEFAULT_STATE_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -144,10 +142,69 @@ def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismC
         raise ValidationError("chain private variable does not match the database joint")
 
 
+Books = tuple[Codebook, list[Codebook]]
+
+
+def _write_slots(books: Books, xt: int, u_vec: Sequence[int]) -> Transcript:
+    """The slot layout: "pad" carries the padded private symbol, then u1..uk."""
+    pad_book, stage_books = books
+    return Transcript((("pad", pad_book.encode(xt)),) + tuple(
+        (f"u{i}", book.encode(u)) for i, (book, u) in enumerate(zip(stage_books, u_vec), 1)))
+
+
+def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
+                symbols: Iterable[int], draws: Draws) -> Transcript:
+    """The sequential encoder: pad x, then one auxiliary per stage.
+
+    `symbols` yields the stage-i target value and is read lazily: symbol i+1
+    is not requested before slot i is drawn. Stage i samples u_i from its
+    exact conditional given (x, u_1..u_{i-1}, symbol i).
+    """
+    x_size = chain_private_size(chain)
+    if key.modulus != x_size:
+        raise ValidationError(f"pad key modulus {key.modulus} != |X| = {x_size}")
+    xt = otp_encrypt(x, key)
+    prefix: tuple[int, ...] = ()
+    for i, (stage, y) in enumerate(zip(chain.stages, symbols)):
+        cond = stage.conditional_u(x, prefix, y)
+        u = draws.pick(i, cond)
+        if u not in cond:
+            raise ValidationError(f"draw {u} outside the slot-{i} support")
+        prefix += (u,)
+    if len(prefix) != len(chain.stages):
+        raise ValidationError(f"symbol stream ended early at stage {len(prefix) + 1}")
+    return _write_slots(books, xt, prefix)
+
+
+def _read(book: Codebook, bits: str, where: str) -> int:
+    symbol, used = book.decode_one(bits)
+    if used != len(bits):
+        raise ValidationError(f"trailing bits in {where}")
+    return symbol
+
+
+def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
+                key: PadKey) -> tuple[int, tuple[int, ...]]:
+    """The sequential decoder: recover x, then each stage's target value."""
+    pad_book, stage_books = books
+    if len(transcript.slots) != len(chain.stages) + 1:
+        raise ValidationError(
+            f"transcript has {len(transcript.slots)} slots, expected {len(chain.stages) + 1}"
+        )
+    (_, pad_bits), *rest = transcript.slots
+    x = otp_decrypt(_read(pad_book, pad_bits, "the pad slot"), key)
+    ys = []
+    prefix: tuple[int, ...] = ()
+    for i, (stage, book, (_, bits)) in enumerate(zip(chain.stages, stage_books, rest), 1):
+        u = _read(book, bits, f"slot {i}")
+        ys.append(stage.decode(x, prefix, u))
+        prefix += (u,)
+    return x, tuple(ys)
+
+
 def encode_session(p: JointDist, realization: Sequence[int], demands: Sequence[int],
                    key: PadKey, chain: MechanismChain, draws: Draws,
-                   mode: str = FIXED,
-                   books: tuple[Codebook, list[Codebook]] | None = None) -> Transcript:
+                   mode: str = FIXED, books: Books | None = None) -> Transcript:
     """Produce the multi-part transcript for one realized database row.
 
     Slot 0 is the fixed-length code of the padded private symbol; slot i
@@ -161,51 +218,15 @@ def encode_session(p: JointDist, realization: Sequence[int], demands: Sequence[i
     realization = tuple(realization)
     if p.prob(realization) == 0:
         raise ValidationError(f"realization {realization} outside the support")
-    x = realization[0]
-    x_size = p.variables[0].size
-    if key.modulus != x_size:
-        raise ValidationError(f"pad key modulus {key.modulus} != |X| = {x_size}")
-
-    pad_book, stage_books = books or session_codebooks(chain, mode)
-    slots = [("pad", pad_book.encode(otp_encrypt(x, key)))]
-    prefix: tuple[int, ...] = ()
-    for i, stage in enumerate(chain.stages):
-        y = realization[demands[i]]
-        cond = stage.conditional_u(x, prefix, y)
-        u = draws.pick(i, cond)
-        if u not in cond:
-            raise ValidationError(f"draw {u} outside the slot-{i} support")
-        slots.append((f"u{i + 1}", stage_books[i].encode(u)))
-        prefix += (u,)
-    return Transcript(tuple(slots))
+    return encode_walk(chain, books or session_codebooks(chain, mode), realization[0], key,
+                       (realization[d] for d in demands), draws)
 
 
 def decode_session(transcript: Transcript, key: PadKey, demands: Sequence[int],
                    chain: MechanismChain, mode: str = FIXED,
-                   books: tuple[Codebook, list[Codebook]] | None = None
-                   ) -> tuple[int, tuple[int, ...]]:
+                   books: Books | None = None) -> tuple[int, tuple[int, ...]]:
     """Recover the private symbol and every demanded file from a transcript."""
-    pad_book, stage_books = books or session_codebooks(chain, mode)
-    if len(transcript.slots) != len(chain.stages) + 1:
-        raise ValidationError(
-            f"transcript has {len(transcript.slots)} slots, expected {len(chain.stages) + 1}"
-        )
-    pad_bits = transcript.slots[0][1]
-    xt, used = pad_book.decode_one(pad_bits)
-    if used != len(pad_bits):
-        raise ValidationError("trailing bits in the pad slot")
-    x = otp_decrypt(xt, key)
-
-    ys = []
-    prefix: tuple[int, ...] = ()
-    for i, stage in enumerate(chain.stages):
-        bits = transcript.slots[i + 1][1]
-        u, used = stage_books[i].decode_one(bits)
-        if used != len(bits):
-            raise ValidationError(f"trailing bits in slot {i + 1}")
-        ys.append(stage.decode(x, prefix, u))
-        prefix += (u,)
-    return x, tuple(ys)
+    return decode_walk(chain, books or session_codebooks(chain, mode), transcript, key)
 
 
 @dataclass(frozen=True)
@@ -240,7 +261,7 @@ def transcript_distribution(p: JointDist, demands: Sequence[int], chain: Mechani
     if states > limit:
         raise LimitError(f"{states} weighted states exceed the limit {limit}")
 
-    pad_book, stage_books = session_codebooks(chain, mode)
+    books = session_codebooks(chain, mode)
     ncols = len(chain.joint.variables)
     k = len(chain.stages)
     x_axis = chain.joint.names.index(chain.private)
@@ -260,9 +281,7 @@ def transcript_distribution(p: JointDist, demands: Sequence[int], chain: Mechani
             part = (xt, u_vec)
             idx = by_key.get(part)
             if idx is None:
-                slots = [("pad", pad_book.encode(xt))]
-                slots += [(f"u{i + 1}", stage_books[i].encode(u)) for i, u in enumerate(u_vec)]
-                t = Transcript(tuple(slots))
+                t = _write_slots(books, xt, u_vec)
                 idx = len(transcripts)
                 by_key[part] = idx
                 transcripts.append(t)
@@ -377,6 +396,33 @@ class SweepRow:
     leakage_exact_zero: bool
     leakage_bits: float
     u_sizes: tuple[int, ...]
+    transcript_support: int
+
+
+def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
+                  limit: int = DEFAULT_STATE_LIMIT) -> tuple[SweepRow, MechanismChain]:
+    """One demand vector end to end: chain, transcript distribution, leakage
+    audit, expected length and bounds. Returns the row and the chain it built."""
+    demands = demand_vector(p, demands)
+    chain = session_chain(p, demands)
+    x_size = p.variables[0].size
+    td = transcript_distribution(p, demands, chain, x_size, mode, limit)
+    el = expected_length(td)
+    leak = leakage_audit(td)
+    row = SweepRow(
+        demands=demands,
+        expected_len=el.max_over_w,
+        per_w=el.per_w,
+        lower=bounds_mod.lower_bound(p, demands),
+        upper_cardinality=bounds_mod.upper_bound_cardinality(
+            x_size, [p.variables[d].size for d in demands]),
+        upper_entropy_estimate=bounds_mod.upper_bound_entropy_estimate(chain),
+        leakage_exact_zero=leak.exact_zero,
+        leakage_bits=leak.bits,
+        u_sizes=chain.u_sizes(),
+        transcript_support=len(td.transcripts),
+    )
+    return row, chain
 
 
 @dataclass(frozen=True)
@@ -394,24 +440,6 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
     count = math.perm(n_files, k)
     if count > limit:
         raise LimitError(f"{count} demand vectors exceed the limit {limit}")
-    x_size = p.variables[0].size
-    rows = []
-    for demands in itertools.permutations(range(1, n_files + 1), k):
-        chain = session_chain(p, demands)
-        td = transcript_distribution(p, demands, chain, x_size, mode, limit)
-        el = expected_length(td)
-        leak = leakage_audit(td)
-        y_sizes = [p.variables[d].size for d in demands]
-        rows.append(SweepRow(
-            demands=demands,
-            expected_len=el.max_over_w,
-            per_w=el.per_w,
-            lower=bounds_mod.lower_bound(p, demands),
-            upper_cardinality=bounds_mod.upper_bound_cardinality(x_size, y_sizes),
-            upper_entropy_estimate=bounds_mod.upper_bound_entropy_estimate(chain),
-            leakage_exact_zero=leak.exact_zero,
-            leakage_bits=leak.bits,
-            u_sizes=chain.u_sizes(),
-        ))
-    worst = max(rows, key=lambda r: r.expected_len)
-    return SweepResult(rows=tuple(rows), worst=worst)
+    rows = tuple(audit_demands(p, demands, mode, limit)[0]
+                 for demands in itertools.permutations(range(1, n_files + 1), k))
+    return SweepResult(rows=rows, worst=max(rows, key=lambda r: r.expected_len))

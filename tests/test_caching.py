@@ -8,7 +8,6 @@ from privseq.caching import (
     CacheConfig,
     adversary_view_distribution,
     cache_bits,
-    decode_blocks,
     delivery_blocks,
     make_cache_session,
     placement,
@@ -22,6 +21,7 @@ from privseq.errors import ValidationError
 from privseq.pipeline import (
     FixedDraws,
     RandomDraws,
+    decode_walk,
     expected_length,
     leakage_audit,
     transcript_distribution,
@@ -148,7 +148,7 @@ class TestWrapAndDecode:
                     transcript, log = private_wrap(session, stream.blocks, x, key,
                                                    FixedDraws(u_vec))
                     total += q * F(1, x_size)
-                    dx, blocks = decode_blocks(session, transcript, key)
+                    dx, blocks = decode_walk(session.chain, session.books, transcript, key)
                     ok &= dx == x and blocks == stream.blocks
                     for cache in caches:
                         got = user_decode(session, cache.user, transcript, cache, key)

@@ -174,3 +174,33 @@ class TestPacking:
         data = pack_slots([("a", "10101010101")])
         with pytest.raises(ValidationError, match="length"):
             unpack_slots(data[:-1])
+
+    @pytest.mark.parametrize("data", [
+        b"PSQ1",
+        b"PSQ1\x00",
+        b"PSQ1\x00\x01\x02u",
+        b"PSQ1\x00\x01\x01u\x00\x00",
+        b"PSQ1\x00\x01\x01\xff\x00\x00\x00\x00",
+    ], ids=["no-count", "half-count", "short-label", "short-bit-length", "non-ascii-label"])
+    def test_corrupt_header(self, data):
+        with pytest.raises(ValidationError):
+            unpack_slots(data)
+
+    @pytest.mark.parametrize("slots", [
+        [("\u00e9", "1")],
+        [("a" * 256, "1")],
+        [("u1", "012")],
+        [("u", "")] * 65536,
+    ], ids=["non-ascii-label", "long-label", "non-binary-bits", "65536-slots"])
+    def test_unpackable_slots(self, slots):
+        with pytest.raises(ValidationError):
+            pack_slots(slots)
+
+    @given(st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(lambda b: b"PSQ1" + b)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_parse_or_fail_cleanly(self, data):
+        try:
+            slots = unpack_slots(data)
+        except ValidationError:
+            return
+        assert all(isinstance(label, str) and not bits.strip("01") for label, bits in slots)

@@ -7,12 +7,12 @@ import pytest
 
 from privseq.errors import InvariantError, LimitError, ValidationError
 from privseq.frl import (
+    FrlMechanism,
     MechanismChain,
     build_chain,
     cardinality_bound,
     frl_construct,
     frl_extend,
-    mechanism_entropy,
     min_entropy_search,
     new_chain,
 )
@@ -299,10 +299,6 @@ class TestChain:
         with pytest.raises(InvariantError, match="hypothesis"):
             frl_extend(fake, d)
 
-    def test_mechanism_entropy_alias(self, designed_2x2):
-        m = frl_construct(designed_2x2)
-        assert mechanism_entropy(m) == m.entropy()
-
     def test_search_budget_reduces_stage_entropy(self):
         d = JointDist(
             [Alphabet("X", 2), Alphabet("Y", 3)],
@@ -312,3 +308,49 @@ class TestChain:
         plain = build_chain(d, "X", ["Y"])
         tuned = build_chain(d, "X", ["Y"], search_budget=36)
         assert tuned.stages[0].mechanism.entropy() <= plain.stages[0].mechanism.entropy() + 1e-12
+
+
+class TestStageChecks:
+    """build_chain verifies each new stage once; a faulty stage-2 row must not pass."""
+
+    @staticmethod
+    def build_with_faulty_row(monkeypatch, corrupt):
+        # corrupt the first stage-2 conditional row with two or more atoms
+        original = FrlMechanism.conditional_u
+        chosen = []
+
+        def patched(mech, x, y):
+            row = original(mech, x, y)
+            if mech.u_alphabet.name != "U2" or len(row) < 2:
+                return row
+            if not chosen:
+                chosen.append((x, y))
+            return corrupt(row) if chosen[0] == (x, y) else row
+
+        monkeypatch.setattr(FrlMechanism, "conditional_u", patched)
+        p = random_database(random.Random(5), 3, 2, 1)
+        try:
+            return build_chain(p, "X", ["Y1", "Y2"])
+        finally:
+            assert chosen, "stage 2 has no row with two atoms to corrupt"
+
+    def test_row_summing_below_one(self, monkeypatch):
+        def short(row):
+            first = min(row)
+            return {u: q / 2 if u == first else q for u, q in row.items()}
+
+        with pytest.raises(InvariantError, match="sum to 1"):
+            self.build_with_faulty_row(monkeypatch, short)
+
+    def test_mass_moved_inside_a_segment(self, monkeypatch):
+        # the row still sums to 1 and every atom still decodes to the same y,
+        # but U_1..U_2 is no longer independent of X
+        def shifted(row):
+            a, b = sorted(row)[:2]
+            moved = dict(row)
+            moved[a] += row[b] / 2
+            moved[b] -= row[b] / 2
+            return moved
+
+        with pytest.raises(InvariantError, match="independent"):
+            self.build_with_faulty_row(monkeypatch, shifted)
