@@ -124,7 +124,7 @@ def example1_build(params: Example1Params, limit: int = DEFAULT_STATE_LIMIT) -> 
     table: dict[tuple[int, ...], Fraction] = {(0,) + (0,) * n: 1 - p}
     unit = p / Fraction(size ** n)
     for files in itertools.product(range(size), repeat=n):
-        table[(1,) + files] = table.get((1,) + files, Fraction(0)) + unit
+        table[(1,) + files] = unit
     return JointDist(variables, table)
 
 

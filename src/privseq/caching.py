@@ -158,7 +158,7 @@ def block_joint(cfg: CacheConfig, database_dist: JointDist, demands: Sequence[in
     demands = _user_demands(cfg, demands)
     if len(database_dist.variables) != cfg.n_files + 1:
         raise ValidationError("database joint must cover X plus every file")
-    if len(database_dist.table) * max(1, cfg.block_count) > limit:
+    if len(database_dist) * max(1, cfg.block_count) > limit:
         raise LimitError("block-joint enumeration exceeds the state limit")
     x_alpha = database_dist.variables[0]
     b_alphas = [Alphabet(f"B{i + 1}", 2 ** cfg.block_bits) for i in range(cfg.block_count)]
@@ -194,7 +194,7 @@ def make_cache_session(cfg: CacheConfig, database_dist: JointDist, demands: Sequ
     demands = _user_demands(cfg, demands)
     bj = block_joint(cfg, database_dist, demands, limit)
     targets = [a.name for a in bj.variables[1:]]
-    chain = build_chain(bj, bj.variables[0].name, targets)
+    chain = build_chain(bj, bj.variables[0].name, targets, limit=limit)
     return CacheSession(cfg=cfg, demands=demands, blocks_dist=bj, chain=chain, mode=mode,
                         books=pipeline.session_codebooks(chain, mode))
 

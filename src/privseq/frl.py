@@ -18,14 +18,15 @@ a function of (X, U_1..U_{k+1}), and |U_{k+1}| within its recursive cap.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InvariantError, LimitError, ValidationError
-from .probability import Alphabet, JointDist, ZERO, ONE, _log2
+from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
+from .probability import Alphabet, JointDist, _log2, _projector
 
 # Per-x permutation of the positive-support y symbols, fixing how segments
 # are laid on [0,1). Guarantees hold for any ordering; H(U) does not.
@@ -54,12 +55,6 @@ class IntervalPartition:
     def cuts(self) -> tuple[Fraction, ...]:
         return tuple(s.end for s in self.segments[:-1])
 
-    def label_at(self, point: Fraction) -> int:
-        for s in self.segments:
-            if s.start <= point < s.end:
-                return s.label
-        raise ValidationError(f"point {point} outside [0,1)")
-
 
 @dataclass(frozen=True)
 class FrlMechanism:
@@ -69,6 +64,8 @@ class FrlMechanism:
     p_u     -- atom lengths; exactly the marginal of U
     g       -- (atom index, x) -> y on the positive support
     joint   -- exact JointDist over (U, X, Y)
+    bounds  -- atom boundaries as integers over one common denominator
+    spans   -- (x, y) -> the range of atom indices its segment covers
     """
 
     x_alphabet: Alphabet
@@ -80,6 +77,8 @@ class FrlMechanism:
     partitions: Mapping[int, IntervalPartition]
     dropped_x: tuple[int, ...]
     joint: JointDist
+    bounds: tuple[int, ...] = field(repr=False, compare=False)
+    spans: Mapping[tuple[int, int], range] = field(repr=False, compare=False)
 
     @property
     def u_size(self) -> int:
@@ -97,91 +96,116 @@ class FrlMechanism:
 
     def conditional_u(self, x: int, y: int) -> dict[int, Fraction]:
         """Exact P(U=u | X=x, Y=y): atom length over segment length."""
-        part = self.partitions.get(x)
-        if part is None:
-            raise ValidationError(f"x={x} has zero mass (dropped)")
-        seg = next((s for s in part.segments if s.label == y), None)
-        if seg is None:
+        span = self.spans.get((x, y))
+        if span is None:
+            if x not in self.partitions:
+                raise ValidationError(f"x={x} has zero mass (dropped)")
             raise ValidationError(f"(x={x}, y={y}) outside the positive support")
-        out = {}
-        for u, (a, b) in enumerate(self.atoms):
-            if seg.start <= a and b <= seg.end:
-                out[u] = (b - a) / seg.length
-        return out
+        b = self.bounds
+        length = b[span.stop] - b[span.start]
+        return {u: Fraction(b[u + 1] - b[u], length) for u in span}
 
 
 def canonical_ordering(pxy: JointDist) -> dict[int, tuple[int, ...]]:
     """Default policy: ascending y index per x, positive-support only."""
+    return {x: tuple(ys) for x, ys in _supports(pxy).items()}
+
+
+def _supports(pxy: JointDist) -> dict[int, list[int]]:
+    """x -> its positive-support y symbols, ascending, in one pass."""
     supports: dict[int, list[int]] = {}
-    for (x, y), _ in pxy.items():
+    for x, y in pxy._ints()[0]:
         supports.setdefault(x, []).append(y)
-    return {x: tuple(sorted(ys)) for x, ys in supports.items()}
+    return supports
 
 
 def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
-                  u_name: str = "U") -> FrlMechanism:
+                  u_name: str = "U", limit: int = DEFAULT_STATE_LIMIT) -> FrlMechanism:
     """Build the interval mechanism for a pair distribution (X, Y).
 
     Zero-mass x symbols are dropped (recorded in `dropped_x`); zero-mass
     (x, y) pairs produce no segment. All invariants are verified exactly
-    before returning.
+    before returning. LimitError is raised before the joint of (U, X, Y) is
+    built if it would hold more than `limit` cells.
     """
     if len(pxy.variables) != 2:
         raise ValidationError(f"need a pair distribution, got variables {pxy.names}")
     x_alpha, y_alpha = pxy.variables
+    num, den = pxy._ints()
 
-    px: dict[int, Fraction] = {}
-    for (x, y), p in pxy.items():
-        px[x] = px.get(x, ZERO) + p
+    supports = _supports(pxy)
+    px = {x: sum(num[(x, y)] for y in ys) for x, ys in supports.items()}
     dropped = tuple(x for x in x_alpha.symbols() if x not in px)
 
     if policy is None:
         policy = canonical_ordering(pxy)
 
-    partitions: dict[int, IntervalPartition] = {}
-    cutset: set[Fraction] = set()
-    for x in sorted(px):
-        support = {y for (xx, y) in pxy.table if xx == x}
+    # segment lengths P(y|x) = n(x,y)/px[x] as integers over one common
+    # denominator `scale`: the lcm of the reduced per-x denominators
+    orders: dict[int, tuple[int, ...]] = {}
+    common: dict[int, int] = {}  # x -> gcd of px[x] and every n(x, y)
+    for x, ys in supports.items():
         order = tuple(policy.get(x, ()))
-        if sorted(order) != sorted(support):
+        if sorted(order) != ys:
             raise ValidationError(
-                f"policy for x={x} must permute the positive-support y symbols {sorted(support)}"
+                f"policy for x={x} must permute the positive-support y symbols {ys}"
             )
+        orders[x] = order
+        common[x] = math.gcd(px[x], *(num[(x, y)] for y in ys))
+    scale = math.lcm(*(px[x] // c for x, c in common.items()))
+
+    ends: dict[int, list[tuple[int, int, int]]] = {}  # x -> (start, end, y) per segment
+    cutset: set[int] = set()
+    for x, order in orders.items():
+        step = scale // (px[x] // common[x])
         segs = []
-        pos = ZERO
+        pos = 0
         for y in order:
-            w = pxy.prob((x, y)) / px[x]
-            segs.append(Segment(pos, pos + w, y))
-            pos += w
-        if pos != 1:
-            raise InvariantError(f"segments for x={x} cover {pos}, expected 1")
-        partitions[x] = IntervalPartition(x, tuple(segs))
-        cutset.update(s.end for s in segs[:-1])
+            end = pos + num[(x, y)] // common[x] * step
+            segs.append((pos, end, y))
+            pos = end
+        if pos != scale:
+            raise InvariantError(f"segments for x={x} cover {Fraction(pos, scale)}, expected 1")
+        ends[x] = segs
+        cutset.update(end for _, end, _ in segs[:-1])
 
-    bounds = [ZERO] + sorted(cutset) + [ONE]
-    atoms = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
-    p_u = tuple(b - a for a, b in atoms)
+    bounds = (0, *sorted(cutset), scale)
+    points = [Fraction(b, scale) for b in bounds]
+    atoms = tuple(zip(points, points[1:]))
+    p_u = tuple(Fraction(b - a, scale) for a, b in zip(bounds, bounds[1:]))
 
+    # each segment covers a run of whole atoms, found by bisection over the
+    # atom boundaries; an endpoint that is not a boundary would split an atom
+    partitions: dict[int, IntervalPartition] = {}
+    spans: dict[tuple[int, int], range] = {}
     g: dict[tuple[int, int], int] = {}
-    for u, (a, b) in enumerate(atoms):
-        for x, part in partitions.items():
-            y = part.label_at(a)
-            seg = next(s for s in part.segments if s.label == y)
-            if not (seg.start <= a and b <= seg.end):
+    for x, segs in ends.items():
+        parts = []
+        for start, end, y in segs:
+            i0 = bisect.bisect_left(bounds, start)
+            i1 = bisect.bisect_left(bounds, end)
+            if bounds[i0] != start or bounds[i1] != end:
                 raise InvariantError("refinement atom crosses a segment boundary")
-            g[(u, x)] = y
+            parts.append(Segment(points[i0], points[i1], y))
+            spans[(x, y)] = range(i0, i1)
+            for u in range(i0, i1):
+                g[(u, x)] = y
+        partitions[x] = IntervalPartition(x, tuple(parts))
+    if len(g) != len(atoms) * len(partitions):
+        raise InvariantError("segments do not tile [0,1) for every x")
 
+    cells = len(atoms) * len(px)
+    if cells > limit:
+        raise LimitError(f"the {u_name} mechanism needs {cells} cells, over the limit {limit}")
     u_alpha = Alphabet(u_name, len(atoms))
-    table = {}
-    for u in range(len(atoms)):
-        for x, mass in px.items():
-            table[(u, x, g[(u, x)])] = p_u[u] * mass
-    joint = JointDist([u_alpha, x_alpha, y_alpha], table)
+    table = {(u, x, g[(u, x)]): (bounds[u + 1] - bounds[u]) * mass
+             for u in range(len(atoms)) for x, mass in px.items()}
+    joint = JointDist._exact((u_alpha, x_alpha, y_alpha), table, scale * den)
 
     mech = FrlMechanism(
         x_alphabet=x_alpha, y_alphabet=y_alpha, u_alphabet=u_alpha,
         atoms=atoms, p_u=p_u, g=g, partitions=partitions,
-        dropped_x=dropped, joint=joint,
+        dropped_x=dropped, joint=joint, bounds=bounds, spans=spans,
     )
     _verify_mechanism(mech, pxy)
     return mech
@@ -192,7 +216,7 @@ def _verify_mechanism(mech: FrlMechanism, pxy: JointDist) -> None:
     if not mech.joint.is_independent([mech.u_alphabet.name], [x_name]):
         raise InvariantError("constructed U is not exactly independent of X")
     seen: dict[tuple[int, int], int] = {}
-    for (u, x, y), p in mech.joint.items():
+    for u, x, y in mech.joint._ints()[0]:
         if seen.setdefault((u, x), y) != y:
             raise InvariantError(f"Y not a function of (U, X) at u={u}, x={x}")
     cap = cardinality_bound(mech.x_alphabet.size, [], mech.y_alphabet.size)
@@ -218,9 +242,7 @@ def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, 
     Explores the interval-construction subfamily only, so the reported value
     upper-bounds the true minimum over all feasible auxiliaries.
     """
-    supports: dict[int, list[int]] = {}
-    for (x, y), p in pxy.items():
-        supports.setdefault(x, []).append(y)
+    supports = _supports(pxy)
     xs = sorted(supports)
     count = 1
     for x in xs:
@@ -306,47 +328,68 @@ def new_chain(base: JointDist, private: str) -> MechanismChain:
 
 
 def _extend(chain: MechanismChain, target: str, policy: OrderingPolicy | None,
-            search_budget: int | None = None) -> MechanismChain:
-    """Add one stage; the caller guarantees U_1..U_k is independent of the private variable."""
+            search_budget: int | None = None,
+            limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
+    """Add one stage; the caller guarantees U_1..U_k is independent of the private variable.
+
+    Raises LimitError before the stage's mechanism or product table is built
+    if it would hold more than `limit` cells.
+    """
     k = len(chain.stages)
     u_names = list(chain.u_names)
     if target == chain.private or target in u_names:
         raise ValidationError(f"cannot target {target!r}")
     chain.joint._axes([target])
 
-    sub = chain.joint.marginalize([chain.private, *u_names, target])
-    comp_marg = sub.marginalize([chain.private, *u_names])
-    states = tuple(sorted(comp_marg.table))
-    index = {s: i for i, s in enumerate(states)}
+    # the pair (compound state, target); compound states in sorted order
+    sub, den = chain.joint.marginalize([chain.private, *u_names, target])._ints()
+    index: dict[tuple[int, ...], int] = {}
+    pair_num: dict[tuple[int, int], int] = {}
+    for cell, n in sub.items():
+        pair_num[(index.setdefault(cell[:-1], len(index)), cell[-1])] = n
+    states = tuple(index)
     comp_alpha = Alphabet(f"_XU{k}", len(states))
-    y_alpha = sub.variables[-1]
-    pair = JointDist(
-        [comp_alpha, y_alpha],
-        {(index[c[:-1]], c[-1]): p for c, p in sub.items()},
-    )
+    y_alpha = chain.joint.variables[chain.joint.names.index(target)]
+    pair = JointDist._exact((comp_alpha, y_alpha), pair_num, den)
 
     u_name = f"U{k + 1}"
     if u_name in chain.joint.names:
         raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
     if search_budget is not None:
         policy, _ = min_entropy_search(pair, search_budget)
-    mech = frl_construct(pair, policy, u_name=u_name)
+    try:
+        mech = frl_construct(pair, policy, u_name=u_name, limit=limit)
+    except LimitError as exc:
+        raise LimitError(f"chain stage {k + 1} ({target}): {exc}") from None
 
-    # one conditional row per positive (compound state, target) pair; a row
-    # summing to 1 keeps the marginal of every earlier variable unchanged
-    rows = {key: mech.conditional_u(*key) for key in pair.table}
-    for (state, y), row in rows.items():
-        if sum(row.values()) != 1:
-            raise InvariantError(
-                f"stage {k + 1}: P({u_name} | {states[state]}, {target}={y}) does not sum to 1"
-            )
-    axes = chain.joint._axes([chain.private, *u_names, target])
-    table: dict[tuple[int, ...], Fraction] = {}
-    for cell, p in chain.joint.items():
-        row = rows[(index[tuple(cell[a] for a in axes[:-1])], cell[axes[-1]])]
-        for u, q in row.items():
-            table[cell + (u,)] = p * q
-    joint = JointDist(chain.joint.variables + (mech.u_alphabet,), table)
+    # one conditional row per positive (compound state, target) pair, as
+    # integer numerators over the row's lcm; a row summing to 1 keeps the
+    # marginal of every earlier variable unchanged
+    rows: dict[tuple[int, ...], tuple[list[tuple[int, int]], int]] = {}
+    for cell, (state, y) in zip(sub, pair_num):
+        row = sorted(mech.conditional_u(state, y).items())
+        row_den = math.lcm(*(q.denominator for _, q in row))
+        ints = [(u, q.numerator * (row_den // q.denominator)) for u, q in row]
+        total = sum(n for _, n in ints)
+        if total != row_den or min(n for _, n in ints) <= 0:
+            fault = "does not sum to 1" if total != row_den else "has a nonpositive entry"
+            raise InvariantError(f"stage {k + 1}: P({u_name} | {states[state]}, {target}={y}) {fault}")
+        rows[cell] = (ints, row_den)
+    stage_den = math.lcm(*(row_den for _, row_den in rows.values()))
+    scaled = {cell: [(u, n * (stage_den // row_den)) for u, n in ints]
+              for cell, (ints, row_den) in rows.items()}
+
+    project = _projector(chain.joint._axes([chain.private, *u_names, target]))
+    num, chain_den = chain.joint._ints()
+    cells = sum(len(scaled[project(cell)]) for cell in num)
+    if cells > limit:
+        raise LimitError(f"chain stage {k + 1} ({target}): the product needs {cells} cells, "
+                         f"over the limit {limit}")
+    table: dict[tuple[int, ...], int] = {}
+    for cell, n in num.items():
+        for u, m in scaled[project(cell)]:
+            table[cell + (u,)] = n * m
+    joint = JointDist._exact(chain.joint.variables + (mech.u_alphabet,), table, chain_den * stage_den)
 
     stage = ChainStage(target=target, mechanism=mech, compound=states, index=index)
     out = MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))
@@ -363,7 +406,7 @@ def _verify_last_stage(chain: MechanismChain) -> None:
     if not marg.is_independent(cond[1:], [chain.private]):
         raise InvariantError(f"U_1..U_{k} not exactly independent of {chain.private}")
     seen: dict[tuple[int, ...], int] = {}
-    for cell, _ in marg.items():
+    for cell in marg._ints()[0]:
         if seen.setdefault(cell[:-1], cell[-1]) != cell[-1]:
             raise InvariantError(f"{stage.target} not a function of ({', '.join(cond)})")
     x_alpha, *_, y_alpha = marg.variables
@@ -373,7 +416,8 @@ def _verify_last_stage(chain: MechanismChain) -> None:
 
 
 def frl_extend(chain: MechanismChain, pnext: JointDist,
-               policy: OrderingPolicy | None = None) -> MechanismChain:
+               policy: OrderingPolicy | None = None,
+               limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Extend a chain by one stage.
 
     `pnext` must be the exact joint of (private, U_1..U_k, next target); it is
@@ -394,20 +438,22 @@ def frl_extend(chain: MechanismChain, pnext: JointDist,
         raise ValidationError("pnext disagrees with the chain's joint on the shared variables")
     if not reordered.is_independent(list(chain.u_names), [chain.private]):
         raise InvariantError("extension hypothesis violated: I(U prefix; private) != 0")
-    return _extend(chain, target, policy)
+    return _extend(chain, target, policy, limit=limit)
 
 
 def build_chain(base: JointDist, private: str, targets: Sequence[str],
-                search_budget: int | None = None) -> MechanismChain:
+                search_budget: int | None = None,
+                limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Run the sequential construction over `targets` in order.
 
     Stage i only reads the marginal over (private, U_1..U_{i-1}, targets[i]),
     so the first i stages are identical for any continuation of the target
     list. A repeated target yields a constant (zero-entropy) stage. With
     `search_budget` set, every stage exhausts segment orderings to shrink
-    H(U); otherwise the canonical ascending order is used.
+    H(U); otherwise the canonical ascending order is used. A stage whose
+    joint would pass `limit` cells raises LimitError before it is built.
     """
     chain = new_chain(base, private)
     for t in targets:
-        chain = _extend(chain, t, None, search_budget)
+        chain = _extend(chain, t, None, search_budget, limit)
     return chain

@@ -107,12 +107,17 @@ def demand_vector(p: JointDist, demands: Sequence[int],
 
 
 def session_chain(p: JointDist, demands: Sequence[int],
-                  search_budget: int | None = None) -> MechanismChain:
-    """Build the mechanism chain for a demand vector over database joint `p`."""
+                  search_budget: int | None = None,
+                  limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
+    """Build the mechanism chain for a demand vector over database joint `p`.
+
+    A stage whose joint would pass `limit` cells raises LimitError.
+    """
     demands = demand_vector(p, demands)
     names = bounds_mod.demand_names(p, demands)
     base = p.marginalize([p.variables[0].name, *names])
-    return build_chain(base, p.variables[0].name, names, search_budget=search_budget)
+    return build_chain(base, p.variables[0].name, names, search_budget=search_budget,
+                       limit=limit)
 
 
 def chain_private_size(chain: MechanismChain) -> int:
@@ -145,11 +150,15 @@ def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismC
 Books = tuple[Codebook, list[Codebook]]
 
 
+def _slot_label(i: int) -> str:
+    """The slot layout: slot 0 is "pad" (the padded private symbol), slot i is "u<i>"."""
+    return f"u{i}" if i else "pad"
+
+
 def _write_slots(books: Books, xt: int, u_vec: Sequence[int]) -> Transcript:
-    """The slot layout: "pad" carries the padded private symbol, then u1..uk."""
     pad_book, stage_books = books
-    return Transcript((("pad", pad_book.encode(xt)),) + tuple(
-        (f"u{i}", book.encode(u)) for i, (book, u) in enumerate(zip(stage_books, u_vec), 1)))
+    return Transcript(((_slot_label(0), pad_book.encode(xt)),) + tuple(
+        (_slot_label(i), book.encode(u)) for i, (book, u) in enumerate(zip(stage_books, u_vec), 1)))
 
 
 def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
@@ -191,6 +200,9 @@ def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
         raise ValidationError(
             f"transcript has {len(transcript.slots)} slots, expected {len(chain.stages) + 1}"
         )
+    for i, (label, _) in enumerate(transcript.slots):
+        if label != _slot_label(i):
+            raise ValidationError(f"slot {i} is labelled {label!r}, expected {_slot_label(i)!r}")
     (_, pad_bits), *rest = transcript.slots
     x = otp_decrypt(_read(pad_book, pad_bits, "the pad slot"), key)
     ys = []
@@ -257,25 +269,24 @@ def transcript_distribution(p: JointDist, demands: Sequence[int], chain: Mechani
     x_size = p.variables[0].size
     if key_size != x_size:
         raise ValidationError(f"the multi-part scheme needs key size |X|={x_size}, got {key_size}")
-    states = len(chain.joint.table) * key_size
+    states = len(chain.joint) * key_size
     if states > limit:
         raise LimitError(f"{states} weighted states exceed the limit {limit}")
 
     books = session_codebooks(chain, mode)
-    ncols = len(chain.joint.variables)
     k = len(chain.stages)
     x_axis = chain.joint.names.index(chain.private)
-    u_axes = list(range(ncols - k, ncols))
+    u_start = len(chain.joint.variables) - k  # the stages' U variables come last
 
     by_key: dict[tuple[int, tuple[int, ...]], int] = {}
     transcripts: list[Transcript] = []
     lengths: list[int] = []
     parts: list[tuple[int, tuple[int, ...]]] = []
-    table: dict[tuple[int, int, int], Fraction] = {}
-    w_frac = Fraction(1, key_size)
-    for cell, prob in chain.joint.items():
+    table: dict[tuple[int, int, int], int] = {}
+    num, den = chain.joint._ints()
+    for cell, n in num.items():
         x = cell[x_axis]
-        u_vec = tuple(cell[a] for a in u_axes)
+        u_vec = cell[u_start:]
         for w in range(key_size):
             xt = (x + w) % x_size
             part = (xt, u_vec)
@@ -288,10 +299,12 @@ def transcript_distribution(p: JointDist, demands: Sequence[int], chain: Mechani
                 lengths.append(t.total_length)
                 parts.append(part)
             key = (idx, x, w)
-            table[key] = table.get(key, ZERO) + prob * w_frac
+            table[key] = table.get(key, 0) + n
 
     c_alpha = Alphabet("C", len(transcripts))
-    joint = JointDist([c_alpha, Alphabet("X", x_size), Alphabet("W", key_size)], table)
+    # each cell's weight is spread evenly over the key_size key values
+    joint = JointDist._exact((c_alpha, Alphabet("X", x_size), Alphabet("W", key_size)),
+                             table, den * key_size, ordered=False)
     return TranscriptDistribution(joint, tuple(transcripts), tuple(lengths), tuple(parts))
 
 
@@ -315,13 +328,15 @@ class ExpectedLength:
 
 
 def expected_length(td: TranscriptDistribution) -> ExpectedLength:
-    """E[len(C) | W=w] for each key value; exact fractions, reported as floats."""
-    totals = [ZERO] * td.key_size
-    mass = [ZERO] * td.key_size
-    for (c, _x, w), p in td.joint.items():
-        totals[w] += p * td.lengths[c]
-        mass[w] += p
-    per_w = tuple(float(t / m) if m else 0.0 for t, m in zip(totals, mass))
+    """E[len(C) | W=w] for each key value; exact ratios, reported as floats."""
+    totals = [0] * td.key_size
+    mass = [0] * td.key_size
+    num, _ = td.joint._ints()
+    for (c, _x, w), n in num.items():
+        totals[w] += n * td.lengths[c]
+        mass[w] += n
+    # int / int is correctly rounded, as float() of the reduced Fraction is
+    per_w = tuple(t / m if m else 0.0 for t, m in zip(totals, mass))
     return ExpectedLength(per_w=per_w, max_over_w=max(per_w))
 
 
@@ -404,7 +419,7 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
     """One demand vector end to end: chain, transcript distribution, leakage
     audit, expected length and bounds. Returns the row and the chain it built."""
     demands = demand_vector(p, demands)
-    chain = session_chain(p, demands)
+    chain = session_chain(p, demands, limit=limit)
     x_size = p.variables[0].size
     td = transcript_distribution(p, demands, chain, x_size, mode, limit)
     el = expected_length(td)

@@ -1,9 +1,15 @@
 """Exact finite probability distributions with rational arithmetic.
 
-Probabilities are `fractions.Fraction` throughout, so independence and
-normalization checks are exact equalities, never float comparisons.
-Entropy-style functionals are the only place floats appear, and they are
-always in bits (log base 2).
+A joint table is stored as integer numerators over one common denominator,
+reduced so that the numerators and the denominator share no factor; the
+kernel (marginals, conditionals, independence tests, product extensions)
+adds and multiplies plain integers, so every check is an exact equality,
+never a float comparison. `fractions.Fraction` appears only at the API
+edges: `table`, `items()`, `prob()` and the marginals passed in. A table
+given to the constructor is validated and kept as the Fractions it came in;
+its integer form is derived on first use. Entropy-style functionals are the
+only place floats appear: each cell n/den is reduced by its gcd before the
+division and the log, and results are always in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -11,12 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+Cell = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -41,15 +50,49 @@ def _log2(f: Fraction) -> float:
     return math.log2(f.numerator) - math.log2(f.denominator)
 
 
+def _reduced(n: int, den: int) -> tuple[int, int]:
+    g = math.gcd(n, den)
+    return n // g, den // g
+
+
+def _log2_ratio(n: int, den: int) -> float:
+    """log2(n/den), taken like `_log2` on the reduced fraction."""
+    n, den = _reduced(n, den)
+    return math.log2(n) - math.log2(den)
+
+
+def _plog2p(n: int, den: int) -> float:
+    """p * log2(p) for p = n/den, as `float(p) * _log2(p)` on the reduced fraction."""
+    n, den = _reduced(n, den)
+    return n / den * (math.log2(n) - math.log2(den))
+
+
+def _projector(axes: Sequence[int]) -> Callable[[Cell], Cell]:
+    """A function mapping a cell onto the sub-cell at `axes`, in that order."""
+    axes = tuple(axes)
+    if axes == tuple(range(len(axes))):
+        m = len(axes)
+        return lambda cell: cell[:m]
+    if len(axes) == 1:
+        (a,) = axes
+        return lambda cell: (cell[a],)
+    return itemgetter(*axes)
+
+
 class JointDist:
     """Exact joint distribution over an ordered tuple of alphabets.
 
-    The table keeps positive entries only (zero cells are implicit) and is
-    required to sum to exactly 1. Instances are immutable; every operation
-    returns a new distribution.
+    The table keeps positive entries only (zero cells are implicit) and sums
+    to exactly 1. Kernel results hold integer numerators `n(cell)` over one
+    common denominator `den`, in sorted cell order; a table given to the
+    constructor is validated and kept as the Fractions it was given, and its
+    integer form is derived on first use. `table` and `items()` present the
+    Fraction view in sorted cell order; `len(d)` counts positive cells
+    without building it. Instances are immutable; every operation returns a
+    new distribution.
     """
 
-    __slots__ = ("variables", "table")
+    __slots__ = ("variables", "_table", "_num", "_den")
 
     def __init__(self, variables: Sequence[Alphabet], table: Mapping[tuple[int, ...], Fraction]):
         variables = tuple(variables)
@@ -58,42 +101,94 @@ class JointDist:
             raise ValidationError(f"duplicate variable names: {names}")
         if not variables:
             raise ValidationError("a distribution needs at least one variable")
+        sizes = [v.size for v in variables]
         clean: dict[tuple[int, ...], Fraction] = {}
-        total = ZERO
+        by_den: dict[int, int] = {}  # exact running sum, numerators grouped by denominator
         for cell, p in table.items():
             cell = tuple(cell)
             if len(cell) != len(variables):
                 raise ValidationError(f"cell {cell} does not index every variable")
-            for s, var in zip(cell, variables):
-                if not 0 <= s < var.size:
+            for s, size, var in zip(cell, sizes, variables):
+                if not 0 <= s < size:
                     raise ValidationError(f"symbol {s} out of range for {var.name!r} (size {var.size})")
-            p = Fraction(p)
-            if p < 0:
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            if p.numerator < 0:
                 raise ValidationError(f"negative probability {p} at {cell}")
-            total += p
-            if p > 0:
+            if p.numerator:
                 if cell in clean:
                     raise ValidationError(f"duplicate cell {cell}")
                 clean[cell] = p
-        if total != 1:
-            raise ValidationError(f"probabilities sum to {total}, expected exactly 1")
+                by_den[p.denominator] = by_den.get(p.denominator, 0) + p.numerator
+        den = math.lcm(*by_den)
+        total = sum(n * (den // d) for d, n in by_den.items())
+        if total != den:
+            raise ValidationError(
+                f"probabilities sum to {Fraction(total, den)}, expected exactly 1")
         self.variables = variables
-        self.table = {cell: clean[cell] for cell in sorted(clean)}
+        self._table = {cell: clean[cell] for cell in sorted(clean)}
+        self._num = None
+        self._den = den
+
+    @classmethod
+    def _exact(cls, variables: tuple[Alphabet, ...], num: dict[Cell, int], den: int,
+               ordered: bool = True) -> "JointDist":
+        """Wrap a table built by exact operations, without validation.
+
+        `num` holds positive integers summing to `den`; they are reduced by
+        their common gcd here. With `ordered` false the cells are sorted.
+        """
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {cell: n // g for cell, n in num.items()}
+            den //= g
+        if not ordered:
+            num = dict(sorted(num.items()))
+        self = object.__new__(cls)
+        self.variables = variables
+        self._table = None
+        self._num = num
+        self._den = den
+        return self
+
+    def _ints(self) -> tuple[dict[Cell, int], int]:
+        """(numerators, common denominator), reduced, in sorted cell order."""
+        if self._num is None:
+            den = self._den
+            self._num = {cell: p.numerator * (den // p.denominator)
+                         for cell, p in self._table.items()}
+        return self._num, self._den
+
+    @property
+    def table(self) -> dict[tuple[int, ...], Fraction]:
+        """Positive cells as reduced Fractions, in sorted cell order."""
+        if self._table is None:
+            den = self._den
+            self._table = {cell: Fraction(n, den) for cell, n in self._num.items()}
+        return self._table
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
+    def __len__(self) -> int:
+        """Number of positive cells."""
+        return len(self._num if self._table is None else self._table)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDist):
             return NotImplemented
-        return self.variables == other.variables and self.table == other.table
+        if self.variables != other.variables:
+            return False
+        if self._table is not None and other._table is not None:
+            return self._table == other._table
+        return self._ints() == other._ints()
 
     __hash__ = None  # mutable-looking container semantics; not hashable
 
     def __repr__(self) -> str:
         vs = ",".join(f"{v.name}:{v.size}" for v in self.variables)
-        return f"JointDist({vs}; {len(self.table)} cells)"
+        return f"JointDist({vs}; {len(self)} cells)"
 
     def _axes(self, names: Iterable[str]) -> tuple[int, ...]:
         lookup = {v.name: i for i, v in enumerate(self.variables)}
@@ -107,42 +202,50 @@ class JointDist:
         return tuple(axes)
 
     def prob(self, cell: Sequence[int]) -> Fraction:
-        return self.table.get(tuple(cell), ZERO)
+        if self._table is not None:
+            return self._table.get(tuple(cell), ZERO)
+        return Fraction(self._num.get(tuple(cell), 0), self._den)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        return iter(self.table.items())
+        if self._table is not None:
+            return iter(self._table.items())
+        den = self._den
+        return ((cell, Fraction(n, den)) for cell, n in self._num.items())
 
     def marginalize(self, keep: Sequence[str]) -> "JointDist":
         """Sum out everything but `keep`; result variables follow `keep` order."""
         axes = self._axes(keep)
         if not axes:
             raise ValidationError("keep at least one variable")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for cell, p in self.table.items():
-            key = tuple(cell[a] for a in axes)
-            out[key] = out.get(key, ZERO) + p
-        return JointDist([self.variables[a] for a in axes], out)
+        num, den = self._ints()
+        project = _projector(axes)
+        out: dict[Cell, int] = {}
+        get = out.get
+        for cell, n in num.items():
+            key = project(cell)
+            out[key] = get(key, 0) + n
+        # a prefix of the axes keeps the cells' sorted order
+        ordered = axes == tuple(range(len(axes)))
+        return JointDist._exact(tuple(self.variables[a] for a in axes), out, den, ordered)
 
     def condition(self, name: str, symbol: int) -> "JointDist":
         """Exact conditional given `name == symbol`; the variable is dropped."""
         (axis,) = self._axes([name])
         if len(self.variables) == 1:
             raise ValidationError("cannot condition away the only variable")
-        mass = ZERO
-        rows: dict[tuple[int, ...], Fraction] = {}
-        for cell, p in self.table.items():
-            if cell[axis] == symbol:
-                mass += p
-                rows[cell[:axis] + cell[axis + 1:]] = p
+        num, _ = self._ints()
+        rows = {cell[:axis] + cell[axis + 1:]: n for cell, n in num.items() if cell[axis] == symbol}
+        mass = sum(rows.values())
         if mass == 0:
             raise ValidationError(f"conditioning on zero-probability event {name}={symbol}")
         rest = self.variables[:axis] + self.variables[axis + 1:]
-        return JointDist(rest, {c: p / mass for c, p in rows.items()})
+        return JointDist._exact(rest, rows, mass)
 
     def entropy(self, of: Sequence[str] | None = None) -> float:
         """Shannon entropy in bits of the (marginal) distribution."""
         d = self if of is None else self.marginalize(of)
-        return -sum(float(p) * _log2(p) for p in d.table.values())
+        num, den = d._ints()
+        return -sum(_plog2p(n, den) for n in num.values())
 
     def conditional_entropy(self, target: Sequence[str], given: Sequence[str]) -> float:
         """H(target | given) in bits; `given` may be empty."""
@@ -152,18 +255,17 @@ class JointDist:
             raise ValidationError("target and given must be disjoint")
         if not given:
             return self.entropy(target)
-        marg = self.marginalize(given + target)
+        num, den = self.marginalize(given + target)._ints()
         ng = len(given)
-        by_g: dict[tuple[int, ...], Fraction] = {}
-        for cell, p in marg.table.items():
+        by_g: dict[Cell, int] = {}
+        for cell, n in num.items():
             g = cell[:ng]
-            by_g[g] = by_g.get(g, ZERO) + p
+            by_g[g] = by_g.get(g, 0) + n
         h = 0.0
-        for cell, p in marg.table.items():
-            pg = by_g[cell[:ng]]
-            h += float(p) * (_log2(pg) - _log2(p))
+        for cell, n in num.items():
+            p_n, p_den = _reduced(n, den)
+            h += p_n / p_den * (_log2_ratio(by_g[cell[:ng]], den) - _log2_ratio(n, den))
         return max(0.0, h)
-
     def mutual_information(self, a: Sequence[str], b: Sequence[str]) -> float:
         """I(a; b) in bits, clamped at 0 against float dust."""
         a = list(a)
@@ -184,14 +286,20 @@ class JointDist:
             raise ValidationError("variable sets must be disjoint")
         if not a or not b:
             return True
-        joint = self.marginalize(a + b)
-        pa = joint.marginalize(a)
-        pb = joint.marginalize(b)
-        for ca, qa in pa.table.items():
-            for cb, qb in pb.table.items():
-                if joint.prob(ca + cb) != qa * qb:
-                    return False
-        return True
+        joint, den = self.marginalize(a + b)._ints()
+        na = len(a)
+        pa: dict[Cell, int] = {}
+        pb: dict[Cell, int] = {}
+        for cell, n in joint.items():
+            ca, cb = cell[:na], cell[na:]
+            pa[ca] = pa.get(ca, 0) + n
+            pb[cb] = pb.get(cb, 0) + n
+        # a pair of positive marginal cells with no joint cell would fail the
+        # product test below anyway; counting the cells finds it sooner
+        if len(joint) != len(pa) * len(pb):
+            return False
+        # n_ab/den == (n_a/den)(n_b/den) on every pair
+        return all(n * den == pa[cell[:na]] * pb[cell[na:]] for cell, n in joint.items())
 
     def product_extend(self, fresh: Alphabet, marginal: Sequence[Fraction]) -> "JointDist":
         """Append a new variable exactly independent of all existing ones."""
@@ -202,12 +310,11 @@ class JointDist:
             raise ValidationError(f"marginal needs {fresh.size} entries, got {len(marginal)}")
         if any(q < 0 for q in marginal) or sum(marginal) != 1:
             raise ValidationError("marginal must be nonnegative and sum to exactly 1")
-        out = {}
-        for cell, p in self.table.items():
-            for s, q in enumerate(marginal):
-                if q > 0:
-                    out[cell + (s,)] = p * q
-        return JointDist(self.variables + (fresh,), out)
+        m_den = math.lcm(*(q.denominator for q in marginal))
+        row = [(s, q.numerator * (m_den // q.denominator)) for s, q in enumerate(marginal) if q > 0]
+        num, den = self._ints()
+        out = {cell + (s,): n * m for cell, n in num.items() for s, m in row}
+        return JointDist._exact(self.variables + (fresh,), out, den * m_den)
 
 
 def uniform(alphabet: Alphabet) -> JointDist:

@@ -21,6 +21,7 @@ from privseq.errors import ValidationError
 from privseq.pipeline import (
     FixedDraws,
     RandomDraws,
+    Transcript,
     decode_walk,
     expected_length,
     leakage_audit,
@@ -253,3 +254,19 @@ class TestUserDecodeValidation:
         t, _ = private_wrap(session, stream.blocks, 0, PadKey(0, 2), RandomDraws(0))
         with pytest.raises(ValidationError, match="belongs"):
             user_decode(session, 1, t, caches[1], PadKey(0, 2))
+
+    def test_relabelled_transcript_rejected(self):
+        cfg = CacheConfig(2, 2, 1, 2)
+        session = make_cache_session(cfg, masked_db("1/2", 2, 2), (1, 2))
+        caches = placement(cfg, [1, 2])
+        stream = delivery_blocks(cfg, [1, 2], (1, 2))
+        t, _ = private_wrap(session, stream.blocks, 1, PadKey(0, 2), RandomDraws(0))
+        got = Transcript.unpack(t.pack())
+        assert user_decode(session, 1, got, caches[0], PadKey(0, 2)) == 1
+        relabelled = Transcript(tuple(("zz", bits) for _, bits in got.slots))
+        with pytest.raises(ValidationError, match="slot 0 is labelled 'zz', expected 'pad'"):
+            user_decode(session, 1, relabelled, caches[0], PadKey(0, 2))
+        last = len(got.slots) - 1
+        misplaced = Transcript(got.slots[:-1] + (("pad", got.slots[-1][1]),))
+        with pytest.raises(ValidationError, match=f"expected 'u{last}'"):
+            user_decode(session, 2, misplaced, caches[1], PadKey(0, 2))

@@ -91,6 +91,22 @@ class TestPipelineRun:
         assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",
                      "--demands", "1,2", "--limit", "2"]) == 3
 
+    def test_limit_bounds_chain_construction(self, spec_path, capsys):
+        import random
+
+        from conftest import random_database
+        from privseq.probability import format_dist
+
+        # this database's chain over demands 1,2,3 has 168 cells after
+        # stage 2 and 924 after stage 3; the stage-3 mechanism has as many
+        spec = spec_path(format_dist(random_database(random.Random(1), 3, 3, 1)))
+        assert main(["pipeline", "run", "--spec", spec, "--demands", "1,2,3",
+                     "--limit", "500"]) == 3
+        err = capsys.readouterr().err
+        assert "chain stage 3 (Y3): the U3 mechanism needs 924 cells, over the limit 500" in err
+        assert main(["pipeline", "run", "--spec", spec, "--demands", "1,2",
+                     "--limit", "500"]) == 0
+
     def test_sweep(self, capsys):
         assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",
                      "--demands", "sweep", "--k", "2"]) == 0

@@ -354,3 +354,38 @@ class TestStageChecks:
 
         with pytest.raises(InvariantError, match="independent"):
             self.build_with_faulty_row(monkeypatch, shifted)
+
+
+class TestStageLimit:
+    """A stage whose joint would pass `limit` cells fails before it is built."""
+
+    @staticmethod
+    def stage_cells(p, targets):
+        return [len(build_chain(p, "X", targets[:i]).joint) for i in range(1, len(targets) + 1)]
+
+    def test_limit_between_stages(self, monkeypatch):
+        p = random_database(random.Random(1), 3, 3, 1)
+        targets = ["Y1", "Y2", "Y3"]
+        _, stage2, stage3 = self.stage_cells(p, targets)
+        assert stage2 < stage3
+        limit = (stage2 + stage3) // 2
+        built = []
+        original = JointDist._exact.__func__
+
+        def recording(cls, variables, num, den, ordered=True):
+            built.append(len(num))
+            return original(cls, variables, num, den, ordered)
+
+        monkeypatch.setattr(JointDist, "_exact", classmethod(recording))
+        with pytest.raises(LimitError, match=f"stage 3 .* {stage3} cells.*limit {limit}"):
+            build_chain(p, "X", targets, limit=limit)
+        assert built and max(built) <= limit
+
+    def test_limit_at_stage_size_passes(self):
+        # the chain joint also carries Y3, so the stage-2 product outgrows
+        # the stage-2 mechanism and the product count is what trips
+        p = random_database(random.Random(1), 3, 3, 1)
+        cells = self.stage_cells(p, ["Y1", "Y2"])
+        assert len(build_chain(p, "X", ["Y1", "Y2"], limit=cells[-1]).joint) == cells[-1]
+        with pytest.raises(LimitError, match=f"stage 2 .*the product needs {cells[-1]} cells"):
+            build_chain(p, "X", ["Y1", "Y2"], limit=cells[-1] - 1)

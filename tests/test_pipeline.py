@@ -111,6 +111,40 @@ class TestEncodeDecode:
         t = encode_session(p, (1, 0, 1), (2, 1), PadKey(1, 2), chain, RandomDraws(9))
         assert Transcript.unpack(t.pack()) == t
 
+    def test_packed_roundtrip_decodes(self):
+        p = masked_bits("1/2", 3, 3, 1)
+        chain = session_chain(p, (1, 2))
+        t = encode_session(p, (1, 0, 1, 1), (1, 2), PadKey(1, 2), chain, RandomDraws(4))
+        got = Transcript.unpack(t.pack())
+        assert decode_session(got, PadKey(1, 2), (1, 2), chain) == (1, (0, 1))
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_relabelled_slot_rejected(self, slot):
+        p = masked_bits("1/2", 3, 3, 1)
+        chain = session_chain(p, (1, 2))
+        t = encode_session(p, (1, 0, 1, 1), (1, 2), PadKey(1, 2), chain, RandomDraws(4))
+        slots = list(t.slots)
+        want, bits = slots[slot]
+        slots[slot] = ("zz", bits)
+        with pytest.raises(ValidationError, match=f"slot {slot} .*'zz'.*'{want}'"):
+            decode_session(Transcript(tuple(slots)), PadKey(1, 2), (1, 2), chain)
+
+    def test_all_labels_replaced_rejected(self):
+        p = masked_bits("1/2", 3, 3, 1)
+        chain = session_chain(p, (1, 2))
+        t = encode_session(p, (1, 0, 1, 1), (1, 2), PadKey(1, 2), chain, RandomDraws(4))
+        packed = Transcript(tuple(("zz", bits) for _, bits in t.slots)).pack()
+        with pytest.raises(ValidationError, match="expected 'pad'"):
+            decode_session(Transcript.unpack(packed), PadKey(1, 2), (1, 2), chain)
+
+    def test_swapped_stage_labels_rejected(self):
+        p = masked_bits("1/2", 3, 3, 1)
+        chain = session_chain(p, (1, 2))
+        t = encode_session(p, (1, 0, 1, 1), (1, 2), PadKey(1, 2), chain, RandomDraws(4))
+        pad, (l1, b1), (l2, b2) = t.slots
+        with pytest.raises(ValidationError, match="slot 1"):
+            decode_session(Transcript((pad, (l2, b1), (l1, b2))), PadKey(1, 2), (1, 2), chain)
+
 
 class TestTranscriptDistribution:
     def test_independent_file_product_structure(self):

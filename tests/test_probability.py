@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -201,6 +202,207 @@ def test_conditional_entropy_zero_iff_function(seed):
     for (x, y), _ in marg.items():
         functional &= seen.setdefault(x, y) == y
     assert (h < 1e-12) == functional
+
+
+# ---------------------------------------------------------------------------
+# Kernel equivalence: the integer kernel against a plain Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def ref_marginalize(variables, table, keep):
+    axes = [[v.name for v in variables].index(n) for n in keep]
+    out = {}
+    for cell, p in table.items():
+        key = tuple(cell[a] for a in axes)
+        out[key] = out.get(key, F(0)) + p
+    return out
+
+
+def ref_condition(variables, table, name, symbol):
+    axis = [v.name for v in variables].index(name)
+    rows = {c[:axis] + c[axis + 1:]: p for c, p in table.items() if c[axis] == symbol}
+    mass = sum(rows.values(), F(0))
+    if mass == 0:
+        return None
+    return {c: p / mass for c, p in rows.items()}
+
+
+def ref_product_extend(table, marginal):
+    return {cell + (s,): p * q for cell, p in table.items()
+            for s, q in enumerate(marginal) if q > 0}
+
+
+def ref_is_independent(variables, table, a, b):
+    joint = ref_marginalize(variables, table, a + b)
+    pa = ref_marginalize(variables, table, a)
+    pb = ref_marginalize(variables, table, b)
+    return all(joint.get(ca + cb, F(0)) == qa * qb
+               for ca, qa in pa.items() for cb, qb in pb.items())
+
+
+def ref_log2(p):
+    return math.log2(p.numerator) - math.log2(p.denominator)
+
+
+def ref_entropy(table):
+    return -sum(float(p) * ref_log2(p) for _, p in sorted(table.items()))
+
+
+def ref_conditional_entropy(variables, table, target, given):
+    marg = dict(sorted(ref_marginalize(variables, table, given + target).items()))
+    by_g = {}
+    for cell, p in marg.items():
+        by_g[cell[:len(given)]] = by_g.get(cell[:len(given)], F(0)) + p
+    h = 0.0
+    for cell, p in marg.items():
+        h += float(p) * (ref_log2(by_g[cell[:len(given)]]) - ref_log2(p))
+    return max(0.0, h)
+
+
+def ref_mutual_information(variables, table, a, b):
+    v = (ref_entropy(ref_marginalize(variables, table, a))
+         + ref_entropy(ref_marginalize(variables, table, b))
+         - ref_entropy(ref_marginalize(variables, table, a + b)))
+    return max(0.0, v)
+
+
+@st.composite
+def joints(draw, min_vars=1, max_vars=3):
+    """(JointDist, reference Fraction table): 1-3 variables of size 1-3.
+
+    Cells get integer weights 0..9 (at least one positive) over their
+    total. The distribution is built either through the validating
+    constructor or as an integer table whose numerators and denominator
+    still share a common factor, which the kernel must reduce away.
+    """
+    n_vars = draw(st.integers(min_vars, max_vars))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n_vars, max_size=n_vars))
+    variables = tuple(Alphabet(f"V{i}", s) for i, s in enumerate(sizes))
+    cells = list(itertools.product(*(range(s) for s in sizes)))
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(cells), max_size=len(cells))
+                   .filter(any))
+    total = sum(weights)
+    ref = {c: F(w, total) for c, w in zip(cells, weights) if w}
+    factor = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        d = JointDist(variables, ref)
+    else:
+        num = {c: w * factor for c, w in zip(cells, weights) if w}
+        d = JointDist._exact(variables, num, total * factor)
+    return d, ref
+
+
+def assert_table(d, ref):
+    """Exact equality with the reference, reduced Fractions, sorted cells."""
+    assert d.table == ref
+    assert list(d.table) == sorted(ref)
+    assert [c for c, _ in d.items()] == sorted(ref)
+    assert all(type(p) is F for p in d.table.values())
+    num, den = d._ints()
+    assert math.gcd(den, *num.values()) == 1
+    assert len(d) == len(ref)
+
+
+def names_of(d):
+    return [v.name for v in d.variables]
+
+
+class TestKernelEquivalence:
+    @given(joints(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_marginalize(self, dr, rnd):
+        d, ref = dr
+        keep = rnd.sample(names_of(d), rnd.randint(1, len(d.variables)))
+        assert_table(d.marginalize(keep), ref_marginalize(d.variables, ref, keep))
+
+    @given(joints(min_vars=2), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_condition(self, dr, rnd):
+        d, ref = dr
+        var = rnd.choice(d.variables)
+        symbol = rnd.randrange(var.size)
+        want = ref_condition(d.variables, ref, var.name, symbol)
+        if want is None:
+            with pytest.raises(ValidationError, match="zero-probability"):
+                d.condition(var.name, symbol)
+        else:
+            assert_table(d.condition(var.name, symbol), want)
+
+    @given(joints(max_vars=2), st.lists(st.integers(0, 5), min_size=1, max_size=3).filter(any))
+    @settings(max_examples=100, deadline=None)
+    def test_product_extend(self, dr, weights):
+        d, ref = dr
+        marginal = [F(w, sum(weights)) for w in weights]
+        got = d.product_extend(Alphabet("W", len(weights)), marginal)
+        assert_table(got, ref_product_extend(ref, marginal))
+        assert got.is_independent(names_of(d), ["W"])
+
+    @given(joints(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_is_independent(self, dr, rnd):
+        d, ref = dr
+        names = names_of(d)
+        rnd.shuffle(names)
+        cut = rnd.randint(0, len(names))
+        a, b = names[:cut], names[cut:]
+        assert d.is_independent(a, b) == ref_is_independent(d.variables, ref, a, b)
+
+    @given(joints(max_vars=2), joints(max_vars=1), st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_is_independent_on_products_and_perturbations(self, da, db, seed):
+        (a, ref_a), (b, ref_b) = da, db
+        b_var = Alphabet("B", b.variables[0].size)
+        variables = a.variables + (b_var,)
+        product = {ca + cb: p * q for ca, p in ref_a.items() for cb, q in ref_b.items()}
+        joint = JointDist(variables, product)
+        a_names = names_of(a)
+        assert joint.is_independent(a_names, ["B"])
+        assert ref_is_independent(variables, product, a_names, ["B"])
+        # move mass from one cell to another, in or out of the support
+        rng = random.Random(seed)
+        src_cell = rng.choice(sorted(product))
+        dst_cell = rng.choice(list(itertools.product(*(range(v.size) for v in variables))))
+        moved = dict(product)
+        delta = moved[src_cell] / rng.randint(2, 5)
+        moved[src_cell] -= delta
+        moved[dst_cell] = moved.get(dst_cell, F(0)) + delta
+        perturbed = JointDist(variables, moved)
+        assert perturbed.is_independent(a_names, ["B"]) == \
+            ref_is_independent(variables, moved, a_names, ["B"])
+        if src_cell != dst_cell:
+            assert perturbed != joint
+
+    @given(joints(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_entropy_functionals_bit_identical(self, dr, rnd):
+        d, ref = dr
+        names = names_of(d)
+        assert d.entropy() == ref_entropy(ref)
+        of = rnd.sample(names, rnd.randint(1, len(names)))
+        assert d.entropy(of) == ref_entropy(ref_marginalize(d.variables, ref, of))
+        rnd.shuffle(names)
+        cut = rnd.randint(0, len(names) - 1)
+        target, given_ = names[cut:], names[:cut]
+        assert d.conditional_entropy(target, given_) == (
+            ref_conditional_entropy(d.variables, ref, target, given_) if given_
+            else ref_entropy(ref_marginalize(d.variables, ref, target)))
+        if cut:
+            a, b = names[:cut], names[cut:]
+            assert d.mutual_information(a, b) == ref_mutual_information(d.variables, ref, a, b)
+
+    @given(joints(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_equality_across_construction_paths(self, dr, rnd):
+        d, ref = dr
+        validated = JointDist(d.variables, ref)
+        assert d == validated and validated == d
+        names = names_of(d)
+        keep = rnd.sample(names, rnd.randint(1, len(names)))
+        direct = d.marginalize(keep)
+        via_reorder = d.marginalize(list(reversed(names))).marginalize(keep)
+        assert direct == via_reorder
+        assert direct == JointDist(direct.variables, ref_marginalize(d.variables, ref, keep))
+        assert parse_dist(format_dist(direct)) == direct
 
 
 class TestDistFile:
