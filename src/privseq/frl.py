@@ -141,9 +141,8 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
         policy = canonical_ordering(pxy)
 
     # segment lengths P(y|x) = n(x,y)/px[x] as integers over one common
-    # denominator `scale`: the lcm of the reduced per-x denominators
+    # denominator `scale`: the lcm of the per-x masses px[x]
     orders: dict[int, tuple[int, ...]] = {}
-    common: dict[int, int] = {}  # x -> gcd of px[x] and every n(x, y)
     for x, ys in supports.items():
         order = tuple(policy.get(x, ()))
         if sorted(order) != ys:
@@ -151,17 +150,16 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
                 f"policy for x={x} must permute the positive-support y symbols {ys}"
             )
         orders[x] = order
-        common[x] = math.gcd(px[x], *(num[(x, y)] for y in ys))
-    scale = math.lcm(*(px[x] // c for x, c in common.items()))
+    scale = math.lcm(*px.values())
 
     ends: dict[int, list[tuple[int, int, int]]] = {}  # x -> (start, end, y) per segment
     cutset: set[int] = set()
     for x, order in orders.items():
-        step = scale // (px[x] // common[x])
+        step = scale // px[x]
         segs = []
         pos = 0
         for y in order:
-            end = pos + num[(x, y)] // common[x] * step
+            end = pos + num[(x, y)] * step
             segs.append((pos, end, y))
             pos = end
         if pos != scale:
@@ -170,6 +168,9 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
         cutset.update(end for _, end, _ in segs[:-1])
 
     bounds = (0, *sorted(cutset), scale)
+    cells = (len(bounds) - 1) * len(px)
+    if cells > limit:
+        raise LimitError(f"the {u_name} mechanism needs {cells} cells, over the limit {limit}")
     points = [Fraction(b, scale) for b in bounds]
     atoms = tuple(zip(points, points[1:]))
     p_u = tuple(Fraction(b - a, scale) for a, b in zip(bounds, bounds[1:]))
@@ -194,9 +195,6 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
     if len(g) != len(atoms) * len(partitions):
         raise InvariantError("segments do not tile [0,1) for every x")
 
-    cells = len(atoms) * len(px)
-    if cells > limit:
-        raise LimitError(f"the {u_name} mechanism needs {cells} cells, over the limit {limit}")
     u_alpha = Alphabet(u_name, len(atoms))
     table = {(u, x, g[(u, x)]): (bounds[u + 1] - bounds[u]) * mass
              for u in range(len(atoms)) for x, mass in px.items()}
@@ -416,8 +414,7 @@ def _verify_last_stage(chain: MechanismChain) -> None:
 
 
 def frl_extend(chain: MechanismChain, pnext: JointDist,
-               policy: OrderingPolicy | None = None,
-               limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
+               policy: OrderingPolicy | None = None) -> MechanismChain:
     """Extend a chain by one stage.
 
     `pnext` must be the exact joint of (private, U_1..U_k, next target); it is
@@ -438,7 +435,7 @@ def frl_extend(chain: MechanismChain, pnext: JointDist,
         raise ValidationError("pnext disagrees with the chain's joint on the shared variables")
     if not reordered.is_independent(list(chain.u_names), [chain.private]):
         raise InvariantError("extension hypothesis violated: I(U prefix; private) != 0")
-    return _extend(chain, target, policy, limit=limit)
+    return _extend(chain, target, policy)
 
 
 def build_chain(base: JointDist, private: str, targets: Sequence[str],

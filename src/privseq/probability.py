@@ -266,6 +266,7 @@ class JointDist:
             p_n, p_den = _reduced(n, den)
             h += p_n / p_den * (_log2_ratio(by_g[cell[:ng]], den) - _log2_ratio(n, den))
         return max(0.0, h)
+
     def mutual_information(self, a: Sequence[str], b: Sequence[str]) -> float:
         """I(a; b) in bits, clamped at 0 against float dust."""
         a = list(a)

@@ -381,6 +381,24 @@ class TestStageLimit:
             build_chain(p, "X", targets, limit=limit)
         assert built and max(built) <= limit
 
+    def test_mechanism_limit_checked_before_segments(self, monkeypatch):
+        import privseq.frl as frl_mod
+
+        d = random_pair(random.Random(3), 3, 3)
+        cells = len(frl_construct(d).joint)
+        made = []
+        original = frl_mod.Segment
+
+        def recording(*args):
+            made.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(frl_mod, "Segment", recording)
+        with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
+            frl_construct(d, limit=cells - 1)
+        assert made == []
+        assert len(frl_construct(d, limit=cells).joint) == cells
+
     def test_limit_at_stage_size_passes(self):
         # the chain joint also carries Y3, so the stage-2 product outgrows
         # the stage-2 mechanism and the product count is what trips
