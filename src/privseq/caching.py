@@ -2,6 +2,10 @@
 
 Placement splits each file into equal subfiles indexed by p-subsets of the
 user set; delivery XORs, per (p+1)-subset, the subfiles each member misses.
+One block plan per (config, demand vector) lists, for every block, the
+(file, shift) pairs XORed into it; `delivery_blocks` applies it to one
+database and `block_joint` pushes the database joint's integer numerators
+through it, so the exact (X, blocks) joint needs no per-cell Fractions.
 The resulting block stream is then fed one block at a time through the
 sequential private encoder, so the shared link and the public cache carry
 nothing correlated with the private variable.
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import pipeline
@@ -20,7 +24,7 @@ from .bounds import upper_bound_cardinality
 from .coding import PadKey
 from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError
 from .frl import MechanismChain, build_chain
-from .probability import Alphabet, JointDist, ZERO
+from .probability import Alphabet, Cell, JointDist
 
 
 def subsets_colex(k: int, r: int) -> tuple[tuple[int, ...], ...]:
@@ -34,7 +38,8 @@ class CacheConfig:
     """System shape: N files of F bits, K users with M files of cache each.
 
     Requires p = KM/N to be an integer (no memory sharing) and F divisible by
-    C(K, p) so subfiles and delivery blocks have exact bit sizes.
+    C(K, p) so subfiles and delivery blocks have exact bit sizes. The derived
+    shape is computed once per instance; `==` compares the four fields only.
     """
 
     n_files: int
@@ -57,35 +62,42 @@ class CacheConfig:
                 f"file size {f} not divisible by {self.subfile_count} subfiles"
             )
 
-    @property
+    @cached_property
     def p(self) -> int:
         return (self.k_users * self.cache_files) // self.n_files
 
-    @property
+    @cached_property
     def subfile_count(self) -> int:
         return math.comb(self.k_users, self.p)
 
-    @property
+    @cached_property
     def block_count(self) -> int:
         return math.comb(self.k_users, self.p + 1)
 
-    @property
+    @cached_property
     def block_bits(self) -> int:
         return self.file_bits // self.subfile_count
 
-    @property
+    @cached_property
     def subfile_subsets(self) -> tuple[tuple[int, ...], ...]:
         return subsets_colex(self.k_users, self.p)
 
-    @property
+    @cached_property
     def block_subsets(self) -> tuple[tuple[int, ...], ...]:
         return subsets_colex(self.k_users, self.p + 1)
 
 
-def _subfile(cfg: CacheConfig, file_value: int, position: int) -> int:
-    """Chunk `position` of a file, MSB-first, each chunk block_bits wide."""
-    shift = cfg.file_bits - (position + 1) * cfg.block_bits
-    return (file_value >> shift) & ((1 << cfg.block_bits) - 1)
+def _shift(cfg: CacheConfig, position: int) -> int:
+    """Right shift that brings chunk `position` of a file (MSB-first) to the bottom."""
+    return cfg.file_bits - (position + 1) * cfg.block_bits
+
+
+def _check_database(cfg: CacheConfig, database: Sequence[int]) -> None:
+    if len(database) != cfg.n_files:
+        raise ValidationError(f"expected {cfg.n_files} files, got {len(database)}")
+    for y in database:
+        if not 0 <= y < 2 ** cfg.file_bits:
+            raise ValidationError(f"file value {y} outside [0, 2^{cfg.file_bits})")
 
 
 @dataclass(frozen=True)
@@ -96,19 +108,15 @@ class UserCache:
 
 def placement(cfg: CacheConfig, database: Sequence[int]) -> list[UserCache]:
     """Fill each user's cache with every subfile whose subset contains it."""
-    if len(database) != cfg.n_files:
-        raise ValidationError(f"expected {cfg.n_files} files, got {len(database)}")
-    for y in database:
-        if not 0 <= y < 2 ** cfg.file_bits:
-            raise ValidationError(f"file value {y} outside [0, 2^{cfg.file_bits})")
-    positions = {sub: i for i, sub in enumerate(cfg.subfile_subsets)}
+    _check_database(cfg, database)
+    mask = (1 << cfg.block_bits) - 1
     caches = []
     for k in range(1, cfg.k_users + 1):
         contents = {}
         for n in range(1, cfg.n_files + 1):
-            for sub in cfg.subfile_subsets:
+            for position, sub in enumerate(cfg.subfile_subsets):
                 if k in sub:
-                    contents[(n, sub)] = _subfile(cfg, database[n - 1], positions[sub])
+                    contents[(n, sub)] = (database[n - 1] >> _shift(cfg, position)) & mask
         caches.append(UserCache(user=k, contents=contents))
     return caches
 
@@ -126,19 +134,40 @@ class BlockStream:
     block_bits: int
 
 
+Plan = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _block_plan(cfg: CacheConfig, demands: tuple[int, ...]) -> Plan:
+    """Per (p+1)-subset, the (file index, shift) pairs XORed into its block.
+
+    Each member j of the subset contributes the chunk of its demanded file
+    indexed by the subset without j, which every other member has cached.
+    """
+    positions = {sub: i for i, sub in enumerate(cfg.subfile_subsets)}
+    return tuple(
+        tuple((demands[j - 1] - 1, _shift(cfg, positions[tuple(u for u in gamma if u != j)]))
+              for j in gamma)
+        for gamma in cfg.block_subsets)
+
+
+def _apply_plan(plan: Plan, files: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The blocks of one database; masking the XOR equals XORing masked chunks."""
+    out = []
+    for pairs in plan:
+        acc = 0
+        for f, shift in pairs:
+            acc ^= files[f] >> shift
+        out.append(acc & mask)
+    return tuple(out)
+
+
 def delivery_blocks(cfg: CacheConfig, database: Sequence[int],
                     demands: Sequence[int]) -> BlockStream:
     """XOR, over each (p+1)-subset, the subfile its members miss but want."""
-    demands = _user_demands(cfg, demands)
-    positions = {sub: i for i, sub in enumerate(cfg.subfile_subsets)}
-    blocks = []
-    for gamma in cfg.block_subsets:
-        acc = 0
-        for j in gamma:
-            rest = tuple(u for u in gamma if u != j)
-            acc ^= _subfile(cfg, database[demands[j - 1] - 1], positions[rest])
-        blocks.append(acc)
-    return BlockStream(subsets=cfg.block_subsets, blocks=tuple(blocks),
+    _check_database(cfg, database)
+    plan = _block_plan(cfg, _user_demands(cfg, demands))
+    return BlockStream(subsets=cfg.block_subsets,
+                       blocks=_apply_plan(plan, database, (1 << cfg.block_bits) - 1),
                        block_bits=cfg.block_bits)
 
 
@@ -154,20 +183,33 @@ def _user_demands(cfg: CacheConfig, demands: Sequence[int]) -> tuple[int, ...]:
 
 def block_joint(cfg: CacheConfig, database_dist: JointDist, demands: Sequence[int],
                 limit: int = DEFAULT_STATE_LIMIT) -> JointDist:
-    """Exact joint of (X, delivery blocks) induced by the database joint."""
-    demands = _user_demands(cfg, demands)
-    if len(database_dist.variables) != cfg.n_files + 1:
+    """Exact joint of (X, delivery blocks) induced by the database joint.
+
+    Every database cell's numerator is added into the cell (x, blocks) that
+    the block plan maps it to; the denominator is unchanged, so the result
+    sums to exactly 1 by construction.
+    """
+    plan = _block_plan(cfg, _user_demands(cfg, demands))
+    variables = database_dist.variables
+    if len(variables) != cfg.n_files + 1:
         raise ValidationError("database joint must cover X plus every file")
-    if len(database_dist) * max(1, cfg.block_count) > limit:
-        raise LimitError("block-joint enumeration exceeds the state limit")
-    x_alpha = database_dist.variables[0]
-    b_alphas = [Alphabet(f"B{i + 1}", 2 ** cfg.block_bits) for i in range(cfg.block_count)]
-    table: dict[tuple[int, ...], Fraction] = {}
-    for cell, prob in database_dist.items():
-        stream = delivery_blocks(cfg, cell[1:], demands)
-        key = (cell[0],) + stream.blocks
-        table[key] = table.get(key, ZERO) + prob
-    return JointDist([x_alpha] + b_alphas, table)
+    for alpha in variables[1:]:
+        if alpha.size > 2 ** cfg.file_bits:
+            raise ValidationError(f"file alphabet {alpha.name!r} has {alpha.size} symbols, "
+                                  f"more than 2^{cfg.file_bits}")
+    cells = len(database_dist) * max(1, cfg.block_count)
+    if cells > limit:
+        raise LimitError(f"block joint: {len(database_dist)} database cells and "
+                         f"{cfg.block_count} blocks need {cells} cells, over the limit {limit}")
+    mask = (1 << cfg.block_bits) - 1
+    num, den = database_dist._ints()
+    out: dict[Cell, int] = {}
+    get = out.get
+    for cell, n in num.items():
+        key = (cell[0],) + _apply_plan(plan, cell[1:], mask)
+        out[key] = get(key, 0) + n
+    b_alphas = tuple(Alphabet(f"B{i + 1}", 2 ** cfg.block_bits) for i in range(cfg.block_count))
+    return JointDist._exact((variables[0],) + b_alphas, out, den, ordered=False)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ zero-leakage audit is a rational product test, not a float comparison.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -29,9 +30,9 @@ from .coding import (
     pack_slots,
     unpack_slots,
 )
-from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError
+from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
 from .frl import MechanismChain, build_chain
-from .probability import Alphabet, JointDist, ZERO
+from .probability import Alphabet, JointDist
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,20 @@ class RandomDraws:
         self._rng = random.Random(seed)
 
     def pick(self, slot: int, conditional: Mapping[int, Fraction]) -> int:
-        r = Fraction(self._rng.getrandbits(53), 1 << 53)
-        acc = ZERO
-        last = None
-        for u in sorted(conditional):
-            acc += conditional[u]
-            last = u
-            if r < acc:
-                return u
-        return last
+        """Draw u with probability exactly conditional[u].
+
+        The draw is an integer uniform on [0, D), D the lcm of the
+        conditional's denominators, against the integer cumulative sums.
+        """
+        symbols = sorted(conditional)
+        den = math.lcm(*(conditional[u].denominator for u in symbols))
+        cumulative = list(itertools.accumulate(
+            (conditional[u].numerator * (den // conditional[u].denominator) for u in symbols),
+            initial=0))
+        if cumulative[-1] != den:
+            raise InvariantError(
+                f"slot-{slot} conditional sums to {Fraction(cumulative[-1], den)}, not 1")
+        return symbols[bisect.bisect_right(cumulative, self._rng.randrange(den)) - 1]
 
 
 class FixedDraws:

@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from privseq import caching
 from privseq.bounds import Example1Params, example1_build
 from privseq.caching import (
     CacheConfig,
     adversary_view_distribution,
+    block_joint,
     cache_bits,
     delivery_blocks,
     make_cache_session,
@@ -17,7 +20,7 @@ from privseq.caching import (
     user_decode,
 )
 from privseq.coding import PadKey
-from privseq.errors import ValidationError
+from privseq.errors import LimitError, ValidationError
 from privseq.pipeline import (
     FixedDraws,
     RandomDraws,
@@ -28,6 +31,8 @@ from privseq.pipeline import (
     transcript_distribution,
 )
 from privseq.probability import Alphabet, JointDist
+
+from conftest import random_database
 
 
 def masked_db(p, n, f):
@@ -62,6 +67,31 @@ class TestConfig:
     def test_zero_cache_rejected(self):
         with pytest.raises(ValidationError):
             CacheConfig(2, 1, 0, 2)
+
+    def test_shape_computed_once(self, monkeypatch):
+        calls = []
+        real = caching.subsets_colex
+
+        def counting(k, r):
+            calls.append((k, r))
+            return real(k, r)
+
+        monkeypatch.setattr(caching, "subsets_colex", counting)
+        cfg = CacheConfig(2, 2, 1, 2)
+        db_dist = masked_db("1/2", 2, 2)
+        session = make_cache_session(cfg, db_dist, (1, 2))
+        block_joint(cfg, db_dist, (2, 1))
+        caches = placement(cfg, [1, 2])
+        stream = delivery_blocks(cfg, [1, 2], (1, 2))
+        t, _ = private_wrap(session, stream.blocks, 1, PadKey(0, 2), RandomDraws(0))
+        assert [user_decode(session, c.user, t, c, PadKey(0, 2)) for c in caches] == [1, 2]
+        assert sorted(calls) == [(2, 1), (2, 2)]  # subfile_subsets, block_subsets
+
+    def test_cached_shape_keeps_equality(self):
+        a, b = CacheConfig(4, 4, 1, 4), CacheConfig(4, 4, 1, 4)
+        assert (a.p, a.block_count, len(a.block_subsets)) == (1, 6, 6)
+        assert a == b and hash(a) == hash(b)
+        assert a != CacheConfig(4, 4, 2, 12)
 
     def test_accounting_identities(self):
         # delivery bits Q*C*F = F(K-p)/(p+1); per-user cache exactly M*F bits
@@ -120,10 +150,74 @@ class TestDelivery:
         cfg = CacheConfig(2, 2, 2, 2)
         assert delivery_blocks(cfg, [1, 2], (1, 2)).blocks == ()
 
+    @pytest.mark.parametrize("database", [[13, 0], [-1, 0], [4, 0], [3], [0, 0, 0]])
+    def test_database_checked(self, database):
+        cfg = CacheConfig(2, 2, 1, 2)
+        with pytest.raises(ValidationError, match="file value|expected 2 files"):
+            delivery_blocks(cfg, database, (1, 2))
+
     def test_repeated_demands_allowed(self):
         cfg = CacheConfig(2, 2, 1, 2)
         stream = delivery_blocks(cfg, [0b01, 0b10], (1, 1))
         assert stream.blocks == (1 ^ 0,)
+
+
+def ref_block_joint(cfg, db_dist, demands):
+    """Plain reference: one delivery per database cell, Fraction masses summed."""
+    table = {}
+    for cell, prob in db_dist.items():
+        key = (cell[0],) + delivery_blocks(cfg, list(cell[1:]), demands).blocks
+        table[key] = table.get(key, F(0)) + prob
+    b_alphas = [Alphabet(f"B{i + 1}", 2 ** cfg.block_bits) for i in range(cfg.block_count)]
+    return JointDist([db_dist.variables[0]] + b_alphas, table)
+
+
+# (N, K, M, F): p = K with no blocks (M = N), one user, p = 1 and p = 2, two-bit blocks
+JOINT_CONFIGS = [(2, 2, 1, 2), (2, 2, 2, 2), (2, 1, 2, 1), (3, 3, 1, 3), (3, 3, 2, 3),
+                 (4, 2, 2, 2), (2, 2, 1, 4), (3, 3, 3, 1)]
+
+
+class TestBlockJoint:
+    @pytest.mark.parametrize("shape", JOINT_CONFIGS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, shape, seed):
+        cfg = CacheConfig(*shape)
+        rng = random.Random(f"{shape}:{seed}")
+        x_size = rng.randint(1, 3)
+        db_dist = random_database(rng, x_size, cfg.n_files, cfg.file_bits, sparse=seed % 2 == 1)
+        demands = tuple(rng.randint(1, cfg.n_files) for _ in range(cfg.k_users))
+        got = block_joint(cfg, db_dist, demands)
+        want = ref_block_joint(cfg, db_dist, demands)
+        assert got == want
+        assert list(got.table.items()) == list(want.table.items())
+
+    @pytest.mark.parametrize("p", ["1/2", "1/3", "2/7"])
+    def test_masked_matches_reference(self, p):
+        cfg = CacheConfig(3, 3, 1, 3)
+        db_dist = masked_db(p, 3, 3)
+        for demands in [(1, 2, 3), (3, 3, 1), (2, 1, 2)]:
+            got = block_joint(cfg, db_dist, demands)
+            want = ref_block_joint(cfg, db_dist, demands)
+            assert got == want
+            assert list(got.table.items()) == list(want.table.items())
+
+    def test_oversized_file_alphabet_rejected(self):
+        cfg = CacheConfig(2, 2, 1, 2)
+        # files 5 and 1 would deliver the same blocks
+        db_dist = JointDist([Alphabet("X", 2), Alphabet("Y1", 8), Alphabet("Y2", 4)],
+                            {(0, 5, 0): F(1, 2), (1, 1, 0): F(1, 2)})
+        with pytest.raises(ValidationError, match="'Y1' has 8 symbols"):
+            block_joint(cfg, db_dist, (1, 2))
+        with pytest.raises(ValidationError, match="'Y1' has 8 symbols"):
+            make_cache_session(cfg, db_dist, (1, 2))
+
+    def test_limit_names_count_and_limit(self):
+        cfg = CacheConfig(3, 3, 1, 3)
+        db_dist = masked_db("1/2", 3, 3)
+        cells = len(db_dist) * cfg.block_count
+        assert block_joint(cfg, db_dist, (1, 2, 3), limit=cells).variables[0].name == "X"
+        with pytest.raises(LimitError, match=f"need {cells} cells, over the limit {cells - 1}"):
+            block_joint(cfg, db_dist, (1, 2, 3), limit=cells - 1)
 
 
 class TestWrapAndDecode:

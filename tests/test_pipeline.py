@@ -1,12 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from privseq.bounds import Example1Params, example1_build
 from privseq.coding import ENTROPY, FIXED, PadKey
-from privseq.errors import LimitError, ValidationError
+from privseq.errors import InvariantError, LimitError, ValidationError
 from privseq.pipeline import (
     FixedDraws,
     RandomDraws,
@@ -144,6 +145,45 @@ class TestEncodeDecode:
         pad, (l1, b1), (l2, b2) = t.slots
         with pytest.raises(ValidationError, match="slot 1"):
             decode_session(Transcript((pad, (l2, b1), (l1, b2))), PadKey(1, 2), (1, 2), chain)
+
+
+class EnumeratingRng:
+    """Stub rng whose randrange(n) returns 0, 1, ..., n-1 in turn."""
+
+    def __init__(self):
+        self.next = 0
+        self.ranges = []
+
+    def randrange(self, n):
+        self.ranges.append(n)
+        r = self.next % n
+        self.next += 1
+        return r
+
+
+class TestExactDraws:
+    @pytest.mark.parametrize("conditional", [
+        {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)},
+        {0: F(1, 3), 2: F(1, 6), 5: F(1, 2)},
+        {1: F(2, 7), 3: F(1, 5), 4: F(18, 35)},
+        {7: F(1)},
+    ])
+    def test_every_integer_picks_exact_counts(self, conditional):
+        den = math.lcm(*(q.denominator for q in conditional.values()))
+        draws = RandomDraws(0)
+        draws._rng = EnumeratingRng()
+        counts = Counter(draws.pick(0, conditional) for _ in range(den))
+        assert draws._rng.ranges == [den] * den
+        assert counts == {u: q * den for u, q in conditional.items()}
+
+    @pytest.mark.parametrize("conditional", [
+        {0: F(1, 3), 1: F(1, 2)},
+        {0: F(2, 3), 1: F(1, 2)},
+        {},
+    ])
+    def test_conditional_not_summing_to_one_rejected(self, conditional):
+        with pytest.raises(InvariantError, match="not 1"):
+            RandomDraws(0).pick(2, conditional)
 
 
 class TestTranscriptDistribution:
