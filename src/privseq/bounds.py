@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError
+from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
 from .frl import MechanismChain, cardinality_bound
 from .probability import Alphabet, JointDist
 
@@ -114,18 +114,26 @@ class Example1Params:
 
 
 def example1_build(params: Example1Params, limit: int = DEFAULT_STATE_LIMIT) -> JointDist:
-    """Joint over (X, Y_1..Y_N) with Y bits = independent fair bits AND X."""
-    p, n, f = params.p, params.n_files, params.file_bits
+    """Joint over (X, Y_1..Y_N) with Y bits = independent fair bits AND X.
+
+    With p = a/b the masses are integer numerators over b * size^N: the
+    all-zero X=0 cell holds (b - a) * size^N and every X=1 cell holds a.
+    """
+    p, n, f = Fraction(params.p), params.n_files, params.file_bits
     size = 2 ** f
     cells = size ** n + 1
     if cells > limit:
         raise LimitError(f"{cells} cells exceed the limit {limit}")
-    variables = [Alphabet("X", 2)] + [Alphabet(f"Y{j}", size) for j in range(1, n + 1)]
-    table: dict[tuple[int, ...], Fraction] = {(0,) + (0,) * n: 1 - p}
-    unit = p / Fraction(size ** n)
-    for files in itertools.product(range(size), repeat=n):
-        table[(1,) + files] = unit
-    return JointDist(variables, table)
+    variables = (Alphabet("X", 2),) + tuple(Alphabet(f"Y{j}", size) for j in range(1, n + 1))
+    a, b = p.numerator, p.denominator
+    den = b * size ** n
+    # product() yields the X=1 cells in sorted order, after the one X=0 cell
+    num = {(0,) * (n + 1): (b - a) * size ** n}
+    num.update(dict.fromkeys(itertools.product((1,), *[range(size)] * n), a))
+    total = sum(num.values())
+    if total != den:
+        raise InvariantError(f"masked database sums to {Fraction(total, den)}, expected exactly 1")
+    return JointDist._exact(variables, num, den)
 
 
 def example1_ratio(k: int, f: int) -> float:

@@ -4,8 +4,9 @@ Placement splits each file into equal subfiles indexed by p-subsets of the
 user set; delivery XORs, per (p+1)-subset, the subfiles each member misses.
 One block plan per (config, demand vector) lists, for every block, the
 (file, shift) pairs XORed into it; `delivery_blocks` applies it to one
-database and `block_joint` pushes the database joint's integer numerators
-through it, so the exact (X, blocks) joint needs no per-cell Fractions.
+database, and `block_joint` applies it to each file alone and XORs those
+per-file tables to push the database joint's integer numerators onto the
+exact (X, blocks) joint, with no per-cell Fractions.
 The resulting block stream is then fed one block at a time through the
 sequential private encoder, so the shared link and the public cache carry
 nothing correlated with the private variable.
@@ -17,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter, xor
 from typing import Iterable, Mapping, Sequence
 
 from . import pipeline
@@ -24,7 +26,7 @@ from .bounds import upper_bound_cardinality
 from .coding import PadKey
 from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError
 from .frl import MechanismChain, build_chain
-from .probability import Alphabet, Cell, JointDist
+from .probability import Alphabet, JointDist
 
 
 def subsets_colex(k: int, r: int) -> tuple[tuple[int, ...], ...]:
@@ -187,7 +189,13 @@ def block_joint(cfg: CacheConfig, database_dist: JointDist, demands: Sequence[in
 
     Every database cell's numerator is added into the cell (x, blocks) that
     the block plan maps it to; the denominator is unchanged, so the result
-    sums to exactly 1 by construction.
+    sums to exactly 1 by construction. The blocks are XORs of shifted,
+    masked file values, so a database's blocks are the XOR of what each file
+    alone contributes: one table per file, from `_apply_plan` on databases
+    where only that file is nonzero, gives its blocks packed into one
+    integer, and a cell's key is the XOR of its files' entries with x above
+    the blocks. Integer order of the keys is then the sorted order of the
+    (x, blocks) cells, and each distinct key is unpacked once.
     """
     plan = _block_plan(cfg, _user_demands(cfg, demands))
     variables = database_dist.variables
@@ -201,15 +209,32 @@ def block_joint(cfg: CacheConfig, database_dist: JointDist, demands: Sequence[in
     if cells > limit:
         raise LimitError(f"block joint: {len(database_dist)} database cells and "
                          f"{cfg.block_count} blocks need {cells} cells, over the limit {limit}")
-    mask = (1 << cfg.block_bits) - 1
+    bits = cfg.block_bits
+    mask = (1 << bits) - 1
+    shifts = range(bits * (cfg.block_count - 1), -1, -bits)  # block 1 in the highest bits
+    width = bits * cfg.block_count
+    tables = [[x << width for x in variables[0].symbols()]]
+    alone = [0] * cfg.n_files
+    for f, alpha in enumerate(variables[1:]):
+        table = []
+        for y in alpha.symbols():
+            alone[f] = y
+            table.append(sum(b << s for b, s in zip(_apply_plan(plan, alone, mask), shifts)))
+        alone[f] = 0
+        tables.append(table)
     num, den = database_dist._ints()
-    out: dict[Cell, int] = {}
-    get = out.get
-    for cell, n in num.items():
-        key = (cell[0],) + _apply_plan(plan, cell[1:], mask)
-        out[key] = get(key, 0) + n
-    b_alphas = tuple(Alphabet(f"B{i + 1}", 2 ** cfg.block_bits) for i in range(cfg.block_count))
-    return JointDist._exact((variables[0],) + b_alphas, out, den, ordered=False)
+    keys = [0] * len(num)
+    # column by column, so the per-cell lookups and XORs run inside map()
+    for axis, table in enumerate(tables):
+        keys = list(map(xor, keys, map(table.__getitem__, map(itemgetter(axis), num))))
+    sums: dict[int, int] = {}
+    get = sums.get
+    for key, n in zip(keys, num.values()):
+        sums[key] = get(key, 0) + n
+    out = {(key >> width,) + tuple((key >> s) & mask for s in shifts): sums[key]
+           for key in sorted(sums)}
+    b_alphas = tuple(Alphabet(f"B{i + 1}", 2 ** bits) for i in range(cfg.block_count))
+    return JointDist._exact((variables[0],) + b_alphas, out, den)
 
 
 @dataclass(frozen=True)

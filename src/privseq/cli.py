@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -56,11 +57,19 @@ def _parse_demands(text: str) -> tuple[int, ...] | None:
         raise ValidationError(f"bad demand vector {text!r}") from None
 
 
+def _parse_prior(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(
+            f"bad prior --p {text!r}; expected a rational such as 1/2") from None
+
+
 def _load_database(args) -> JointDist:
     if args.spec:
         return load_dist(args.spec)
     params = bounds_mod.Example1Params(
-        p=Fraction(args.p), n_files=args.n, k_demands=1, file_bits=args.f,
+        p=_parse_prior(args.p), n_files=args.n, k_demands=1, file_bits=args.f,
     )
     return bounds_mod.example1_build(params, limit=args.limit)
 
@@ -230,6 +239,7 @@ SWEEP_COLUMNS = ["n", "k", "f", "demands", "lower", "upper_cardinality",
 def cmd_bounds_sweep(args) -> int:
     k_values = _parse_range(args.k_range)
     f_values = _parse_range(args.f_range)
+    prior = _parse_prior(args.p) if args.measure else None
     rows = []
     for k in k_values:
         for f in f_values:
@@ -245,7 +255,7 @@ def cmd_bounds_sweep(args) -> int:
                 "ratio": ratio,
             }
             if args.measure and (2 ** f) ** k * 2 <= args.limit:
-                params = bounds_mod.Example1Params(Fraction(args.p), k, k, f)
+                params = bounds_mod.Example1Params(prior, k, k, f)
                 p = bounds_mod.example1_build(params, args.limit)
                 audit, _chain = pipeline.audit_demands(p, range(1, k + 1), args.mode, args.limit)
                 row["lower"] = audit.lower
@@ -282,7 +292,7 @@ def _parse_range(text: str) -> list[int]:
 def cmd_cache_demo(args) -> int:
     cfg = caching.CacheConfig(n_files=args.n, k_users=args.k,
                               cache_files=args.m, file_bits=args.f)
-    params = bounds_mod.Example1Params(Fraction(args.p), args.n, min(args.n, args.k),
+    params = bounds_mod.Example1Params(_parse_prior(args.p), args.n, min(args.n, args.k),
                                        args.f)
     database_dist = bounds_mod.example1_build(params, args.limit)
     demands = _parse_demands(args.demands)
@@ -405,10 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one tree serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        # argparse's own errors exit with 2, EXIT_INVARIANT, so the limit is checked here
+        if getattr(args, "limit", 1) < 1:
+            raise ValidationError(f"--limit must be at least 1, got {args.limit}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -419,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except LimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -7,7 +7,9 @@ adds and multiplies plain integers, so every check is an exact equality,
 never a float comparison. `fractions.Fraction` appears only at the API
 edges: `table`, `items()`, `prob()` and the marginals passed in. A table
 given to the constructor is validated and kept as the Fractions it came in;
-its integer form is derived on first use. Entropy-style functionals are the
+its integer form is derived on first use. A table built from numerators gets
+its Fraction view on first use, one Fraction per distinct numerator shared by
+every cell that has it, and keeps it. Entropy-style functionals are the
 only place floats appear: each cell n/den is reduced by its gcd before the
 division and the log, and results are always in bits (log base 2).
 """
@@ -87,9 +89,9 @@ class JointDist:
     common denominator `den`, in sorted cell order; a table given to the
     constructor is validated and kept as the Fractions it was given, and its
     integer form is derived on first use. `table` and `items()` present the
-    Fraction view in sorted cell order; `len(d)` counts positive cells
-    without building it. Instances are immutable; every operation returns a
-    new distribution.
+    Fraction view in sorted cell order, built once and kept; `len(d)` counts
+    positive cells without building it. Instances are immutable; every
+    operation returns a new distribution.
     """
 
     __slots__ = ("variables", "_table", "_num", "_den")
@@ -161,10 +163,15 @@ class JointDist:
 
     @property
     def table(self) -> dict[tuple[int, ...], Fraction]:
-        """Positive cells as reduced Fractions, in sorted cell order."""
+        """Positive cells as reduced Fractions, in sorted cell order.
+
+        Built on first use and kept; cells with equal numerators share one
+        Fraction, so a table of few distinct masses costs few Fractions.
+        """
         if self._table is None:
             den = self._den
-            self._table = {cell: Fraction(n, den) for cell, n in self._num.items()}
+            shared = {n: Fraction(n, den) for n in set(self._num.values())}
+            self._table = {cell: shared[n] for cell, n in self._num.items()}
         return self._table
 
     @property
@@ -207,10 +214,7 @@ class JointDist:
         return Fraction(self._num.get(tuple(cell), 0), self._den)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        if self._table is not None:
-            return iter(self._table.items())
-        den = self._den
-        return ((cell, Fraction(n, den)) for cell, n in self._num.items())
+        return iter(self.table.items())
 
     def marginalize(self, keep: Sequence[str]) -> "JointDist":
         """Sum out everything but `keep`; result variables follow `keep` order."""
@@ -388,7 +392,12 @@ def parse_dist(text: str) -> JointDist:
 
 def load_dist(path: str) -> JointDist:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_dist(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_dist(text)
 
 
 def format_dist(d: JointDist) -> str:

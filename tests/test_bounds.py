@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -96,7 +97,29 @@ class TestLowerBound:
         assert lower_bound(p, (1, 2)) == 2.0
 
 
+def ref_example1(p, n, f):
+    """The masked database as a Fraction table through the validating constructor."""
+    size = 2 ** f
+    variables = [Alphabet("X", 2)] + [Alphabet(f"Y{j}", size) for j in range(1, n + 1)]
+    table = {(0,) * (n + 1): 1 - p}
+    for files in itertools.product(range(size), repeat=n):
+        table[(1,) + files] = p / size ** n
+    return JointDist(variables, table)
+
+
 class TestMaskedFamilyBuild:
+    @pytest.mark.parametrize("p", [F(1, 2), F(1, 3), F(5, 11), F(15, 16)])
+    @pytest.mark.parametrize("n, f", [(1, 1), (2, 1), (1, 3), (3, 2), (2, 3)])
+    def test_matches_validating_constructor(self, p, n, f):
+        got = example1_build(Example1Params(p, n, 1, f))
+        want = ref_example1(p, n, f)
+        assert got == want and want == got
+        assert got.variables == want.variables
+        assert list(got.table.items()) == list(want.table.items())
+        (got_num, got_den), (want_num, want_den) = got._ints(), want._ints()
+        assert list(got_num.items()) == list(want_num.items())
+        assert got_den == want_den
+
     def test_x_zero_forces_all_zero(self):
         p = example1_build(Example1Params(F(1, 4), 2, 2, 2))
         cond = p.condition("X", 0)

@@ -196,3 +196,65 @@ class TestAudit:
                      "--demands", "1", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["leakage_exact_zero"] is True
+
+
+class TestParserReuse:
+    def test_transcript_out_not_carried_over(self, tmp_path):
+        args = ["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1", "--demands", "1,2"]
+        first = tmp_path / "first.bin"
+        assert main(args + ["--transcript-out", str(first)]) == 0
+        first.unlink()
+        assert main(args + ["--out", str(tmp_path / "second.json")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["second.json"]
+
+    def test_mode_returns_to_default(self, tmp_path):
+        args = ["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1", "--demands", "1,2"]
+        entropy, fixed = tmp_path / "entropy.json", tmp_path / "fixed.json"
+        assert main(args + ["--mode", "entropy", "--out", str(entropy)]) == 0
+        assert main(args + ["--out", str(fixed)]) == 0
+        assert json.loads(entropy.read_text())["mode"] == "entropy"
+        assert json.loads(fixed.read_text())["mode"] == "fixed"
+
+
+FAMILY_COMMANDS = [
+    ["pipeline", "run", "--n", "2", "--f", "1", "--demands", "1,2"],
+    ["audit", "--n", "2", "--f", "1", "--demands", "1,2"],
+    ["cache", "demo", "--n", "2", "--k", "2", "--m", "1", "--f", "2", "--demands", "1,2"],
+    ["bounds", "sweep", "--k-range", "2", "--f-range", "1", "--measure"],
+]
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("command", FAMILY_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("prior", ["abc", "1/0"])
+    def test_bad_prior(self, command, prior, capsys):
+        assert main(command + ["--p", prior]) == 1
+        assert f"bad prior --p {prior!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", FAMILY_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("limit", ["-5", "0"])
+    def test_limit_below_one(self, command, limit, capsys):
+        assert main(command + ["--limit", limit]) == 1
+        assert f"--limit must be at least 1, got {limit}" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    def test_spec_is_directory(self, tmp_path, capsys):
+        assert main(["frl", "build", "--spec", str(tmp_path)]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_spec_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.dist"
+        path.write_bytes(b"var X 2\np 0 1/2\np 1 1/2 # \xff\n")
+        assert main(["pipeline", "run", "--spec", str(path), "--demands", "1"]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_out_is_directory(self, tmp_path, capsys):
+        assert main(["audit", "--p", "1/2", "--n", "2", "--f", "1", "--demands", "1,2",
+                     "--out", str(tmp_path)]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_transcript_out_is_directory(self, tmp_path, capsys):
+        assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",
+                     "--demands", "1,2", "--transcript-out", str(tmp_path)]) == 1
+        assert "Is a directory" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from privseq.probability import (
     Alphabet,
     JointDist,
     format_dist,
+    load_dist,
     parse_dist,
     point_mass,
     uniform,
@@ -405,7 +406,34 @@ class TestKernelEquivalence:
         assert parse_dist(format_dist(direct)) == direct
 
 
+class TestFractionView:
+    def test_built_once_and_kept(self):
+        d = JointDist._exact((Alphabet("X", 2), Alphabet("Y", 2)),
+                             {(0, 0): 2, (0, 1): 1, (1, 0): 1}, 4)
+        table = d.table
+        assert d.table is table
+        assert list(d.items()) == list(table.items())
+        assert d.table is table
+
+    @given(joints())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_numerators_share_one_fraction(self, dr):
+        d, ref = dr
+        num, den = d._ints()
+        exact = JointDist._exact(d.variables, dict(num), den)
+        assert_table(exact, ref)
+        by_num = {}
+        for cell, p in exact.table.items():
+            assert by_num.setdefault(num[cell], p) is p
+
+
 class TestDistFile:
+    def test_non_utf8_file_is_validation_error(self, tmp_path):
+        path = tmp_path / "latin1.dist"
+        path.write_bytes("var X 2\np 0 1/2 # \xe9\np 1 1/2\n".encode("latin-1"))
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            load_dist(str(path))
+
     def test_roundtrip(self):
         d = example1_build(Example1Params(F(1, 2), 2, 2, 1))
         again = parse_dist(format_dist(d))
