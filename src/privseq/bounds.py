@@ -57,8 +57,7 @@ def upper_bound_entropy_estimate(chain: MechanismChain) -> int:
     an estimate of the entropy-route bound, not the bound itself. It never
     exceeds the cardinality bound.
     """
-    x_size = chain.joint.variables[chain.joint.names.index(chain.private)].size
-    total = ceil_log2(x_size)
+    total = ceil_log2(chain.private_size)
     for stage in chain.stages:
         # round before ceiling so float dust cannot bump an exact integer up
         total += math.ceil(round(stage.mechanism.entropy(), 9))

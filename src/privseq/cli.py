@@ -112,9 +112,10 @@ def cmd_frl_build(args) -> int:
     print(f"H(U) = {mech.entropy():.6f} bits" + (
         f" (ordering-optimized, search min {searched_h:.6f})" if searched_h is not None else ""))
     print("map (u, x) -> y:")
-    for x in sorted(mech.partitions):
-        row = " ".join(f"u{u}->{mech.g[(u, x)]}" for u in range(mech.u_size))
-        print(f"  x={x}: {row}")
+    for x in mech.x_alphabet.symbols():
+        if x not in mech.dropped_x:
+            row = " ".join(f"u{u}->{mech.g[(u, x)]}" for u in range(mech.u_size))
+            print(f"  x={x}: {row}")
     payload = {
         "atoms": [[str(a), str(b)] for a, b in mech.atoms],
         "p_u": [str(q) for q in mech.p_u],
@@ -124,6 +125,12 @@ def cmd_frl_build(args) -> int:
     }
     _write_output(args, payload)
     return EXIT_OK
+
+
+def _sample_row(d: JointDist) -> tuple[int, ...]:
+    """The deterministic sample realization: the most probable cell, ties to the largest."""
+    num, _ = d._ints()
+    return max(num, key=lambda c: (num[c], c))
 
 
 def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
@@ -137,8 +144,7 @@ def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
     )
 
     draws = pipeline.RandomDraws(args.seed)
-    # deterministic sample realization: highest-probability cell, ties by order
-    sample = max(sorted(p.table), key=lambda c: (p.table[c], c))
+    sample = _sample_row(p)
     key = coding.PadKey(args.seed % x_size, x_size)
     transcript = pipeline.encode_session(p, sample, demands, key, chain, draws, args.mode)
     decoded = pipeline.decode_session(transcript, key, demands, chain, args.mode)
@@ -306,7 +312,7 @@ def cmd_cache_demo(args) -> int:
           f"block_bits={cfg.block_bits}")
 
     # deterministic sample database realization, then a full wrapped delivery
-    sample = max(sorted(database_dist.table), key=lambda c: (database_dist.table[c], c))
+    sample = _sample_row(database_dist)
     x, database = sample[0], list(sample[1:])
     caches = caching.placement(cfg, database)
     stream = caching.delivery_blocks(cfg, database, demands)

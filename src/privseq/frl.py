@@ -23,10 +23,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
-from .probability import Alphabet, JointDist, _log2, _projector
+from .probability import Alphabet, JointDist, _plog2p, _projector
 
 # Per-x permutation of the positive-support y symbols, fixing how segments
 # are laid on [0,1). Guarantees hold for any ordering; H(U) does not.
@@ -34,59 +35,49 @@ OrderingPolicy = Mapping[int, Sequence[int]]
 
 
 @dataclass(frozen=True)
-class Segment:
-    start: Fraction
-    end: Fraction
-    label: int  # y symbol carried by this stretch of [0,1)
-
-    @property
-    def length(self) -> Fraction:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Partition of [0,1) for one x: segment lengths are P(Y=y|X=x)."""
-
-    owner: int
-    segments: tuple[Segment, ...]
-
-    @property
-    def cuts(self) -> tuple[Fraction, ...]:
-        return tuple(s.end for s in self.segments[:-1])
-
-
-@dataclass(frozen=True)
 class FrlMechanism:
     """The constructed auxiliary variable U for one (X, Y) pair.
 
-    atoms   -- common-refinement intervals [a, b) covering [0,1)
-    p_u     -- atom lengths; exactly the marginal of U
-    g       -- (atom index, x) -> y on the positive support
-    joint   -- exact JointDist over (U, X, Y)
-    bounds  -- atom boundaries as integers over one common denominator
-    spans   -- (x, y) -> the range of atom indices its segment covers
+    bounds    -- atom boundaries 0 = b_0 < ... < b_n on [0,1), as integers
+                 over the common denominator b_n; atom u is [b_u, b_{u+1})
+    g         -- (atom index, x) -> y on the positive support
+    dropped_x -- the zero-mass x symbols, which get no segments
+    joint     -- exact JointDist over (U, X, Y)
+    spans     -- (x, y) -> the range of atom indices its segment covers
+
+    `atoms` and `p_u` are the Fraction views of `bounds`.
     """
 
     x_alphabet: Alphabet
     y_alphabet: Alphabet
     u_alphabet: Alphabet
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-    p_u: tuple[Fraction, ...]
+    bounds: tuple[int, ...]
     g: Mapping[tuple[int, int], int]
-    partitions: Mapping[int, IntervalPartition]
     dropped_x: tuple[int, ...]
     joint: JointDist
-    bounds: tuple[int, ...] = field(repr=False, compare=False)
     spans: Mapping[tuple[int, int], range] = field(repr=False, compare=False)
 
     @property
     def u_size(self) -> int:
-        return len(self.atoms)
+        return len(self.bounds) - 1
+
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Common-refinement intervals [a, b) covering [0,1)."""
+        scale = self.bounds[-1]
+        points = [Fraction(b, scale) for b in self.bounds]
+        return tuple(zip(points, points[1:]))
+
+    @property
+    def p_u(self) -> tuple[Fraction, ...]:
+        """Atom lengths; exactly the marginal of U."""
+        b = self.bounds
+        return tuple(Fraction(hi - lo, b[-1]) for lo, hi in zip(b, b[1:]))
 
     def entropy(self) -> float:
         """H(U) in bits; an upper-bound surrogate for the best feasible U."""
-        return -sum(float(p) * _log2(p) for p in self.p_u if p > 0)
+        b = self.bounds
+        return -sum(_plog2p(hi - lo, b[-1]) for lo, hi in zip(b, b[1:]))
 
     def apply(self, u: int, x: int) -> int:
         key = (u, x)
@@ -98,7 +89,7 @@ class FrlMechanism:
         """Exact P(U=u | X=x, Y=y): atom length over segment length."""
         span = self.spans.get((x, y))
         if span is None:
-            if x not in self.partitions:
+            if x in self.dropped_x:
                 raise ValidationError(f"x={x} has zero mass (dropped)")
             raise ValidationError(f"(x={x}, y={y}) outside the positive support")
         b = self.bounds
@@ -168,42 +159,35 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
         cutset.update(end for _, end, _ in segs[:-1])
 
     bounds = (0, *sorted(cutset), scale)
-    cells = (len(bounds) - 1) * len(px)
+    n_atoms = len(bounds) - 1
+    cells = n_atoms * len(px)
     if cells > limit:
         raise LimitError(f"the {u_name} mechanism needs {cells} cells, over the limit {limit}")
-    points = [Fraction(b, scale) for b in bounds]
-    atoms = tuple(zip(points, points[1:]))
-    p_u = tuple(Fraction(b - a, scale) for a, b in zip(bounds, bounds[1:]))
 
     # each segment covers a run of whole atoms, found by bisection over the
     # atom boundaries; an endpoint that is not a boundary would split an atom
-    partitions: dict[int, IntervalPartition] = {}
     spans: dict[tuple[int, int], range] = {}
     g: dict[tuple[int, int], int] = {}
     for x, segs in ends.items():
-        parts = []
         for start, end, y in segs:
             i0 = bisect.bisect_left(bounds, start)
             i1 = bisect.bisect_left(bounds, end)
             if bounds[i0] != start or bounds[i1] != end:
                 raise InvariantError("refinement atom crosses a segment boundary")
-            parts.append(Segment(points[i0], points[i1], y))
             spans[(x, y)] = range(i0, i1)
             for u in range(i0, i1):
                 g[(u, x)] = y
-        partitions[x] = IntervalPartition(x, tuple(parts))
-    if len(g) != len(atoms) * len(partitions):
+    if len(g) != n_atoms * len(ends):
         raise InvariantError("segments do not tile [0,1) for every x")
 
-    u_alpha = Alphabet(u_name, len(atoms))
+    u_alpha = Alphabet(u_name, n_atoms)
     table = {(u, x, g[(u, x)]): (bounds[u + 1] - bounds[u]) * mass
-             for u in range(len(atoms)) for x, mass in px.items()}
+             for u in range(n_atoms) for x, mass in px.items()}
     joint = JointDist._exact((u_alpha, x_alpha, y_alpha), table, scale * den)
 
     mech = FrlMechanism(
-        x_alphabet=x_alpha, y_alphabet=y_alpha, u_alphabet=u_alpha,
-        atoms=atoms, p_u=p_u, g=g, partitions=partitions,
-        dropped_x=dropped, joint=joint, bounds=bounds, spans=spans,
+        x_alphabet=x_alpha, y_alphabet=y_alpha, u_alphabet=u_alpha, bounds=bounds,
+        g=g, dropped_x=dropped, joint=joint, spans=spans,
     )
     _verify_mechanism(mech, pxy)
     return mech
@@ -238,8 +222,11 @@ def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, 
     """Exhaust all segment orderings and return the one minimizing H(U).
 
     Explores the interval-construction subfamily only, so the reported value
-    upper-bounds the true minimum over all feasible auxiliaries.
+    upper-bounds the true minimum over all feasible auxiliaries. A budget
+    below 1 is a ValidationError.
     """
+    if budget < 1:
+        raise ValidationError(f"ordering-search budget must be at least 1, got {budget}")
     supports = _supports(pxy)
     xs = sorted(supports)
     count = 1
@@ -276,23 +263,27 @@ class ChainStage:
     target: str
     mechanism: FrlMechanism
     compound: tuple[tuple[int, ...], ...]
-    index: Mapping[tuple[int, ...], int] = field(compare=False)
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Compound state -> its index on the mechanism's x axis."""
+        return {state: i for i, state in enumerate(self.compound)}
 
     @property
     def u_name(self) -> str:
         return self.mechanism.u_alphabet.name
 
     def decode(self, x: int, u_prefix: Sequence[int], u: int) -> int:
-        key = (x, *u_prefix)
-        if key not in self.index:
-            raise ValidationError(f"compound state {key} has zero mass")
-        return self.mechanism.apply(u, self.index[key])
+        state = self.index.get((x, *u_prefix))
+        if state is None:
+            raise ValidationError(f"compound state {(x, *u_prefix)} has zero mass")
+        return self.mechanism.apply(u, state)
 
     def conditional_u(self, x: int, u_prefix: Sequence[int], y: int) -> dict[int, Fraction]:
-        key = (x, *u_prefix)
-        if key not in self.index:
-            raise ValidationError(f"compound state {key} has zero mass")
-        return self.mechanism.conditional_u(self.index[key], y)
+        state = self.index.get((x, *u_prefix))
+        if state is None:
+            raise ValidationError(f"compound state {(x, *u_prefix)} has zero mass")
+        return self.mechanism.conditional_u(state, y)
 
 
 @dataclass(frozen=True)
@@ -315,6 +306,11 @@ class MechanismChain:
     @property
     def targets(self) -> tuple[str, ...]:
         return tuple(s.target for s in self.stages)
+
+    @property
+    def private_size(self) -> int:
+        """|X|, the size of the private variable's alphabet."""
+        return self.joint.variables[self.joint.names.index(self.private)].size
 
     def u_sizes(self) -> tuple[int, ...]:
         return tuple(s.mechanism.u_size for s in self.stages)
@@ -389,7 +385,7 @@ def _extend(chain: MechanismChain, target: str, policy: OrderingPolicy | None,
             table[cell + (u,)] = n * m
     joint = JointDist._exact(chain.joint.variables + (mech.u_alphabet,), table, chain_den * stage_den)
 
-    stage = ChainStage(target=target, mechanism=mech, compound=states, index=index)
+    stage = ChainStage(target=target, mechanism=mech, compound=states)
     out = MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))
     _verify_last_stage(out)
     return out

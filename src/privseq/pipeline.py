@@ -126,20 +126,15 @@ def session_chain(p: JointDist, demands: Sequence[int],
                        limit=limit)
 
 
-def chain_private_size(chain: MechanismChain) -> int:
-    return chain.joint.variables[chain.joint.names.index(chain.private)].size
-
-
 def session_codebooks(chain: MechanismChain, mode: str) -> tuple[Codebook, list[Codebook]]:
     """Pad-slot book plus one book per stage, derived deterministically."""
-    x_size = chain_private_size(chain)
-    pad = fixed_length_codebook(x_size)
+    pad = fixed_length_codebook(chain.private_size)
     books = []
     for stage in chain.stages:
         if mode == FIXED:
             books.append(fixed_length_codebook(stage.mechanism.u_size))
         elif mode == ENTROPY:
-            books.append(entropy_codebook(dict(enumerate(stage.mechanism.p_u))))
+            books.append(entropy_codebook(stage.mechanism.p_u))
         else:
             raise ValidationError(f"unknown coding mode {mode!r}")
     return pad, books
@@ -175,7 +170,7 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
     is not requested before slot i is drawn. Stage i samples u_i from its
     exact conditional given (x, u_1..u_{i-1}, symbol i).
     """
-    x_size = chain_private_size(chain)
+    x_size = chain.private_size
     if key.modulus != x_size:
         raise ValidationError(f"pad key modulus {key.modulus} != |X| = {x_size}")
     xt = otp_encrypt(x, key)
@@ -234,7 +229,7 @@ def encode_session(p: JointDist, realization: Sequence[int], demands: Sequence[i
     demands = demand_vector(p, demands)
     _check_chain_matches(p, demands, chain)
     realization = tuple(realization)
-    if p.prob(realization) == 0:
+    if realization not in p._ints()[0]:
         raise ValidationError(f"realization {realization} outside the support")
     return encode_walk(chain, books or session_codebooks(chain, mode), realization[0], key,
                        (realization[d] for d in demands), draws)

@@ -6,12 +6,12 @@ kernel (marginals, conditionals, independence tests, product extensions)
 adds and multiplies plain integers, so every check is an exact equality,
 never a float comparison. `fractions.Fraction` appears only at the API
 edges: `table`, `items()`, `prob()` and the marginals passed in. A table
-given to the constructor is validated and kept as the Fractions it came in;
-its integer form is derived on first use. A table built from numerators gets
-its Fraction view on first use, one Fraction per distinct numerator shared by
-every cell that has it, and keeps it. Entropy-style functionals are the
-only place floats appear: each cell n/den is reduced by its gcd before the
-division and the log, and results are always in bits (log base 2).
+given to the constructor is validated and then stored as numerators like a
+kernel result; every table gets its Fraction view on first use, one Fraction
+per distinct numerator shared by every cell that has it, and keeps it.
+Entropy-style functionals are the only place floats appear: each cell n/den
+is reduced by its gcd before the division and the log, and results are
+always in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Cell = tuple[int, ...]
@@ -47,24 +46,19 @@ class Alphabet:
         return range(self.size)
 
 
-def _log2(f: Fraction) -> float:
-    # log2 of a Fraction without converting tiny values through a single float
-    return math.log2(f.numerator) - math.log2(f.denominator)
-
-
 def _reduced(n: int, den: int) -> tuple[int, int]:
     g = math.gcd(n, den)
     return n // g, den // g
 
 
 def _log2_ratio(n: int, den: int) -> float:
-    """log2(n/den), taken like `_log2` on the reduced fraction."""
+    """log2(n/den) on the reduced fraction, never converting a tiny value through one float."""
     n, den = _reduced(n, den)
     return math.log2(n) - math.log2(den)
 
 
 def _plog2p(n: int, den: int) -> float:
-    """p * log2(p) for p = n/den, as `float(p) * _log2(p)` on the reduced fraction."""
+    """p * log2(p) for p = n/den, taken on the reduced fraction."""
     n, den = _reduced(n, den)
     return n / den * (math.log2(n) - math.log2(den))
 
@@ -85,13 +79,12 @@ class JointDist:
     """Exact joint distribution over an ordered tuple of alphabets.
 
     The table keeps positive entries only (zero cells are implicit) and sums
-    to exactly 1. Kernel results hold integer numerators `n(cell)` over one
-    common denominator `den`, in sorted cell order; a table given to the
-    constructor is validated and kept as the Fractions it was given, and its
-    integer form is derived on first use. `table` and `items()` present the
-    Fraction view in sorted cell order, built once and kept; `len(d)` counts
-    positive cells without building it. Instances are immutable; every
-    operation returns a new distribution.
+    to exactly 1. It is held as integer numerators `n(cell)` over one reduced
+    common denominator `den`, in sorted cell order, whether it came through
+    the validating constructor or out of an exact operation. `table` and
+    `items()` present the Fraction view in sorted cell order, built on first
+    use and kept; `len(d)` counts positive cells without building it.
+    Instances are immutable; every operation returns a new distribution.
     """
 
     __slots__ = ("variables", "_table", "_num", "_den")
@@ -127,9 +120,11 @@ class JointDist:
         if total != den:
             raise ValidationError(
                 f"probabilities sum to {Fraction(total, den)}, expected exactly 1")
+        # the lcm of reduced denominators leaves the numerators without a common factor
         self.variables = variables
-        self._table = {cell: clean[cell] for cell in sorted(clean)}
-        self._num = None
+        self._table = None
+        self._num = {cell: clean[cell].numerator * (den // clean[cell].denominator)
+                     for cell in sorted(clean)}
         self._den = den
 
     @classmethod
@@ -155,10 +150,6 @@ class JointDist:
 
     def _ints(self) -> tuple[dict[Cell, int], int]:
         """(numerators, common denominator), reduced, in sorted cell order."""
-        if self._num is None:
-            den = self._den
-            self._num = {cell: p.numerator * (den // p.denominator)
-                         for cell, p in self._table.items()}
         return self._num, self._den
 
     @property
@@ -180,16 +171,12 @@ class JointDist:
 
     def __len__(self) -> int:
         """Number of positive cells."""
-        return len(self._num if self._table is None else self._table)
+        return len(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, JointDist):
             return NotImplemented
-        if self.variables != other.variables:
-            return False
-        if self._table is not None and other._table is not None:
-            return self._table == other._table
-        return self._ints() == other._ints()
+        return self.variables == other.variables and self._ints() == other._ints()
 
     __hash__ = None  # mutable-looking container semantics; not hashable
 
@@ -209,8 +196,6 @@ class JointDist:
         return tuple(axes)
 
     def prob(self, cell: Sequence[int]) -> Fraction:
-        if self._table is not None:
-            return self._table.get(tuple(cell), ZERO)
         return Fraction(self._num.get(tuple(cell), 0), self._den)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:

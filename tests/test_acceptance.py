@@ -255,8 +255,8 @@ def test_c09_oracle_equivalence():
         pxy = random_pair(rng, rng.randint(2, 3), rng.randint(2, 4),
                           sparse=bool(i % 2))
         mech = frl_construct(pxy)
-        n_atoms, table = brute_force_joint(pxy)
-        if mech.u_size != n_atoms or dict(mech.joint.table) != table:
+        edges, table = brute_force_joint(pxy)
+        if mech.u_size != len(edges) - 1 or dict(mech.joint.table) != table:
             bad += 1
     report("construction joint equals the interval-intersection oracle exactly",
            bad == 0, "12 random instances")

@@ -66,6 +66,10 @@ class TestFrlBuild:
                      "--optimize", "10"]) == 0
         assert "ordering-optimized" in capsys.readouterr().out
 
+    def test_optimize_below_one_is_validation_error(self, spec_path, capsys):
+        assert main(["frl", "build", "--spec", spec_path(DESIGNED), "--optimize", "-1"]) == 1
+        assert "ordering-search budget must be at least 1, got -1" in capsys.readouterr().err
+
 
 class TestPipelineRun:
     def test_builtin_family(self, capsys):

@@ -1,6 +1,8 @@
+import bisect
 import itertools
 import math
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -22,16 +24,17 @@ from privseq.probability import Alphabet, JointDist
 from conftest import random_pair, random_database
 
 
-def brute_force_joint(pxy):
+def brute_force_joint(pxy, policy=None):
     """Recompute P(U,X,Y) by raw interval intersections, independent of the
     construction path: every segment edge is an atom boundary and each joint
-    cell is P(x) times the overlap length of atom and segment."""
+    cell is P(x) times the overlap length of atom and segment. Returns the
+    sorted Fraction edges and the joint table."""
     px = {}
     for (x, y), p in pxy.items():
         px[x] = px.get(x, F(0)) + p
     segs = {}
     for x, mass in px.items():
-        order = sorted(y for (xx, y) in pxy.table if xx == x)
+        order = policy[x] if policy else sorted(y for (xx, y) in pxy.table if xx == x)
         pos = F(0)
         rows = []
         for y in order:
@@ -47,7 +50,7 @@ def brute_force_joint(pxy):
                 overlap = min(b, e) - max(a, s)
                 if overlap > 0:
                     table[(u, x, y)] = table.get((u, x, y), F(0)) + px[x] * overlap
-    return len(edges) - 1, table
+    return edges, table
 
 
 def deterministic_pair():
@@ -97,6 +100,10 @@ class TestConstruct:
         m = frl_construct(d)
         assert m.dropped_x == (2,)
         assert (0, 2) not in m.g
+        with pytest.raises(ValidationError, match="x=2 has zero mass"):
+            m.conditional_u(2, 0)
+        with pytest.raises(ValidationError, match=r"\(x=0, y=1\) outside the positive support"):
+            m.conditional_u(0, 1)
 
     def test_uniform_conditionals_full_entropy(self):
         d = JointDist(
@@ -125,10 +132,20 @@ class TestOracleEquivalence:
     def test_matches_brute_force(self, seed):
         rng = random.Random(900 + seed)
         pxy = random_pair(rng, rng.randint(2, 3), rng.randint(2, 3), sparse=seed % 2 == 0)
-        m = frl_construct(pxy)
-        n_atoms, table = brute_force_joint(pxy)
-        assert m.u_size == n_atoms
-        assert dict(m.joint.table) == table
+        permuted = {}
+        for (x, y) in pxy.table:
+            permuted.setdefault(x, []).append(y)
+        for ys in permuted.values():
+            rng.shuffle(ys)
+        for policy in (None, permuted):
+            m = frl_construct(pxy, policy)
+            edges, table = brute_force_joint(pxy, policy)
+            assert m.u_size == len(edges) - 1
+            assert dict(m.joint.table) == table
+            assert m.atoms == tuple(zip(edges, edges[1:]))
+            assert m.p_u == tuple(b - a for a, b in zip(edges, edges[1:]))
+            assert m.entropy() == -sum(
+                float(p) * (math.log2(p.numerator) - math.log2(p.denominator)) for p in m.p_u)
 
 
 class TestInvariants:
@@ -203,6 +220,8 @@ class TestMinEntropySearch:
         )
         with pytest.raises(LimitError, match="canonical"):
             min_entropy_search(d, budget=5)
+        with pytest.raises(ValidationError, match="at least 1"):
+            min_entropy_search(d, budget=0)
 
     def test_invariant_under_consistent_relabel(self):
         rng = random.Random(42)
@@ -387,17 +406,25 @@ class TestStageLimit:
         d = random_pair(random.Random(3), 3, 3)
         cells = len(frl_construct(d).joint)
         made = []
-        original = frl_mod.Segment
 
-        def recording(*args):
-            made.append(args)
-            return original(*args)
+        def bisect_left(*args):
+            made.append("span search")
+            return bisect.bisect_left(*args)
 
-        monkeypatch.setattr(frl_mod, "Segment", recording)
+        original = JointDist._exact.__func__
+
+        def recording(cls, *args, **kwargs):
+            made.append("table")
+            return original(cls, *args, **kwargs)
+
+        # the span search over `bounds` also fills the label map
+        monkeypatch.setattr(frl_mod, "bisect", types.SimpleNamespace(bisect_left=bisect_left))
+        monkeypatch.setattr(JointDist, "_exact", classmethod(recording))
         with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
             frl_construct(d, limit=cells - 1)
         assert made == []
         assert len(frl_construct(d, limit=cells).joint) == cells
+        assert {"span search", "table"} <= set(made)
 
     def test_limit_at_stage_size_passes(self):
         # the chain joint also carries Y3, so the stage-2 product outgrows

@@ -397,6 +397,9 @@ class TestKernelEquivalence:
         d, ref = dr
         validated = JointDist(d.variables, ref)
         assert d == validated and validated == d
+        assert len(validated) == len(d) == len(ref)
+        for cell in itertools.product(*(v.symbols() for v in d.variables)):
+            assert validated.prob(cell) == d.prob(cell) == ref.get(cell, 0)
         names = names_of(d)
         keep = rnd.sample(names, rnd.randint(1, len(names)))
         direct = d.marginalize(keep)
@@ -408,12 +411,18 @@ class TestKernelEquivalence:
 
 class TestFractionView:
     def test_built_once_and_kept(self):
-        d = JointDist._exact((Alphabet("X", 2), Alphabet("Y", 2)),
-                             {(0, 0): 2, (0, 1): 1, (1, 0): 1}, 4)
-        table = d.table
-        assert d.table is table
-        assert list(d.items()) == list(table.items())
-        assert d.table is table
+        variables = (Alphabet("X", 2), Alphabet("Y", 2))
+        exact = JointDist._exact(variables, {(0, 0): 2, (0, 1): 1, (1, 0): 1}, 4)
+        validated = JointDist(variables, {(1, 0): F(1, 4), (0, 0): F(1, 2), (0, 1): F(1, 4)})
+        for d in (exact, validated):
+            # the kernel, len, == and prob run without a Fraction table
+            d.marginalize(["Y"])
+            assert len(d) == 3 and d == exact and d.prob((0, 1)) == F(1, 4)
+            assert d._table is None
+            table = d.table
+            assert d.table is table
+            assert list(d.items()) == list(table.items())
+            assert d.table is table
 
     @given(joints())
     @settings(max_examples=100, deadline=None)
