@@ -338,8 +338,7 @@ def adversary_view(td: pipeline.TranscriptDistribution) -> pipeline.TranscriptDi
     views = tuple(pipeline.Transcript(t.slots + tuple(
         (f"cache{i}", bits) for i, bits in enumerate(t.bitstrings[1:], 1)
     )) for t in td.transcripts)
-    return pipeline.TranscriptDistribution(td.joint, views,
-                                           tuple(v.total_length for v in views), td.parts)
+    return pipeline.TranscriptDistribution.of_transcripts(td.joint, views, td.parts)
 
 
 def adversary_view_distribution(session: CacheSession, key_size: int,

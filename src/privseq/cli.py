@@ -134,7 +134,7 @@ def _sample_row(d: JointDist) -> tuple[int, ...]:
 
 
 def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
-    row, chain = pipeline.audit_demands(p, demands, args.mode, args.limit)
+    row, chain, books = pipeline.audit_demands(p, demands, args.mode, args.limit)
     x_size = p.variables[0].size
     report = bounds_mod.BoundReport(
         lower=row.lower,
@@ -146,8 +146,8 @@ def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
     draws = pipeline.RandomDraws(args.seed)
     sample = _sample_row(p)
     key = coding.PadKey(args.seed % x_size, x_size)
-    transcript = pipeline.encode_session(p, sample, demands, key, chain, draws, args.mode)
-    decoded = pipeline.decode_session(transcript, key, demands, chain, args.mode)
+    transcript = pipeline.encode_session(p, sample, demands, key, chain, draws, args.mode, books)
+    decoded = pipeline.decode_session(transcript, key, demands, chain, args.mode, books)
     roundtrip = decoded == (sample[0], tuple(sample[d] for d in demands))
     if getattr(args, "transcript_out", None):
         with open(args.transcript_out, "wb") as fh:
@@ -224,7 +224,7 @@ def cmd_audit(args) -> int:
     demands = _parse_demands(args.demands)
     if demands is None:
         raise ValidationError("audit needs an explicit demand vector")
-    row, _chain = pipeline.audit_demands(p, demands, args.mode, args.limit)
+    row, _chain, _books = pipeline.audit_demands(p, demands, args.mode, args.limit)
     print(f"transcript support: {row.transcript_support}")
     print(f"leakage: exact_zero={row.leakage_exact_zero}  I = {row.leakage_bits:.3g} bits")
     print(f"E[len | w]: {['%.6f' % v for v in row.per_w]}  max {row.expected_len:.6f}")
@@ -263,7 +263,7 @@ def cmd_bounds_sweep(args) -> int:
             if args.measure and (2 ** f) ** k * 2 <= args.limit:
                 params = bounds_mod.Example1Params(prior, k, k, f)
                 p = bounds_mod.example1_build(params, args.limit)
-                audit, _chain = pipeline.audit_demands(p, range(1, k + 1), args.mode, args.limit)
+                audit, _chain, _books = pipeline.audit_demands(p, range(1, k + 1), args.mode, args.limit)
                 row["lower"] = audit.lower
                 row["measured"] = audit.expected_len
                 row["upper_entropy_estimate"] = audit.upper_entropy_estimate

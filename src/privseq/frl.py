@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
-from .probability import Alphabet, JointDist, _plog2p, _projector
+from .probability import Alphabet, JointDist, _entropy_bits, _projector
 
 # Per-x permutation of the positive-support y symbols, fixing how segments
 # are laid on [0,1). Guarantees hold for any ordering; H(U) does not.
@@ -45,7 +45,8 @@ class FrlMechanism:
     joint     -- exact JointDist over (U, X, Y)
     spans     -- (x, y) -> the range of atom indices its segment covers
 
-    `atoms` and `p_u` are the Fraction views of `bounds`.
+    `atoms` and `p_u` are the Fraction views of `bounds`; `row` gives the
+    integer conditional of U for one (x, y), `conditional_u` its Fraction view.
     """
 
     x_alphabet: Alphabet
@@ -76,8 +77,7 @@ class FrlMechanism:
 
     def entropy(self) -> float:
         """H(U) in bits; an upper-bound surrogate for the best feasible U."""
-        b = self.bounds
-        return -sum(_plog2p(hi - lo, b[-1]) for lo, hi in zip(b, b[1:]))
+        return _bounds_entropy(self.bounds)
 
     def apply(self, u: int, x: int) -> int:
         key = (u, x)
@@ -85,16 +85,32 @@ class FrlMechanism:
             raise ValidationError(f"(u={u}, x={x}) outside the positive support")
         return self.g[key]
 
-    def conditional_u(self, x: int, y: int) -> dict[int, Fraction]:
-        """Exact P(U=u | X=x, Y=y): atom length over segment length."""
+    def _span(self, x: int, y: int) -> range:
         span = self.spans.get((x, y))
         if span is None:
             if x in self.dropped_x:
                 raise ValidationError(f"x={x} has zero mass (dropped)")
             raise ValidationError(f"(x={x}, y={y}) outside the positive support")
+        return span
+
+    def row(self, x: int, y: int) -> tuple[range, list[int], int]:
+        """P(U | X=x, Y=y) on integers: the atoms the (x, y) segment covers,
+        their widths b[u+1] - b[u], and the segment length they sum to."""
+        span = self._span(x, y)
+        b = self.bounds
+        return span, [b[u + 1] - b[u] for u in span], b[span.stop] - b[span.start]
+
+    def conditional_u(self, x: int, y: int) -> dict[int, Fraction]:
+        """Exact P(U=u | X=x, Y=y): atom length over segment length."""
+        span = self._span(x, y)
         b = self.bounds
         length = b[span.stop] - b[span.start]
         return {u: Fraction(b[u + 1] - b[u], length) for u in span}
+
+
+def _bounds_entropy(bounds: Sequence[int]) -> float:
+    """H(U) in bits for atoms [b_u, b_{u+1}) over the common denominator b_n."""
+    return _entropy_bits((hi - lo for lo, hi in zip(bounds, bounds[1:])), bounds[-1])
 
 
 def canonical_ordering(pxy: JointDist) -> dict[int, tuple[int, ...]]:
@@ -108,6 +124,39 @@ def _supports(pxy: JointDist) -> dict[int, list[int]]:
     for x, y in pxy._ints()[0]:
         supports.setdefault(x, []).append(y)
     return supports
+
+
+def _masses(num: Mapping[tuple[int, int], int],
+            supports: Mapping[int, Sequence[int]]) -> tuple[dict[int, int], int]:
+    """The integer mass n(x) of every positive x, and the segment scale: their lcm."""
+    px = {x: sum(num[(x, y)] for y in ys) for x, ys in supports.items()}
+    return px, math.lcm(*px.values())
+
+
+def _segment_layout(num: Mapping[tuple[int, int], int], px: Mapping[int, int],
+                    orders: OrderingPolicy, scale: int
+                    ) -> tuple[dict[int, list[tuple[int, int, int]]], set[int]]:
+    """Lay each x's segments P(y|x) = n(x,y)/n(x) end to end on [0, scale).
+
+    Returns x -> its segments (start, end, y) in order, and the cut set: every
+    segment end short of `scale`. The atom boundaries are the sorted cut set
+    between 0 and `scale`.
+    """
+    ends: dict[int, list[tuple[int, int, int]]] = {}
+    cutset: set[int] = set()
+    for x, mass in px.items():
+        step = scale // mass
+        segs = []
+        pos = 0
+        for y in orders[x]:
+            end = pos + num[(x, y)] * step
+            segs.append((pos, end, y))
+            pos = end
+        if pos != scale:
+            raise InvariantError(f"segments for x={x} cover {Fraction(pos, scale)}, expected 1")
+        ends[x] = segs
+        cutset.update(end for _, end, _ in segs[:-1])
+    return ends, cutset
 
 
 def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
@@ -125,14 +174,12 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
     num, den = pxy._ints()
 
     supports = _supports(pxy)
-    px = {x: sum(num[(x, y)] for y in ys) for x, ys in supports.items()}
+    px, scale = _masses(num, supports)
     dropped = tuple(x for x in x_alpha.symbols() if x not in px)
 
     if policy is None:
         policy = canonical_ordering(pxy)
 
-    # segment lengths P(y|x) = n(x,y)/px[x] as integers over one common
-    # denominator `scale`: the lcm of the per-x masses px[x]
     orders: dict[int, tuple[int, ...]] = {}
     for x, ys in supports.items():
         order = tuple(policy.get(x, ()))
@@ -141,22 +188,7 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
                 f"policy for x={x} must permute the positive-support y symbols {ys}"
             )
         orders[x] = order
-    scale = math.lcm(*px.values())
-
-    ends: dict[int, list[tuple[int, int, int]]] = {}  # x -> (start, end, y) per segment
-    cutset: set[int] = set()
-    for x, order in orders.items():
-        step = scale // px[x]
-        segs = []
-        pos = 0
-        for y in order:
-            end = pos + num[(x, y)] * step
-            segs.append((pos, end, y))
-            pos = end
-        if pos != scale:
-            raise InvariantError(f"segments for x={x} cover {Fraction(pos, scale)}, expected 1")
-        ends[x] = segs
-        cutset.update(end for _, end, _ in segs[:-1])
+    ends, cutset = _segment_layout(num, px, orders, scale)
 
     bounds = (0, *sorted(cutset), scale)
     n_atoms = len(bounds) - 1
@@ -204,7 +236,7 @@ def _verify_mechanism(mech: FrlMechanism, pxy: JointDist) -> None:
     cap = cardinality_bound(mech.x_alphabet.size, [], mech.y_alphabet.size)
     if mech.u_size > cap:
         raise InvariantError(f"|U|={mech.u_size} exceeds the cardinality bound {cap}")
-    if mech.joint.marginalize([x_name, y_name]) != pxy.marginalize([x_name, y_name]):
+    if mech.joint.marginalize([x_name, y_name]) != pxy:
         raise InvariantError("mechanism joint does not reproduce the input pair")
 
 
@@ -222,8 +254,11 @@ def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, 
     """Exhaust all segment orderings and return the one minimizing H(U).
 
     Explores the interval-construction subfamily only, so the reported value
-    upper-bounds the true minimum over all feasible auxiliaries. A budget
-    below 1 is a ValidationError.
+    upper-bounds the true minimum over all feasible auxiliaries. H(U) depends
+    only on an ordering's cut set, so each ordering is scored from that set
+    and no mechanism is built; `frl_construct` with the returned policy
+    builds and verifies the winner, whose `entropy()` equals the returned H.
+    A budget below 1 is a ValidationError.
     """
     if budget < 1:
         raise ValidationError(f"ordering-search budget must be at least 1, got {budget}")
@@ -236,11 +271,14 @@ def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, 
             raise LimitError(
                 f"{count}+ orderings exceed budget {budget}; use the canonical ordering surrogate"
             )
+    num, _ = pxy._ints()
+    px, scale = _masses(num, supports)
     best_policy = None
     best_h = math.inf
     for combo in itertools.product(*(itertools.permutations(sorted(supports[x])) for x in xs)):
         policy = {x: perm for x, perm in zip(xs, combo)}
-        h = frl_construct(pxy, policy).entropy()
+        _, cutset = _segment_layout(num, px, policy, scale)
+        h = _bounds_entropy((0, *sorted(cutset), scale))
         if h < best_h - 1e-12:
             best_h = h
             best_policy = policy
@@ -356,22 +394,21 @@ def _extend(chain: MechanismChain, target: str, policy: OrderingPolicy | None,
     except LimitError as exc:
         raise LimitError(f"chain stage {k + 1} ({target}): {exc}") from None
 
-    # one conditional row per positive (compound state, target) pair, as
-    # integer numerators over the row's lcm; a row summing to 1 keeps the
-    # marginal of every earlier variable unchanged
-    rows: dict[tuple[int, ...], tuple[list[tuple[int, int]], int]] = {}
+    # one conditional row per positive (compound state, target) pair: atom
+    # widths over the segment length, reduced by their gcd; a row summing to
+    # 1 keeps the marginal of every earlier variable unchanged
+    rows: dict[tuple[int, ...], tuple[range, list[int], int]] = {}
     for cell, (state, y) in zip(sub, pair_num):
-        row = sorted(mech.conditional_u(state, y).items())
-        row_den = math.lcm(*(q.denominator for _, q in row))
-        ints = [(u, q.numerator * (row_den // q.denominator)) for u, q in row]
-        total = sum(n for _, n in ints)
-        if total != row_den or min(n for _, n in ints) <= 0:
-            fault = "does not sum to 1" if total != row_den else "has a nonpositive entry"
+        span, widths, length = mech.row(state, y)
+        total = sum(widths)
+        if total != length or min(widths) <= 0:
+            fault = "does not sum to 1" if total != length else "has a nonpositive entry"
             raise InvariantError(f"stage {k + 1}: P({u_name} | {states[state]}, {target}={y}) {fault}")
-        rows[cell] = (ints, row_den)
-    stage_den = math.lcm(*(row_den for _, row_den in rows.values()))
-    scaled = {cell: [(u, n * (stage_den // row_den)) for u, n in ints]
-              for cell, (ints, row_den) in rows.items()}
+        g = math.gcd(length, *widths)
+        rows[cell] = (span, [w // g for w in widths], length // g)
+    stage_den = math.lcm(*(length for _, _, length in rows.values()))
+    scaled = {cell: [(u, w * (stage_den // length)) for u, w in zip(span, widths)]
+              for cell, (span, widths, length) in rows.items()}
 
     project = _projector(chain.joint._axes([chain.private, *u_names, target]))
     num, chain_den = chain.joint._ints()

@@ -4,7 +4,10 @@ A session transcript is one pad slot carrying the one-time-padded private
 symbol followed by one prefix-free slot per demand, each encoding the stage's
 auxiliary variable. Distribution-level objects never sample: the exact joint
 of (transcript, private symbol, key) is built by full enumeration, so the
-zero-leakage audit is a rational product test, not a float comparison.
+zero-leakage audit is a rational product test, not a float comparison. The
+enumeration needs only each transcript's bit length, which it reads from the
+codebooks' code-length tables; the transcripts themselves are written from
+their (padded x, u vector) parts on first access.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -32,7 +35,7 @@ from .coding import (
 )
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
 from .frl import MechanismChain, build_chain
-from .probability import Alphabet, JointDist
+from .probability import Alphabet, JointDist, _entropy_bits, _product_test
 
 
 @dataclass(frozen=True)
@@ -244,12 +247,35 @@ def decode_session(transcript: Transcript, key: PadKey, demands: Sequence[int],
 
 @dataclass(frozen=True)
 class TranscriptDistribution:
-    """Exact joint of (transcript index, private symbol, key symbol)."""
+    """Exact joint of (transcript index, private symbol, key symbol).
+
+    `lengths[c]` is the bit length of transcript c. `transcript_distribution`
+    works the lengths out from the books' code-length tables and keeps each
+    transcript as its `parts`; `transcripts` writes them with `books` on
+    first access. `of_transcripts` wraps transcripts given explicitly.
+    """
 
     joint: JointDist  # variables C, X, W
-    transcripts: tuple[Transcript, ...]
     lengths: tuple[int, ...]
     parts: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # (padded x, u vector)
+    books: Books | None = field(default=None, repr=False)
+    _transcripts: tuple[Transcript, ...] | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of_transcripts(cls, joint: JointDist, transcripts: Iterable[Transcript],
+                       parts: tuple[tuple[int, tuple[int, ...]], ...] | None = None
+                       ) -> "TranscriptDistribution":
+        transcripts = tuple(transcripts)
+        return cls(joint, tuple(t.total_length for t in transcripts), parts,
+                   _transcripts=transcripts)
+
+    @property
+    def transcripts(self) -> tuple[Transcript, ...]:
+        """Transcript c is `_write_slots(books, *parts[c])`; written once, then kept."""
+        if self._transcripts is None:
+            object.__setattr__(self, "_transcripts",
+                               tuple(_write_slots(self.books, *part) for part in self.parts))
+        return self._transcripts
 
     @property
     def key_size(self) -> int:
@@ -258,12 +284,16 @@ class TranscriptDistribution:
 
 def transcript_distribution(p: JointDist, demands: Sequence[int], chain: MechanismChain,
                             key_size: int, mode: str = FIXED,
-                            limit: int = DEFAULT_STATE_LIMIT) -> TranscriptDistribution:
+                            limit: int = DEFAULT_STATE_LIMIT,
+                            books: Books | None = None) -> TranscriptDistribution:
     """Enumerate the exact joint (C, X, W) with rational weights.
 
     The chain's joint already couples (x, demanded files, auxiliaries); each
-    of its cells fans out over the uniform key. An empty target list is
-    allowed here (a fully cached delivery wraps zero blocks).
+    of its cells fans out over the uniform key. A transcript's index is the
+    order its (padded x, u vector) is first met over the chain joint's
+    sorted cells; its length is summed from the books' code-length tables.
+    An empty target list is allowed here (a fully cached delivery wraps zero
+    blocks). Callers holding `books` from session_codebooks can pass them.
     """
     demands = demand_vector(p, demands, allow_empty=True)
     _check_chain_matches(p, demands, chain)
@@ -274,13 +304,14 @@ def transcript_distribution(p: JointDist, demands: Sequence[int], chain: Mechani
     if states > limit:
         raise LimitError(f"{states} weighted states exceed the limit {limit}")
 
-    books = session_codebooks(chain, mode)
+    books = books or session_codebooks(chain, mode)
+    pad_book, stage_books = books
     k = len(chain.stages)
     x_axis = chain.joint.names.index(chain.private)
     u_start = len(chain.joint.variables) - k  # the stages' U variables come last
 
     by_key: dict[tuple[int, tuple[int, ...]], int] = {}
-    transcripts: list[Transcript] = []
+    u_bits: dict[tuple[int, ...], int] = {}
     lengths: list[int] = []
     parts: list[tuple[int, tuple[int, ...]]] = []
     table: dict[tuple[int, int, int], int] = {}
@@ -288,25 +319,25 @@ def transcript_distribution(p: JointDist, demands: Sequence[int], chain: Mechani
     for cell, n in num.items():
         x = cell[x_axis]
         u_vec = cell[u_start:]
+        bits = u_bits.get(u_vec)
+        if bits is None:
+            bits = u_bits[u_vec] = sum(book.length(u) for book, u in zip(stage_books, u_vec))
         for w in range(key_size):
             xt = (x + w) % x_size
             part = (xt, u_vec)
             idx = by_key.get(part)
             if idx is None:
-                t = _write_slots(books, xt, u_vec)
-                idx = len(transcripts)
-                by_key[part] = idx
-                transcripts.append(t)
-                lengths.append(t.total_length)
+                idx = by_key[part] = len(parts)
+                lengths.append(pad_book.length(xt) + bits)
                 parts.append(part)
             key = (idx, x, w)
             table[key] = table.get(key, 0) + n
 
-    c_alpha = Alphabet("C", len(transcripts))
+    c_alpha = Alphabet("C", len(parts))
     # each cell's weight is spread evenly over the key_size key values
     joint = JointDist._exact((c_alpha, Alphabet("X", x_size), Alphabet("W", key_size)),
                              table, den * key_size, ordered=False)
-    return TranscriptDistribution(joint, tuple(transcripts), tuple(lengths), tuple(parts))
+    return TranscriptDistribution(joint, tuple(lengths), tuple(parts), books)
 
 
 @dataclass(frozen=True)
@@ -316,10 +347,19 @@ class LeakageReport:
 
 
 def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
-    """Rational product test of transcript-vs-private independence."""
-    exact = td.joint.is_independent(["C"], ["X"])
-    bits = td.joint.mutual_information(["C"], ["X"])
-    return LeakageReport(exact_zero=exact, bits=bits)
+    """Rational product test of transcript-vs-private independence, and I(C; X).
+
+    One (C, X) marginal serves both: the verdict is `is_independent`'s
+    product test, and I = H(C) + H(X) - H(C, X), clamped at 0, with each
+    entropy summed over sorted cells as `JointDist.entropy` sums it, so the
+    bits equal `mutual_information`'s.
+    """
+    cx, den = td.joint.marginalize(["C", "X"])._ints()
+    exact, pc, px = _product_test(cx, den, 1)
+    # cx is sorted, so pc meets its cells in sorted order and px may not
+    bits = (_entropy_bits(pc.values(), den) + _entropy_bits((px[x] for x in sorted(px)), den)
+            - _entropy_bits(cx.values(), den))
+    return LeakageReport(exact_zero=exact, bits=max(0.0, bits))
 
 
 @dataclass(frozen=True)
@@ -397,8 +437,7 @@ def plaintext_baseline(p: JointDist, demand: int) -> TranscriptDistribution:
         [Alphabet("C", y_alpha.size), Alphabet("X", p.variables[0].size), Alphabet("W", 1)],
         table,
     )
-    lengths = tuple(t.total_length for t in transcripts)
-    return TranscriptDistribution(joint, transcripts, lengths, None)
+    return TranscriptDistribution.of_transcripts(joint, transcripts)
 
 
 @dataclass(frozen=True)
@@ -416,13 +455,15 @@ class SweepRow:
 
 
 def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
-                  limit: int = DEFAULT_STATE_LIMIT) -> tuple[SweepRow, MechanismChain]:
+                  limit: int = DEFAULT_STATE_LIMIT) -> tuple[SweepRow, MechanismChain, Books]:
     """One demand vector end to end: chain, transcript distribution, leakage
-    audit, expected length and bounds. Returns the row and the chain it built."""
+    audit, expected length and bounds. Returns the row, the chain it built
+    and the chain's codebooks, for sessions over the same chain."""
     demands = demand_vector(p, demands)
     chain = session_chain(p, demands, limit=limit)
+    books = session_codebooks(chain, mode)
     x_size = p.variables[0].size
-    td = transcript_distribution(p, demands, chain, x_size, mode, limit)
+    td = transcript_distribution(p, demands, chain, x_size, mode, limit, books)
     el = expected_length(td)
     leak = leakage_audit(td)
     row = SweepRow(
@@ -436,9 +477,9 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
         leakage_exact_zero=leak.exact_zero,
         leakage_bits=leak.bits,
         u_sizes=chain.u_sizes(),
-        transcript_support=len(td.transcripts),
+        transcript_support=len(td.lengths),
     )
-    return row, chain
+    return row, chain, books
 
 
 @dataclass(frozen=True)

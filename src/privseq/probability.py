@@ -63,6 +63,36 @@ def _plog2p(n: int, den: int) -> float:
     return n / den * (math.log2(n) - math.log2(den))
 
 
+def _entropy_bits(nums: Iterable[int], den: int) -> float:
+    """-sum p log2 p in bits over the masses n/den, summed in the given order.
+
+    It starts from 0.0, so a single cell of mass 1 reads +0.0, not -0.0.
+    """
+    return 0.0 - sum(_plog2p(n, den) for n in nums)
+
+
+def _product_test(num: Mapping[Cell, int], den: int, na: int
+                  ) -> tuple[bool, dict[Cell, int], dict[Cell, int]]:
+    """Exact test that a joint over (A, B), A the first `na` symbols of each
+    cell, is the product of its marginals: P(a,b) == P(a)P(b) on every pair.
+
+    Returns the verdict and the numerators of P(A) and P(B) over `den`, each
+    keyed in the order its cells first appear in `num`.
+    """
+    pa: dict[Cell, int] = {}
+    pb: dict[Cell, int] = {}
+    for cell, n in num.items():
+        ca, cb = cell[:na], cell[na:]
+        pa[ca] = pa.get(ca, 0) + n
+        pb[cb] = pb.get(cb, 0) + n
+    # a pair of positive marginal cells with no joint cell would fail the
+    # product test below anyway; counting the cells finds it sooner
+    if len(num) != len(pa) * len(pb):
+        return False, pa, pb
+    # n_ab/den == (n_a/den)(n_b/den) on every pair
+    return all(n * den == pa[cell[:na]] * pb[cell[na:]] for cell, n in num.items()), pa, pb
+
+
 def _projector(axes: Sequence[int]) -> Callable[[Cell], Cell]:
     """A function mapping a cell onto the sub-cell at `axes`, in that order."""
     axes = tuple(axes)
@@ -234,7 +264,7 @@ class JointDist:
         """Shannon entropy in bits of the (marginal) distribution."""
         d = self if of is None else self.marginalize(of)
         num, den = d._ints()
-        return -sum(_plog2p(n, den) for n in num.values())
+        return _entropy_bits(num.values(), den)
 
     def conditional_entropy(self, target: Sequence[str], given: Sequence[str]) -> float:
         """H(target | given) in bits; `given` may be empty."""
@@ -277,19 +307,7 @@ class JointDist:
         if not a or not b:
             return True
         joint, den = self.marginalize(a + b)._ints()
-        na = len(a)
-        pa: dict[Cell, int] = {}
-        pb: dict[Cell, int] = {}
-        for cell, n in joint.items():
-            ca, cb = cell[:na], cell[na:]
-            pa[ca] = pa.get(ca, 0) + n
-            pb[cb] = pb.get(cb, 0) + n
-        # a pair of positive marginal cells with no joint cell would fail the
-        # product test below anyway; counting the cells finds it sooner
-        if len(joint) != len(pa) * len(pb):
-            return False
-        # n_ab/den == (n_a/den)(n_b/den) on every pair
-        return all(n * den == pa[cell[:na]] * pb[cell[na:]] for cell, n in joint.items())
+        return _product_test(joint, den, len(a))[0]
 
     def product_extend(self, fresh: Alphabet, marginal: Sequence[Fraction]) -> "JointDist":
         """Append a new variable exactly independent of all existing ones."""

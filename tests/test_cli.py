@@ -47,6 +47,12 @@ class TestFrlBuild:
         assert main(["frl", "build", "--spec", spec_path(DETERMINISTIC)]) == 0
         assert "atoms: 1" in capsys.readouterr().out
 
+    def test_single_atom_entropy_is_positive_zero(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "mech.json"
+        assert main(["frl", "build", "--spec", spec_path(DETERMINISTIC), "--out", str(out)]) == 0
+        assert "H(U) = 0.000000 bits" in capsys.readouterr().out
+        assert '"entropy_bits": 0.0,' in out.read_text()
+
     def test_bad_sum_is_validation_error(self, spec_path, capsys):
         assert main(["frl", "build", "--spec", spec_path(BAD_SUM)]) == 1
         assert "sum" in capsys.readouterr().err
@@ -110,6 +116,17 @@ class TestPipelineRun:
         assert "chain stage 3 (Y3): the U3 mechanism needs 924 cells, over the limit 500" in err
         assert main(["pipeline", "run", "--spec", spec, "--demands", "1,2",
                      "--limit", "500"]) == 0
+
+    def test_constant_stage_entropy_is_positive_zero(self, spec_path, tmp_path, capsys):
+        # Y2 copies Y1, so stage 2 has one atom
+        text = "var X 2\nvar Y1 2\nvar Y2 2\n" + "".join(
+            f"p {x} {y} {y} 1/4\n" for x in range(2) for y in range(2))
+        out = tmp_path / "run.json"
+        assert main(["pipeline", "run", "--spec", spec_path(text), "--demands", "1,2",
+                     "--out", str(out)]) == 0
+        assert "stage entropies: [1.0, 0.0]" in capsys.readouterr().out
+        assert json.loads(out.read_text())["stage_entropies"] == [1.0, 0.0]
+        assert "-0.0" not in out.read_text()
 
     def test_sweep(self, capsys):
         assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",

@@ -223,6 +223,25 @@ class TestMinEntropySearch:
         with pytest.raises(ValidationError, match="at least 1"):
             min_entropy_search(d, budget=0)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_exhaustive_construction(self, seed):
+        # reference: build every ordering's mechanism, keep the first strict
+        # improvement in itertools.product order
+        rng = random.Random(seed)
+        d = random_pair(rng, rng.randint(1, 3), rng.randint(2, 3 if seed < 6 else 4),
+                        sparse=seed % 2 == 1)
+        supports = {}
+        for x, y in d.table:
+            supports.setdefault(x, []).append(y)
+        xs = sorted(supports)
+        best_policy, best_h = None, math.inf
+        for combo in itertools.product(*(itertools.permutations(supports[x]) for x in xs)):
+            policy = dict(zip(xs, combo))
+            h = frl_construct(d, policy).entropy()
+            if h < best_h - 1e-12:
+                best_policy, best_h = policy, h
+        assert min_entropy_search(d, budget=1000) == (best_policy, best_h)
+
     def test_invariant_under_consistent_relabel(self):
         rng = random.Random(42)
         d = random_pair(rng, 2, 3)
@@ -334,19 +353,21 @@ class TestStageChecks:
 
     @staticmethod
     def build_with_faulty_row(monkeypatch, corrupt):
-        # corrupt the first stage-2 conditional row with two or more atoms
-        original = FrlMechanism.conditional_u
+        # corrupt the first stage-2 integer row with two or more atoms
+        original = FrlMechanism.row
         chosen = []
 
         def patched(mech, x, y):
-            row = original(mech, x, y)
-            if mech.u_alphabet.name != "U2" or len(row) < 2:
-                return row
+            span, widths, length = original(mech, x, y)
+            if mech.u_alphabet.name != "U2" or len(widths) < 2:
+                return span, widths, length
             if not chosen:
                 chosen.append((x, y))
-            return corrupt(row) if chosen[0] == (x, y) else row
+            if chosen[0] != (x, y):
+                return span, widths, length
+            return (span, *corrupt(widths, length))
 
-        monkeypatch.setattr(FrlMechanism, "conditional_u", patched)
+        monkeypatch.setattr(FrlMechanism, "row", patched)
         p = random_database(random.Random(5), 3, 2, 1)
         try:
             return build_chain(p, "X", ["Y1", "Y2"])
@@ -354,22 +375,22 @@ class TestStageChecks:
             assert chosen, "stage 2 has no row with two atoms to corrupt"
 
     def test_row_summing_below_one(self, monkeypatch):
-        def short(row):
-            first = min(row)
-            return {u: q / 2 if u == first else q for u, q in row.items()}
+        # the first atom keeps half its width: doubled everywhere else
+        def short(widths, length):
+            return [widths[0]] + [2 * w for w in widths[1:]], 2 * length
 
         with pytest.raises(InvariantError, match="sum to 1"):
             self.build_with_faulty_row(monkeypatch, short)
 
     def test_mass_moved_inside_a_segment(self, monkeypatch):
         # the row still sums to 1 and every atom still decodes to the same y,
-        # but U_1..U_2 is no longer independent of X
-        def shifted(row):
-            a, b = sorted(row)[:2]
-            moved = dict(row)
-            moved[a] += row[b] / 2
-            moved[b] -= row[b] / 2
-            return moved
+        # but U_1..U_2 is no longer independent of X: half of the second
+        # atom's width moves to the first
+        def shifted(widths, length):
+            moved = [2 * w for w in widths]
+            moved[0] += widths[1]
+            moved[1] -= widths[1]
+            return moved, 2 * length
 
         with pytest.raises(InvariantError, match="independent"):
             self.build_with_faulty_row(monkeypatch, shifted)

@@ -1,17 +1,23 @@
+import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from privseq import caching
 from privseq.bounds import Example1Params, example1_build
-from privseq.coding import ENTROPY, FIXED, PadKey
+from privseq.coding import ENTROPY, FIXED, Codebook, PadKey
 from privseq.errors import InvariantError, LimitError, ValidationError
 from privseq.pipeline import (
     FixedDraws,
     RandomDraws,
     Transcript,
+    TranscriptDistribution,
+    _write_slots,
     decode_session,
     encode_session,
     enumerate_outcomes,
@@ -19,6 +25,7 @@ from privseq.pipeline import (
     leakage_audit,
     plaintext_baseline,
     session_chain,
+    session_codebooks,
     transcript_distribution,
     worst_case_sweep,
 )
@@ -243,7 +250,93 @@ class TestTranscriptDistribution:
         assert d.is_independent(["P"], [f"V{i}" for i in range(len(u_sizes))])
 
 
+class TestLazyTranscripts:
+    """Lengths come from code-length tables; transcripts are written from parts on first access."""
+
+    @staticmethod
+    def check(td, books):
+        assert len(td.parts) == len(td.lengths) == len(td.transcripts)
+        for c, part in enumerate(td.parts):
+            assert td.transcripts[c] == _write_slots(books, *part)
+            assert td.lengths[c] == td.transcripts[c].total_length
+
+    @pytest.mark.parametrize("mode", [FIXED, ENTROPY])
+    @pytest.mark.parametrize("seed, shape, demands", [
+        (1, (3, 2, 1), (2, 1)),
+        (2, (2, 3, 1), (1, 2, 3)),
+        (3, (2, 2, 2), (2, 1)),
+    ])
+    def test_dense_databases(self, mode, seed, shape, demands):
+        p = random_database(random.Random(seed), *shape)
+        chain = session_chain(p, demands)
+        td = transcript_distribution(p, demands, chain, shape[0], mode)
+        self.check(td, session_codebooks(chain, mode))
+
+    def test_cache_delivery(self):
+        cfg = caching.CacheConfig(3, 3, 1, 3)
+        session = caching.make_cache_session(cfg, masked_bits("1/3", 3, 3, 3), (3, 1, 2), ENTROPY)
+        self.check(caching.delivery_distribution(session, 2), session.books)
+
+    def test_u_without_codeword_rejected(self):
+        p = random_database(random.Random(4), 2, 1, 1)
+        chain = session_chain(p, (1,))
+        assert chain.u_sizes()[0] > 1
+        pad, _ = session_codebooks(chain, FIXED)
+        with pytest.raises(ValidationError, match="has no codeword"):
+            transcript_distribution(p, (1,), chain, 2, books=(pad, [Codebook({0: ""}, ENTROPY)]))
+
+
+@st.composite
+def cxw_joints(draw):
+    """(C, X, W) joints: some products of marginals, some arbitrary tables."""
+    sizes = [draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))]
+    cells = list(itertools.product(*map(range, sizes)))
+    if draw(st.booleans()):
+        marginals = [draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)) for n in sizes]
+        weights = [math.prod(m[s] for m, s in zip(marginals, cell)) for cell in cells]
+    else:
+        weights = draw(st.lists(st.integers(0, 6), min_size=len(cells), max_size=len(cells)))
+        weights[draw(st.integers(0, len(cells) - 1))] += 1
+    total = sum(weights)
+    table = {cell: F(w, total) for cell, w in zip(cells, weights) if w}
+    names = ("C", "X", "W")
+    return JointDist([Alphabet(n, size) for n, size in zip(names, sizes)], table)
+
+
+def assert_audit_matches_reference(td):
+    leak = leakage_audit(td)
+    assert leak.exact_zero == td.joint.is_independent(["C"], ["X"])
+    assert leak.bits.hex() == td.joint.mutual_information(["C"], ["X"]).hex()
+    return leak
+
+
 class TestLeakage:
+    @settings(max_examples=150, deadline=None)
+    @given(cxw_joints())
+    def test_audit_matches_reference(self, joint):
+        assert_audit_matches_reference(TranscriptDistribution(joint, (0,) * joint.variables[0].size))
+
+    def test_plaintext_baseline_matches_reference(self):
+        for seed in range(4):
+            p = random_database(random.Random(seed), 3, 2, 1)
+            leak = assert_audit_matches_reference(plaintext_baseline(p, 1 + seed % 2))
+            assert not leak.exact_zero and leak.bits > 0
+
+    @pytest.mark.parametrize("mode", [FIXED, ENTROPY])
+    def test_perturbed_scheme_matches_reference(self, mode):
+        p = random_database(random.Random(6), 2, 2, 1)
+        chain = session_chain(p, (1, 2))
+        td = transcript_distribution(p, (1, 2), chain, 2, mode)
+        assert assert_audit_matches_reference(td).exact_zero
+        # move half of one cell's mass to the same (c, w) under the other x
+        table = dict(td.joint.table)
+        (c, x, w), q = next(iter(table.items()))
+        table[(c, x, w)] -= q / 2
+        table[(c, 1 - x, w)] = table.get((c, 1 - x, w), F(0)) + q / 2
+        leaky = TranscriptDistribution(JointDist(td.joint.variables, table), td.lengths)
+        leak = assert_audit_matches_reference(leaky)
+        assert not leak.exact_zero and leak.bits > 0
+
     def test_plaintext_baseline_leaks(self):
         p = masked_bits("1/2", 1, 1, 1)
         td = plaintext_baseline(p, 1)

@@ -92,7 +92,8 @@ class TestEntropy:
         assert uniform(Alphabet("A", 4)).entropy() == 2.0
 
     def test_point_mass(self):
-        assert point_mass(Alphabet("A", 5), 3).entropy() == 0.0
+        h = point_mass(Alphabet("A", 5), 3).entropy()
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0  # +0.0, not -0.0
 
     def test_quarter_quarter_half(self):
         d = JointDist([Alphabet("A", 3)], {(0,): F(1, 4), (1,): F(1, 4), (2,): F(1, 2)})
