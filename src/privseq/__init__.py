@@ -15,9 +15,7 @@ from .frl import (
     canonical_ordering,
     cardinality_bound,
     frl_construct,
-    frl_extend,
     min_entropy_search,
-    new_chain,
 )
 from .coding import (
     Codebook,

@@ -117,12 +117,13 @@ def example1_build(params: Example1Params, limit: int = DEFAULT_STATE_LIMIT) -> 
 
     With p = a/b the masses are integer numerators over b * size^N: the
     all-zero X=0 cell holds (b - a) * size^N and every X=1 cell holds a.
+    The 2^(N*F) + 1 cells are checked against `limit` by bit length before
+    the power is formed, and named symbolically when over it.
     """
     p, n, f = Fraction(params.p), params.n_files, params.file_bits
+    if n * f >= limit.bit_length() or 2 ** (n * f) + 1 > limit:
+        raise LimitError(f"2^{n * f} + 1 cells exceed the limit {limit}")
     size = 2 ** f
-    cells = size ** n + 1
-    if cells > limit:
-        raise LimitError(f"{cells} cells exceed the limit {limit}")
     variables = (Alphabet("X", 2),) + tuple(Alphabet(f"Y{j}", size) for j in range(1, n + 1))
     a, b = p.numerator, p.denominator
     den = b * size ** n

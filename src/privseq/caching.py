@@ -9,7 +9,8 @@ per-file tables to push the database joint's integer numerators onto the
 exact (X, blocks) joint, with no per-cell Fractions.
 The resulting block stream is then fed one block at a time through the
 sequential private encoder, so the shared link and the public cache carry
-nothing correlated with the private variable.
+nothing correlated with the private variable. A session's chain owns the
+block targets and |X|, its books the slot codes; the exact audits read both.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ class CacheConfig:
                 f"KM/N = {k}*{m}/{n} is not an integer; memory sharing is unsupported"
             )
         if f % self.subfile_count != 0:
-            raise ValidationError(
-                f"file size {f} not divisible by {self.subfile_count} subfiles"
-            )
+            raise ValidationError(f"file size {f} not divisible by C({k}, {self.p}) subfiles")
 
     @cached_property
     def p(self) -> int:
@@ -252,7 +251,6 @@ class CacheSession:
     demands: tuple[int, ...]
     blocks_dist: JointDist
     chain: MechanismChain
-    mode: str
     books: pipeline.Books
 
 
@@ -262,7 +260,7 @@ def make_cache_session(cfg: CacheConfig, database_dist: JointDist, demands: Sequ
     bj = block_joint(cfg, database_dist, demands, limit)
     targets = [a.name for a in bj.variables[1:]]
     chain = build_chain(bj, bj.variables[0].name, targets, limit=limit)
-    return CacheSession(cfg=cfg, demands=demands, blocks_dist=bj, chain=chain, mode=mode,
+    return CacheSession(cfg=cfg, demands=demands, blocks_dist=bj, chain=chain,
                         books=pipeline.session_codebooks(chain, mode))
 
 
@@ -319,13 +317,10 @@ def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcrip
     return out
 
 
-def delivery_distribution(session: CacheSession, key_size: int,
+def delivery_distribution(session: CacheSession,
                           limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
-    """Exact joint of (wrapped transcript, X, W) over every block of the session."""
-    return pipeline.transcript_distribution(
-        session.blocks_dist, tuple(range(1, session.cfg.block_count + 1)),
-        session.chain, key_size, session.mode, limit,
-    )
+    """Exact joint of (wrapped transcript, X, W) from the session's chain and books."""
+    return pipeline.transcript_distribution(session.chain, session.books, limit)
 
 
 def adversary_view(td: pipeline.TranscriptDistribution) -> pipeline.TranscriptDistribution:
@@ -343,8 +338,11 @@ def adversary_view(td: pipeline.TranscriptDistribution) -> pipeline.TranscriptDi
 
 def adversary_view_distribution(session: CacheSession, key_size: int,
                                 limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
-    """Exact joint of ((transcript, public cache), X, W) for leakage audits."""
-    return adversary_view(delivery_distribution(session, key_size, limit))
+    """Exact joint of ((transcript, public cache), X, W); `key_size` must be |X|."""
+    x_size = session.chain.private_size
+    if key_size != x_size:
+        raise ValidationError(f"the multi-part scheme needs key size |X|={x_size}, got {key_size}")
+    return adversary_view(delivery_distribution(session, limit))
 
 
 def delivery_bound(cfg: CacheConfig, x_size: int) -> int:

@@ -14,6 +14,8 @@ every row of those must sum to exactly 1, so every earlier marginal, and with
 it every earlier stage's guarantee, is left unchanged and needs no re-check.
 The new stage alone is then verified: U_1..U_{k+1} independent of X, Y_next
 a function of (X, U_1..U_{k+1}), and |U_{k+1}| within its recursive cap.
+`build_chain` grows every chain, reading each stage's (compound state,
+target) pair from the chain's own joint rather than from a caller.
 """
 
 from __future__ import annotations
@@ -354,13 +356,7 @@ class MechanismChain:
         return tuple(s.mechanism.u_size for s in self.stages)
 
 
-def new_chain(base: JointDist, private: str) -> MechanismChain:
-    base._axes([private])  # validates the variable exists
-    return MechanismChain(private=private, joint=base, stages=())
-
-
-def _extend(chain: MechanismChain, target: str, policy: OrderingPolicy | None,
-            search_budget: int | None = None,
+def _extend(chain: MechanismChain, target: str, search_budget: int | None = None,
             limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Add one stage; the caller guarantees U_1..U_k is independent of the private variable.
 
@@ -387,8 +383,7 @@ def _extend(chain: MechanismChain, target: str, policy: OrderingPolicy | None,
     u_name = f"U{k + 1}"
     if u_name in chain.joint.names:
         raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
-    if search_budget is not None:
-        policy, _ = min_entropy_search(pair, search_budget)
+    policy = None if search_budget is None else min_entropy_search(pair, search_budget)[0]
     try:
         mech = frl_construct(pair, policy, u_name=u_name, limit=limit)
     except LimitError as exc:
@@ -446,31 +441,6 @@ def _verify_last_stage(chain: MechanismChain) -> None:
         raise InvariantError(f"stage {k}: |U|={stage.mechanism.u_size} exceeds the recursive bound {cap}")
 
 
-def frl_extend(chain: MechanismChain, pnext: JointDist,
-               policy: OrderingPolicy | None = None) -> MechanismChain:
-    """Extend a chain by one stage.
-
-    `pnext` must be the exact joint of (private, U_1..U_k, next target); it is
-    checked against the chain's own joint, and the independence hypothesis is
-    checked before any construction happens.
-    """
-    expected = {chain.private, *chain.u_names}
-    got = set(pnext.names)
-    extra = got - expected
-    if len(extra) != 1 or not expected <= got:
-        raise ValidationError(
-            f"pnext must cover {sorted(expected)} plus exactly one target, got {sorted(got)}"
-        )
-    (target,) = extra
-    order = [chain.private, *chain.u_names, target]
-    reordered = pnext.marginalize(order)
-    if reordered != chain.joint.marginalize(order):
-        raise ValidationError("pnext disagrees with the chain's joint on the shared variables")
-    if not reordered.is_independent(list(chain.u_names), [chain.private]):
-        raise InvariantError("extension hypothesis violated: I(U prefix; private) != 0")
-    return _extend(chain, target, policy)
-
-
 def build_chain(base: JointDist, private: str, targets: Sequence[str],
                 search_budget: int | None = None,
                 limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
@@ -483,7 +453,8 @@ def build_chain(base: JointDist, private: str, targets: Sequence[str],
     H(U); otherwise the canonical ascending order is used. A stage whose
     joint would pass `limit` cells raises LimitError before it is built.
     """
-    chain = new_chain(base, private)
+    base._axes([private])  # validates the variable exists
+    chain = MechanismChain(private, base)
     for t in targets:
-        chain = _extend(chain, t, None, search_budget, limit)
+        chain = _extend(chain, t, search_budget, limit)
     return chain

@@ -100,12 +100,11 @@ class FixedDraws:
         return u
 
 
-def demand_vector(p: JointDist, demands: Sequence[int],
-                  allow_empty: bool = False) -> tuple[int, ...]:
+def demand_vector(p: JointDist, demands: Sequence[int]) -> tuple[int, ...]:
     """Validate a demand vector: distinct 1-based file indices."""
     demands = tuple(int(d) for d in demands)
     n_files = len(p.variables) - 1
-    if not demands and not allow_empty:
+    if not demands:
         raise ValidationError("empty demand vector")
     if len(set(demands)) != len(demands):
         raise ValidationError(f"demands must be pairwise distinct: {demands}")
@@ -116,7 +115,6 @@ def demand_vector(p: JointDist, demands: Sequence[int],
 
 
 def session_chain(p: JointDist, demands: Sequence[int],
-                  search_budget: int | None = None,
                   limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Build the mechanism chain for a demand vector over database joint `p`.
 
@@ -125,8 +123,7 @@ def session_chain(p: JointDist, demands: Sequence[int],
     demands = demand_vector(p, demands)
     names = bounds_mod.demand_names(p, demands)
     base = p.marginalize([p.variables[0].name, *names])
-    return build_chain(base, p.variables[0].name, names, search_budget=search_budget,
-                       limit=limit)
+    return build_chain(base, p.variables[0].name, names, limit=limit)
 
 
 def session_codebooks(chain: MechanismChain, mode: str) -> tuple[Codebook, list[Codebook]]:
@@ -282,29 +279,23 @@ class TranscriptDistribution:
         return self.joint.variables[2].size
 
 
-def transcript_distribution(p: JointDist, demands: Sequence[int], chain: MechanismChain,
-                            key_size: int, mode: str = FIXED,
-                            limit: int = DEFAULT_STATE_LIMIT,
-                            books: Books | None = None) -> TranscriptDistribution:
+def transcript_distribution(chain: MechanismChain, books: Books,
+                            limit: int = DEFAULT_STATE_LIMIT) -> TranscriptDistribution:
     """Enumerate the exact joint (C, X, W) with rational weights.
 
-    The chain's joint already couples (x, demanded files, auxiliaries); each
-    of its cells fans out over the uniform key. A transcript's index is the
-    order its (padded x, u vector) is first met over the chain joint's
-    sorted cells; its length is summed from the books' code-length tables.
-    An empty target list is allowed here (a fully cached delivery wraps zero
-    blocks). Callers holding `books` from session_codebooks can pass them.
+    `books` are the chain's codebooks from session_codebooks; the key size
+    is |X|, as the one-time pad fixes it. Each cell of the chain's joint
+    (x, demanded files, auxiliaries) fans out over the uniform key. A
+    transcript's index is the order its (padded x, u vector) is first met
+    over the chain joint's sorted cells; its length is summed from the books'
+    code-length tables. A chain with no stages (a fully cached delivery)
+    gives the pad slot alone.
     """
-    demands = demand_vector(p, demands, allow_empty=True)
-    _check_chain_matches(p, demands, chain)
-    x_size = p.variables[0].size
-    if key_size != x_size:
-        raise ValidationError(f"the multi-part scheme needs key size |X|={x_size}, got {key_size}")
+    x_size = key_size = chain.private_size
     states = len(chain.joint) * key_size
     if states > limit:
         raise LimitError(f"{states} weighted states exceed the limit {limit}")
 
-    books = books or session_codebooks(chain, mode)
     pad_book, stage_books = books
     k = len(chain.stages)
     x_axis = chain.joint.names.index(chain.private)
@@ -392,15 +383,16 @@ class Outcome:
 
 
 def enumerate_outcomes(p: JointDist, demands: Sequence[int], chain: MechanismChain,
-                       key_size: int, mode: str = FIXED) -> Iterator[Outcome]:
+                       mode: str = FIXED) -> Iterator[Outcome]:
     """Yield every (realization, coupling, key) outcome with its exact weight.
 
-    Walks the full database table and every auxiliary choice in the support,
-    encoding each through the real encoder, so downstream checks exercise the
-    same code path a sampled session would.
+    Walks the full database table, every auxiliary choice in the support and
+    every key in range(|X|), encoding each through the real encoder, so
+    downstream checks exercise the same code path a sampled session would.
     """
     demands = demand_vector(p, demands)
     books = session_codebooks(chain, mode)
+    key_size = chain.private_size
     w_frac = Fraction(1, key_size)
     for cell, prob in p.items():
         x = cell[0]
@@ -462,8 +454,7 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
     demands = demand_vector(p, demands)
     chain = session_chain(p, demands, limit=limit)
     books = session_codebooks(chain, mode)
-    x_size = p.variables[0].size
-    td = transcript_distribution(p, demands, chain, x_size, mode, limit, books)
+    td = transcript_distribution(chain, books, limit)
     el = expected_length(td)
     leak = leakage_audit(td)
     row = SweepRow(
@@ -472,7 +463,7 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
         per_w=el.per_w,
         lower=bounds_mod.lower_bound(p, demands),
         upper_cardinality=bounds_mod.upper_bound_cardinality(
-            x_size, [p.variables[d].size for d in demands]),
+            chain.private_size, [p.variables[d].size for d in demands]),
         upper_entropy_estimate=bounds_mod.upper_bound_entropy_estimate(chain),
         leakage_exact_zero=leak.exact_zero,
         leakage_bits=leak.bits,
@@ -494,9 +485,8 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
     n_files = len(p.variables) - 1
     if not 1 <= k <= n_files:
         raise ValidationError(f"k must be in 1..{n_files}")
-    count = math.perm(n_files, k)
-    if count > limit:
-        raise LimitError(f"{count} demand vectors exceed the limit {limit}")
+    if math.perm(n_files, k) > limit:
+        raise LimitError(f"perm({n_files}, {k}) demand vectors exceed the limit {limit}")
     rows = tuple(audit_demands(p, demands, mode, limit)[0]
                  for demands in itertools.permutations(range(1, n_files + 1), k))
     return SweepResult(rows=rows, worst=max(rows, key=lambda r: r.expected_len))

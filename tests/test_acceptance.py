@@ -41,6 +41,7 @@ from privseq.pipeline import (
     expected_length,
     leakage_audit,
     session_chain,
+    session_codebooks,
     transcript_distribution,
 )
 from privseq.probability import Alphabet, JointDist
@@ -87,7 +88,7 @@ def _build_suite() -> list[Instance]:
     out = []
     for name, dist, demands in specs:
         chain = session_chain(dist, demands)
-        td = transcript_distribution(dist, demands, chain, dist.variables[0].size, FIXED)
+        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         out.append(Instance(name, dist, demands, chain, td))
     return out
 
@@ -109,7 +110,7 @@ def test_c02_losslessness(suite):
     for inst in suite:
         total = F(0)
         key_size = inst.dist.variables[0].size
-        for o in enumerate_outcomes(inst.dist, inst.demands, inst.chain, key_size):
+        for o in enumerate_outcomes(inst.dist, inst.demands, inst.chain):
             total += o.prob
             got = decode_session(o.transcript, PadKey(o.w, key_size),
                                  inst.demands, inst.chain)
@@ -148,8 +149,7 @@ def test_c04_sandwich(suite):
         if not (lo <= measured + TOL and measured <= hi + TOL):
             ok = False
             worst = f"{inst.name}: {lo} / {measured} / {hi}"
-        td_e = transcript_distribution(inst.dist, inst.demands, inst.chain,
-                                       x_size, ENTROPY)
+        td_e = transcript_distribution(inst.chain, session_codebooks(inst.chain, ENTROPY))
         cap = sum(s.mechanism.entropy() + 1 for s in inst.chain.stages) + \
             (x_size - 1).bit_length()
         if expected_length(td_e).max_over_w > cap + TOL:
@@ -237,9 +237,7 @@ def test_c08_cache_end_to_end():
 
     view = adversary_view_distribution(session, x_size)
     leak = leakage_audit(view)
-    td = transcript_distribution(session.blocks_dist,
-                                 tuple(range(1, cfg.block_count + 1)),
-                                 session.chain, x_size)
+    td = transcript_distribution(session.chain, session.books)
     measured = expected_length(td).max_over_w
     bound = delivery_bound(cfg, x_size)
     ok = decode_ok and total == 1 and leak.exact_zero and measured <= bound + TOL

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from privseq import caching
+from privseq import caching, coding, pipeline
 from privseq.bounds import Example1Params, example1_build
 from privseq.caching import (
     CacheConfig,
@@ -19,7 +19,7 @@ from privseq.caching import (
     delivery_bound,
     user_decode,
 )
-from privseq.coding import PadKey
+from privseq.coding import ENTROPY, PadKey
 from privseq.errors import LimitError, ValidationError
 from privseq.pipeline import (
     FixedDraws,
@@ -328,10 +328,41 @@ class TestAudits:
         cfg = CacheConfig(2, 2, 1, 2)
         db_dist = masked_db("1/2", 2, 2)
         session = make_cache_session(cfg, db_dist, (1, 2))
-        td = transcript_distribution(session.blocks_dist, (1,), session.chain, 2)
+        td = transcript_distribution(session.chain, session.books)
         bound = delivery_bound(cfg, 2)
         assert expected_length(td).max_over_w <= bound + 1e-9
         assert bound == 3
+
+    def test_key_size_must_match(self):
+        session = make_cache_session(CacheConfig(2, 2, 1, 2), masked_db("1/2", 2, 2), (1, 2))
+        with pytest.raises(ValidationError, match="key size"):
+            adversary_view_distribution(session, 3)
+
+    def test_delivery_builds_no_codebook(self, monkeypatch):
+        # the session's books are enumerated as they are, not rebuilt from a mode
+        session = make_cache_session(CacheConfig(2, 2, 1, 2), masked_db("1/3", 2, 2), (1, 2),
+                                     ENTROPY)
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(pipeline, "session_codebooks")
+        spy(pipeline, "entropy_codebook")
+        spy(coding, "entropy_codebook")
+        td = caching.delivery_distribution(session)
+        view = adversary_view_distribution(session, 2)
+        assert calls == []
+        assert td.books is session.books
+        assert leakage_audit(view).exact_zero
+        # the spies do see a rebuild
+        pipeline.session_codebooks(session.chain, ENTROPY)
+        assert calls == ["session_codebooks", "entropy_codebook"]
 
     def test_bound_q0(self):
         cfg = CacheConfig(2, 2, 2, 2)

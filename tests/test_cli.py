@@ -176,6 +176,17 @@ class TestBoundsSweep:
                      "--measure"]) == 0
         assert "measured=3.0" in capsys.readouterr().out
 
+    def test_measure_row_over_limit_left_blank(self, tmp_path, capsys):
+        # f=3 passes the database pre-check but its audit needs 256 states
+        out = tmp_path / "sweep.csv"
+        assert main(["bounds", "sweep", "--k-range", "2", "--f-range", "1..3", "--measure",
+                     "--limit", "200", "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()
+        assert rows[1:] == ["2,2,1,1 2,2.0,6,3,3.0,3.0",
+                            "2,2,2,1 2,4.0,10,5,5.0,2.5",
+                            "2,2,3,1 2,6.0,13,,,2.1666666666666665"]
+        assert capsys.readouterr().out.splitlines()[-1] == "k=2 f=3: upper=13 ratio=2.166667"
+
     def test_empty_range_header_only_csv(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         assert main(["bounds", "sweep", "--k-range", "", "--f-range", "1",
@@ -279,3 +290,28 @@ class TestFileErrors:
         assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",
                      "--demands", "1,2", "--transcript-out", str(tmp_path)]) == 1
         assert "Is a directory" in capsys.readouterr().err
+
+
+class TestHugeCounts:
+    """A count past Python's int-to-str digit limit is named, not printed."""
+
+    def test_masked_family_cells(self, capsys):
+        assert main(["pipeline", "run", "--n", "3", "--f", "5000", "--demands", "1"]) == 3
+        assert "2^15000 + 1 cells exceed the limit 10000000" in capsys.readouterr().err
+
+    def test_masked_family_cells_below_digit_limit(self, capsys):
+        assert main(["pipeline", "run", "--n", "3", "--f", "4000", "--demands", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "2^12000 + 1 cells" in err and len(err) < 100
+
+    def test_cache_subfiles(self, capsys):
+        assert main(["cache", "demo", "--n", "2", "--k", "20000", "--m", "1", "--f", "2",
+                     "--demands", "1"]) == 1
+        assert "not divisible by C(20000, 10000) subfiles" in capsys.readouterr().err
+
+    def test_sweep_demand_vectors(self, spec_path, capsys):
+        n = 2000
+        text = "var X 2\n" + "".join(f"var Y{j} 1\n" for j in range(1, n + 1)) + \
+            f"p 0{' 0' * n} 1/2\np 1{' 0' * n} 1/2\n"
+        assert main(["pipeline", "run", "--spec", spec_path(text), "--demands", "sweep"]) == 3
+        assert "perm(2000, 2000) demand vectors exceed" in capsys.readouterr().err

@@ -10,13 +10,10 @@ import pytest
 from privseq.errors import InvariantError, LimitError, ValidationError
 from privseq.frl import (
     FrlMechanism,
-    MechanismChain,
     build_chain,
     cardinality_bound,
     frl_construct,
-    frl_extend,
     min_entropy_search,
-    new_chain,
 )
 from privseq.bounds import Example1Params, example1_build
 from privseq.probability import Alphabet, JointDist
@@ -257,8 +254,7 @@ class TestMinEntropySearch:
 
 class TestChain:
     def test_extend_from_empty_equals_construct(self, designed_2x2):
-        chain = new_chain(designed_2x2, "X")
-        chain = frl_extend(chain, designed_2x2)
+        chain = build_chain(designed_2x2, "X", ["Y"])
         direct = frl_construct(designed_2x2, u_name="U1")
         stage = chain.stages[0]
         assert stage.mechanism.atoms == direct.atoms
@@ -313,29 +309,13 @@ class TestChain:
             for i, s in enumerate(sizes):
                 assert s <= cardinality_bound(x_size, sizes[:i], p.variables[i + 1].size)
 
-    def test_extend_rejects_mismatched_pnext(self, designed_2x2):
-        chain = new_chain(designed_2x2, "X")
-        other = JointDist(
-            designed_2x2.variables,
-            {(0, 0): F(1, 2), (1, 1): F(1, 2)},
-        )
-        with pytest.raises(ValidationError, match="disagrees"):
-            frl_extend(chain, other)
-
-    def test_extend_rejects_dependent_prefix(self):
-        # doctored chain whose 'U1' is a copy of X: hypothesis must fail loudly
-        d = JointDist(
-            [Alphabet("X", 2), Alphabet("Y", 2), Alphabet("U1", 2)],
-            {(0, 0, 0): F(1, 2), (1, 1, 1): F(1, 2)},
-        )
-        stage_probe = build_chain(
-            JointDist([Alphabet("X", 2), Alphabet("Y", 2)],
-                      {(0, 0): F(1, 2), (1, 1): F(1, 2)}),
-            "X", ["Y"],
-        ).stages[0]
-        fake = MechanismChain(private="X", joint=d, stages=(stage_probe,))
-        with pytest.raises(InvariantError, match="hypothesis"):
-            frl_extend(fake, d)
+    def test_unknown_private_or_target_rejected(self, designed_2x2):
+        with pytest.raises(ValidationError):
+            build_chain(designed_2x2, "Z", ["Y"])
+        with pytest.raises(ValidationError):
+            build_chain(designed_2x2, "X", ["Z"])
+        with pytest.raises(ValidationError, match="cannot target"):
+            build_chain(designed_2x2, "X", ["X"])
 
     def test_search_budget_reduces_stage_entropy(self):
         d = JointDist(

@@ -1,11 +1,12 @@
-"""Byte-for-byte CLI reports on a checked-in dense spec.
+"""Byte-for-byte CLI reports.
 
 `golden/dense.dist` is `random_database(Random(1), 2, 3, 1)` from conftest;
 every stage of its chain has more than one atom, so no stage entropy sits at
-zero. The `--out` JSON and `--transcript-out` files next to it were written
-by the commands in CASES. A change that moves any of their bytes changes an
-answer, not only a speed; if that is intended, rewrite the goldens with the
-same commands and say so.
+zero. The `--out` files and `--transcript-out` files next to it were written
+by the commands in CASES: four on the dense spec, a coded-caching demo in
+entropy mode and a measured bound sweep. A change that moves any of their
+bytes changes an answer, not only a speed; if that is intended, rewrite the
+goldens with the same commands and say so.
 """
 
 import json
@@ -18,25 +19,32 @@ from privseq.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SPEC = str(GOLDEN / "dense.dist")
 
-# name -> (argv after --spec, whether a packed transcript is written)
+# name -> (argv, golden --out file, whether a packed transcript <name>.bin is written)
 CASES = {
-    "run-fixed": (["pipeline", "run", "--demands", "1,2,3", "--mode", "fixed", "--seed", "0"], True),
-    "run-entropy": (["pipeline", "run", "--demands", "1,2,3", "--mode", "entropy", "--seed", "3"], True),
-    "sweep-k2": (["pipeline", "run", "--demands", "sweep", "--k", "2", "--mode", "entropy"], False),
-    "audit": (["audit", "--demands", "3,1", "--mode", "entropy"], False),
+    "run-fixed": (["pipeline", "run", "--spec", SPEC, "--demands", "1,2,3", "--mode", "fixed",
+                   "--seed", "0"], "run-fixed.json", True),
+    "run-entropy": (["pipeline", "run", "--spec", SPEC, "--demands", "1,2,3", "--mode", "entropy",
+                     "--seed", "3"], "run-entropy.json", True),
+    "sweep-k2": (["pipeline", "run", "--spec", SPEC, "--demands", "sweep", "--k", "2",
+                  "--mode", "entropy"], "sweep-k2.json", False),
+    "audit": (["audit", "--spec", SPEC, "--demands", "3,1", "--mode", "entropy"],
+              "audit.json", False),
+    "cache-demo": (["cache", "demo", "--n", "4", "--k", "4", "--m", "1", "--f", "4",
+                    "--demands", "2,4,1,3", "--mode", "entropy"], "cache-demo.json", False),
+    "bounds-sweep": (["bounds", "sweep", "--k-range", "2", "--f-range", "1..3", "--measure"],
+                     "bounds-sweep.csv", False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes(name, tmp_path, capsys):
-    argv, with_transcript = CASES[name]
-    out = tmp_path / f"{name}.json"
+    argv, golden, with_transcript = CASES[name]
+    out = tmp_path / golden
     extra = ["--out", str(out)]
     if with_transcript:
         extra += ["--transcript-out", str(tmp_path / f"{name}.bin")]
-    command = argv[:2] if argv[0] == "pipeline" else argv[:1]
-    assert main(command + ["--spec", SPEC] + argv[len(command):] + extra) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert main(argv + extra) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
     if with_transcript:
         assert (tmp_path / f"{name}.bin").read_bytes() == (GOLDEN / f"{name}.bin").read_bytes()
 

@@ -78,7 +78,7 @@ class TestEncodeDecode:
         p = masked_bits("1/2", 2, 2, 1)
         chain = session_chain(p, (1, 2))
         total = F(0)
-        for o in enumerate_outcomes(p, (1, 2), chain, 2):
+        for o in enumerate_outcomes(p, (1, 2), chain):
             total += o.prob
             got = decode_session(o.transcript, PadKey(o.w, 2), (1, 2), chain)
             assert got == (o.x, o.files)
@@ -201,14 +201,14 @@ class TestTranscriptDistribution:
             {(x, y): F(1, 4) for x in range(2) for y in range(2)},
         )
         chain = session_chain(p, (1,))
-        td = transcript_distribution(p, (1,), chain, 2)
+        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         assert len(td.transcripts) == 4
         assert all(q == F(1, 8) for q in td.joint.marginalize(["C", "X"]).table.values())
 
     def test_designed_instance_table(self, designed_2x2):
         p = designed_db(designed_2x2)
         chain = session_chain(p, (1,))
-        td = transcript_distribution(p, (1,), chain, 2)
+        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         assert sum(td.joint.table.values()) == 1
         assert len(td.transcripts) <= 2 * 3
         assert leakage_audit(td).exact_zero
@@ -216,7 +216,7 @@ class TestTranscriptDistribution:
     def test_masked_two_files_audit(self):
         p = masked_bits("1/2", 2, 2, 1)
         chain = session_chain(p, (1, 2))
-        td = transcript_distribution(p, (1, 2), chain, 2)
+        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         leak = leakage_audit(td)
         assert leak.exact_zero
         assert leak.bits == 0.0
@@ -225,19 +225,13 @@ class TestTranscriptDistribution:
         p = masked_bits("1/2", 2, 2, 1)
         chain = session_chain(p, (1, 2))
         with pytest.raises(LimitError):
-            transcript_distribution(p, (1, 2), chain, 2, limit=3)
-
-    def test_key_size_must_match(self):
-        p = deterministic_db()
-        chain = session_chain(p, (1,))
-        with pytest.raises(ValidationError, match="key size"):
-            transcript_distribution(p, (1,), chain, 3)
+            transcript_distribution(chain, session_codebooks(chain, FIXED), limit=3)
 
     def test_pad_independent_of_auxiliaries(self):
         # padded symbol and the u-vector factorize exactly
         p = masked_bits("1/2", 2, 2, 1)
         chain = session_chain(p, (1, 2))
-        td = transcript_distribution(p, (1, 2), chain, 2)
+        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         table = {}
         for (c, _x, _w), q in td.joint.items():
             xt, u_vec = td.parts[c]
@@ -269,13 +263,13 @@ class TestLazyTranscripts:
     def test_dense_databases(self, mode, seed, shape, demands):
         p = random_database(random.Random(seed), *shape)
         chain = session_chain(p, demands)
-        td = transcript_distribution(p, demands, chain, shape[0], mode)
+        td = transcript_distribution(chain, session_codebooks(chain, mode))
         self.check(td, session_codebooks(chain, mode))
 
     def test_cache_delivery(self):
         cfg = caching.CacheConfig(3, 3, 1, 3)
         session = caching.make_cache_session(cfg, masked_bits("1/3", 3, 3, 3), (3, 1, 2), ENTROPY)
-        self.check(caching.delivery_distribution(session, 2), session.books)
+        self.check(caching.delivery_distribution(session), session.books)
 
     def test_u_without_codeword_rejected(self):
         p = random_database(random.Random(4), 2, 1, 1)
@@ -283,7 +277,7 @@ class TestLazyTranscripts:
         assert chain.u_sizes()[0] > 1
         pad, _ = session_codebooks(chain, FIXED)
         with pytest.raises(ValidationError, match="has no codeword"):
-            transcript_distribution(p, (1,), chain, 2, books=(pad, [Codebook({0: ""}, ENTROPY)]))
+            transcript_distribution(chain, (pad, [Codebook({0: ""}, ENTROPY)]))
 
 
 @st.composite
@@ -326,7 +320,7 @@ class TestLeakage:
     def test_perturbed_scheme_matches_reference(self, mode):
         p = random_database(random.Random(6), 2, 2, 1)
         chain = session_chain(p, (1, 2))
-        td = transcript_distribution(p, (1, 2), chain, 2, mode)
+        td = transcript_distribution(chain, session_codebooks(chain, mode))
         assert assert_audit_matches_reference(td).exact_zero
         # move half of one cell's mass to the same (c, w) under the other x
         table = dict(td.joint.table)
@@ -349,7 +343,7 @@ class TestLeakage:
     def test_pad_only_clean(self):
         p = deterministic_db()
         chain = session_chain(p, (1,))
-        td = transcript_distribution(p, (1,), chain, 2)
+        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         assert leakage_audit(td).exact_zero
 
 
@@ -357,7 +351,7 @@ class TestExpectedLength:
     def test_fixed_mode_constant(self, designed_2x2):
         p = designed_db(designed_2x2)
         chain = session_chain(p, (1,))
-        td = transcript_distribution(p, (1,), chain, 2, FIXED)
+        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         el = expected_length(td)
         assert el.per_w == (3.0, 3.0)
         assert set(td.lengths) == {3}
@@ -366,14 +360,14 @@ class TestExpectedLength:
         # P_U = (1/4,1/4,1/2) is dyadic: the code hits H(U) = 1.5 exactly
         p = designed_db(designed_2x2)
         chain = session_chain(p, (1,))
-        td = transcript_distribution(p, (1,), chain, 2, ENTROPY)
+        td = transcript_distribution(chain, session_codebooks(chain, ENTROPY))
         el = expected_length(td)
         assert el.per_w == (2.5, 2.5)
 
     def test_deterministic_case_pad_bits_only(self):
         p = deterministic_db()
         chain = session_chain(p, (1,))
-        td = transcript_distribution(p, (1,), chain, 2)
+        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         assert expected_length(td).max_over_w == 1.0
 
     def test_per_w_all_equal(self):
@@ -381,7 +375,7 @@ class TestExpectedLength:
         for _ in range(5):
             p = random_database(rng, rng.randint(2, 3), 2, 1, sparse=True)
             chain = session_chain(p, (2, 1))
-            td = transcript_distribution(p, (2, 1), chain, p.variables[0].size)
+            td = transcript_distribution(chain, session_codebooks(chain, FIXED))
             per_w = expected_length(td).per_w
             assert max(per_w) - min(per_w) < 1e-12
 
