@@ -36,17 +36,28 @@ def demand_names(p: JointDist, demands: Sequence[int]) -> list[str]:
     return [p.variables[d].name for d in demands]
 
 
-def cardinality_caps(x_size: int, y_sizes: Sequence[int]) -> list[int]:
-    """Recursive per-stage caps: cap_i = |X| * cap_1*..*cap_{i-1} * (|Y_i|-1) + 1."""
+def cardinality_caps(x_size: int, y_sizes: Sequence[int], limit: int = DEFAULT_STATE_LIMIT) -> list[int]:
+    """Recursive per-stage caps: cap_i = |X| * cap_1*..*cap_{i-1} * (|Y_i|-1) + 1.
+
+    Each cap is about as long as all earlier ones together; one longer than
+    `limit` bits raises LimitError, decided from bit lengths before it is formed.
+    """
     caps: list[int] = []
-    for y in y_sizes:
-        caps.append(cardinality_bound(x_size, caps, y))
+    prod = x_size  # |X| * cap_1*..*cap_{i-1}
+    for i, y in enumerate(y_sizes, start=1):
+        # a product has at least its factors' bit lengths summed, less one per multiplication
+        if caps and y > 1 and prod.bit_length() + caps[-1].bit_length() + (y - 1).bit_length() - 2 > limit:
+            raise LimitError(f"the stage {i} cardinality cap needs more than the limit of {limit} bits")
+        prod *= caps[-1] if caps else 1
+        caps.append(cardinality_bound(prod, [], y))
+        if caps[-1].bit_length() > limit:
+            raise LimitError(f"the stage {i} cardinality cap needs more than the limit of {limit} bits")
     return caps
 
 
-def upper_bound_cardinality(x_size: int, y_sizes: Sequence[int]) -> int:
+def upper_bound_cardinality(x_size: int, y_sizes: Sequence[int], limit: int = DEFAULT_STATE_LIMIT) -> int:
     """Achievable bits via fixed-length slots at the cardinality caps."""
-    caps = cardinality_caps(x_size, y_sizes)
+    caps = cardinality_caps(x_size, y_sizes, limit)
     return sum(ceil_log2(c) for c in caps) + ceil_log2(x_size)
 
 

@@ -249,7 +249,6 @@ class CacheSession:
 
     cfg: CacheConfig
     demands: tuple[int, ...]
-    blocks_dist: JointDist
     chain: MechanismChain
     books: pipeline.Books
 
@@ -260,7 +259,7 @@ def make_cache_session(cfg: CacheConfig, database_dist: JointDist, demands: Sequ
     bj = block_joint(cfg, database_dist, demands, limit)
     targets = [a.name for a in bj.variables[1:]]
     chain = build_chain(bj, bj.variables[0].name, targets, limit=limit)
-    return CacheSession(cfg=cfg, demands=demands, blocks_dist=bj, chain=chain,
+    return CacheSession(cfg=cfg, demands=demands, chain=chain,
                         books=pipeline.session_codebooks(chain, mode))
 
 

@@ -106,13 +106,13 @@ def cmd_frl_build(args) -> int:
           f"{dist.variables[1].name} (size {dist.variables[1].size})")
     if mech.dropped_x:
         print(f"warning: dropped zero-mass private symbols {list(mech.dropped_x)}")
-    print(f"atoms: {mech.u_size} (cap {frl.cardinality_bound(mech.x_alphabet.size, [], mech.y_alphabet.size)})")
+    print(f"atoms: {mech.u_size} (cap {frl.cardinality_bound(dist.variables[0].size, [], dist.variables[1].size)})")
     for u, ((a, b), q) in enumerate(zip(mech.atoms, mech.p_u)):
         print(f"  u{u}: [{_fraction_str(a)}, {_fraction_str(b)})  p={_fraction_str(q)}")
     print(f"H(U) = {mech.entropy():.6f} bits" + (
         f" (ordering-optimized, search min {searched_h:.6f})" if searched_h is not None else ""))
     print("map (u, x) -> y:")
-    for x in mech.x_alphabet.symbols():
+    for x in dist.variables[0].symbols():
         if x not in mech.dropped_x:
             row = " ".join(f"u{u}->{mech.g[(u, x)]}" for u in range(mech.u_size))
             print(f"  x={x}: {row}")
@@ -249,8 +249,10 @@ def cmd_bounds_sweep(args) -> int:
     rows = []
     for k in k_values:
         for f in f_values:
-            ratio = bounds_mod.example1_ratio(k, f)
-            upper = bounds_mod.upper_bound_cardinality(2, [2 ** f] * k)
+            if k < 1 or f < 1:
+                raise ValidationError("need k >= 1 and f >= 1")
+            upper = bounds_mod.upper_bound_cardinality(2, [2 ** f] * k, args.limit)
+            ratio = upper / (k * f)  # example1_ratio, from the same caps
             row = {
                 "n": k, "k": k, "f": f,
                 "demands": " ".join(str(i) for i in range(1, k + 1)),

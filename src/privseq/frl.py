@@ -12,10 +12,10 @@ variable and run the pair construction again. Each extension multiplies the
 chain joint by the new stage's conditionals P(U_{k+1} | X, U_1..U_k, Y_next);
 every row of those must sum to exactly 1, so every earlier marginal, and with
 it every earlier stage's guarantee, is left unchanged and needs no re-check.
-The new stage alone is then verified: U_1..U_{k+1} independent of X, Y_next
-a function of (X, U_1..U_{k+1}), and |U_{k+1}| within its recursive cap.
-`build_chain` grows every chain, reading each stage's (compound state,
-target) pair from the chain's own joint rather than from a caller.
+The new stage alone is then checked once, on the chain joint: U_{k+1}
+independent of (X, U_1..U_k) and U_1..U_{k+1} of X, Y_next a function of
+(X, U_1..U_{k+1}), and |U_{k+1}| within its cap. `build_chain` grows every
+chain, reading each stage's (compound state, target) pair from its joint.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
-from .probability import Alphabet, JointDist, _entropy_bits, _projector
+from .probability import Alphabet, JointDist, _entropy_bits, _product_test, _projector
 
 # Per-x permutation of the positive-support y symbols, fixing how segments
 # are laid on [0,1). Guarantees hold for any ordering; H(U) does not.
@@ -44,21 +44,30 @@ class FrlMechanism:
                  over the common denominator b_n; atom u is [b_u, b_{u+1})
     g         -- (atom index, x) -> y on the positive support
     dropped_x -- the zero-mass x symbols, which get no segments
-    joint     -- exact JointDist over (U, X, Y)
+    pair      -- the exact (X, Y) distribution it was built from
     spans     -- (x, y) -> the range of atom indices its segment covers
 
     `atoms` and `p_u` are the Fraction views of `bounds`; `row` gives the
     integer conditional of U for one (x, y), `conditional_u` its Fraction view.
+    `joint` is derived on first read, so a chain stage never builds it.
     """
 
-    x_alphabet: Alphabet
-    y_alphabet: Alphabet
     u_alphabet: Alphabet
     bounds: tuple[int, ...]
     g: Mapping[tuple[int, int], int]
     dropped_x: tuple[int, ...]
-    joint: JointDist
+    pair: JointDist
     spans: Mapping[tuple[int, int], range] = field(repr=False, compare=False)
+
+    @cached_property
+    def joint(self) -> JointDist:
+        """Exact P(U, X, Y): cell (u, x, g(u, x)) holds P(x) times atom u's length."""
+        num, den = self.pair._ints()
+        px, scale = _masses(num, _supports(self.pair))
+        b = self.bounds
+        table = {(u, x, self.g[(u, x)]): (b[u + 1] - b[u]) * mass
+                 for u in range(self.u_size) for x, mass in px.items()}
+        return JointDist._exact((self.u_alphabet, *self.pair.variables), table, scale * den)
 
     @property
     def u_size(self) -> int:
@@ -170,14 +179,24 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
     before returning. LimitError is raised before the joint of (U, X, Y) is
     built if it would hold more than `limit` cells.
     """
+    mech = _interval_mechanism(pxy, policy, u_name, limit)
+    x_name, y_name = pxy.names
+    _verify_stage(mech.joint, [x_name], u_name, y_name)
+    if mech.joint.marginalize([x_name, y_name]) != pxy:
+        raise InvariantError("mechanism joint does not reproduce the input pair")
+    return mech
+
+
+def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: str,
+                        limit: int) -> FrlMechanism:
+    """`frl_construct` without its check and without building the joint."""
     if len(pxy.variables) != 2:
         raise ValidationError(f"need a pair distribution, got variables {pxy.names}")
-    x_alpha, y_alpha = pxy.variables
-    num, den = pxy._ints()
+    num, _ = pxy._ints()
 
     supports = _supports(pxy)
     px, scale = _masses(num, supports)
-    dropped = tuple(x for x in x_alpha.symbols() if x not in px)
+    dropped = tuple(x for x in pxy.variables[0].symbols() if x not in px)
 
     if policy is None:
         policy = canonical_ordering(pxy)
@@ -214,32 +233,31 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
     if len(g) != n_atoms * len(ends):
         raise InvariantError("segments do not tile [0,1) for every x")
 
-    u_alpha = Alphabet(u_name, n_atoms)
-    table = {(u, x, g[(u, x)]): (bounds[u + 1] - bounds[u]) * mass
-             for u in range(n_atoms) for x, mass in px.items()}
-    joint = JointDist._exact((u_alpha, x_alpha, y_alpha), table, scale * den)
-
-    mech = FrlMechanism(
-        x_alphabet=x_alpha, y_alphabet=y_alpha, u_alphabet=u_alpha, bounds=bounds,
-        g=g, dropped_x=dropped, joint=joint, spans=spans,
-    )
-    _verify_mechanism(mech, pxy)
-    return mech
+    return FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds, g=g,
+                        dropped_x=dropped, pair=pxy, spans=spans)
 
 
-def _verify_mechanism(mech: FrlMechanism, pxy: JointDist) -> None:
-    x_name, y_name = pxy.names
-    if not mech.joint.is_independent([mech.u_alphabet.name], [x_name]):
-        raise InvariantError("constructed U is not exactly independent of X")
-    seen: dict[tuple[int, int], int] = {}
-    for u, x, y in mech.joint._ints()[0]:
-        if seen.setdefault((u, x), y) != y:
-            raise InvariantError(f"Y not a function of (U, X) at u={u}, x={x}")
-    cap = cardinality_bound(mech.x_alphabet.size, [], mech.y_alphabet.size)
-    if mech.u_size > cap:
-        raise InvariantError(f"|U|={mech.u_size} exceeds the cardinality bound {cap}")
-    if mech.joint.marginalize([x_name, y_name]) != pxy:
-        raise InvariantError("mechanism joint does not reproduce the input pair")
+def _verify_stage(joint: JointDist, given: Sequence[str], u_name: str, target: str) -> None:
+    """On the joint a stage lives in, given (X, U_1..U_{k-1}): U_k is independent of
+    the given states and U_1..U_k of X, `target` is a function of (given, U_k), and
+    |U_k| <= (positive given states) * (|target| - 1) + 1, all exactly."""
+    marg = joint.marginalize([*given, u_name, target])
+    num, den = marg._ints()
+    head: dict[tuple[int, ...], int] = {}
+    for cell, n in num.items():
+        head[cell[:-1]] = head.get(cell[:-1], 0) + n
+    # every (given, U_k) cell holds at least one target symbol, so a second one is a fork
+    if len(head) != len(num):
+        raise InvariantError(f"{target} not a function of ({', '.join([*given, u_name])})")
+    independent, states, _ = _product_test(head, den, len(given))
+    if not independent:
+        raise InvariantError(f"{u_name} not exactly independent of ({', '.join(given)})")
+    if len(given) > 1 and not _product_test(head, den, 1)[0]:
+        raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
+    *_, u_alpha, y_alpha = marg.variables
+    cap = cardinality_bound(len(states), [], y_alpha.size)
+    if u_alpha.size > cap:
+        raise InvariantError(f"|{u_name}|={u_alpha.size} exceeds the cardinality bound {cap}")
 
 
 def cardinality_bound(x_size: int, u_sizes: Sequence[int], y_size: int) -> int:
@@ -356,8 +374,7 @@ class MechanismChain:
         return tuple(s.mechanism.u_size for s in self.stages)
 
 
-def _extend(chain: MechanismChain, target: str, search_budget: int | None = None,
-            limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
+def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Add one stage; the caller guarantees U_1..U_k is independent of the private variable.
 
     Raises LimitError before the stage's mechanism or product table is built
@@ -383,9 +400,8 @@ def _extend(chain: MechanismChain, target: str, search_budget: int | None = None
     u_name = f"U{k + 1}"
     if u_name in chain.joint.names:
         raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
-    policy = None if search_budget is None else min_entropy_search(pair, search_budget)[0]
     try:
-        mech = frl_construct(pair, policy, u_name=u_name, limit=limit)
+        mech = _interval_mechanism(pair, None, u_name, limit)
     except LimitError as exc:
         raise LimitError(f"chain stage {k + 1} ({target}): {exc}") from None
 
@@ -399,6 +415,8 @@ def _extend(chain: MechanismChain, target: str, search_budget: int | None = None
         if total != length or min(widths) <= 0:
             fault = "does not sum to 1" if total != length else "has a nonpositive entry"
             raise InvariantError(f"stage {k + 1}: P({u_name} | {states[state]}, {target}={y}) {fault}")
+        if any(mech.g[(u, state)] != y for u in span):
+            raise InvariantError(f"stage {k + 1}: an atom of {states[state]}, {target}={y} decodes elsewhere")
         g = math.gcd(length, *widths)
         rows[cell] = (span, [w // g for w in widths], length // g)
     stage_den = math.lcm(*(length for _, _, length in rows.values()))
@@ -416,45 +434,24 @@ def _extend(chain: MechanismChain, target: str, search_budget: int | None = None
         for u, m in scaled[project(cell)]:
             table[cell + (u,)] = n * m
     joint = JointDist._exact(chain.joint.variables + (mech.u_alphabet,), table, chain_den * stage_den)
+    _verify_stage(joint, [chain.private, *u_names], u_name, target)
 
     stage = ChainStage(target=target, mechanism=mech, compound=states)
-    out = MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))
-    _verify_last_stage(out)
-    return out
-
-
-def _verify_last_stage(chain: MechanismChain) -> None:
-    """Check the newest stage; _extend has left the earlier ones unchanged."""
-    k = len(chain.stages)
-    stage = chain.stages[-1]
-    cond = [chain.private, *chain.u_names]
-    marg = chain.joint.marginalize(cond + [stage.target])
-    if not marg.is_independent(cond[1:], [chain.private]):
-        raise InvariantError(f"U_1..U_{k} not exactly independent of {chain.private}")
-    seen: dict[tuple[int, ...], int] = {}
-    for cell in marg._ints()[0]:
-        if seen.setdefault(cell[:-1], cell[-1]) != cell[-1]:
-            raise InvariantError(f"{stage.target} not a function of ({', '.join(cond)})")
-    x_alpha, *_, y_alpha = marg.variables
-    cap = cardinality_bound(x_alpha.size, chain.u_sizes()[:-1], y_alpha.size)
-    if stage.mechanism.u_size > cap:
-        raise InvariantError(f"stage {k}: |U|={stage.mechanism.u_size} exceeds the recursive bound {cap}")
+    return MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))
 
 
 def build_chain(base: JointDist, private: str, targets: Sequence[str],
-                search_budget: int | None = None,
                 limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Run the sequential construction over `targets` in order.
 
     Stage i only reads the marginal over (private, U_1..U_{i-1}, targets[i]),
     so the first i stages are identical for any continuation of the target
-    list. A repeated target yields a constant (zero-entropy) stage. With
-    `search_budget` set, every stage exhausts segment orderings to shrink
-    H(U); otherwise the canonical ascending order is used. A stage whose
-    joint would pass `limit` cells raises LimitError before it is built.
+    list. A repeated target yields a constant (zero-entropy) stage. Segments
+    are laid in the canonical ascending order. A stage whose joint would pass
+    `limit` cells raises LimitError before it is built.
     """
     base._axes([private])  # validates the variable exists
     chain = MechanismChain(private, base)
     for t in targets:
-        chain = _extend(chain, t, search_budget, limit)
+        chain = _extend(chain, t, limit)
     return chain

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import privseq.bounds as bounds_mod
 from privseq.bounds import (
     BoundReport,
     Example1Params,
@@ -17,6 +18,7 @@ from privseq.bounds import (
     upper_bound_entropy_estimate,
 )
 from privseq.errors import LimitError, ValidationError
+from privseq.frl import cardinality_bound
 from privseq.pipeline import session_chain
 from privseq.probability import Alphabet, JointDist
 
@@ -49,6 +51,40 @@ class TestUpperCardinality:
         # closed-form integer arithmetic; no mechanism is ever built
         v = upper_bound_cardinality(2, [2 ** 256] * 2)
         assert v == 257 + 514 + 1
+
+
+class TestCapLimit:
+    """A cap longer than `limit` bits fails before a much longer number is formed."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        lengths = []
+
+        def recording(*args):
+            cap = cardinality_bound(*args)
+            lengths.append(cap.bit_length())
+            return cap
+
+        monkeypatch.setattr(bounds_mod, "cardinality_bound", recording)
+        return lengths
+
+    def test_decided_before_forming(self, formed):
+        # caps 3, 7, 43, 1807 (2, 3, 6, 11 bits); stage 5's has at least
+        # 11 + 11 + 1 - 2 = 21 bits, so it is never formed
+        with pytest.raises(LimitError, match="stage 5 cardinality cap needs more than the limit of 20 bits"):
+            cardinality_caps(2, [2] * 10, limit=20)
+        assert formed == [2, 3, 6, 11]
+
+    def test_decided_after_forming(self, formed):
+        # stage 3's bit-length floor is 3 + 3 + 1 - 2 = 5, so 43 (6 bits) is formed, then refused
+        with pytest.raises(LimitError, match="stage 3 cardinality cap"):
+            cardinality_caps(2, [2] * 3, limit=5)
+        assert formed == [2, 3, 6]
+
+    def test_limit_at_cap_length_passes(self):
+        assert cardinality_caps(2, [2] * 4, limit=11) == [3, 7, 43, 1807]
+        with pytest.raises(LimitError, match="stage 4 cardinality cap"):
+            upper_bound_cardinality(2, [2] * 4, limit=10)
 
 
 class TestEntropyEstimate:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -196,6 +197,24 @@ class TestBoundsSweep:
 
     def test_bad_range_rejected(self, capsys):
         assert main(["bounds", "sweep", "--k-range", "x", "--f-range", "1"]) == 1
+
+    def test_caps_bounded_by_default_limit(self, capsys):
+        # a cap has about as many bits as all earlier ones together: stage 24
+        # of 40 would pass the default limit of 10^7 bits
+        start = time.perf_counter()
+        assert main(["bounds", "sweep", "--k-range", "40", "--f-range", "1"]) == 3
+        assert time.perf_counter() - start < 10
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "resource limit: the stage 24 cardinality cap needs more than the limit " \
+                      "of 10000000 bits\n"
+
+    def test_small_limit_stops_an_early_row(self, capsys):
+        assert main(["bounds", "sweep", "--k-range", "1..10", "--f-range", "1",
+                     "--limit", "20"]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "k=4 f=1: upper=23 ratio=5.750000"
+        assert "stage 5 cardinality cap needs more than the limit of 20 bits" in err
 
 
 class TestCacheDemo:
