@@ -12,7 +12,6 @@ from .frl import (
     FrlMechanism,
     MechanismChain,
     build_chain,
-    canonical_ordering,
     cardinality_bound,
     frl_construct,
     min_entropy_search,

@@ -141,12 +141,13 @@ def fixed_length_codebook(size: int) -> Codebook:
     return Codebook({s: format(s, f"0{width}b") if width else "" for s in range(size)}, FIXED)
 
 
-def entropy_codebook(dist: Mapping[int, Fraction] | Sequence[Fraction]) -> Codebook:
+def entropy_codebook(dist: Mapping[int, Fraction] | Sequence[Fraction | int]) -> Codebook:
     """Canonical Huffman code over the positive support of `dist`.
 
     Ties break by ascending symbol index, then codeword lengths are laid out
     canonically, so identical inputs always yield identical books. Expected
-    length is within [H, H+1) of the design distribution.
+    length is within [H, H+1) of the design distribution. Integer weights
+    proportional to the probabilities yield the same book.
     """
     if not isinstance(dist, Mapping):
         dist = dict(enumerate(dist))
@@ -158,9 +159,9 @@ def entropy_codebook(dist: Mapping[int, Fraction] | Sequence[Fraction]) -> Codeb
     if len(support) == 1:
         return Codebook({support[0]: ""}, ENTROPY)
 
-    heap: list[tuple[Fraction, int, list[int]]] = []
+    heap: list[tuple[Fraction | int, int, list[int]]] = []
     for tie, s in enumerate(support):
-        heap.append((Fraction(dist[s]), tie, [s]))
+        heap.append((dist[s], tie, [s]))
     heapq.heapify(heap)
     tie = len(support)
     depth = {s: 0 for s in support}

@@ -14,8 +14,10 @@ every row of those must sum to exactly 1, so every earlier marginal, and with
 it every earlier stage's guarantee, is left unchanged and needs no re-check.
 The new stage alone is then checked once, on the chain joint: U_{k+1}
 independent of (X, U_1..U_k) and U_1..U_{k+1} of X, Y_next a function of
-(X, U_1..U_{k+1}), and |U_{k+1}| within its cap. `build_chain` grows every
-chain, reading each stage's (compound state, target) pair from its joint.
+(X, U_1..U_{k+1}), and |U_{k+1}| within its cap, from one walk of the joint
+into its (given state, U_{k+1}) marginal that notes each cell's Y_next.
+`build_chain` grows every chain, reading each stage's (compound state,
+target) pairs, and the parent cells behind each, from one walk of its joint.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
 from .probability import Alphabet, JointDist, _entropy_bits, _product_test, _projector
 
 # Per-x permutation of the positive-support y symbols, fixing how segments
-# are laid on [0,1). Guarantees hold for any ordering; H(U) does not.
+# are laid on [0,1); the default is ascending y. Guarantees hold for any
+# ordering; H(U) does not.
 OrderingPolicy = Mapping[int, Sequence[int]]
 
 
@@ -81,10 +85,15 @@ class FrlMechanism:
         return tuple(zip(points, points[1:]))
 
     @property
+    def widths(self) -> tuple[int, ...]:
+        """Atom widths b[u+1] - b[u]: the marginal of U as integers over b_n."""
+        b = self.bounds
+        return tuple(hi - lo for lo, hi in zip(b, b[1:]))
+
+    @property
     def p_u(self) -> tuple[Fraction, ...]:
         """Atom lengths; exactly the marginal of U."""
-        b = self.bounds
-        return tuple(Fraction(hi - lo, b[-1]) for lo, hi in zip(b, b[1:]))
+        return tuple(Fraction(w, self.bounds[-1]) for w in self.widths)
 
     def entropy(self) -> float:
         """H(U) in bits; an upper-bound surrogate for the best feasible U."""
@@ -122,11 +131,6 @@ class FrlMechanism:
 def _bounds_entropy(bounds: Sequence[int]) -> float:
     """H(U) in bits for atoms [b_u, b_{u+1}) over the common denominator b_n."""
     return _entropy_bits((hi - lo for lo, hi in zip(bounds, bounds[1:])), bounds[-1])
-
-
-def canonical_ordering(pxy: JointDist) -> dict[int, tuple[int, ...]]:
-    """Default policy: ascending y index per x, positive-support only."""
-    return {x: tuple(ys) for x, ys in _supports(pxy).items()}
 
 
 def _supports(pxy: JointDist) -> dict[int, list[int]]:
@@ -177,7 +181,7 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
     Zero-mass x symbols are dropped (recorded in `dropped_x`); zero-mass
     (x, y) pairs produce no segment. All invariants are verified exactly
     before returning. LimitError is raised before the joint of (U, X, Y) is
-    built if it would hold more than `limit` cells.
+    built if it would hold more than `limit` cells, or X more than `limit` symbols.
     """
     mech = _interval_mechanism(pxy, policy, u_name, limit)
     x_name, y_name = pxy.names
@@ -196,14 +200,10 @@ def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: s
 
     supports = _supports(pxy)
     px, scale = _masses(num, supports)
-    dropped = tuple(x for x in pxy.variables[0].symbols() if x not in px)
-
-    if policy is None:
-        policy = canonical_ordering(pxy)
 
     orders: dict[int, tuple[int, ...]] = {}
     for x, ys in supports.items():
-        order = tuple(policy.get(x, ()))
+        order = tuple(ys if policy is None else policy.get(x, ()))
         if sorted(order) != ys:
             raise ValidationError(
                 f"policy for x={x} must permute the positive-support y symbols {ys}"
@@ -216,6 +216,10 @@ def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: s
     cells = n_atoms * len(px)
     if cells > limit:
         raise LimitError(f"the {u_name} mechanism needs {cells} cells, over the limit {limit}")
+    x_alpha = pxy.variables[0]
+    if x_alpha.size > limit:  # listing the zero-mass x symbols walks the whole alphabet
+        raise LimitError(f"the {u_name} mechanism's {x_alpha.name} has {x_alpha.size} symbols, "
+                         f"over the limit {limit}")
 
     # each segment covers a run of whole atoms, found by bisection over the
     # atom boundaries; an endpoint that is not a boundary would split an atom
@@ -233,6 +237,7 @@ def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: s
     if len(g) != n_atoms * len(ends):
         raise InvariantError("segments do not tile [0,1) for every x")
 
+    dropped = tuple(x for x in x_alpha.symbols() if x not in px)
     return FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds, g=g,
                         dropped_x=dropped, pair=pxy, spans=spans)
 
@@ -241,23 +246,31 @@ def _verify_stage(joint: JointDist, given: Sequence[str], u_name: str, target: s
     """On the joint a stage lives in, given (X, U_1..U_{k-1}): U_k is independent of
     the given states and U_1..U_k of X, `target` is a function of (given, U_k), and
     |U_k| <= (positive given states) * (|target| - 1) + 1, all exactly."""
-    marg = joint.marginalize([*given, u_name, target])
-    num, den = marg._ints()
-    head: dict[tuple[int, ...], int] = {}
+    *given_axes, u_axis, y_axis = joint._axes([*given, u_name, target])
+    state_of = itemgetter(*given_axes)  # one given variable: its symbol, else a tuple
+    num, den = joint._ints()
+    # one walk: the (given state, U_k) marginal, and the target symbol of each of its cells
+    head: dict[tuple, int] = {}
+    image: dict[tuple, int] = {}
     for cell, n in num.items():
-        head[cell[:-1]] = head.get(cell[:-1], 0) + n
-    # every (given, U_k) cell holds at least one target symbol, so a second one is a fork
-    if len(head) != len(num):
-        raise InvariantError(f"{target} not a function of ({', '.join([*given, u_name])})")
-    independent, states, _ = _product_test(head, den, len(given))
+        key = (state_of(cell), cell[u_axis])
+        if key in head:
+            head[key] += n
+            if image[key] != cell[y_axis]:
+                raise InvariantError(f"{target} not a function of ({', '.join([*given, u_name])})")
+        else:
+            head[key] = n
+            image[key] = cell[y_axis]
+    independent, states, _ = _product_test(head, den)
     if not independent:
         raise InvariantError(f"{u_name} not exactly independent of ({', '.join(given)})")
-    if len(given) > 1 and not _product_test(head, den, 1)[0]:
+    if len(given) > 1 and not _product_test(
+            {(state[0], (*state[1:], u)): n for (state, u), n in head.items()}, den)[0]:
         raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
-    *_, u_alpha, y_alpha = marg.variables
-    cap = cardinality_bound(len(states), [], y_alpha.size)
-    if u_alpha.size > cap:
-        raise InvariantError(f"|{u_name}|={u_alpha.size} exceeds the cardinality bound {cap}")
+    u_size = joint.variables[u_axis].size
+    cap = cardinality_bound(len(states), [], joint.variables[y_axis].size)
+    if u_size > cap:
+        raise InvariantError(f"|{u_name}|={u_size} exceeds the cardinality bound {cap}")
 
 
 def cardinality_bound(x_size: int, u_sizes: Sequence[int], y_size: int) -> int:
@@ -384,18 +397,27 @@ def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT
     u_names = list(chain.u_names)
     if target == chain.private or target in u_names:
         raise ValidationError(f"cannot target {target!r}")
-    chain.joint._axes([target])
+    axes = chain.joint._axes([chain.private, *u_names, target])
 
+    # one walk of the parent joint: the mass of each (compound state, target)
+    # pair and the number of parent cells behind it
+    project = _projector(axes)
+    num, chain_den = chain.joint._ints()
+    mass: dict[tuple[int, ...], int] = {}
+    count: dict[tuple[int, ...], int] = {}
+    for cell, n in num.items():
+        key = project(cell)
+        mass[key] = mass.get(key, 0) + n
+        count[key] = count.get(key, 0) + 1
     # the pair (compound state, target); compound states in sorted order
-    sub, den = chain.joint.marginalize([chain.private, *u_names, target])._ints()
+    keys = sorted(mass)
     index: dict[tuple[int, ...], int] = {}
     pair_num: dict[tuple[int, int], int] = {}
-    for cell, n in sub.items():
-        pair_num[(index.setdefault(cell[:-1], len(index)), cell[-1])] = n
+    for key in keys:
+        pair_num[(index.setdefault(key[:-1], len(index)), key[-1])] = mass[key]
     states = tuple(index)
     comp_alpha = Alphabet(f"_XU{k}", len(states))
-    y_alpha = chain.joint.variables[chain.joint.names.index(target)]
-    pair = JointDist._exact((comp_alpha, y_alpha), pair_num, den)
+    pair = JointDist._exact((comp_alpha, chain.joint.variables[axes[-1]]), pair_num, chain_den)
 
     u_name = f"U{k + 1}"
     if u_name in chain.joint.names:
@@ -409,7 +431,7 @@ def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT
     # widths over the segment length, reduced by their gcd; a row summing to
     # 1 keeps the marginal of every earlier variable unchanged
     rows: dict[tuple[int, ...], tuple[range, list[int], int]] = {}
-    for cell, (state, y) in zip(sub, pair_num):
+    for key, (state, y) in zip(keys, pair_num):
         span, widths, length = mech.row(state, y)
         total = sum(widths)
         if total != length or min(widths) <= 0:
@@ -418,14 +440,12 @@ def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT
         if any(mech.g[(u, state)] != y for u in span):
             raise InvariantError(f"stage {k + 1}: an atom of {states[state]}, {target}={y} decodes elsewhere")
         g = math.gcd(length, *widths)
-        rows[cell] = (span, [w // g for w in widths], length // g)
+        rows[key] = (span, [w // g for w in widths], length // g)
     stage_den = math.lcm(*(length for _, _, length in rows.values()))
-    scaled = {cell: [(u, w * (stage_den // length)) for u, w in zip(span, widths)]
-              for cell, (span, widths, length) in rows.items()}
+    scaled = {key: [(u, w * (stage_den // length)) for u, w in zip(span, widths)]
+              for key, (span, widths, length) in rows.items()}
 
-    project = _projector(chain.joint._axes([chain.private, *u_names, target]))
-    num, chain_den = chain.joint._ints()
-    cells = sum(len(scaled[project(cell)]) for cell in num)
+    cells = sum(count[key] * len(span) for key, (span, _, _) in rows.items())
     if cells > limit:
         raise LimitError(f"chain stage {k + 1} ({target}): the product needs {cells} cells, "
                          f"over the limit {limit}")

@@ -134,7 +134,7 @@ def session_codebooks(chain: MechanismChain, mode: str) -> tuple[Codebook, list[
         if mode == FIXED:
             books.append(fixed_length_codebook(stage.mechanism.u_size))
         elif mode == ENTROPY:
-            books.append(entropy_codebook(stage.mechanism.p_u))
+            books.append(entropy_codebook(stage.mechanism.widths))
         else:
             raise ValidationError(f"unknown coding mode {mode!r}")
     return pad, books
@@ -279,6 +279,13 @@ class TranscriptDistribution:
         return self.joint.variables[2].size
 
 
+def _check_states(chain: MechanismChain, limit: int) -> None:
+    """LimitError if the transcript enumeration's |chain joint| * |X| states pass `limit`."""
+    states = len(chain.joint) * chain.private_size
+    if states > limit:
+        raise LimitError(f"{states} weighted states exceed the limit {limit}")
+
+
 def transcript_distribution(chain: MechanismChain, books: Books,
                             limit: int = DEFAULT_STATE_LIMIT) -> TranscriptDistribution:
     """Enumerate the exact joint (C, X, W) with rational weights.
@@ -291,10 +298,8 @@ def transcript_distribution(chain: MechanismChain, books: Books,
     code-length tables. A chain with no stages (a fully cached delivery)
     gives the pad slot alone.
     """
+    _check_states(chain, limit)
     x_size = key_size = chain.private_size
-    states = len(chain.joint) * key_size
-    if states > limit:
-        raise LimitError(f"{states} weighted states exceed the limit {limit}")
 
     pad_book, stage_books = books
     k = len(chain.stages)
@@ -303,6 +308,7 @@ def transcript_distribution(chain: MechanismChain, books: Books,
 
     by_key: dict[tuple[int, tuple[int, ...]], int] = {}
     u_bits: dict[tuple[int, ...], int] = {}
+    pads: dict[int, list[tuple[int, int]]] = {}  # occurring x -> (x + w mod |X|, its bits) by w
     lengths: list[int] = []
     parts: list[tuple[int, tuple[int, ...]]] = []
     table: dict[tuple[int, int, int], int] = {}
@@ -313,13 +319,15 @@ def transcript_distribution(chain: MechanismChain, books: Books,
         bits = u_bits.get(u_vec)
         if bits is None:
             bits = u_bits[u_vec] = sum(book.length(u) for book, u in zip(stage_books, u_vec))
-        for w in range(key_size):
-            xt = (x + w) % x_size
+        x_pads = pads.get(x)
+        if x_pads is None:
+            x_pads = pads[x] = [(xt, pad_book.length(xt)) for xt in (*range(x, x_size), *range(x))]
+        for w, (xt, pad_bits) in enumerate(x_pads):
             part = (xt, u_vec)
             idx = by_key.get(part)
             if idx is None:
                 idx = by_key[part] = len(parts)
-                lengths.append(pad_book.length(xt) + bits)
+                lengths.append(pad_bits + bits)
                 parts.append(part)
             key = (idx, x, w)
             table[key] = table.get(key, 0) + n
@@ -345,9 +353,9 @@ def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
     entropy summed over sorted cells as `JointDist.entropy` sums it, so the
     bits equal `mutual_information`'s.
     """
-    cx, den = td.joint.marginalize(["C", "X"])._ints()
-    exact, pc, px = _product_test(cx, den, 1)
-    # cx is sorted, so pc meets its cells in sorted order and px may not
+    cx, den = td.joint.marginalize(["C", "X"])._ints()  # cells are (c, x) pairs
+    exact, pc, px = _product_test(cx, den)
+    # cx is sorted, so pc meets its symbols in sorted order and px may not
     bits = (_entropy_bits(pc.values(), den) + _entropy_bits((px[x] for x in sorted(px)), den)
             - _entropy_bits(cx.values(), den))
     return LeakageReport(exact_zero=exact, bits=max(0.0, bits))
@@ -453,6 +461,7 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
     and the chain's codebooks, for sessions over the same chain."""
     demands = demand_vector(p, demands)
     chain = session_chain(p, demands, limit=limit)
+    _check_states(chain, limit)  # before the pad book's |X| words
     books = session_codebooks(chain, mode)
     td = transcript_distribution(chain, books, limit)
     el = expected_length(td)

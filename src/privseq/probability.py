@@ -11,7 +11,9 @@ kernel result; every table gets its Fraction view on first use, one Fraction
 per distinct numerator shared by every cell that has it, and keeps it.
 Entropy-style functionals are the only place floats appear: each cell n/den
 is reduced by its gcd before the division and the log, and results are
-always in bits (log base 2).
+always in bits (log base 2). An entropy adds its terms to one float from
+0.0, left to right, not with `sum()`, whose float rounding changed in
+Python 3.12, so it is the same float on every supported Python.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -57,40 +59,40 @@ def _log2_ratio(n: int, den: int) -> float:
     return math.log2(n) - math.log2(den)
 
 
-def _plog2p(n: int, den: int) -> float:
-    """p * log2(p) for p = n/den, taken on the reduced fraction."""
-    n, den = _reduced(n, den)
-    return n / den * (math.log2(n) - math.log2(den))
-
-
 def _entropy_bits(nums: Iterable[int], den: int) -> float:
-    """-sum p log2 p in bits over the masses n/den, summed in the given order.
+    """-sum p log2 p in bits over the masses n/den, each reduced by its gcd,
+    added left to right in the given order.
 
     It starts from 0.0, so a single cell of mass 1 reads +0.0, not -0.0.
     """
-    return 0.0 - sum(_plog2p(n, den) for n in nums)
+    gcd, log2 = math.gcd, math.log2
+    h = 0.0
+    for n in nums:
+        g = gcd(n, den)
+        n, d = n // g, den // g
+        h += n / d * (log2(n) - log2(d))
+    return 0.0 - h
 
 
-def _product_test(num: Mapping[Cell, int], den: int, na: int
-                  ) -> tuple[bool, dict[Cell, int], dict[Cell, int]]:
-    """Exact test that a joint over (A, B), A the first `na` symbols of each
-    cell, is the product of its marginals: P(a,b) == P(a)P(b) on every pair.
+def _product_test(num: Mapping[tuple[Hashable, Hashable], int], den: int
+                  ) -> tuple[bool, dict[Hashable, int], dict[Hashable, int]]:
+    """Exact test that a joint over (A, B), keyed by (a, b) pairs, is the
+    product of its marginals: P(a,b) == P(a)P(b) on every pair.
 
     Returns the verdict and the numerators of P(A) and P(B) over `den`, each
-    keyed in the order its cells first appear in `num`.
+    keyed in the order its symbols first appear in `num`.
     """
-    pa: dict[Cell, int] = {}
-    pb: dict[Cell, int] = {}
-    for cell, n in num.items():
-        ca, cb = cell[:na], cell[na:]
-        pa[ca] = pa.get(ca, 0) + n
-        pb[cb] = pb.get(cb, 0) + n
+    pa: dict[Hashable, int] = {}
+    pb: dict[Hashable, int] = {}
+    for (a, b), n in num.items():
+        pa[a] = pa.get(a, 0) + n
+        pb[b] = pb.get(b, 0) + n
     # a pair of positive marginal cells with no joint cell would fail the
     # product test below anyway; counting the cells finds it sooner
     if len(num) != len(pa) * len(pb):
         return False, pa, pb
     # n_ab/den == (n_a/den)(n_b/den) on every pair
-    return all(n * den == pa[cell[:na]] * pb[cell[na:]] for cell, n in num.items()), pa, pb
+    return all(n * den == pa[a] * pb[b] for (a, b), n in num.items()), pa, pb
 
 
 def _projector(axes: Sequence[int]) -> Callable[[Cell], Cell]:
@@ -307,7 +309,8 @@ class JointDist:
         if not a or not b:
             return True
         joint, den = self.marginalize(a + b)._ints()
-        return _product_test(joint, den, len(a))[0]
+        na = len(a)
+        return _product_test({(cell[:na], cell[na:]): n for cell, n in joint.items()}, den)[0]
 
     def product_extend(self, fresh: Alphabet, marginal: Sequence[Fraction]) -> "JointDist":
         """Append a new variable exactly independent of all existing ones."""
@@ -379,8 +382,10 @@ def parse_dist(text: str) -> JointDist:
                 cell = tuple(int(s) for s in parts[1:-1])
             except ValueError:
                 raise ValidationError(f"line {lineno}: bad symbol in {parts[1:-1]}") from None
-            try:
-                prob = Fraction(parts[-1])
+            a, slash, b = parts[-1].partition("/")
+            plain = a.isascii() and a.isdigit() and (not slash or b.isascii() and b.isdigit())
+            try:  # plain `a` and `a/b` skip Fraction's string parser
+                prob = Fraction(int(a), int(b) if slash else 1) if plain else Fraction(parts[-1])
             except (ValueError, ZeroDivisionError):
                 raise ValidationError(f"line {lineno}: bad probability {parts[-1]!r}") from None
             if cell in table:

@@ -2,8 +2,11 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import privseq.bounds as bounds_mod
 from privseq.bounds import (
@@ -20,7 +23,7 @@ from privseq.bounds import (
 from privseq.errors import LimitError, ValidationError
 from privseq.frl import cardinality_bound
 from privseq.pipeline import session_chain
-from privseq.probability import Alphabet, JointDist
+from privseq.probability import Alphabet, JointDist, load_dist
 
 from conftest import random_database
 
@@ -132,6 +135,24 @@ class TestLowerBound:
         p = JointDist([Alphabet("X", 2), Alphabet("Y1", 2), Alphabet("Y2", 2)], cells)
         assert lower_bound(p, (1, 2)) == 2.0
 
+
+    def test_dense_golden_spec(self):
+        # the same float on every supported Python: entropies are summed left
+        # to right, not with sum(), whose float rounding changed in 3.12
+        spec = Path(__file__).parent / "golden" / "dense.dist"
+        assert lower_bound(load_dist(str(spec)), (1, 2, 3)) == 2.8212412097950392
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.booleans(), st.data())
+    def test_matches_per_x_conditionals(self, seed, x_size, n_files, bits, sparse, data):
+        p = random_database(random.Random(seed), x_size, n_files, bits, sparse)
+        demands = data.draw(st.permutations(range(1, n_files + 1)))[:data.draw(st.integers(1, n_files))]
+        names = [f"Y{d}" for d in demands]
+        want = 0.0
+        for (x,), _ in p.marginalize(["X"]).items():
+            want = max(want, p.condition("X", x).entropy(names))
+        assert lower_bound(p, demands).hex() == want.hex()
 
 def ref_example1(p, n, f):
     """The masked database as a Fraction table through the validating constructor."""

@@ -249,6 +249,21 @@ class TestAudit:
         assert data["leakage_exact_zero"] is True
 
 
+
+class TestLimitBeforeAlphabetWork:
+    # one positive cell over a declared X of 10^9 symbols: a pad book or a
+    # list of the dropped x symbols would hold 10^9 entries
+    HUGE_X = "var X 1000000000\nvar Y1 2\np 0 0 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "run", "--demands", "1"],
+        ["audit", "--demands", "1"],
+        ["frl", "build"],
+    ])
+    def test_exits_with_the_limit_code(self, argv, spec_path, capsys):
+        assert main(argv + ["--spec", spec_path(self.HUGE_X)]) == 3
+        assert "resource limit: " in capsys.readouterr().err
+
 class TestParserReuse:
     def test_transcript_out_not_carried_over(self, tmp_path):
         args = ["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1", "--demands", "1,2"]

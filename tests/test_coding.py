@@ -17,7 +17,10 @@ from privseq.coding import (
     verify_prefix_free,
 )
 from privseq.errors import ValidationError
+from privseq.frl import frl_construct
 from privseq.probability import Alphabet, JointDist
+
+from conftest import random_pair
 
 
 class TestPad:
@@ -108,6 +111,20 @@ class TestEntropyCodebook:
             h = pos.entropy()
             el = float(cb.expected_length(dist))
             assert h - 1e-9 <= el <= h + 1
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(any))
+    def test_integer_weights_give_the_probability_book(self, weights):
+        total = sum(weights)
+        want = entropy_codebook([F(w, total) for w in weights]).words
+        assert entropy_codebook(weights).words == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4), st.booleans())
+    def test_mechanism_widths_give_the_p_u_book(self, seed, x_size, y_size, sparse):
+        mech = frl_construct(random_pair(random.Random(seed), x_size, y_size, sparse))
+        assert entropy_codebook(mech.widths).words == entropy_codebook(mech.p_u).words
 
 
 class TestPrefixFree:

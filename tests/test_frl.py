@@ -7,6 +7,8 @@ import types
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import privseq.frl as frl_mod
 from privseq.errors import InvariantError, LimitError, ValidationError
@@ -400,6 +402,97 @@ class TestStageChecks:
         assert set(built) == {"U"}
 
 
+def reference_verify_stage(joint, given, u_name, target):
+    """The stage check on the (given, U_k, target) marginal, its product tests slicing cells."""
+    marg = joint.marginalize([*given, u_name, target])
+    num, den = marg._ints()
+    head = {}
+    for cell, n in num.items():
+        head[cell[:-1]] = head.get(cell[:-1], 0) + n
+    if len(head) != len(num):
+        raise InvariantError(f"{target} not a function of ({', '.join([*given, u_name])})")
+
+    def product_test(table, na):
+        pa, pb = {}, {}
+        for cell, n in table.items():
+            pa[cell[:na]] = pa.get(cell[:na], 0) + n
+            pb[cell[na:]] = pb.get(cell[na:], 0) + n
+        return len(table) == len(pa) * len(pb) and all(
+            n * den == pa[cell[:na]] * pb[cell[na:]] for cell, n in table.items()), pa
+
+    independent, states = product_test(head, len(given))
+    if not independent:
+        raise InvariantError(f"{u_name} not exactly independent of ({', '.join(given)})")
+    if len(given) > 1 and not product_test(head, 1)[0]:
+        raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
+    *_, u_alpha, y_alpha = marg.variables
+    cap = cardinality_bound(len(states), [], y_alpha.size)
+    if u_alpha.size > cap:
+        raise InvariantError(f"|{u_name}|={u_alpha.size} exceeds the cardinality bound {cap}")
+
+
+@st.composite
+def stage_joints(draw):
+    """(joint, given, u_name, target) for a pair stage laid out (U, X, Y) or a
+    second chain stage laid out (X, Z, Y, U1, U2), Z an extra variable summed
+    out. The (given, U_k) masses are a full product (a sound stage), a product
+    over U_k only (U_1..U_k may depend on X) or arbitrary; the target is a
+    function of (given, U_k), or forks on one cell; U_k's alphabet may pass its cap."""
+    chain = draw(st.booleans())
+    sizes = [draw(st.integers(1, 3)) for _ in range(3 if chain else 2)]  # X, [U1,] U_k
+    weights = st.integers(0, 3)
+    kind = draw(st.sampled_from(["full product", "product", "arbitrary"]))
+    factors = [draw(st.lists(weights, min_size=n, max_size=n)) for n in sizes]
+    given_table = draw(st.lists(weights, min_size=math.prod(sizes[:-1]), max_size=math.prod(sizes[:-1])))
+    head = {}
+    for i, cell in enumerate(itertools.product(*map(range, sizes))):
+        if kind == "full product":
+            head[cell] = math.prod(f[s] for f, s in zip(factors, cell))
+        elif kind == "product":
+            head[cell] = given_table[i // sizes[-1]] * factors[-1][cell[-1]]
+        else:
+            head[cell] = draw(weights)
+    head = {cell: w for cell, w in head.items() if w}
+    if not head:
+        head = {(0,) * len(sizes): 1}
+    y_size = draw(st.integers(1, 3))
+    table = {cell: {draw(st.integers(0, y_size - 1)): 2 * w} for cell, w in head.items()}
+    if draw(st.booleans()):  # a fork: half of one cell's mass under a second target symbol
+        cell = draw(st.sampled_from(sorted(table)))
+        (y, w), = table[cell].items()
+        table[cell] = {y: w // 2, (y + 1) % y_size: w // 2}
+    u_size = sizes[-1] + draw(st.integers(0, 3))
+    z_weights = [draw(st.integers(1, 2)) for _ in range(draw(st.integers(1, 2)))] if chain else [1]
+    cells = {}
+    for cell, row in table.items():
+        for y, w in row.items():
+            for z, r in enumerate(z_weights):
+                if chain:
+                    x, u1, u2 = cell
+                    cells[(x, z, y, u1, u2)] = cells.get((x, z, y, u1, u2), 0) + w * r
+                else:
+                    x, u = cell
+                    cells[(u, x, y)] = cells.get((u, x, y), 0) + w
+    total = sum(cells.values())
+    if chain:
+        alphabets = [("X", sizes[0]), ("Z", len(z_weights)), ("Y", y_size), ("U1", sizes[1]), ("U2", u_size)]
+        stage = (["X", "U1"], "U2", "Y")
+    else:
+        alphabets = [("U", u_size), ("X", sizes[0]), ("Y", y_size)]
+        stage = (["X"], "U", "Y")
+    joint = JointDist([Alphabet(n, size) for n, size in alphabets],
+                      {cell: F(w, total) for cell, w in cells.items()})
+    return (joint, *stage)
+
+
+def stage_outcome(check, joint, given, u_name, target):
+    try:
+        check(joint, given, u_name, target)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
 class TestStageVerifier:
     """The one stage check on hand-built joints, each breaking one property."""
 
@@ -446,6 +539,32 @@ class TestStageVerifier:
         joint = self.uniform_on([("U", 4), ("X", 1), ("Y", 2)], [(u, 0, u % 2) for u in range(4)])
         with pytest.raises(InvariantError, match=r"\|U\|=4 exceeds the cardinality bound 2"):
             _verify_stage(joint, ["X"], "U", "Y")
+
+    @settings(max_examples=300, deadline=None)
+    @given(stage_joints())
+    def test_matches_the_marginal_reference(self, case):
+        assert stage_outcome(_verify_stage, *case) == stage_outcome(reference_verify_stage, *case)
+
+    def test_reference_sees_every_verdict(self):
+        # the hand-built joints of this class, one per verdict, through both checks
+        bits = self.BITS
+        cases = [
+            ([("X", 2), ("U1", 2), ("U2", 2), ("Y2", 2)],
+             [(x, u1, u2, x) for x, u1, u2 in itertools.product(range(2), repeat=3)], None),
+            ([("X", 2), ("U1", 2), ("U2", 2), ("Y2", 2)], [(x, u, u, x) for x, u in bits],
+             "U2 not exactly independent of (X, U1)"),
+            ([("X", 2), ("U1", 2), ("U2", 2), ("Y2", 2)], [(x, x, u, x) for x, u in bits],
+             "U1, U2 not exactly independent of X"),
+            ([("X", 2), ("U1", 2), ("U2", 2), ("Y2", 2)],
+             [(x, u1, u2, y) for x, u1, u2, y in itertools.product(range(2), repeat=4)],
+             "Y2 not a function of (X, U1, U2)"),
+            ([("X", 1), ("U1", 1), ("U2", 4), ("Y2", 2)], [(0, 0, u, u % 2) for u in range(4)],
+             "|U2|=4 exceeds the cardinality bound 2"),
+        ]
+        for variables, cells, verdict in cases:
+            case = (self.uniform_on(variables, cells), ["X", "U1"], "U2", "Y2")
+            assert stage_outcome(_verify_stage, *case) == verdict
+            assert stage_outcome(reference_verify_stage, *case) == verdict
 
     def test_pair_mechanism_with_corrupted_map(self, monkeypatch, designed_2x2):
         # the joint derived from a wrong `g` stays independent and functional,
@@ -520,3 +639,23 @@ class TestStageLimit:
         assert len(build_chain(p, "X", ["Y1", "Y2"], limit=cells[-1]).joint) == cells[-1]
         with pytest.raises(LimitError, match=f"stage 2 .*the product needs {cells[-1]} cells"):
             build_chain(p, "X", ["Y1", "Y2"], limit=cells[-1] - 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    def test_limit_at_and_one_below_the_product(self, seed, x_size, n_files, sparse):
+        # the last stage's product has as many cells as the chain joint, so a
+        # limit one below it raises; no stage or mechanism needs more than it
+        p = random_database(random.Random(seed), x_size, n_files, 1, sparse)
+        targets = [f"Y{i}" for i in range(1, n_files + 1)]
+        cells = len(build_chain(p, "X", targets).joint)
+        assert len(build_chain(p, "X", targets, limit=cells).joint) == cells
+        with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
+            build_chain(p, "X", targets, limit=cells - 1)
+
+    def test_private_alphabet_over_the_limit(self):
+        # one positive cell: the mechanism needs 1 cell, but listing the
+        # dropped x symbols walks all 101
+        pair = JointDist([Alphabet("X", 101), Alphabet("Y", 2)], {(0, 0): F(1)})
+        with pytest.raises(LimitError, match="X has 101 symbols, over the limit 100"):
+            frl_construct(pair, limit=100)
+        assert frl_construct(pair, limit=101).dropped_x == tuple(range(1, 101))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privseq import caching
+import privseq.pipeline as pipeline_mod
+from privseq import caching, coding
 from privseq.bounds import Example1Params, example1_build
 from privseq.coding import ENTROPY, FIXED, Codebook, PadKey
 from privseq.errors import InvariantError, LimitError, ValidationError
@@ -18,6 +19,7 @@ from privseq.pipeline import (
     Transcript,
     TranscriptDistribution,
     _write_slots,
+    audit_demands,
     decode_session,
     encode_session,
     enumerate_outcomes,
@@ -227,6 +229,24 @@ class TestTranscriptDistribution:
         with pytest.raises(LimitError):
             transcript_distribution(chain, session_codebooks(chain, FIXED), limit=3)
 
+    def test_pad_book_not_built_over_the_limit(self, monkeypatch):
+        # one positive cell and |X| = 101: 101 weighted states, and a pad book of 101 words
+        calls = []
+        original = coding.fixed_length_codebook
+
+        def spy(size):
+            calls.append(size)
+            return original(size)
+
+        monkeypatch.setattr(coding, "fixed_length_codebook", spy)
+        monkeypatch.setattr(pipeline_mod, "fixed_length_codebook", spy)
+        p = JointDist([Alphabet("X", 101), Alphabet("Y1", 2)], {(0, 0): F(1)})
+        with pytest.raises(LimitError, match="101 weighted states exceed the limit 100"):
+            audit_demands(p, (1,), limit=100)
+        assert calls == []
+        assert audit_demands(p, (1,), limit=101)[0].transcript_support == 101
+        assert calls == [101, 1]
+
     def test_pad_independent_of_auxiliaries(self):
         # padded symbol and the u-vector factorize exactly
         p = masked_bits("1/2", 2, 2, 1)
@@ -309,6 +329,15 @@ class TestLeakage:
     @given(cxw_joints())
     def test_audit_matches_reference(self, joint):
         assert_audit_matches_reference(TranscriptDistribution(joint, (0,) * joint.variables[0].size))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+           st.sampled_from([FIXED, ENTROPY]))
+    def test_chain_audit_matches_reference(self, seed, x_size, n_files, sparse, mode):
+        p = random_database(random.Random(seed), x_size, n_files, 1, sparse)
+        chain = session_chain(p, range(1, n_files + 1))
+        assert assert_audit_matches_reference(
+            transcript_distribution(chain, session_codebooks(chain, mode))).exact_zero
 
     def test_plaintext_baseline_matches_reference(self):
         for seed in range(4):
