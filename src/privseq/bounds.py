@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
 from .frl import MechanismChain, cardinality_bound
-from .probability import Alphabet, JointDist, _entropy_bits, _projector
+from .probability import Alphabet, JointDist
 
 
 def ceil_log2(n: int) -> int:
@@ -76,21 +76,8 @@ def upper_bound_entropy_estimate(chain: MechanismChain) -> int:
 
 
 def lower_bound(p: JointDist, demands: Sequence[int]) -> float:
-    """Converse: max over private realizations of H(demanded files | X=x), from one
-    walk of `p` grouped by x, each x's files summed in sorted order."""
-    names = demand_names(p, demands)
-    if not names:
-        raise ValidationError("keep at least one variable")
-    files_of = _projector(p._axes(names))
-    by_x: dict[int, dict[tuple[int, ...], int]] = {}
-    for cell, n in p._ints()[0].items():
-        masses = by_x.setdefault(cell[0], {})
-        files = files_of(cell)
-        masses[files] = masses.get(files, 0) + n
-    best = 0.0
-    for masses in by_x.values():
-        best = max(best, _entropy_bits((masses[f] for f in sorted(masses)), sum(masses.values())))
-    return best
+    """Converse: max over private realizations of H(demanded files | X=x)."""
+    return p.max_entropy_given(demand_names(p, demands), p.variables[0].name)
 
 
 @dataclass(frozen=True)

@@ -279,18 +279,13 @@ class TranscriptDistribution:
         return self.joint.variables[2].size
 
 
-def _check_states(chain: MechanismChain, limit: int) -> None:
-    """LimitError if the transcript enumeration's |chain joint| * |X| states pass `limit`."""
-    states = len(chain.joint) * chain.private_size
-    if states > limit:
-        raise LimitError(f"{states} weighted states exceed the limit {limit}")
-
-
-def transcript_distribution(chain: MechanismChain, books: Books,
+def transcript_distribution(chain: MechanismChain, books: Books | str,
                             limit: int = DEFAULT_STATE_LIMIT) -> TranscriptDistribution:
     """Enumerate the exact joint (C, X, W) with rational weights.
 
-    `books` are the chain's codebooks from session_codebooks; the key size
+    `books` are the chain's codebooks from session_codebooks, or a coding
+    mode whose books are built once the |chain joint| * |X| states are
+    within `limit`, so no |X|-word pad book is built past it. The key size
     is |X|, as the one-time pad fixes it. Each cell of the chain's joint
     (x, demanded files, auxiliaries) fans out over the uniform key. A
     transcript's index is the order its (padded x, u vector) is first met
@@ -298,8 +293,12 @@ def transcript_distribution(chain: MechanismChain, books: Books,
     code-length tables. A chain with no stages (a fully cached delivery)
     gives the pad slot alone.
     """
-    _check_states(chain, limit)
     x_size = key_size = chain.private_size
+    states = len(chain.joint) * key_size
+    if states > limit:
+        raise LimitError(f"{states} weighted states exceed the limit {limit}")
+    if isinstance(books, str):
+        books = session_codebooks(chain, books)
 
     pad_book, stage_books = books
     k = len(chain.stages)
@@ -461,9 +460,7 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
     and the chain's codebooks, for sessions over the same chain."""
     demands = demand_vector(p, demands)
     chain = session_chain(p, demands, limit=limit)
-    _check_states(chain, limit)  # before the pad book's |X| words
-    books = session_codebooks(chain, mode)
-    td = transcript_distribution(chain, books, limit)
+    td = transcript_distribution(chain, mode, limit)
     el = expected_length(td)
     leak = leakage_audit(td)
     row = SweepRow(
@@ -479,7 +476,7 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
         u_sizes=chain.u_sizes(),
         transcript_support=len(td.lengths),
     )
-    return row, chain, books
+    return row, chain, td.books
 
 
 @dataclass(frozen=True)

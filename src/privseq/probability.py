@@ -233,11 +233,15 @@ class JointDist:
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.table.items())
 
-    def marginalize(self, keep: Sequence[str]) -> "JointDist":
-        """Sum out everything but `keep`; result variables follow `keep` order."""
+    def _kept_axes(self, keep: Sequence[str]) -> tuple[int, ...]:
         axes = self._axes(keep)
         if not axes:
             raise ValidationError("keep at least one variable")
+        return axes
+
+    def marginalize(self, keep: Sequence[str]) -> "JointDist":
+        """Sum out everything but `keep`; result variables follow `keep` order."""
+        axes = self._kept_axes(keep)
         num, den = self._ints()
         project = _projector(axes)
         out: dict[Cell, int] = {}
@@ -267,6 +271,20 @@ class JointDist:
         d = self if of is None else self.marginalize(of)
         num, den = d._ints()
         return _entropy_bits(num.values(), den)
+
+    def max_entropy_given(self, of: Sequence[str], name: str) -> float:
+        """max over the symbols s of `name` of H(of | name = s), from one walk
+        grouped by s. Each group's masses are summed in sorted order, so each
+        H is the float `condition(name, s).entropy(of)` gives."""
+        project = _projector(self._kept_axes(of))
+        (axis,) = self._axes([name])
+        groups: dict[int, dict[Cell, int]] = {}
+        for cell, n in self._ints()[0].items():
+            masses = groups.setdefault(cell[axis], {})
+            key = project(cell)
+            masses[key] = masses.get(key, 0) + n
+        return max(_entropy_bits((masses[k] for k in sorted(masses)), sum(masses.values()))
+                   for masses in groups.values())
 
     def conditional_entropy(self, target: Sequence[str], given: Sequence[str]) -> float:
         """H(target | given) in bits; `given` may be empty."""
@@ -382,10 +400,8 @@ def parse_dist(text: str) -> JointDist:
                 cell = tuple(int(s) for s in parts[1:-1])
             except ValueError:
                 raise ValidationError(f"line {lineno}: bad symbol in {parts[1:-1]}") from None
-            a, slash, b = parts[-1].partition("/")
-            plain = a.isascii() and a.isdigit() and (not slash or b.isascii() and b.isdigit())
-            try:  # plain `a` and `a/b` skip Fraction's string parser
-                prob = Fraction(int(a), int(b) if slash else 1) if plain else Fraction(parts[-1])
+            try:
+                prob = Fraction(parts[-1])
             except (ValueError, ZeroDivisionError):
                 raise ValidationError(f"line {lineno}: bad probability {parts[-1]!r}") from None
             if cell in table:

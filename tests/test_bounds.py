@@ -135,7 +135,6 @@ class TestLowerBound:
         p = JointDist([Alphabet("X", 2), Alphabet("Y1", 2), Alphabet("Y2", 2)], cells)
         assert lower_bound(p, (1, 2)) == 2.0
 
-
     def test_dense_golden_spec(self):
         # the same float on every supported Python: entropies are summed left
         # to right, not with sum(), whose float rounding changed in 3.12
@@ -153,6 +152,7 @@ class TestLowerBound:
         for (x,), _ in p.marginalize(["X"]).items():
             want = max(want, p.condition("X", x).entropy(names))
         assert lower_bound(p, demands).hex() == want.hex()
+
 
 def ref_example1(p, n, f):
     """The masked database as a Fraction table through the validating constructor."""
