@@ -7,7 +7,7 @@ delivery application.
 """
 
 from .errors import InvariantError, LimitError, ValidationError
-from .probability import Alphabet, JointDist, load_dist, parse_dist, format_dist, point_mass, uniform
+from .probability import Alphabet, JointDist, load_dist, parse_dist, format_dist, uniform
 from .frl import (
     FrlMechanism,
     MechanismChain,
@@ -26,13 +26,11 @@ from .coding import (
     verify_prefix_free,
 )
 from .pipeline import (
-    FixedDraws,
     RandomDraws,
     Transcript,
     TranscriptDistribution,
     decode_session,
     encode_session,
-    enumerate_outcomes,
     expected_length,
     leakage_audit,
     session_chain,

@@ -49,7 +49,7 @@ def cardinality_caps(x_size: int, y_sizes: Sequence[int], limit: int = DEFAULT_S
         if caps and y > 1 and prod.bit_length() + caps[-1].bit_length() + (y - 1).bit_length() - 2 > limit:
             raise LimitError(f"the stage {i} cardinality cap needs more than the limit of {limit} bits")
         prod *= caps[-1] if caps else 1
-        caps.append(cardinality_bound(prod, [], y))
+        caps.append(cardinality_bound(prod, y))
         if caps[-1].bit_length() > limit:
             raise LimitError(f"the stage {i} cardinality cap needs more than the limit of {limit} bits")
     return caps

@@ -122,10 +122,6 @@ def placement(cfg: CacheConfig, database: Sequence[int]) -> list[UserCache]:
     return caches
 
 
-def cache_bits(cfg: CacheConfig, cache: UserCache) -> int:
-    return len(cache.contents) * cfg.block_bits
-
-
 @dataclass(frozen=True)
 class BlockStream:
     """Delivery blocks, one per (p+1)-subset, each block_bits wide."""
@@ -316,32 +312,22 @@ def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcrip
     return out
 
 
-def delivery_distribution(session: CacheSession,
-                          limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
-    """Exact joint of (wrapped transcript, X, W) from the session's chain and books."""
-    return pipeline.transcript_distribution(session.chain, session.books, limit)
+def adversary_view_distribution(session: CacheSession, key_size: int,
+                                limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
+    """Exact joint of ((transcript, public cache), X, W); `key_size` must be |X|.
 
-
-def adversary_view(td: pipeline.TranscriptDistribution) -> pipeline.TranscriptDistribution:
-    """Relabel each wrapped transcript as the adversary's (transcript, public cache) view.
-
-    The public cache replays the auxiliary slots verbatim, so the view symbol
-    is the transcript slots concatenated with the log entries; the joint is
-    unchanged.
+    The public cache replays the auxiliary slots verbatim, so each view is
+    the wrapped transcript's slots followed by its log entries: a one-to-one
+    relabelling of the transcripts over the same (C, X, W) joint.
     """
+    x_size = session.chain.private_size
+    if key_size != x_size:
+        raise ValidationError(f"the multi-part scheme needs key size |X|={x_size}, got {key_size}")
+    td = pipeline.transcript_distribution(session.chain, session.books, limit)
     views = tuple(pipeline.Transcript(t.slots + tuple(
         (f"cache{i}", bits) for i, bits in enumerate(t.bitstrings[1:], 1)
     )) for t in td.transcripts)
     return pipeline.TranscriptDistribution.of_transcripts(td.joint, views, td.parts)
-
-
-def adversary_view_distribution(session: CacheSession, key_size: int,
-                                limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
-    """Exact joint of ((transcript, public cache), X, W); `key_size` must be |X|."""
-    x_size = session.chain.private_size
-    if key_size != x_size:
-        raise ValidationError(f"the multi-part scheme needs key size |X|={x_size}, got {key_size}")
-    return adversary_view(delivery_distribution(session, limit))
 
 
 def delivery_bound(cfg: CacheConfig, x_size: int) -> int:

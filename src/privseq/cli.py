@@ -28,14 +28,13 @@ EXIT_LIMIT = 3
 
 def _write_output(args, payload: dict, rows: list[dict] | None = None,
                   fieldnames: list[str] | None = None) -> None:
-    if not getattr(args, "out", None):
+    if not args.out:
         return
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "json":
+    if args.format == "json":
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
-    elif fmt == "csv":
+    else:
         if rows is None:
             rows = [payload]
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -44,8 +43,6 @@ def _write_output(args, payload: dict, rows: list[dict] | None = None,
                 writer = csv.DictWriter(fh, fieldnames=names)
                 writer.writeheader()
                 writer.writerows(rows)
-    else:
-        raise ValidationError(f"unknown format {fmt!r}")
 
 
 def _parse_demands(text: str) -> tuple[int, ...] | None:
@@ -74,14 +71,13 @@ def _load_database(args) -> JointDist:
     return bounds_mod.example1_build(params, limit=args.limit)
 
 
-def _add_family_args(sp, need_demands=True) -> None:
+def _add_family_args(sp) -> None:
     sp.add_argument("--spec", help="distribution-spec file (first variable is private)")
     sp.add_argument("--p", default="1/2", help="masking prior for the built-in family")
     sp.add_argument("--n", type=int, default=2, help="file count for the built-in family")
     sp.add_argument("--f", type=int, default=1, help="bits per file for the built-in family")
-    if need_demands:
-        sp.add_argument("--demands", required=True,
-                        help="comma-separated 1-based file indices, or 'sweep'")
+    sp.add_argument("--demands", required=True,
+                    help="comma-separated 1-based file indices, or 'sweep'")
     sp.add_argument("--mode", choices=[coding.FIXED, coding.ENTROPY], default=coding.FIXED)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--limit", type=int, default=pipeline.DEFAULT_STATE_LIMIT)
@@ -106,7 +102,7 @@ def cmd_frl_build(args) -> int:
           f"{dist.variables[1].name} (size {dist.variables[1].size})")
     if mech.dropped_x:
         print(f"warning: dropped zero-mass private symbols {list(mech.dropped_x)}")
-    print(f"atoms: {mech.u_size} (cap {frl.cardinality_bound(dist.variables[0].size, [], dist.variables[1].size)})")
+    print(f"atoms: {mech.u_size} (cap {frl.cardinality_bound(dist.variables[0].size, dist.variables[1].size)})")
     for u, ((a, b), q) in enumerate(zip(mech.atoms, mech.p_u)):
         print(f"  u{u}: [{_fraction_str(a)}, {_fraction_str(b)})  p={_fraction_str(q)}")
     print(f"H(U) = {mech.entropy():.6f} bits" + (
@@ -149,7 +145,7 @@ def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
     transcript = pipeline.encode_session(p, sample, demands, key, chain, draws, args.mode, books)
     decoded = pipeline.decode_session(transcript, key, demands, chain, args.mode, books)
     roundtrip = decoded == (sample[0], tuple(sample[d] for d in demands))
-    if getattr(args, "transcript_out", None):
+    if args.transcript_out:
         with open(args.transcript_out, "wb") as fh:
             fh.write(transcript.pack())
 
@@ -245,12 +241,12 @@ SWEEP_COLUMNS = ["n", "k", "f", "demands", "lower", "upper_cardinality",
 def cmd_bounds_sweep(args) -> int:
     k_values = _parse_range(args.k_range)
     f_values = _parse_range(args.f_range)
+    if min(k_values + f_values, default=1) < 1:
+        raise ValidationError("need k >= 1 and f >= 1")
     prior = _parse_prior(args.p) if args.measure else None
     rows = []
     for k in k_values:
         for f in f_values:
-            if k < 1 or f < 1:
-                raise ValidationError("need k >= 1 and f >= 1")
             upper = bounds_mod.upper_bound_cardinality(2, [2 ** f] * k, args.limit)
             ratio = upper / (k * f)  # example1_ratio, from the same caps
             row = {
@@ -347,8 +343,9 @@ def cmd_cache_demo(args) -> int:
         print(f"  user {cache.user} decodes file {demands[cache.user - 1]}: "
               f"{got:0{cfg.file_bits}b} ({'ok' if got == want else 'WRONG'})")
 
-    td = caching.delivery_distribution(session, args.limit)
-    leak = pipeline.leakage_audit(caching.adversary_view(td))
+    # the adversary's (transcript, public cache) view relabels C one to one, so it audits as td
+    td = pipeline.transcript_distribution(session.chain, session.books, args.limit)
+    leak = pipeline.leakage_audit(td)
     el = pipeline.expected_length(td)
     bound = caching.delivery_bound(cfg, x_size)
     print(f"adversary view: exact_zero={leak.exact_zero}  I = {leak.bits:.3g} bits")

@@ -58,7 +58,6 @@ class Codebook:
     """
 
     words: Mapping[int, str]
-    mode: str
 
     def __post_init__(self) -> None:
         for s, w in self.words.items():
@@ -89,39 +88,19 @@ class Codebook:
             raise ValidationError(f"symbol {symbol} has no codeword")
         return bits
 
-    def decode_one(self, bits: str, pos: int = 0) -> tuple[int, int]:
-        """Read one codeword starting at `pos`; returns (symbol, new pos)."""
+    def decode_one(self, bits: str) -> tuple[int, int]:
+        """Read one codeword from the start of `bits`; returns (symbol, bits read)."""
         if len(self.words) == 1:
             (sym,) = self.words
-            return sym, pos + len(self.words[sym])
+            return sym, len(self.words[sym])
         rev = self._reverse
-        end = pos
+        end = 0
         while end <= len(bits):
-            cand = bits[pos:end]
+            cand = bits[:end]
             if cand in rev:
                 return rev[cand], end
             end += 1
-        raise ValidationError(f"undecodable bitstring at offset {pos}: {bits[pos:]!r}")
-
-    def decode_all(self, bits: str) -> list[int]:
-        out = []
-        pos = 0
-        if len(self.words) == 1 and next(iter(self.words.values())) == "":
-            raise ValidationError("cannot stream-decode a zero-bit codebook")
-        while pos < len(bits):
-            sym, pos = self.decode_one(bits, pos)
-            out.append(sym)
-        return out
-
-    def expected_length(self, dist: Mapping[int, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for s, p in dist.items():
-            if p > 0:
-                total += p * len(self.encode(s))
-        return total
-
-    def kraft_sum(self) -> Fraction:
-        return sum((Fraction(1, 2 ** len(w)) for w in self.words.values()), Fraction(0))
+        raise ValidationError(f"undecodable bitstring {bits!r}")
 
 
 def verify_prefix_free(codebook: Codebook) -> bool:
@@ -138,7 +117,7 @@ def fixed_length_codebook(size: int) -> Codebook:
     if size < 1:
         raise ValidationError(f"alphabet size must be >= 1, got {size}")
     width = (size - 1).bit_length()
-    return Codebook({s: format(s, f"0{width}b") if width else "" for s in range(size)}, FIXED)
+    return Codebook({s: format(s, f"0{width}b") if width else "" for s in range(size)})
 
 
 def entropy_codebook(dist: Mapping[int, Fraction] | Sequence[Fraction | int]) -> Codebook:
@@ -157,7 +136,7 @@ def entropy_codebook(dist: Mapping[int, Fraction] | Sequence[Fraction | int]) ->
     if any(dist[s] < 0 for s in dist):
         raise ValidationError("negative probability")
     if len(support) == 1:
-        return Codebook({support[0]: ""}, ENTROPY)
+        return Codebook({support[0]: ""})
 
     heap: list[tuple[Fraction | int, int, list[int]]] = []
     for tie, s in enumerate(support):
@@ -181,7 +160,7 @@ def entropy_codebook(dist: Mapping[int, Fraction] | Sequence[Fraction | int]) ->
             code = (code + 1) << (length - prev)
         words[s] = format(code, f"0{length}b")
         prev = length
-    return Codebook(words, ENTROPY)
+    return Codebook(words)
 
 
 # ---------------------------------------------------------------------------

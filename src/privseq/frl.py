@@ -268,19 +268,16 @@ def _verify_stage(joint: JointDist, given: Sequence[str], u_name: str, target: s
             {(state[0], (*state[1:], u)): n for (state, u), n in head.items()}, den)[0]:
         raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
     u_size = joint.variables[u_axis].size
-    cap = cardinality_bound(len(states), [], joint.variables[y_axis].size)
+    cap = cardinality_bound(len(states), joint.variables[y_axis].size)
     if u_size > cap:
         raise InvariantError(f"|{u_name}|={u_size} exceeds the cardinality bound {cap}")
 
 
-def cardinality_bound(x_size: int, u_sizes: Sequence[int], y_size: int) -> int:
-    """|X| * |U_1| * ... * |U_k| * (|Y|-1) + 1."""
-    if x_size < 1 or y_size < 1 or any(s < 1 for s in u_sizes):
+def cardinality_bound(x_size: int, y_size: int) -> int:
+    """|X| * (|Y|-1) + 1, for X the (compound) given variable of a stage."""
+    if x_size < 1 or y_size < 1:
         raise ValidationError("alphabet sizes must be >= 1")
-    prod = x_size
-    for s in u_sizes:
-        prod *= s
-    return prod * (y_size - 1) + 1
+    return x_size * (y_size - 1) + 1
 
 
 def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, tuple[int, ...]], float]:

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from . import bounds as bounds_mod
 from .coding import (
@@ -85,19 +85,6 @@ class RandomDraws:
             raise InvariantError(
                 f"slot-{slot} conditional sums to {Fraction(cumulative[-1], den)}, not 1")
         return symbols[bisect.bisect_right(cumulative, self._rng.randrange(den)) - 1]
-
-
-class FixedDraws:
-    """Forces an explicit auxiliary value per slot; used by enumeration."""
-
-    def __init__(self, choices: Sequence[int]):
-        self._choices = tuple(choices)
-
-    def pick(self, slot: int, conditional: Mapping[int, Fraction]) -> int:
-        u = self._choices[slot]
-        if u not in conditional:
-            raise ValidationError(f"forced draw {u} outside the slot-{slot} support")
-        return u
 
 
 def demand_vector(p: JointDist, demands: Sequence[int]) -> tuple[int, ...]:
@@ -349,8 +336,7 @@ def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
 
     One (C, X) marginal serves both: the verdict is `is_independent`'s
     product test, and I = H(C) + H(X) - H(C, X), clamped at 0, with each
-    entropy summed over sorted cells as `JointDist.entropy` sums it, so the
-    bits equal `mutual_information`'s.
+    entropy summed over sorted cells as `JointDist.entropy` sums it.
     """
     cx, den = td.joint.marginalize(["C", "X"])._ints()  # cells are (c, x) pairs
     exact, pc, px = _product_test(cx, den)
@@ -377,66 +363,6 @@ def expected_length(td: TranscriptDistribution) -> ExpectedLength:
     # int / int is correctly rounded, as float() of the reduced Fraction is
     per_w = tuple(t / m if m else 0.0 for t, m in zip(totals, mass))
     return ExpectedLength(per_w=per_w, max_over_w=max(per_w))
-
-
-@dataclass(frozen=True)
-class Outcome:
-    x: int
-    files: tuple[int, ...]  # demanded files, in demand order
-    w: int
-    u_vec: tuple[int, ...]
-    prob: Fraction
-    transcript: Transcript
-
-
-def enumerate_outcomes(p: JointDist, demands: Sequence[int], chain: MechanismChain,
-                       mode: str = FIXED) -> Iterator[Outcome]:
-    """Yield every (realization, coupling, key) outcome with its exact weight.
-
-    Walks the full database table, every auxiliary choice in the support and
-    every key in range(|X|), encoding each through the real encoder, so
-    downstream checks exercise the same code path a sampled session would.
-    """
-    demands = demand_vector(p, demands)
-    books = session_codebooks(chain, mode)
-    key_size = chain.private_size
-    w_frac = Fraction(1, key_size)
-    for cell, prob in p.items():
-        x = cell[0]
-        stack: list[tuple[tuple[int, ...], Fraction]] = [((), prob)]
-        for i, stage in enumerate(chain.stages):
-            nxt = []
-            for prefix, q in stack:
-                cond = stage.conditional_u(x, prefix, cell[demands[i]])
-                for u, qu in cond.items():
-                    nxt.append((prefix + (u,), q * qu))
-            stack = nxt
-        for u_vec, q in stack:
-            for w in range(key_size):
-                t = encode_session(p, cell, demands, PadKey(w, key_size), chain,
-                                   FixedDraws(u_vec), mode, books=books)
-                yield Outcome(x=x, files=tuple(cell[d] for d in demands), w=w,
-                              u_vec=u_vec, prob=q * w_frac, transcript=t)
-
-
-def plaintext_baseline(p: JointDist, demand: int) -> TranscriptDistribution:
-    """Uncoded single-demand baseline: the file symbol itself is the message.
-
-    Exists to document what the audit reports when the scheme is bypassed.
-    """
-    (demand,) = demand_vector(p, [demand])
-    y_alpha = p.variables[demand]
-    book = fixed_length_codebook(y_alpha.size)
-    pair = p.marginalize([p.variables[0].name, y_alpha.name])
-    transcripts = tuple(Transcript((("y", book.encode(y)),)) for y in y_alpha.symbols())
-    table = {}
-    for (x, y), q in pair.items():
-        table[(y, x, 0)] = q
-    joint = JointDist(
-        [Alphabet("C", y_alpha.size), Alphabet("X", p.variables[0].size), Alphabet("W", 1)],
-        table,
-    )
-    return TranscriptDistribution.of_transcripts(joint, transcripts)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 A joint table is stored as integer numerators over one common denominator,
 reduced so that the numerators and the denominator share no factor; the
-kernel (marginals, conditionals, independence tests, product extensions)
+kernel (marginals, per-symbol conditional entropies, independence tests)
 adds and multiplies plain integers, so every check is an exact equality,
 never a float comparison. `fractions.Fraction` appears only at the API
-edges: `table`, `items()`, `prob()` and the marginals passed in. A table
+edges: `table`, `items()`, `prob()` and the constructor's table. A table
 given to the constructor is validated and then stored as numerators like a
 kernel result; every table gets its Fraction view on first use, one Fraction
 per distinct numerator shared by every cell that has it, and keeps it.
@@ -26,8 +26,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
-ONE = Fraction(1)
-
 Cell = tuple[int, ...]
 
 
@@ -46,17 +44,6 @@ class Alphabet:
 
     def symbols(self) -> range:
         return range(self.size)
-
-
-def _reduced(n: int, den: int) -> tuple[int, int]:
-    g = math.gcd(n, den)
-    return n // g, den // g
-
-
-def _log2_ratio(n: int, den: int) -> float:
-    """log2(n/den) on the reduced fraction, never converting a tiny value through one float."""
-    n, den = _reduced(n, den)
-    return math.log2(n) - math.log2(den)
 
 
 def _entropy_bits(nums: Iterable[int], den: int) -> float:
@@ -253,19 +240,6 @@ class JointDist:
         ordered = axes == tuple(range(len(axes)))
         return JointDist._exact(tuple(self.variables[a] for a in axes), out, den, ordered)
 
-    def condition(self, name: str, symbol: int) -> "JointDist":
-        """Exact conditional given `name == symbol`; the variable is dropped."""
-        (axis,) = self._axes([name])
-        if len(self.variables) == 1:
-            raise ValidationError("cannot condition away the only variable")
-        num, _ = self._ints()
-        rows = {cell[:axis] + cell[axis + 1:]: n for cell, n in num.items() if cell[axis] == symbol}
-        mass = sum(rows.values())
-        if mass == 0:
-            raise ValidationError(f"conditioning on zero-probability event {name}={symbol}")
-        rest = self.variables[:axis] + self.variables[axis + 1:]
-        return JointDist._exact(rest, rows, mass)
-
     def entropy(self, of: Sequence[str] | None = None) -> float:
         """Shannon entropy in bits of the (marginal) distribution."""
         d = self if of is None else self.marginalize(of)
@@ -275,7 +249,7 @@ class JointDist:
     def max_entropy_given(self, of: Sequence[str], name: str) -> float:
         """max over the symbols s of `name` of H(of | name = s), from one walk
         grouped by s. Each group's masses are summed in sorted order, so each
-        H is the float `condition(name, s).entropy(of)` gives."""
+        H is the float `entropy(of)` gives on the conditional table given s."""
         project = _projector(self._kept_axes(of))
         (axis,) = self._axes([name])
         groups: dict[int, dict[Cell, int]] = {}
@@ -285,35 +259,6 @@ class JointDist:
             masses[key] = masses.get(key, 0) + n
         return max(_entropy_bits((masses[k] for k in sorted(masses)), sum(masses.values()))
                    for masses in groups.values())
-
-    def conditional_entropy(self, target: Sequence[str], given: Sequence[str]) -> float:
-        """H(target | given) in bits; `given` may be empty."""
-        target = list(target)
-        given = list(given)
-        if set(target) & set(given):
-            raise ValidationError("target and given must be disjoint")
-        if not given:
-            return self.entropy(target)
-        num, den = self.marginalize(given + target)._ints()
-        ng = len(given)
-        by_g: dict[Cell, int] = {}
-        for cell, n in num.items():
-            g = cell[:ng]
-            by_g[g] = by_g.get(g, 0) + n
-        h = 0.0
-        for cell, n in num.items():
-            p_n, p_den = _reduced(n, den)
-            h += p_n / p_den * (_log2_ratio(by_g[cell[:ng]], den) - _log2_ratio(n, den))
-        return max(0.0, h)
-
-    def mutual_information(self, a: Sequence[str], b: Sequence[str]) -> float:
-        """I(a; b) in bits, clamped at 0 against float dust."""
-        a = list(a)
-        b = list(b)
-        if set(a) & set(b):
-            raise ValidationError("variable sets must be disjoint")
-        v = self.entropy(a) + self.entropy(b) - self.entropy(a + b)
-        return max(0.0, v)
 
     def is_independent(self, a: Sequence[str], b: Sequence[str]) -> bool:
         """Exact rational test of P(a,b) == P(a)P(b) on every cell.
@@ -330,29 +275,10 @@ class JointDist:
         na = len(a)
         return _product_test({(cell[:na], cell[na:]): n for cell, n in joint.items()}, den)[0]
 
-    def product_extend(self, fresh: Alphabet, marginal: Sequence[Fraction]) -> "JointDist":
-        """Append a new variable exactly independent of all existing ones."""
-        if fresh.name in self.names:
-            raise ValidationError(f"variable {fresh.name!r} already present")
-        marginal = [Fraction(q) for q in marginal]
-        if len(marginal) != fresh.size:
-            raise ValidationError(f"marginal needs {fresh.size} entries, got {len(marginal)}")
-        if any(q < 0 for q in marginal) or sum(marginal) != 1:
-            raise ValidationError("marginal must be nonnegative and sum to exactly 1")
-        m_den = math.lcm(*(q.denominator for q in marginal))
-        row = [(s, q.numerator * (m_den // q.denominator)) for s, q in enumerate(marginal) if q > 0]
-        num, den = self._ints()
-        out = {cell + (s,): n * m for cell, n in num.items() for s, m in row}
-        return JointDist._exact(self.variables + (fresh,), out, den * m_den)
-
 
 def uniform(alphabet: Alphabet) -> JointDist:
     q = Fraction(1, alphabet.size)
     return JointDist([alphabet], {(s,): q for s in alphabet.symbols()})
-
-
-def point_mass(alphabet: Alphabet, symbol: int) -> JointDist:
-    return JointDist([alphabet], {(symbol,): ONE})
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ distribution-level is enumerated exactly; zero-tolerance checks are rational
 equalities and only measured-vs-bound comparisons use a 1e-9 float slack.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -24,20 +25,14 @@ from privseq.bounds import (
 from privseq.caching import (
     CacheConfig,
     adversary_view_distribution,
-    delivery_blocks,
     make_cache_session,
-    placement,
-    private_wrap,
     delivery_bound,
-    user_decode,
 )
 from privseq.coding import ENTROPY, FIXED, PadKey, otp_decrypt, otp_encrypt
 from privseq.frl import cardinality_bound, frl_construct
 from privseq.pipeline import (
-    FixedDraws,
     decode_session,
     encode_session,
-    enumerate_outcomes,
     expected_length,
     leakage_audit,
     session_chain,
@@ -47,6 +42,7 @@ from privseq.pipeline import (
 from privseq.probability import Alphabet, JointDist
 
 from conftest import random_database, random_pair
+from reference import cache_roundtrip, condition, enumerate_outcomes, product_extend
 from test_frl import brute_force_joint
 
 TOL = 1e-9
@@ -129,10 +125,10 @@ def test_c03_cardinality_bounds(suite, designed_2x2):
         sizes = inst.chain.u_sizes()
         for i, s in enumerate(sizes):
             y_size = inst.dist.variables[inst.demands[i]].size
-            if s > cardinality_bound(x_size, sizes[:i], y_size):
+            if s > cardinality_bound(x_size * math.prod(sizes[:i]), y_size):
                 ok = False
     designed = frl_construct(designed_2x2)
-    equality = designed.u_size == cardinality_bound(2, [], 2) == 3
+    equality = designed.u_size == cardinality_bound(2, 2) == 3
     report("cardinality caps at every stage; designed 2x2 meets the cap with equality",
            ok and equality, f"designed instance |U|={designed.u_size}")
 
@@ -168,7 +164,7 @@ def test_c05_masked_family_exact_values():
             if lower_bound(p, demands) != float(k * f):
                 ok = False
             names = [p.variables[d].name for d in demands]
-            if p.condition("X", 0).entropy(names) != 0.0:
+            if condition(p, "X", 0).entropy(names) != 0.0:
                 ok = False
     report("masked family: lower bound equals k*f exactly; zero entropy at x=0", ok,
            "(k,f) over {1,2}^2")
@@ -190,7 +186,7 @@ def test_c07_one_time_pad():
     for mod in (2, 3, 4, 5):
         prior = [F(i + 1, mod * (mod + 1) // 2) for i in range(mod)]
         px = JointDist([Alphabet("X", mod)], {(x,): q for x, q in enumerate(prior)})
-        ext = px.product_extend(Alphabet("W", mod), [F(1, mod)] * mod)
+        ext = product_extend(px, Alphabet("W", mod), [F(1, mod)] * mod)
         table = {(x, w, otp_encrypt(x, PadKey(w, mod))): q for (x, w), q in ext.items()}
         full = JointDist(list(ext.variables) + [Alphabet("P", mod)], table)
         if full.marginalize(["P"]).table != {(s,): F(1, mod) for s in range(mod)}:
@@ -213,28 +209,7 @@ def test_c08_cache_end_to_end():
     session = make_cache_session(cfg, db_dist, demands)
     x_size = db_dist.variables[0].size
 
-    decode_ok = True
-    total = F(0)
-    for cell, prob in db_dist.items():
-        x, database = cell[0], list(cell[1:])
-        caches = placement(cfg, database)
-        stream = delivery_blocks(cfg, database, demands)
-        stack = [((), prob)]
-        for i, stage in enumerate(session.chain.stages):
-            stack = [(prefix + (u,), q * qu)
-                     for prefix, q in stack
-                     for u, qu in stage.conditional_u(x, prefix, stream.blocks[i]).items()]
-        for u_vec, q in stack:
-            for w in range(x_size):
-                key = PadKey(w, x_size)
-                transcript, _log = private_wrap(session, stream.blocks, x, key,
-                                                FixedDraws(u_vec))
-                total += q * F(1, x_size)
-                for cache in caches:
-                    got = user_decode(session, cache.user, transcript, cache, key)
-                    if got != database[demands[cache.user - 1] - 1]:
-                        decode_ok = False
-
+    decode_ok, total = cache_roundtrip(session, db_dist)
     view = adversary_view_distribution(session, x_size)
     leak = leakage_audit(view)
     td = transcript_distribution(session.chain, session.books)

@@ -10,7 +10,6 @@ from privseq.caching import (
     CacheConfig,
     adversary_view_distribution,
     block_joint,
-    cache_bits,
     delivery_blocks,
     make_cache_session,
     placement,
@@ -19,13 +18,11 @@ from privseq.caching import (
     delivery_bound,
     user_decode,
 )
-from privseq.coding import ENTROPY, PadKey
+from privseq.coding import ENTROPY, FIXED, PadKey
 from privseq.errors import LimitError, ValidationError
 from privseq.pipeline import (
-    FixedDraws,
     RandomDraws,
     Transcript,
-    decode_walk,
     expected_length,
     leakage_audit,
     transcript_distribution,
@@ -33,6 +30,7 @@ from privseq.pipeline import (
 from privseq.probability import Alphabet, JointDist
 
 from conftest import random_database
+from reference import cache_bits, cache_roundtrip, law, outcomes, td_law
 
 
 def masked_db(p, n, f):
@@ -221,44 +219,15 @@ class TestBlockJoint:
 
 
 class TestWrapAndDecode:
-    def roundtrip_all_outcomes(self, cfg, db_dist, demands):
-        session = make_cache_session(cfg, db_dist, demands)
-        x_size = db_dist.variables[0].size
-        ok = True
-        total = F(0)
-        for cell, prob in db_dist.items():
-            x, database = cell[0], list(cell[1:])
-            caches = placement(cfg, database)
-            stream = delivery_blocks(cfg, database, demands)
-            stack = [((), prob)]
-            for i, stage in enumerate(session.chain.stages):
-                nxt = []
-                for prefix, q in stack:
-                    cond = stage.conditional_u(x, prefix, stream.blocks[i])
-                    nxt.extend((prefix + (u,), q * qu) for u, qu in cond.items())
-                stack = nxt
-            for u_vec, q in stack:
-                for w in range(x_size):
-                    key = PadKey(w, x_size)
-                    transcript, log = private_wrap(session, stream.blocks, x, key,
-                                                   FixedDraws(u_vec))
-                    total += q * F(1, x_size)
-                    dx, blocks = decode_walk(session.chain, session.books, transcript, key)
-                    ok &= dx == x and blocks == stream.blocks
-                    for cache in caches:
-                        got = user_decode(session, cache.user, transcript, cache, key)
-                        ok &= got == database[demands[cache.user - 1] - 1]
-        return ok, total
-
     def test_n2k2m1f2_masked_database(self):
-        cfg = CacheConfig(2, 2, 1, 2)
-        ok, total = self.roundtrip_all_outcomes(cfg, masked_db("1/2", 2, 2), (1, 2))
-        assert ok and total == 1
+        db_dist = masked_db("1/2", 2, 2)
+        session = make_cache_session(CacheConfig(2, 2, 1, 2), db_dist, (1, 2))
+        assert cache_roundtrip(session, db_dist) == (True, 1)
 
     def test_repeated_demand_roundtrip(self):
-        cfg = CacheConfig(2, 2, 1, 2)
-        ok, total = self.roundtrip_all_outcomes(cfg, masked_db("1/4", 2, 2), (2, 2))
-        assert ok and total == 1
+        db_dist = masked_db("1/4", 2, 2)
+        session = make_cache_session(CacheConfig(2, 2, 1, 2), db_dist, (2, 2))
+        assert cache_roundtrip(session, db_dist) == (True, 1)
 
     def test_single_user_fully_cached(self):
         # K=1 admits only M=N: everything is cached and no block is delivered
@@ -317,6 +286,34 @@ class TestWrapAndDecode:
 
 
 class TestAudits:
+    @pytest.mark.parametrize("shape, p, demands, mode", [
+        ((2, 2, 1, 2), "1/2", (1, 2), FIXED),
+        ((3, 3, 1, 3), "1/3", (3, 1, 2), ENTROPY),
+        ((2, 2, 1, 4), "2/7", (2, 2), ENTROPY),
+    ])
+    def test_wrapped_law_is_the_audited_joint(self, shape, p, demands, mode):
+        cfg = CacheConfig(*shape)
+        db_dist = masked_db(p, cfg.n_files, cfg.file_bits)
+        session = make_cache_session(cfg, db_dist, demands, mode)
+        wrapped = []
+        for (x, *blocks), prob in block_joint(cfg, db_dist, demands).items():
+            wrapped += outcomes(session.chain, x, blocks, prob,
+                                lambda key, draws: private_wrap(session, blocks, x, key, draws)[0])
+        assert law(wrapped) == td_law(transcript_distribution(session.chain, session.books))
+
+    @pytest.mark.parametrize("shape, demands", [((2, 2, 1, 2), (1, 2)), ((3, 3, 1, 3), (3, 1, 2))])
+    def test_view_is_transcript_then_cache_copies(self, shape, demands):
+        cfg = CacheConfig(*shape)
+        session = make_cache_session(cfg, masked_db("1/3", cfg.n_files, cfg.file_bits), demands,
+                                     ENTROPY)
+        td = transcript_distribution(session.chain, session.books)
+        view = adversary_view_distribution(session, 2)
+        assert view.joint == td.joint and len(view.transcripts) == len(td.transcripts)
+        for t, v in zip(td.transcripts, view.transcripts):
+            copies = tuple((f"cache{i}", bits) for i, (_, bits) in enumerate(t.slots[1:], 1))
+            assert v.slots == t.slots + copies
+        assert view.lengths == tuple(v.total_length for v in view.transcripts)
+
     def test_adversary_view_independent(self):
         cfg = CacheConfig(2, 2, 1, 2)
         session = make_cache_session(cfg, masked_db("1/2", 2, 2), (1, 2))
@@ -355,7 +352,7 @@ class TestAudits:
         spy(pipeline, "session_codebooks")
         spy(pipeline, "entropy_codebook")
         spy(coding, "entropy_codebook")
-        td = caching.delivery_distribution(session)
+        td = transcript_distribution(session.chain, session.books)
         view = adversary_view_distribution(session, 2)
         assert calls == []
         assert td.books is session.books

@@ -198,6 +198,11 @@ class TestBoundsSweep:
     def test_bad_range_rejected(self, capsys):
         assert main(["bounds", "sweep", "--k-range", "x", "--f-range", "1"]) == 1
 
+    def test_nonpositive_value_rejected_before_any_row(self, capsys):
+        assert main(["bounds", "sweep", "--k-range", "2", "--f-range", "2,0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: need k >= 1 and f >= 1\n"
+
     def test_caps_bounded_by_default_limit(self, capsys):
         # a cap has about as many bits as all earlier ones together: stage 24
         # of 40 would pass the default limit of 10^7 bits

@@ -14,7 +14,6 @@ from privseq.bounds import Example1Params, example1_build
 from privseq.coding import ENTROPY, FIXED, Codebook, PadKey
 from privseq.errors import InvariantError, LimitError, ValidationError
 from privseq.pipeline import (
-    FixedDraws,
     RandomDraws,
     Transcript,
     TranscriptDistribution,
@@ -22,10 +21,8 @@ from privseq.pipeline import (
     audit_demands,
     decode_session,
     encode_session,
-    enumerate_outcomes,
     expected_length,
     leakage_audit,
-    plaintext_baseline,
     session_chain,
     session_codebooks,
     transcript_distribution,
@@ -34,6 +31,15 @@ from privseq.pipeline import (
 from privseq.probability import Alphabet, JointDist
 
 from conftest import random_database
+from reference import (
+    FixedDraws,
+    enumerate_outcomes,
+    law,
+    mutual_information,
+    outcomes,
+    plaintext_baseline,
+    td_law,
+)
 
 
 def masked_bits(p, n, k, f):
@@ -289,7 +295,7 @@ class TestLazyTranscripts:
     def test_cache_delivery(self):
         cfg = caching.CacheConfig(3, 3, 1, 3)
         session = caching.make_cache_session(cfg, masked_bits("1/3", 3, 3, 3), (3, 1, 2), ENTROPY)
-        self.check(caching.delivery_distribution(session), session.books)
+        self.check(transcript_distribution(session.chain, session.books), session.books)
 
     def test_u_without_codeword_rejected(self):
         p = random_database(random.Random(4), 2, 1, 1)
@@ -297,7 +303,7 @@ class TestLazyTranscripts:
         assert chain.u_sizes()[0] > 1
         pad, _ = session_codebooks(chain, FIXED)
         with pytest.raises(ValidationError, match="has no codeword"):
-            transcript_distribution(chain, (pad, [Codebook({0: ""}, ENTROPY)]))
+            transcript_distribution(chain, (pad, [Codebook({0: ""})]))
 
 
 @st.composite
@@ -320,7 +326,7 @@ def cxw_joints(draw):
 def assert_audit_matches_reference(td):
     leak = leakage_audit(td)
     assert leak.exact_zero == td.joint.is_independent(["C"], ["X"])
-    assert leak.bits.hex() == td.joint.mutual_information(["C"], ["X"]).hex()
+    assert leak.bits.hex() == mutual_information(td.joint, ["C"], ["X"]).hex()
     return leak
 
 
@@ -374,6 +380,45 @@ class TestLeakage:
         chain = session_chain(p, (1,))
         td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         assert leakage_audit(td).exact_zero
+
+
+class TestEncoderLaw:
+    """The audited joint is the law of what the real encoder sends."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.booleans(),
+           st.sampled_from([FIXED, ENTROPY]), st.data())
+    def test_enumerated_law_is_the_audited_joint(self, seed, x_size, sparse, mode, data):
+        p = random_database(random.Random(seed), x_size, 3, 1, sparse)
+        demands = data.draw(st.permutations((1, 2, 3)))[:data.draw(st.integers(1, 3))]
+        chain = session_chain(p, demands)
+        td = transcript_distribution(chain, mode)
+        assert law(enumerate_outcomes(p, demands, chain, mode)) == td_law(td)
+
+    def test_shifted_pad_fails_the_comparison(self):
+        # negative control: the pad uses key w+1 whenever x = 0
+        p = random_database(random.Random(5), 2, 3, 1)
+        demands = (2, 1)
+        chain = session_chain(p, demands)
+        books = session_codebooks(chain, FIXED)
+        want = td_law(transcript_distribution(chain, books))
+        assert law(enumerate_outcomes(p, demands, chain)) == want
+        shifted = []
+        for cell, prob in p.items():
+            def encode(key, draws):
+                key = PadKey((key.value + (cell[0] == 0)) % 2, 2)
+                return encode_session(p, cell, demands, key, chain, draws, FIXED, books)
+            shifted += outcomes(chain, cell[0], [cell[d] for d in demands], prob, encode)
+        got = law(shifted)
+        assert got != want
+
+        # the shift keeps the pad uniform given x, so only the key shows it
+        def without_key(table):
+            out = {}
+            for (t, x, _), q in table.items():
+                out[(t, x)] = out.get((t, x), 0) + q
+            return out
+        assert without_key(got) == without_key(want)
 
 
 class TestExpectedLength:
