@@ -85,11 +85,9 @@ class BoundReport:
     lower: float
     upper_cardinality: int
     upper_entropy_estimate: int  # surrogate-based; >= nothing is claimed vs true optimum
-    measured: float | None = None
+    measured: float
 
     def sandwich_ok(self, tol: float = 1e-9) -> bool:
-        if self.measured is None:
-            return self.lower <= self.upper_cardinality + tol
         return (self.lower <= self.measured + tol
                 and self.measured <= self.upper_cardinality + tol)
 

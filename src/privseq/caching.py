@@ -264,9 +264,10 @@ def private_wrap(session: CacheSession, stream: Iterable[int], x: int, key: PadK
     """Pad the private symbol, then wrap blocks one at a time.
 
     `stream` is consumed lazily: the slot for block i is emitted before block
-    i+1 is read, matching a one-block encoder buffer. The public cache logs
-    every auxiliary slot, which is what lets later stages condition on the
-    earlier auxiliaries.
+    i+1 is read, matching a one-block encoder buffer. A stream that ends
+    early, or has a block past the last, is a ValidationError. The public
+    cache logs every auxiliary slot, which is what lets later stages
+    condition on the earlier auxiliaries.
     """
     bits = session.cfg.block_bits
 

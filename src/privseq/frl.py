@@ -12,12 +12,13 @@ variable and run the pair construction again. Each extension multiplies the
 chain joint by the new stage's conditionals P(U_{k+1} | X, U_1..U_k, Y_next);
 every row of those must sum to exactly 1, so every earlier marginal, and with
 it every earlier stage's guarantee, is left unchanged and needs no re-check.
-The new stage alone is then checked once, on the chain joint: U_{k+1}
-independent of (X, U_1..U_k) and U_1..U_{k+1} of X, Y_next a function of
-(X, U_1..U_{k+1}), and |U_{k+1}| within its cap, from one walk of the joint
-into its (given state, U_{k+1}) marginal that notes each cell's Y_next.
-`build_chain` grows every chain, reading each stage's (compound state,
-target) pairs, and the parent cells behind each, from one walk of its joint.
+The new stage alone is then checked once: U_{k+1} independent of
+(X, U_1..U_k) and U_1..U_{k+1} of X, Y_next a function of (X, U_1..U_{k+1}),
+and |U_{k+1}| within its cap, all read off the stage's (given state, U_{k+1})
+marginal and the Y_next each of its cells meets. `build_chain` grows every
+chain, reading each stage's (compound state, target) pairs, and the parent
+cells behind each, from one walk of its joint, and gathers that marginal as
+it writes the stage's product table.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
-from .probability import Alphabet, JointDist, _entropy_bits, _product_test, _projector
+from .probability import Alphabet, Cell, JointDist, _entropy_bits, _product_test, _projector
 
 # Per-x permutation of the positive-support y symbols, fixing how segments
 # are laid on [0,1); the default is ascending y. Guarantees hold for any
@@ -174,18 +174,18 @@ def _segment_layout(num: Mapping[tuple[int, int], int], px: Mapping[int, int],
     return ends, cutset
 
 
-def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None,
-                  u_name: str = "U", limit: int = DEFAULT_STATE_LIMIT) -> FrlMechanism:
-    """Build the interval mechanism for a pair distribution (X, Y).
+def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None) -> FrlMechanism:
+    """Build the interval mechanism U for a pair distribution (X, Y).
 
     Zero-mass x symbols are dropped (recorded in `dropped_x`); zero-mass
     (x, y) pairs produce no segment. All invariants are verified exactly
-    before returning. LimitError is raised before the joint of (U, X, Y) is
-    built if it would hold more than `limit` cells, or X more than `limit` symbols.
+    on the joint of (U, X, Y) before returning. LimitError is raised before
+    that joint is built if it would hold more than DEFAULT_STATE_LIMIT
+    cells, or X more than that many symbols.
     """
-    mech = _interval_mechanism(pxy, policy, u_name, limit)
+    mech = _interval_mechanism(pxy, policy, "U", DEFAULT_STATE_LIMIT)
     x_name, y_name = pxy.names
-    _verify_stage(mech.joint, [x_name], u_name, y_name)
+    _verify_stage(mech.joint, [x_name], "U", y_name)
     if mech.joint.marginalize([x_name, y_name]) != pxy:
         raise InvariantError("mechanism joint does not reproduce the input pair")
     return mech
@@ -243,34 +243,49 @@ def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: s
 
 
 def _verify_stage(joint: JointDist, given: Sequence[str], u_name: str, target: str) -> None:
-    """On the joint a stage lives in, given (X, U_1..U_{k-1}): U_k is independent of
-    the given states and U_1..U_k of X, `target` is a function of (given, U_k), and
-    |U_k| <= (positive given states) * (|target| - 1) + 1, all exactly."""
+    """The stage checks of `_check_stage` on the joint a stage lives in, from one
+    walk of it into its (given state, U_k) marginal and the target each cell meets."""
     *given_axes, u_axis, y_axis = joint._axes([*given, u_name, target])
-    state_of = itemgetter(*given_axes)  # one given variable: its symbol, else a tuple
+    state_of = _projector(given_axes)
     num, den = joint._ints()
-    # one walk: the (given state, U_k) marginal, and the target symbol of each of its cells
-    head: dict[tuple, int] = {}
-    image: dict[tuple, int] = {}
+    head: dict[tuple[Cell, int], int] = {}
+    image: dict[tuple[Cell, int], int] = {}
+    forked = False
     for cell, n in num.items():
         key = (state_of(cell), cell[u_axis])
         if key in head:
             head[key] += n
             if image[key] != cell[y_axis]:
-                raise InvariantError(f"{target} not a function of ({', '.join([*given, u_name])})")
+                forked = True
         else:
             head[key] = n
             image[key] = cell[y_axis]
+    _check_stage(head, den, forked, given, joint.variables[u_axis], joint.variables[y_axis])
+
+
+def _check_stage(head: Mapping[tuple[Cell, int], int], den: int, forked: bool,
+                 given: Sequence[str], u_alpha: Alphabet, y_alpha: Alphabet) -> None:
+    """The checks of stage U_k given (X, U_1..U_{k-1}), exactly and in this order:
+    the target is a function of (given, U_k), that is, not `forked` (no
+    (given state, U_k) cell met two target symbols); U_k is independent of the
+    given states; U_1..U_k is independent of X; and
+    |U_k| <= (positive given states) * (|target| - 1) + 1.
+
+    `head` is the (given state, U_k) marginal over `den`, keyed by (given state
+    as a tuple in `given` order, u); scaling both by one factor changes no verdict.
+    """
+    u_name, target = u_alpha.name, y_alpha.name
+    if forked:
+        raise InvariantError(f"{target} not a function of ({', '.join([*given, u_name])})")
     independent, states, _ = _product_test(head, den)
     if not independent:
         raise InvariantError(f"{u_name} not exactly independent of ({', '.join(given)})")
     if len(given) > 1 and not _product_test(
             {(state[0], (*state[1:], u)): n for (state, u), n in head.items()}, den)[0]:
         raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
-    u_size = joint.variables[u_axis].size
-    cap = cardinality_bound(len(states), joint.variables[y_axis].size)
-    if u_size > cap:
-        raise InvariantError(f"|{u_name}|={u_size} exceeds the cardinality bound {cap}")
+    cap = cardinality_bound(len(states), y_alpha.size)
+    if u_alpha.size > cap:
+        raise InvariantError(f"|{u_name}|={u_alpha.size} exceeds the cardinality bound {cap}")
 
 
 def cardinality_bound(x_size: int, y_size: int) -> int:
@@ -446,12 +461,29 @@ def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT
     if cells > limit:
         raise LimitError(f"chain stage {k + 1} ({target}): the product needs {cells} cells, "
                          f"over the limit {limit}")
-    table: dict[tuple[int, ...], int] = {}
+    # the product table, and as each cell is written, the stage checks' input:
+    # the (given state, U_k) marginal of the written masses and the target each meets
+    table: dict[Cell, int] = {}
+    head: dict[tuple[Cell, int], int] = {}
+    image: dict[tuple[Cell, int], int] = {}
+    forked = False
     for cell, n in num.items():
-        for u, m in scaled[project(cell)]:
-            table[cell + (u,)] = n * m
+        key = project(cell)
+        state, y = key[:-1], key[-1]
+        for u, m in scaled[key]:
+            mass_u = n * m
+            table[cell + (u,)] = mass_u
+            head_key = (state, u)
+            if head_key in head:
+                head[head_key] += mass_u
+                if image[head_key] != y:
+                    forked = True
+            else:
+                head[head_key] = mass_u
+                image[head_key] = y
+    _check_stage(head, chain_den * stage_den, forked, [chain.private, *u_names],
+                 mech.u_alphabet, pair.variables[1])
     joint = JointDist._exact(chain.joint.variables + (mech.u_alphabet,), table, chain_den * stage_den)
-    _verify_stage(joint, [chain.private, *u_names], u_name, target)
 
     stage = ChainStage(target=target, mechanism=mech, compound=states)
     return MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))

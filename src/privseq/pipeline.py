@@ -155,12 +155,14 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
 
     `symbols` yields the stage-i target value and is read lazily: symbol i+1
     is not requested before slot i is drawn. Stage i samples u_i from its
-    exact conditional given (x, u_1..u_{i-1}, symbol i).
+    exact conditional given (x, u_1..u_{i-1}, symbol i). After the last slot
+    one more symbol is requested; a stream that has one is too long.
     """
     x_size = chain.private_size
     if key.modulus != x_size:
         raise ValidationError(f"pad key modulus {key.modulus} != |X| = {x_size}")
     xt = otp_encrypt(x, key)
+    symbols = iter(symbols)
     prefix: tuple[int, ...] = ()
     for i, (stage, y) in enumerate(zip(chain.stages, symbols)):
         cond = stage.conditional_u(x, prefix, y)
@@ -170,6 +172,8 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
         prefix += (u,)
     if len(prefix) != len(chain.stages):
         raise ValidationError(f"symbol stream ended early at stage {len(prefix) + 1}")
+    for _ in symbols:
+        raise ValidationError(f"symbol stream has a symbol past stage {len(prefix)}, the last")
     return _write_slots(books, xt, prefix)
 
 
@@ -236,14 +240,20 @@ class TranscriptDistribution:
     `lengths[c]` is the bit length of transcript c. `transcript_distribution`
     works the lengths out from the books' code-length tables and keeps each
     transcript as its `parts`; `transcripts` writes them with `books` on
-    first access. `of_transcripts` wraps transcripts given explicitly.
+    first access. It also keeps the (C, X) marginal `cx` and, per key value,
+    the sums `expected_length` divides; the (C, X, W) `joint` is derived
+    from `cx` on first read, since the key is a function of the transcript's
+    padded symbol and x. A distribution built from an explicit joint, as
+    `of_transcripts` builds one, has neither.
     """
 
-    joint: JointDist  # variables C, X, W
+    _joint: JointDist | None  # variables C, X, W; None until derived from `cx`
     lengths: tuple[int, ...]
     parts: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # (padded x, u vector)
     books: Books | None = field(default=None, repr=False)
     _transcripts: tuple[Transcript, ...] | None = field(default=None, repr=False, compare=False)
+    cx: JointDist | None = field(default=None, repr=False)  # variables C, X
+    w_sums: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)  # per w: (mass * length, mass)
 
     @classmethod
     def of_transcripts(cls, joint: JointDist, transcripts: Iterable[Transcript],
@@ -252,6 +262,19 @@ class TranscriptDistribution:
         transcripts = tuple(transcripts)
         return cls(joint, tuple(t.total_length for t in transcripts), parts,
                    _transcripts=transcripts)
+
+    @property
+    def joint(self) -> JointDist:
+        """Cell (c, x) of `cx` gains w = padded x - x mod |X|, which keeps the
+        cells sorted; derived once, then kept."""
+        if self._joint is None:
+            num, den = self.cx._ints()
+            key_size = self.cx.variables[1].size
+            parts = self.parts
+            table = {(c, x, (parts[c][0] - x) % key_size): n for (c, x), n in num.items()}
+            object.__setattr__(self, "_joint", JointDist._exact(
+                (*self.cx.variables, Alphabet("W", key_size)), table, den))
+        return self._joint
 
     @property
     def transcripts(self) -> tuple[Transcript, ...]:
@@ -268,7 +291,7 @@ class TranscriptDistribution:
 
 def transcript_distribution(chain: MechanismChain, books: Books | str,
                             limit: int = DEFAULT_STATE_LIMIT) -> TranscriptDistribution:
-    """Enumerate the exact joint (C, X, W) with rational weights.
+    """Enumerate the exact joint (C, X), and through it (C, X, W), with rational weights.
 
     `books` are the chain's codebooks from session_codebooks, or a coding
     mode whose books are built once the |chain joint| * |X| states are
@@ -277,8 +300,9 @@ def transcript_distribution(chain: MechanismChain, books: Books | str,
     (x, demanded files, auxiliaries) fans out over the uniform key. A
     transcript's index is the order its (padded x, u vector) is first met
     over the chain joint's sorted cells; its length is summed from the books'
-    code-length tables. A chain with no stages (a fully cached delivery)
-    gives the pad slot alone.
+    code-length tables. The same walk gathers, per key value, the mass and
+    the mass times length that `expected_length` divides. A chain with no
+    stages (a fully cached delivery) gives the pad slot alone.
     """
     x_size = key_size = chain.private_size
     states = len(chain.joint) * key_size
@@ -292,37 +316,44 @@ def transcript_distribution(chain: MechanismChain, books: Books | str,
     x_axis = chain.joint.names.index(chain.private)
     u_start = len(chain.joint.variables) - k  # the stages' U variables come last
 
-    by_key: dict[tuple[int, tuple[int, ...]], int] = {}
-    u_bits: dict[tuple[int, ...], int] = {}
+    # u vector -> (its bits, the index of (padded x, u vector) by padded x; None until met)
+    by_u: dict[tuple[int, ...], tuple[int, list[int | None]]] = {}
     pads: dict[int, list[tuple[int, int]]] = {}  # occurring x -> (x + w mod |X|, its bits) by w
+    x_mass: dict[int, int] = {}
+    u_bits_mass = 0  # the chain cells' masses times their auxiliary bits
     lengths: list[int] = []
     parts: list[tuple[int, tuple[int, ...]]] = []
-    table: dict[tuple[int, int, int], int] = {}
+    table: dict[tuple[int, int], int] = {}
     num, den = chain.joint._ints()
     for cell, n in num.items():
         x = cell[x_axis]
         u_vec = cell[u_start:]
-        bits = u_bits.get(u_vec)
-        if bits is None:
-            bits = u_bits[u_vec] = sum(book.length(u) for book, u in zip(stage_books, u_vec))
+        entry = by_u.get(u_vec)
+        if entry is None:
+            entry = by_u[u_vec] = (sum(book.length(u) for book, u in zip(stage_books, u_vec)),
+                                   [None] * x_size)
+        bits, index_by_xt = entry
         x_pads = pads.get(x)
         if x_pads is None:
             x_pads = pads[x] = [(xt, pad_book.length(xt)) for xt in (*range(x, x_size), *range(x))]
-        for w, (xt, pad_bits) in enumerate(x_pads):
-            part = (xt, u_vec)
-            idx = by_key.get(part)
+        x_mass[x] = x_mass.get(x, 0) + n
+        u_bits_mass += n * bits
+        for xt, pad_bits in x_pads:
+            idx = index_by_xt[xt]
             if idx is None:
-                idx = by_key[part] = len(parts)
+                idx = index_by_xt[xt] = len(parts)
                 lengths.append(pad_bits + bits)
-                parts.append(part)
-            key = (idx, x, w)
+                parts.append((xt, u_vec))
+            key = (idx, x)
             table[key] = table.get(key, 0) + n
 
-    c_alpha = Alphabet("C", len(parts))
+    # each cell's weight n meets every key value once, so each w has mass den
+    w_sums = tuple((u_bits_mass + sum(m * pads[x][w][1] for x, m in x_mass.items()), den)
+                   for w in range(key_size))
     # each cell's weight is spread evenly over the key_size key values
-    joint = JointDist._exact((c_alpha, Alphabet("X", x_size), Alphabet("W", key_size)),
-                             table, den * key_size, ordered=False)
-    return TranscriptDistribution(joint, tuple(lengths), tuple(parts), books)
+    cx = JointDist._exact((Alphabet("C", len(parts)), Alphabet("X", x_size)),
+                          table, den * key_size, ordered=False)
+    return TranscriptDistribution(None, tuple(lengths), tuple(parts), books, cx=cx, w_sums=w_sums)
 
 
 @dataclass(frozen=True)
@@ -336,9 +367,11 @@ def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
 
     One (C, X) marginal serves both: the verdict is `is_independent`'s
     product test, and I = H(C) + H(X) - H(C, X), clamped at 0, with each
-    entropy summed over sorted cells as `JointDist.entropy` sums it.
+    entropy summed over sorted cells as `JointDist.entropy` sums it. The
+    marginal is the enumeration's `td.cx`, or is summed from an explicit `td.joint`.
     """
-    cx, den = td.joint.marginalize(["C", "X"])._ints()  # cells are (c, x) pairs
+    marginal = td.cx if td.cx is not None else td.joint.marginalize(["C", "X"])
+    cx, den = marginal._ints()  # cells are (c, x) pairs
     exact, pc, px = _product_test(cx, den)
     # cx is sorted, so pc meets its symbols in sorted order and px may not
     bits = (_entropy_bits(pc.values(), den) + _entropy_bits((px[x] for x in sorted(px)), den)
@@ -353,15 +386,20 @@ class ExpectedLength:
 
 
 def expected_length(td: TranscriptDistribution) -> ExpectedLength:
-    """E[len(C) | W=w] for each key value; exact ratios, reported as floats."""
-    totals = [0] * td.key_size
-    mass = [0] * td.key_size
-    num, _ = td.joint._ints()
-    for (c, _x, w), n in num.items():
-        totals[w] += n * td.lengths[c]
-        mass[w] += n
+    """E[len(C) | W=w] for each key value; exact ratios, reported as floats.
+
+    The enumeration's per-key sums are read as they are; an explicit joint is walked.
+    """
+    sums = td.w_sums
+    if sums is None:
+        totals = [0] * td.key_size
+        mass = [0] * td.key_size
+        for (c, _x, w), n in td.joint._ints()[0].items():
+            totals[w] += n * td.lengths[c]
+            mass[w] += n
+        sums = zip(totals, mass)
     # int / int is correctly rounded, as float() of the reduced Fraction is
-    per_w = tuple(t / m if m else 0.0 for t, m in zip(totals, mass))
+    per_w = tuple(t / m if m else 0.0 for t, m in sums)
     return ExpectedLength(per_w=per_w, max_over_w=max(per_w))
 
 

@@ -235,7 +235,3 @@ class TestBoundReport:
         assert rep.sandwich_ok()
         bad = BoundReport(lower=4.0, upper_cardinality=6, upper_entropy_estimate=3, measured=3.0)
         assert not bad.sandwich_ok()
-
-    def test_without_measurement(self):
-        rep = BoundReport(lower=2.0, upper_cardinality=6, upper_entropy_estimate=3)
-        assert rep.sandwich_ok()

@@ -284,6 +284,19 @@ class TestWrapAndDecode:
         with pytest.raises(ValidationError, match="ended early"):
             private_wrap(session, iter(()), 0, PadKey(0, 2), RandomDraws(4))
 
+    def test_stream_one_block_too_long(self):
+        # a block past the last stage is read and rejected, not silently dropped
+        cfg = CacheConfig(2, 2, 1, 2)
+        session = make_cache_session(cfg, masked_db("1/2", 2, 2), (1, 2))
+        blocks = delivery_blocks(cfg, [1, 2], (1, 2)).blocks
+        transcript, _ = private_wrap(session, blocks, 0, PadKey(0, 2), RandomDraws(4))
+        assert len(transcript.slots) == cfg.block_count + 1
+        with pytest.raises(ValidationError, match=f"a symbol past stage {cfg.block_count}, the last"):
+            private_wrap(session, blocks + (0,), 0, PadKey(0, 2), RandomDraws(4))
+        # the extra block is read, so its range check runs too
+        with pytest.raises(ValidationError, match="block value 3 outside"):
+            private_wrap(session, blocks + (3, 0), 0, PadKey(0, 2), RandomDraws(4))
+
 
 class TestAudits:
     @pytest.mark.parametrize("shape, p, demands, mode", [

@@ -263,7 +263,7 @@ class TestMinEntropySearch:
 class TestChain:
     def test_extend_from_empty_equals_construct(self, designed_2x2):
         chain = build_chain(designed_2x2, "X", ["Y"])
-        direct = frl_construct(designed_2x2, u_name="U1")
+        direct = frl_construct(designed_2x2)
         stage = chain.stages[0]
         assert stage.mechanism.atoms == direct.atoms
         assert stage.mechanism.p_u == direct.p_u
@@ -330,14 +330,14 @@ class TestStageChecks:
     """build_chain verifies each new stage once; a faulty stage-2 row must not pass."""
 
     @staticmethod
-    def build_with_faulty_row(monkeypatch, corrupt):
-        # corrupt the first stage-2 integer row with two or more atoms
+    def build_with_faulty_row(monkeypatch, corrupt, stage="U2"):
+        # corrupt the first integer row of `stage` with two or more atoms
         original = FrlMechanism.row
         chosen = []
 
         def patched(mech, x, y):
             span, widths, length = original(mech, x, y)
-            if mech.u_alphabet.name != "U2" or len(widths) < 2:
+            if mech.u_alphabet.name != stage or len(widths) < 2:
                 return span, widths, length
             if not chosen:
                 chosen.append((x, y))
@@ -350,7 +350,7 @@ class TestStageChecks:
         try:
             return build_chain(p, "X", ["Y1", "Y2"])
         finally:
-            assert chosen, "stage 2 has no row with two atoms to corrupt"
+            assert chosen, f"stage {stage} has no row with two atoms to corrupt"
 
     def test_row_summing_below_one(self, monkeypatch):
         # the first atom keeps half its width: doubled everywhere else
@@ -360,18 +360,19 @@ class TestStageChecks:
         with pytest.raises(InvariantError, match="sum to 1"):
             self.build_with_faulty_row(monkeypatch, short)
 
-    def test_mass_moved_inside_a_segment(self, monkeypatch):
+    @staticmethod
+    def shifted(widths, length):
         # the row still sums to 1 and every atom still decodes to the same y,
-        # but U_1..U_2 is no longer independent of X: half of the second
-        # atom's width moves to the first
-        def shifted(widths, length):
-            moved = [2 * w for w in widths]
-            moved[0] += widths[1]
-            moved[1] -= widths[1]
-            return moved, 2 * length
+        # but half of the second atom's width moves to the first
+        moved = [2 * w for w in widths]
+        moved[0] += widths[1]
+        moved[1] -= widths[1]
+        return moved, 2 * length
 
+    def test_mass_moved_inside_a_segment(self, monkeypatch):
+        # U2 is no longer independent of (X, U1)
         with pytest.raises(InvariantError, match="independent"):
-            self.build_with_faulty_row(monkeypatch, shifted)
+            self.build_with_faulty_row(monkeypatch, self.shifted)
 
     def test_atom_decoding_to_another_symbol(self, monkeypatch):
         # the chain joint is built from the rows, decoding reads `g`: a stage
@@ -583,6 +584,82 @@ class TestStageVerifier:
             frl_construct(designed_2x2)
 
 
+class TestBuiltStagesMatchTheReference:
+    """build_chain gathers each stage's check input as it writes the stage's
+    product table, and frl_construct from a walk of its (U, X, Y) joint.
+    Every check either runs must reach the verdict that the marginal
+    reference reaches on the joint it built. A failing check
+    is recorded here, not raised, so the chain is built whole and the later
+    stages are checked on top of a faulty one. A target that forks cannot
+    reach these checks, since the row check rejects a row whose atom decodes
+    elsewhere first; the joint walk's fork verdicts are compared above."""
+
+    @staticmethod
+    def recording(seen):
+        original = frl_mod._check_stage
+
+        def record(*args):
+            try:
+                original(*args)
+            except InvariantError as exc:
+                seen.append(str(exc))
+            else:
+                seen.append(None)
+        return record
+
+    @staticmethod
+    def reference(chain):
+        u_names = chain.u_names
+        return [stage_outcome(reference_verify_stage, chain.joint,
+                              [chain.private, *u_names[:i]], u_names[i], target)
+                for i, target in enumerate(chain.targets)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    def test_sound_chains(self, seed, x_size, n_files, sparse):
+        p = random_database(random.Random(seed), x_size, n_files, 1, sparse)
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frl_mod, "_check_stage", self.recording(seen))
+            chain = build_chain(p, "X", [f"Y{i}" for i in range(n_files, 0, -1)])
+        assert seen == self.reference(chain) == [None] * n_files
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4), st.booleans())
+    def test_pair_mechanisms(self, seed, x_size, y_size, sparse):
+        pxy = random_pair(random.Random(seed), x_size, y_size, sparse)
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frl_mod, "_check_stage", self.recording(seen))
+            mech = frl_construct(pxy)
+        assert seen == [stage_outcome(reference_verify_stage, mech.joint, ["X"], "U", "Y")] == [None]
+
+    @pytest.mark.parametrize("stage", ["U1", "U2"])
+    def test_mass_moved_inside_a_segment(self, monkeypatch, stage):
+        seen = []
+        monkeypatch.setattr(frl_mod, "_check_stage", self.recording(seen))
+        chain = TestStageChecks.build_with_faulty_row(monkeypatch, TestStageChecks.shifted, stage)
+        assert seen == self.reference(chain)
+        assert seen[int(stage[1:]) - 1] is not None
+
+    @pytest.mark.parametrize("stage", ["U1", "U2"])
+    def test_u_alphabet_over_its_cap(self, monkeypatch, stage):
+        original = frl_mod._interval_mechanism
+
+        def inflated(pxy, policy, u_name, limit):
+            mech = original(pxy, policy, u_name, limit)
+            if u_name != stage:
+                return mech
+            return dataclasses.replace(mech, u_alphabet=Alphabet(u_name, mech.u_size + 1000))
+
+        seen = []
+        monkeypatch.setattr(frl_mod, "_interval_mechanism", inflated)
+        monkeypatch.setattr(frl_mod, "_check_stage", self.recording(seen))
+        chain = build_chain(random_database(random.Random(5), 3, 2, 1), "X", ["Y1", "Y2"])
+        assert seen == self.reference(chain)
+        assert "exceeds the cardinality bound" in seen[int(stage[1:]) - 1]
+
+
 class TestStageLimit:
     """A stage whose joint would pass `limit` cells fails before it is built."""
 
@@ -609,8 +686,7 @@ class TestStageLimit:
         assert built and max(built) <= limit
 
     def test_mechanism_limit_checked_before_segments(self, monkeypatch):
-        import privseq.frl as frl_mod
-
+        # the interval builder a chain stage calls with its limit
         d = random_pair(random.Random(3), 3, 3)
         cells = len(frl_construct(d).joint)
         made = []
@@ -629,9 +705,9 @@ class TestStageLimit:
         monkeypatch.setattr(frl_mod, "bisect", types.SimpleNamespace(bisect_left=bisect_left))
         monkeypatch.setattr(JointDist, "_exact", classmethod(recording))
         with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
-            frl_construct(d, limit=cells - 1)
+            frl_mod._interval_mechanism(d, None, "U", cells - 1)
         assert made == []
-        assert len(frl_construct(d, limit=cells).joint) == cells
+        assert len(frl_mod._interval_mechanism(d, None, "U", cells).joint) == cells
         assert {"span search", "table"} <= set(made)
 
     def test_limit_at_stage_size_passes(self):
@@ -660,5 +736,5 @@ class TestStageLimit:
         # dropped x symbols walks all 101
         pair = JointDist([Alphabet("X", 101), Alphabet("Y", 2)], {(0, 0): F(1)})
         with pytest.raises(LimitError, match="X has 101 symbols, over the limit 100"):
-            frl_construct(pair, limit=100)
-        assert frl_construct(pair, limit=101).dropped_x == tuple(range(1, 101))
+            frl_mod._interval_mechanism(pair, None, "U", 100)
+        assert frl_mod._interval_mechanism(pair, None, "U", 101).dropped_x == tuple(range(1, 101))

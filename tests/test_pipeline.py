@@ -306,6 +306,33 @@ class TestLazyTranscripts:
             transcript_distribution(chain, (pad, [Codebook({0: ""})]))
 
 
+class TestKeptMarginal:
+    """`transcript_distribution` keeps the (C, X) marginal and the per-key length
+    sums, and derives (C, X, W) from them; a distribution over the same joint
+    given explicitly sums both from (C, X, W). The two must agree to the bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+           st.sampled_from([FIXED, ENTROPY]))
+    def test_kept_and_summed_agree(self, seed, x_size, n_files, sparse, mode):
+        rng = random.Random(seed)
+        p = random_database(rng, x_size, n_files, 1, sparse)
+        demands = rng.sample(range(1, n_files + 1), rng.randint(1, n_files))
+        td = transcript_distribution(session_chain(p, demands), mode)
+        leak, el = leakage_audit(td), expected_length(td)
+        assert td._joint is None  # neither call derives (C, X, W)
+        explicit = TranscriptDistribution(td.joint, td.lengths)
+        leak_ref, el_ref = leakage_audit(explicit), expected_length(explicit)
+        assert leak.exact_zero == leak_ref.exact_zero
+        assert leak.bits.hex() == leak_ref.bits.hex()
+        assert [v.hex() for v in el.per_w] == [v.hex() for v in el_ref.per_w]
+        assert el.max_over_w.hex() == el_ref.max_over_w.hex()
+        # the derived joint is a valid one: sums to 1, reduced, in sorted cell order
+        rebuilt = JointDist(td.joint.variables, td.joint.table)
+        assert td.joint == rebuilt
+        assert list(td.joint._ints()[0]) == list(rebuilt._ints()[0])
+
+
 @st.composite
 def cxw_joints(draw):
     """(C, X, W) joints: some products of marginals, some arbitrary tables."""
