@@ -108,15 +108,15 @@ def cmd_frl_build(args) -> int:
     print(f"H(U) = {mech.entropy():.6f} bits" + (
         f" (ordering-optimized, search min {searched_h:.6f})" if searched_h is not None else ""))
     print("map (u, x) -> y:")
-    for x in dist.variables[0].symbols():
-        if x not in mech.dropped_x:
-            row = " ".join(f"u{u}->{mech.g[(u, x)]}" for u in range(mech.u_size))
-            print(f"  x={x}: {row}")
+    positive = [x for x in dist.variables[0].symbols() if x not in mech.dropped_x]
+    for x in positive:
+        row = " ".join(f"u{u}->{mech.apply(u, x)}" for u in range(mech.u_size))
+        print(f"  x={x}: {row}")
     payload = {
         "atoms": [[str(a), str(b)] for a, b in mech.atoms],
         "p_u": [str(q) for q in mech.p_u],
         "entropy_bits": mech.entropy(),
-        "map": {f"{u},{x}": y for (u, x), y in sorted(mech.g.items())},
+        "map": {f"{u},{x}": mech.apply(u, x) for u in range(mech.u_size) for x in positive},
         "dropped_x": list(mech.dropped_x),
     }
     _write_output(args, payload)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -120,27 +119,24 @@ def fixed_length_codebook(size: int) -> Codebook:
     return Codebook({s: format(s, f"0{width}b") if width else "" for s in range(size)})
 
 
-def entropy_codebook(dist: Mapping[int, Fraction] | Sequence[Fraction | int]) -> Codebook:
-    """Canonical Huffman code over the positive support of `dist`.
+def entropy_codebook(weights: Sequence[int]) -> Codebook:
+    """Canonical Huffman code over the symbols s with `weights[s]` > 0.
 
-    Ties break by ascending symbol index, then codeword lengths are laid out
-    canonically, so identical inputs always yield identical books. Expected
-    length is within [H, H+1) of the design distribution. Integer weights
-    proportional to the probabilities yield the same book.
+    The weights are nonnegative integers proportional to the design
+    probabilities; a zero weight is an absent symbol. Ties break by ascending
+    symbol index, then codeword lengths are laid out canonically, so identical
+    inputs always yield identical books, and so do proportional ones. Expected
+    length is within [H, H+1) of the design distribution.
     """
-    if not isinstance(dist, Mapping):
-        dist = dict(enumerate(dist))
-    support = sorted(s for s, p in dist.items() if p > 0)
+    support = [s for s, w in enumerate(weights) if w > 0]
     if not support:
         raise ValidationError("distribution has empty support")
-    if any(dist[s] < 0 for s in dist):
+    if any(w < 0 for w in weights):
         raise ValidationError("negative probability")
     if len(support) == 1:
         return Codebook({support[0]: ""})
 
-    heap: list[tuple[Fraction | int, int, list[int]]] = []
-    for tie, s in enumerate(support):
-        heap.append((dist[s], tie, [s]))
+    heap = [(weights[s], tie, [s]) for tie, s in enumerate(support)]
     heapq.heapify(heap)
     tie = len(support)
     depth = {s: 0 for s in support}

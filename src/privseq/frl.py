@@ -4,7 +4,8 @@ Given a pair (X, Y), lay the conditional P(Y|X=x) of every x out as a
 partition of [0,1) into rational-length segments, take the common refinement
 of all the partitions, and let U be the refinement atom that a uniform point
 lands in. By construction U is exactly independent of X, Y is a deterministic
-function of (U, X), and the number of atoms is at most |X|(|Y|-1)+1.
+function of (U, X), and the number of atoms is at most |X|(|Y|-1)+1. Each
+(x, y) segment's run of atoms is both P(U | x, y) and the map (u, x) -> y.
 
 The same construction extends sequentially: to attach a target Y_next to an
 existing collection U_1..U_k, treat the compound (X, U_1..U_k) as the private
@@ -15,10 +16,9 @@ it every earlier stage's guarantee, is left unchanged and needs no re-check.
 The new stage alone is then checked once: U_{k+1} independent of
 (X, U_1..U_k) and U_1..U_{k+1} of X, Y_next a function of (X, U_1..U_{k+1}),
 and |U_{k+1}| within its cap, all read off the stage's (given state, U_{k+1})
-marginal and the Y_next each of its cells meets. `build_chain` grows every
-chain, reading each stage's (compound state, target) pairs, and the parent
-cells behind each, from one walk of its joint, and gathers that marginal as
-it writes the stage's product table.
+marginal and the Y_next each of its cells meets, gathered as the stage's
+product table is written; a pair is checked the same way, given X. Each
+stage reads its (compound state, target) pairs from one walk of its parent.
 """
 
 from __future__ import annotations
@@ -46,32 +46,19 @@ class FrlMechanism:
 
     bounds    -- atom boundaries 0 = b_0 < ... < b_n on [0,1), as integers
                  over the common denominator b_n; atom u is [b_u, b_{u+1})
-    g         -- (atom index, x) -> y on the positive support
     dropped_x -- the zero-mass x symbols, which get no segments
-    pair      -- the exact (X, Y) distribution it was built from
-    spans     -- (x, y) -> the range of atom indices its segment covers
+    spans     -- (x, y) -> the range of atom indices its segment covers; the
+                 segments of one positive x tile the atoms 0..n-1 in order
 
-    `atoms` and `p_u` are the Fraction views of `bounds`; `row` gives the
-    integer conditional of U for one (x, y), `conditional_u` its Fraction view.
-    `joint` is derived on first read, so a chain stage never builds it.
+    The spans are the whole map: `apply(u, x)` is the y whose segment covers
+    atom u, `row` the integer P(U | x, y), `conditional_u` its Fraction view.
+    `atoms` and `p_u` are the Fraction views of `bounds`.
     """
 
     u_alphabet: Alphabet
     bounds: tuple[int, ...]
-    g: Mapping[tuple[int, int], int]
     dropped_x: tuple[int, ...]
-    pair: JointDist
-    spans: Mapping[tuple[int, int], range] = field(repr=False, compare=False)
-
-    @cached_property
-    def joint(self) -> JointDist:
-        """Exact P(U, X, Y): cell (u, x, g(u, x)) holds P(x) times atom u's length."""
-        num, den = self.pair._ints()
-        px, scale = _masses(num, _supports(self.pair))
-        b = self.bounds
-        table = {(u, x, self.g[(u, x)]): (b[u + 1] - b[u]) * mass
-                 for u in range(self.u_size) for x, mass in px.items()}
-        return JointDist._exact((self.u_alphabet, *self.pair.variables), table, scale * den)
+    spans: Mapping[tuple[int, int], range] = field(repr=False)
 
     @property
     def u_size(self) -> int:
@@ -99,11 +86,23 @@ class FrlMechanism:
         """H(U) in bits; an upper-bound surrogate for the best feasible U."""
         return _bounds_entropy(self.bounds)
 
+    @cached_property
+    def _segments(self) -> dict[int, tuple[list[int], list[int]]]:
+        """x -> the ends of its segments, ascending, and their y symbols."""
+        segments: dict[int, tuple[list[int], list[int]]] = {}
+        for (x, y), span in sorted(self.spans.items(), key=lambda item: (item[0][0], item[1].stop)):
+            stops, ys = segments.setdefault(x, ([], []))
+            stops.append(span.stop)
+            ys.append(y)
+        return segments
+
     def apply(self, u: int, x: int) -> int:
-        key = (u, x)
-        if key not in self.g:
-            raise ValidationError(f"(u={u}, x={x}) outside the positive support")
-        return self.g[key]
+        """The y whose (x, y) segment covers atom u: a bisection over x's segment ends."""
+        stops, ys = self._segments.get(x, ((), ()))
+        i = bisect.bisect_right(stops, u)
+        if u >= 0 and i < len(ys):
+            return ys[i]
+        raise ValidationError(f"(u={u}, x={x}) outside the positive support")
 
     def _span(self, x: int, y: int) -> range:
         span = self.spans.get((x, y))
@@ -178,22 +177,21 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None) -> FrlMe
     """Build the interval mechanism U for a pair distribution (X, Y).
 
     Zero-mass x symbols are dropped (recorded in `dropped_x`); zero-mass
-    (x, y) pairs produce no segment. All invariants are verified exactly
-    on the joint of (U, X, Y) before returning. LimitError is raised before
-    that joint is built if it would hold more than DEFAULT_STATE_LIMIT
-    cells, or X more than that many symbols.
+    (x, y) pairs produce no segment. The mechanism is checked exactly as a
+    chain stage is, on the (X, Y, U) table its rows write, given X.
+    LimitError is raised before that table is built if it would hold more
+    than DEFAULT_STATE_LIMIT cells, or X more than that many symbols.
     """
     mech = _interval_mechanism(pxy, policy, "U", DEFAULT_STATE_LIMIT)
-    x_name, y_name = pxy.names
-    _verify_stage(mech.joint, [x_name], "U", y_name)
-    if mech.joint.marginalize([x_name, y_name]) != pxy:
-        raise InvariantError("mechanism joint does not reproduce the input pair")
+    num, _ = pxy._ints()
+    _stage_joint(pxy, (0, 1), dict.fromkeys(num, 1), {(x,): x for x, _ in num}, mech,
+                 f"pair ({', '.join(pxy.names)})", DEFAULT_STATE_LIMIT)
     return mech
 
 
 def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: str,
                         limit: int) -> FrlMechanism:
-    """`frl_construct` without its check and without building the joint."""
+    """`frl_construct` without its check and without writing a table."""
     if len(pxy.variables) != 2:
         raise ValidationError(f"need a pair distribution, got variables {pxy.names}")
     num, _ = pxy._ints()
@@ -201,14 +199,12 @@ def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: s
     supports = _supports(pxy)
     px, scale = _masses(num, supports)
 
-    orders: dict[int, tuple[int, ...]] = {}
-    for x, ys in supports.items():
-        order = tuple(ys if policy is None else policy.get(x, ()))
-        if sorted(order) != ys:
-            raise ValidationError(
-                f"policy for x={x} must permute the positive-support y symbols {ys}"
-            )
-        orders[x] = order
+    orders: Mapping[int, Sequence[int]] = supports
+    if policy is not None:
+        orders = {x: tuple(policy.get(x, ())) for x in supports}
+        for x, ys in supports.items():
+            if sorted(orders[x]) != ys:
+                raise ValidationError(f"policy for x={x} must permute the positive-support y symbols {ys}")
     ends, cutset = _segment_layout(num, px, orders, scale)
 
     bounds = (0, *sorted(cutset), scale)
@@ -224,7 +220,6 @@ def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: s
     # each segment covers a run of whole atoms, found by bisection over the
     # atom boundaries; an endpoint that is not a boundary would split an atom
     spans: dict[tuple[int, int], range] = {}
-    g: dict[tuple[int, int], int] = {}
     for x, segs in ends.items():
         for start, end, y in segs:
             i0 = bisect.bisect_left(bounds, start)
@@ -232,35 +227,66 @@ def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: s
             if bounds[i0] != start or bounds[i1] != end:
                 raise InvariantError("refinement atom crosses a segment boundary")
             spans[(x, y)] = range(i0, i1)
-            for u in range(i0, i1):
-                g[(u, x)] = y
-    if len(g) != n_atoms * len(ends):
-        raise InvariantError("segments do not tile [0,1) for every x")
 
     dropped = tuple(x for x in x_alpha.symbols() if x not in px)
-    return FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds, g=g,
-                        dropped_x=dropped, pair=pxy, spans=spans)
+    return FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds,
+                        dropped_x=dropped, spans=spans)
 
 
-def _verify_stage(joint: JointDist, given: Sequence[str], u_name: str, target: str) -> None:
-    """The stage checks of `_check_stage` on the joint a stage lives in, from one
-    walk of it into its (given state, U_k) marginal and the target each cell meets."""
-    *given_axes, u_axis, y_axis = joint._axes([*given, u_name, target])
-    state_of = _projector(given_axes)
-    num, den = joint._ints()
+def _stage_joint(parent: JointDist, axes: Sequence[int], count: Mapping[Cell, int],
+                 index: Mapping[Cell, int], mech: FrlMechanism, where: str, limit: int) -> JointDist:
+    """`parent` times the rows P(U | given state, target) of `mech`, checked on
+    the table written. `axes` are the given variables' then the target's;
+    `count` maps each positive (given state, target) to its parent cells,
+    `index` a given state to its symbol on `mech`'s x axis. LimitError is
+    raised before the table is built if it would pass `limit` cells.
+    """
+    *given, y_alpha = [parent.variables[a] for a in axes]
+    u_name, target = mech.u_alphabet.name, y_alpha.name
+    # one conditional row per positive (given state, target): atom widths over
+    # the segment length, reduced by their gcd; a row summing to 1 keeps the
+    # marginal of every parent variable unchanged
+    rows: dict[Cell, tuple[range, list[int], int]] = {}
+    for key in count:
+        state, y = key[:-1], key[-1]
+        span, widths, length = mech.row(index[state], y)
+        total = sum(widths)
+        if total != length or min(widths) <= 0:
+            fault = "does not sum to 1" if total != length else "has a nonpositive entry"
+            raise InvariantError(f"{where}: P({u_name} | {state}, {target}={y}) {fault}")
+        g = math.gcd(length, *widths)
+        rows[key] = (span, [w // g for w in widths], length // g)
+    stage_den = math.lcm(*(length for _, _, length in rows.values()))
+    scaled = {key: [(u, w * (stage_den // length)) for u, w in zip(span, widths)]
+              for key, (span, widths, length) in rows.items()}
+
+    cells = sum(count[key] * len(span) for key, (span, _, _) in rows.items())
+    if cells > limit:
+        raise LimitError(f"{where}: the product needs {cells} cells, over the limit {limit}")
+    # the product table, and as each cell is written, the stage checks' input:
+    # the (given state, U_k) marginal of the written masses and the target each meets
+    project = _projector(axes)
+    num, den = parent._ints()
+    table: dict[Cell, int] = {}
     head: dict[tuple[Cell, int], int] = {}
     image: dict[tuple[Cell, int], int] = {}
     forked = False
     for cell, n in num.items():
-        key = (state_of(cell), cell[u_axis])
-        if key in head:
-            head[key] += n
-            if image[key] != cell[y_axis]:
-                forked = True
-        else:
-            head[key] = n
-            image[key] = cell[y_axis]
-    _check_stage(head, den, forked, given, joint.variables[u_axis], joint.variables[y_axis])
+        key = project(cell)
+        state, y = key[:-1], key[-1]
+        for u, m in scaled[key]:
+            mass_u = n * m
+            table[cell + (u,)] = mass_u
+            head_key = (state, u)
+            if head_key in head:
+                head[head_key] += mass_u
+                if image[head_key] != y:
+                    forked = True
+            else:
+                head[head_key] = mass_u
+                image[head_key] = y
+    _check_stage(head, den * stage_den, forked, [v.name for v in given], mech.u_alphabet, y_alpha)
+    return JointDist._exact(parent.variables + (mech.u_alphabet,), table, den * stage_den)
 
 
 def _check_stage(head: Mapping[tuple[Cell, int], int], den: int, forked: bool,
@@ -422,69 +448,23 @@ def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT
         mass[key] = mass.get(key, 0) + n
         count[key] = count.get(key, 0) + 1
     # the pair (compound state, target); compound states in sorted order
-    keys = sorted(mass)
     index: dict[tuple[int, ...], int] = {}
     pair_num: dict[tuple[int, int], int] = {}
-    for key in keys:
+    for key in sorted(mass):
         pair_num[(index.setdefault(key[:-1], len(index)), key[-1])] = mass[key]
     states = tuple(index)
-    comp_alpha = Alphabet(f"_XU{k}", len(states))
-    pair = JointDist._exact((comp_alpha, chain.joint.variables[axes[-1]]), pair_num, chain_den)
+    pair = JointDist._exact((Alphabet(f"_XU{k}", len(states)), chain.joint.variables[axes[-1]]),
+                            pair_num, chain_den)
 
     u_name = f"U{k + 1}"
     if u_name in chain.joint.names:
         raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
+    where = f"chain stage {k + 1} ({target})"
     try:
         mech = _interval_mechanism(pair, None, u_name, limit)
     except LimitError as exc:
-        raise LimitError(f"chain stage {k + 1} ({target}): {exc}") from None
-
-    # one conditional row per positive (compound state, target) pair: atom
-    # widths over the segment length, reduced by their gcd; a row summing to
-    # 1 keeps the marginal of every earlier variable unchanged
-    rows: dict[tuple[int, ...], tuple[range, list[int], int]] = {}
-    for key, (state, y) in zip(keys, pair_num):
-        span, widths, length = mech.row(state, y)
-        total = sum(widths)
-        if total != length or min(widths) <= 0:
-            fault = "does not sum to 1" if total != length else "has a nonpositive entry"
-            raise InvariantError(f"stage {k + 1}: P({u_name} | {states[state]}, {target}={y}) {fault}")
-        if any(mech.g[(u, state)] != y for u in span):
-            raise InvariantError(f"stage {k + 1}: an atom of {states[state]}, {target}={y} decodes elsewhere")
-        g = math.gcd(length, *widths)
-        rows[key] = (span, [w // g for w in widths], length // g)
-    stage_den = math.lcm(*(length for _, _, length in rows.values()))
-    scaled = {key: [(u, w * (stage_den // length)) for u, w in zip(span, widths)]
-              for key, (span, widths, length) in rows.items()}
-
-    cells = sum(count[key] * len(span) for key, (span, _, _) in rows.items())
-    if cells > limit:
-        raise LimitError(f"chain stage {k + 1} ({target}): the product needs {cells} cells, "
-                         f"over the limit {limit}")
-    # the product table, and as each cell is written, the stage checks' input:
-    # the (given state, U_k) marginal of the written masses and the target each meets
-    table: dict[Cell, int] = {}
-    head: dict[tuple[Cell, int], int] = {}
-    image: dict[tuple[Cell, int], int] = {}
-    forked = False
-    for cell, n in num.items():
-        key = project(cell)
-        state, y = key[:-1], key[-1]
-        for u, m in scaled[key]:
-            mass_u = n * m
-            table[cell + (u,)] = mass_u
-            head_key = (state, u)
-            if head_key in head:
-                head[head_key] += mass_u
-                if image[head_key] != y:
-                    forked = True
-            else:
-                head[head_key] = mass_u
-                image[head_key] = y
-    _check_stage(head, chain_den * stage_den, forked, [chain.private, *u_names],
-                 mech.u_alphabet, pair.variables[1])
-    joint = JointDist._exact(chain.joint.variables + (mech.u_alphabet,), table, chain_den * stage_den)
-
+        raise LimitError(f"{where}: {exc}") from None
+    joint = _stage_joint(chain.joint, axes, count, index, mech, where, limit)
     stage = ChainStage(target=target, mechanism=mech, compound=states)
     return MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))
 

@@ -3,8 +3,9 @@
 `ref_*` recompute a kernel result from a Fraction table by the textbook
 formula. The other functions are exact helpers over the library's objects
 that the tests use to state a property: conditionals and information
-measures of a `JointDist`, codebook sums, and `outcomes`, the one walk over
-every coupling a chain can draw, each pushed through the real encoder.
+measures of a `JointDist`, a pair mechanism's (U, X, Y) joint, codebook
+sums, and `outcomes`, the one walk over every coupling a chain can draw, each
+pushed through the real encoder.
 """
 
 import math
@@ -91,6 +92,13 @@ def product_extend(d, fresh, marginal):
     num, den = d._ints()
     out = {cell + (s,): n * m for cell, n in num.items() for s, m in row}
     return JointDist._exact(d.variables + (fresh,), out, den * m_den)
+
+
+def mechanism_joint(mech, pxy):
+    """The (U, X, Y) joint of a pair mechanism: P(x, y) P(u | x, y) on every positive (x, y)."""
+    return JointDist([mech.u_alphabet, *pxy.variables],
+                     {(u, x, y): q * pu for (x, y), q in pxy.items()
+                      for u, pu in mech.conditional_u(x, y).items()})
 
 
 def ref_marginalize(variables, table, keep):

@@ -42,7 +42,7 @@ from privseq.pipeline import (
 from privseq.probability import Alphabet, JointDist
 
 from conftest import random_database, random_pair
-from reference import cache_roundtrip, condition, enumerate_outcomes, product_extend
+from reference import cache_roundtrip, condition, enumerate_outcomes, mechanism_joint, product_extend
 from test_frl import brute_force_joint
 
 TOL = 1e-9
@@ -229,7 +229,7 @@ def test_c09_oracle_equivalence():
                           sparse=bool(i % 2))
         mech = frl_construct(pxy)
         edges, table = brute_force_joint(pxy)
-        if mech.u_size != len(edges) - 1 or dict(mech.joint.table) != table:
+        if mech.u_size != len(edges) - 1 or dict(mechanism_joint(mech, pxy).table) != table:
             bad += 1
     report("construction joint equals the interval-intersection oracle exactly",
            bad == 0, "12 random instances")
@@ -248,8 +248,10 @@ def test_c10_sequentiality():
         a = session_chain(p, (d1, futures[0]))
         b = session_chain(p, (d1, futures[1]))
         sa, sb = a.stages[0], b.stages[0]
-        if (sa.mechanism.atoms, sa.mechanism.p_u, sa.mechanism.g, sa.compound) != \
-           (sb.mechanism.atoms, sb.mechanism.p_u, sb.mechanism.g, sb.compound):
+        maps = [[s.mechanism.apply(u, x) for x in range(len(s.compound))
+                 for u in range(s.mechanism.u_size)] for s in (sa, sb)]
+        if (sa.mechanism.atoms, sa.mechanism.p_u, maps[0], sa.compound) != \
+           (sb.mechanism.atoms, sb.mechanism.p_u, maps[1], sb.compound):
             bad += 1
             continue
         cell = next(iter(p.table))

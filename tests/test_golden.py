@@ -4,9 +4,11 @@
 every stage of its chain has more than one atom, so no stage entropy sits at
 zero. The `--out` files and `--transcript-out` files next to it were written
 by the commands in CASES: four on the dense spec, a coded-caching demo in
-entropy mode and a measured bound sweep. A change that moves any of their
-bytes changes an answer, not only a speed; if that is intended, rewrite the
-goldens with the same commands and say so.
+entropy mode, a measured bound sweep, and the interval mechanism of
+`golden/pair.dist` (whose x = 2 has zero mass), canonical and
+ordering-searched. A change that moves any of their bytes changes an answer,
+not only a speed; if that is intended, rewrite the goldens with the same
+commands and say so.
 """
 
 import json
@@ -18,6 +20,7 @@ from privseq.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SPEC = str(GOLDEN / "dense.dist")
+PAIR = str(GOLDEN / "pair.dist")
 
 # name -> (argv, golden --out file, whether a packed transcript <name>.bin is written)
 CASES = {
@@ -33,6 +36,9 @@ CASES = {
                     "--demands", "2,4,1,3", "--mode", "entropy"], "cache-demo.json", False),
     "bounds-sweep": (["bounds", "sweep", "--k-range", "2", "--f-range", "1..3", "--measure"],
                      "bounds-sweep.csv", False),
+    "frl-build": (["frl", "build", "--spec", PAIR], "frl-build.json", False),
+    "frl-build-opt": (["frl", "build", "--spec", PAIR, "--optimize", "720"],
+                      "frl-build-opt.json", False),
 }
 
 

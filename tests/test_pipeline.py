@@ -494,7 +494,9 @@ class TestSequentiality:
             sa, sb = a.stages[0], b.stages[0]
             assert sa.mechanism.atoms == sb.mechanism.atoms
             assert sa.mechanism.p_u == sb.mechanism.p_u
-            assert sa.mechanism.g == sb.mechanism.g
+            ma, mb = sa.mechanism, sb.mechanism
+            assert [ma.apply(u, x) for x in range(len(sa.compound)) for u in range(ma.u_size)] == \
+                [mb.apply(u, x) for x in range(len(sb.compound)) for u in range(mb.u_size)]
             assert sa.compound == sb.compound
 
     def test_emitted_slot_bits_identical(self):
