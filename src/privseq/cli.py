@@ -187,6 +187,9 @@ def cmd_pipeline_run(args) -> int:
     p = _load_database(args)
     demands = _parse_demands(args.demands)
     if demands is None:
+        if args.transcript_out:
+            raise ValidationError("--transcript-out needs an explicit demand vector: "
+                                  "a sweep encodes no sample transcript")
         k = args.k or (len(p.variables) - 1)
         sweep = pipeline.worst_case_sweep(p, k, args.mode, args.limit)
         rows = []

@@ -39,6 +39,10 @@ from .probability import Alphabet, Cell, JointDist, _entropy_bits, _product_test
 # ordering; H(U) does not.
 OrderingPolicy = Mapping[int, Sequence[int]]
 
+# P(U | given state, target) on integers: the atoms the segment covers (its
+# span), their widths, and the segment length they sum to
+Row = tuple[range, Sequence[int], int]
+
 
 @dataclass(frozen=True)
 class FrlMechanism:
@@ -71,7 +75,7 @@ class FrlMechanism:
         points = [Fraction(b, scale) for b in self.bounds]
         return tuple(zip(points, points[1:]))
 
-    @property
+    @cached_property
     def widths(self) -> tuple[int, ...]:
         """Atom widths b[u+1] - b[u]: the marginal of U as integers over b_n."""
         b = self.bounds
@@ -112,12 +116,12 @@ class FrlMechanism:
             raise ValidationError(f"(x={x}, y={y}) outside the positive support")
         return span
 
-    def row(self, x: int, y: int) -> tuple[range, list[int], int]:
+    def row(self, x: int, y: int) -> Row:
         """P(U | X=x, Y=y) on integers: the atoms the (x, y) segment covers,
         their widths b[u+1] - b[u], and the segment length they sum to."""
         span = self._span(x, y)
         b = self.bounds
-        return span, [b[u + 1] - b[u] for u in span], b[span.stop] - b[span.start]
+        return span, self.widths[span.start:span.stop], b[span.stop] - b[span.start]
 
     def conditional_u(self, x: int, y: int) -> dict[int, Fraction]:
         """Exact P(U=u | X=x, Y=y): atom length over segment length."""
@@ -246,7 +250,7 @@ def _stage_joint(parent: JointDist, axes: Sequence[int], count: Mapping[Cell, in
     # one conditional row per positive (given state, target): atom widths over
     # the segment length, reduced by their gcd; a row summing to 1 keeps the
     # marginal of every parent variable unchanged
-    rows: dict[Cell, tuple[range, list[int], int]] = {}
+    rows: dict[Cell, Row] = {}
     for key in count:
         state, y = key[:-1], key[-1]
         span, widths, length = mech.row(index[state], y)
@@ -382,17 +386,21 @@ class ChainStage:
     def u_name(self) -> str:
         return self.mechanism.u_alphabet.name
 
-    def decode(self, x: int, u_prefix: Sequence[int], u: int) -> int:
+    def _state(self, x: int, u_prefix: Sequence[int]) -> int:
         state = self.index.get((x, *u_prefix))
         if state is None:
             raise ValidationError(f"compound state {(x, *u_prefix)} has zero mass")
-        return self.mechanism.apply(u, state)
+        return state
+
+    def decode(self, x: int, u_prefix: Sequence[int], u: int) -> int:
+        return self.mechanism.apply(u, self._state(x, u_prefix))
+
+    def row(self, x: int, u_prefix: Sequence[int], y: int) -> Row:
+        """P(U_k | x, u_prefix, y) on integers, as `FrlMechanism.row` gives it."""
+        return self.mechanism.row(self._state(x, u_prefix), y)
 
     def conditional_u(self, x: int, u_prefix: Sequence[int], y: int) -> dict[int, Fraction]:
-        state = self.index.get((x, *u_prefix))
-        if state is None:
-            raise ValidationError(f"compound state {(x, *u_prefix)} has zero mass")
-        return self.mechanism.conditional_u(state, y)
+        return self.mechanism.conditional_u(self._state(x, u_prefix), y)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 A session transcript is one pad slot carrying the one-time-padded private
 symbol followed by one prefix-free slot per demand, each encoding the stage's
-auxiliary variable. Distribution-level objects never sample: the exact joint
+auxiliary variable. The encoder samples each auxiliary from its stage's
+integer row, P(U_i | x, u_1..u_{i-1}, y_i) as atom widths over a segment
+length, with one uniform integer draw, so a session forms no Fraction.
+Distribution-level objects never sample: the exact joint
 of (transcript, private symbol, key) is built by full enumeration, so the
 zero-leakage audit is a rational product test, not a float comparison. The
 enumeration needs only each transcript's bit length, which it reads from the
@@ -17,8 +20,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from . import bounds as bounds_mod
 from .coding import (
@@ -34,7 +36,7 @@ from .coding import (
     unpack_slots,
 )
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
-from .frl import MechanismChain, build_chain
+from .frl import MechanismChain, Row, build_chain
 from .probability import Alphabet, JointDist, _entropy_bits, _product_test
 
 
@@ -61,7 +63,15 @@ class Transcript:
 
 
 class Draws(Protocol):
-    def pick(self, slot: int, conditional: Mapping[int, Fraction]) -> int: ...
+    """The coupling randomness of the sequential encoder.
+
+    `pick(slot, row)` returns the slot's auxiliary symbol, one of `row`'s
+    span. The row is a stage's exact conditional P(U_i | x, u_1..u_{i-1},
+    y_i) as `ChainStage.row` gives it: atom u = span[j] has probability
+    widths[j] / length.
+    """
+
+    def pick(self, slot: int, row: Row) -> int: ...
 
 
 class RandomDraws:
@@ -70,21 +80,23 @@ class RandomDraws:
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
-    def pick(self, slot: int, conditional: Mapping[int, Fraction]) -> int:
-        """Draw u with probability exactly conditional[u].
+    def pick(self, slot: int, row: Row) -> int:
+        """Draw span[j] with probability exactly widths[j] / length.
 
-        The draw is an integer uniform on [0, D), D the lcm of the
-        conditional's denominators, against the integer cumulative sums.
+        The draw is an integer r uniform on [0, D), D = length / g for g the
+        gcd of the length and the widths, placed against the cumulative
+        widths as r * g. D is the lcm of the reduced probabilities'
+        denominators, so a seed draws the same symbols as a draw from their
+        Fraction view. A one-atom row still calls randrange(1), which uses
+        random bits, so every later draw of the seed stays where it was.
         """
-        symbols = sorted(conditional)
-        den = math.lcm(*(conditional[u].denominator for u in symbols))
-        cumulative = list(itertools.accumulate(
-            (conditional[u].numerator * (den // conditional[u].denominator) for u in symbols),
-            initial=0))
-        if cumulative[-1] != den:
-            raise InvariantError(
-                f"slot-{slot} conditional sums to {Fraction(cumulative[-1], den)}, not 1")
-        return symbols[bisect.bisect_right(cumulative, self._rng.randrange(den)) - 1]
+        span, widths, length = row
+        cumulative = list(itertools.accumulate(widths))
+        total = cumulative[-1] if cumulative else 0
+        if total != length or length <= 0:
+            raise InvariantError(f"slot-{slot} conditional sums to {total}/{length}, not 1")
+        g = math.gcd(length, *widths)
+        return span[bisect.bisect_right(cumulative, self._rng.randrange(length // g) * g)]
 
 
 def demand_vector(p: JointDist, demands: Sequence[int]) -> tuple[int, ...]:
@@ -165,9 +177,9 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
     symbols = iter(symbols)
     prefix: tuple[int, ...] = ()
     for i, (stage, y) in enumerate(zip(chain.stages, symbols)):
-        cond = stage.conditional_u(x, prefix, y)
-        u = draws.pick(i, cond)
-        if u not in cond:
+        row = stage.row(x, prefix, y)
+        u = draws.pick(i, row)
+        if u not in row[0]:
             raise ValidationError(f"draw {u} outside the slot-{i} support")
         prefix += (u,)
     if len(prefix) != len(chain.stages):

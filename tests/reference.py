@@ -1,20 +1,23 @@
 """Test oracles: plain Fraction references, and helpers only the tests call.
 
-`ref_*` recompute a kernel result from a Fraction table by the textbook
-formula. The other functions are exact helpers over the library's objects
+`ref_*` recompute a kernel result from Fractions by the textbook formula;
+`ref_pick` is the Fraction draw that the integer `RandomDraws.pick` must
+match. The other functions are exact helpers over the library's objects
 that the tests use to state a property: conditionals and information
 measures of a `JointDist`, a pair mechanism's (U, X, Y) joint, codebook
-sums, and `outcomes`, the one walk over every coupling a chain can draw, each
-pushed through the real encoder.
+sums, and `outcomes`, the one walk over every coupling a chain can draw,
+each pushed through the real encoder.
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 
 from privseq.caching import delivery_blocks, placement, private_wrap, user_decode
 from privseq.coding import FIXED, PadKey, fixed_length_codebook
-from privseq.errors import ValidationError
+from privseq.errors import InvariantError, ValidationError
 from privseq.pipeline import (
     Transcript,
     TranscriptDistribution,
@@ -198,13 +201,31 @@ def cache_bits(cfg, cache):
 
 
 class FixedDraws:
-    """Forces an explicit auxiliary value per slot; the encoder checks it is in the support."""
+    """Forces an explicit auxiliary value per slot; the encoder checks it is in the row's span."""
 
     def __init__(self, choices):
         self._choices = tuple(choices)
 
-    def pick(self, slot, conditional):
+    def pick(self, slot, row):
         return self._choices[slot]
+
+
+def ref_pick(rng, slot, conditional):
+    """The Fraction draw: u with probability exactly conditional[u].
+
+    An integer uniform on [0, D), D the lcm of the conditional's
+    denominators, placed against the integer cumulative sums. Fed a stage's
+    `conditional_u`, it must draw what `RandomDraws.pick` draws from the
+    stage's `row` and leave `rng` in the same state.
+    """
+    symbols = sorted(conditional)
+    den = math.lcm(*(conditional[u].denominator for u in symbols))
+    cumulative = list(itertools.accumulate(
+        (conditional[u].numerator * (den // conditional[u].denominator) for u in symbols),
+        initial=0))
+    if cumulative[-1] != den:
+        raise InvariantError(f"slot-{slot} conditional sums to {F(cumulative[-1], den)}, not 1")
+    return symbols[bisect.bisect_right(cumulative, rng.randrange(den)) - 1]
 
 
 @dataclass(frozen=True)

@@ -259,8 +259,8 @@ def test_c10_sequentiality():
         u = min(cond)
 
         class ForceFirst:
-            def pick(self, slot, c):
-                return u if slot == 0 else min(c)
+            def pick(self, slot, row):
+                return u if slot == 0 else row[0][0]
 
         x_size = p.variables[0].size
         ta = encode_session(p, cell, (d1, futures[0]), PadKey(0, x_size), a, ForceFirst())

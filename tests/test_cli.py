@@ -155,6 +155,19 @@ class TestPipelineRun:
         t = Transcript.unpack(out.read_bytes())
         assert [label for label, _ in t.slots] == ["pad", "u1", "u2"]
 
+    def test_transcript_out_with_sweep_rejected(self, tmp_path, monkeypatch, capsys):
+        from privseq import pipeline
+
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(pipeline, "worst_case_sweep", no_sweep)
+        out = tmp_path / "session.bin"
+        assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",
+                     "--demands", "sweep", "--transcript-out", str(out)]) == 1
+        assert "--transcript-out needs an explicit demand vector" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoundsSweep:
     def test_csv_output(self, tmp_path, capsys):

@@ -114,17 +114,17 @@ class TestEntropyCodebook:
 
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(any))
-    def test_integer_weights_give_the_probability_book(self, weights):
-        total = sum(weights)
-        want = entropy_codebook([F(w, total) for w in weights]).words
-        assert entropy_codebook(weights).words == want
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(any), st.integers(2, 50))
+    def test_integer_weights_give_the_probability_book(self, weights, m):
+        # proportional weights are one design distribution, so one book
+        assert entropy_codebook(weights).words == entropy_codebook([w * m for w in weights]).words
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4), st.booleans())
-    def test_mechanism_widths_give_the_p_u_book(self, seed, x_size, y_size, sparse):
-        mech = frl_construct(random_pair(random.Random(seed), x_size, y_size, sparse))
-        assert entropy_codebook(mech.widths).words == entropy_codebook(mech.p_u).words
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4), st.booleans(),
+           st.integers(2, 50))
+    def test_mechanism_widths_give_the_p_u_book(self, seed, x_size, y_size, sparse, m):
+        widths = frl_construct(random_pair(random.Random(seed), x_size, y_size, sparse)).widths
+        assert entropy_codebook(widths).words == entropy_codebook([w * m for w in widths]).words
 
 
 class TestPrefixFree:

@@ -38,6 +38,7 @@ from reference import (
     mutual_information,
     outcomes,
     plaintext_baseline,
+    ref_pick,
     td_law,
 )
 
@@ -177,28 +178,56 @@ class EnumeratingRng:
 
 
 class TestExactDraws:
+    """`RandomDraws.pick` draws from a (span, widths, length) row: span[j] with
+    probability widths[j] / length. Rows need not come reduced."""
+
     @pytest.mark.parametrize("conditional", [
-        {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)},
-        {0: F(1, 3), 2: F(1, 6), 5: F(1, 2)},
-        {1: F(2, 7), 3: F(1, 5), 4: F(18, 35)},
-        {7: F(1)},
+        (range(0, 3), [1, 1, 1], 3),
+        (range(3, 6), [4, 2, 6], 12),  # 1/3, 1/6, 1/2, not reduced
+        (range(1, 4), [10, 7, 18], 35),  # 2/7, 1/5, 18/35
+        (range(7, 8), [5], 5),  # one atom: still one randrange(1)
     ])
     def test_every_integer_picks_exact_counts(self, conditional):
-        den = math.lcm(*(q.denominator for q in conditional.values()))
+        span, widths, length = conditional
+        probs = {u: F(w, length) for u, w in zip(span, widths)}
+        den = math.lcm(*(q.denominator for q in probs.values()))
         draws = RandomDraws(0)
         draws._rng = EnumeratingRng()
         counts = Counter(draws.pick(0, conditional) for _ in range(den))
         assert draws._rng.ranges == [den] * den
-        assert counts == {u: q * den for u, q in conditional.items()}
+        assert counts == {u: q * den for u, q in probs.items()}
 
     @pytest.mark.parametrize("conditional", [
-        {0: F(1, 3), 1: F(1, 2)},
-        {0: F(2, 3), 1: F(1, 2)},
-        {},
+        (range(0, 2), [2, 3], 6),  # 1/3 + 1/2
+        (range(0, 2), [4, 3], 6),  # 2/3 + 1/2
+        (range(0, 0), [], 1),
+        (range(0, 0), [], 0),
     ])
     def test_conditional_not_summing_to_one_rejected(self, conditional):
         with pytest.raises(InvariantError, match="not 1"):
             RandomDraws(0).pick(2, conditional)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.booleans(),
+           st.sampled_from([FIXED, ENTROPY]), st.integers(0, 2**32), st.data())
+    def test_row_draw_is_the_fraction_draw(self, db_seed, x_size, sparse, mode, seed, data):
+        """Along a session, each stage's row draws what `ref_pick` draws from the
+        stage's `conditional_u` and consumes the same random bits; with |X| = 1
+        every row has one atom."""
+        p = random_database(random.Random(db_seed), x_size, 3, 1, sparse)
+        demands = data.draw(st.permutations((1, 2, 3)))[:data.draw(st.integers(1, 3))]
+        chain = session_chain(p, demands)
+        cell = data.draw(st.sampled_from(sorted(p._ints()[0])))
+        draws, twin = RandomDraws(seed), random.Random(seed)
+        x, prefix = cell[0], ()
+        for i, (stage, d) in enumerate(zip(chain.stages, demands)):
+            u = draws.pick(i, stage.row(x, prefix, cell[d]))
+            assert u == ref_pick(twin, i, stage.conditional_u(x, prefix, cell[d]))
+            assert draws._rng.getstate() == twin.getstate()
+            prefix += (u,)
+        key = PadKey(0, x_size)
+        assert encode_session(p, cell, demands, key, chain, RandomDraws(seed), mode) == \
+            encode_session(p, cell, demands, key, chain, FixedDraws(prefix), mode)
 
 
 class TestTranscriptDistribution:
@@ -504,8 +533,8 @@ class TestSequentiality:
             def __init__(self, u0):
                 self.u0 = u0
 
-            def pick(self, slot, cond):
-                return self.u0 if slot == 0 else min(cond)
+            def pick(self, slot, row):
+                return self.u0 if slot == 0 else row[0][0]
 
         rng = random.Random(55)
         p = random_database(rng, 2, 3, 1)
