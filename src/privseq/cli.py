@@ -108,7 +108,7 @@ def cmd_frl_build(args) -> int:
     print(f"H(U) = {mech.entropy():.6f} bits" + (
         f" (ordering-optimized, search min {searched_h:.6f})" if searched_h is not None else ""))
     print("map (u, x) -> y:")
-    positive = [x for x in dist.variables[0].symbols() if x not in mech.dropped_x]
+    positive = sorted({x for x, _ in mech.spans})
     for x in positive:
         row = " ".join(f"u{u}->{mech.apply(u, x)}" for u in range(mech.u_size))
         print(f"  x={x}: {row}")

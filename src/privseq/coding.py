@@ -1,9 +1,12 @@
 """One-time-pad over a finite alphabet and prefix-free binary codebooks.
 
 Bitstrings are plain '0'/'1' strings so equality is bit-exact and transcripts
-are directly printable. Packed binary output uses big-endian bit order within
-bytes with the final partial byte zero-padded; slot bit-lengths travel in a
-header so the padding is unambiguous.
+are directly printable. A slot holds exactly one codeword, so it is decoded by
+one whole-codeword lookup (`Codebook.decode`); no prefix of it is scanned.
+Packed binary output uses big-endian bit order within bytes with the final
+partial byte zero-padded. Slot bit-lengths travel in a header, so each slot's
+bits are known before decoding, and nonzero padding is rejected: a transcript
+has one packed form.
 """
 
 from __future__ import annotations
@@ -87,19 +90,12 @@ class Codebook:
             raise ValidationError(f"symbol {symbol} has no codeword")
         return bits
 
-    def decode_one(self, bits: str) -> tuple[int, int]:
-        """Read one codeword from the start of `bits`; returns (symbol, bits read)."""
-        if len(self.words) == 1:
-            (sym,) = self.words
-            return sym, len(self.words[sym])
-        rev = self._reverse
-        end = 0
-        while end <= len(bits):
-            cand = bits[:end]
-            if cand in rev:
-                return rev[cand], end
-            end += 1
-        raise ValidationError(f"undecodable bitstring {bits!r}")
+    def decode(self, bits: str) -> int:
+        """The symbol whose codeword is exactly `bits`."""
+        symbol = self._reverse.get(bits)
+        if symbol is None:
+            raise ValidationError(f"undecodable bitstring {bits!r}")
+        return symbol
 
 
 def verify_prefix_free(codebook: Codebook) -> bool:
@@ -182,11 +178,9 @@ def pack_slots(slots: Sequence[tuple[str, str]]) -> bytes:
         head += struct.pack(">B", len(raw)) + raw + struct.pack(">I", len(bits))
         stream.append(bits)
     allbits = "".join(stream)
-    body = bytearray()
-    for i in range(0, len(allbits), 8):
-        chunk = allbits[i:i + 8].ljust(8, "0")
-        body.append(int(chunk, 2))
-    return bytes(head) + bytes(body)
+    pad = -len(allbits) % 8
+    body = (int(allbits, 2) << pad).to_bytes((len(allbits) + pad) // 8, "big") if allbits else b""
+    return bytes(head) + body
 
 
 def unpack_slots(data: bytes) -> list[tuple[str, str]]:
@@ -211,7 +205,11 @@ def unpack_slots(data: bytes) -> list[tuple[str, str]]:
     body = data[pos:]
     if len(body) != (total + 7) // 8:
         raise ValidationError("packed payload length disagrees with the header")
-    allbits = "".join(format(byte, "08b") for byte in body)[:total]
+    pad = 8 * len(body) - total
+    stream = int.from_bytes(body, "big")
+    if stream & ((1 << pad) - 1):
+        raise ValidationError("nonzero padding bits after the last slot")
+    allbits = format(stream >> pad, f"0{total}b") if total else ""
     out = []
     at = 0
     for label, blen in meta:

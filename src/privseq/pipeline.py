@@ -161,6 +161,11 @@ def _write_slots(books: Books, xt: int, u_vec: Sequence[int]) -> Transcript:
         (_slot_label(i), book.encode(u)) for i, (book, u) in enumerate(zip(stage_books, u_vec), 1)))
 
 
+def _check_key(chain: MechanismChain, key: PadKey) -> None:
+    if key.modulus != chain.private_size:
+        raise ValidationError(f"pad key modulus {key.modulus} != |X| = {chain.private_size}")
+
+
 def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
                 symbols: Iterable[int], draws: Draws) -> Transcript:
     """The sequential encoder: pad x, then one auxiliary per stage.
@@ -170,9 +175,7 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
     exact conditional given (x, u_1..u_{i-1}, symbol i). After the last slot
     one more symbol is requested; a stream that has one is too long.
     """
-    x_size = chain.private_size
-    if key.modulus != x_size:
-        raise ValidationError(f"pad key modulus {key.modulus} != |X| = {x_size}")
+    _check_key(chain, key)
     xt = otp_encrypt(x, key)
     symbols = iter(symbols)
     prefix: tuple[int, ...] = ()
@@ -189,16 +192,10 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
     return _write_slots(books, xt, prefix)
 
 
-def _read(book: Codebook, bits: str, where: str) -> int:
-    symbol, used = book.decode_one(bits)
-    if used != len(bits):
-        raise ValidationError(f"trailing bits in {where}")
-    return symbol
-
-
 def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
                 key: PadKey) -> tuple[int, tuple[int, ...]]:
     """The sequential decoder: recover x, then each stage's target value."""
+    _check_key(chain, key)
     pad_book, stage_books = books
     if len(transcript.slots) != len(chain.stages) + 1:
         raise ValidationError(
@@ -208,11 +205,11 @@ def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
         if label != _slot_label(i):
             raise ValidationError(f"slot {i} is labelled {label!r}, expected {_slot_label(i)!r}")
     (_, pad_bits), *rest = transcript.slots
-    x = otp_decrypt(_read(pad_book, pad_bits, "the pad slot"), key)
+    x = otp_decrypt(pad_book.decode(pad_bits), key)
     ys = []
     prefix: tuple[int, ...] = ()
-    for i, (stage, book, (_, bits)) in enumerate(zip(chain.stages, stage_books, rest), 1):
-        u = _read(book, bits, f"slot {i}")
+    for stage, book, (_, bits) in zip(chain.stages, stage_books, rest):
+        u = book.decode(bits)
         ys.append(stage.decode(x, prefix, u))
         prefix += (u,)
     return x, tuple(ys)

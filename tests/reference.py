@@ -2,7 +2,8 @@
 
 `ref_*` recompute a kernel result from Fractions by the textbook formula;
 `ref_pick` is the Fraction draw that the integer `RandomDraws.pick` must
-match. The other functions are exact helpers over the library's objects
+match, and `ref_pack_slots`/`ref_unpack_slots` the byte-at-a-time codec
+that the one-conversion `pack_slots`/`unpack_slots` must match. The other functions are exact helpers over the library's objects
 that the tests use to state a property: conditionals and information
 measures of a `JointDist`, a pair mechanism's (U, X, Y) joint, codebook
 sums, and `outcomes`, the one walk over every coupling a chain can draw,
@@ -12,6 +13,7 @@ each pushed through the real encoder.
 import bisect
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -172,14 +174,47 @@ def ref_mutual_information(variables, table, a, b):
 
 
 def decode_all(book, bits):
-    """The symbols of a concatenation of codewords."""
+    """The symbols of a concatenation of codewords, read by scanning prefixes."""
     if len(book.words) == 1 and next(iter(book.words.values())) == "":
         raise ValidationError("cannot stream-decode a zero-bit codebook")
     out = []
     while bits:
-        sym, used = book.decode_one(bits)
+        sym, word = next(((s, w) for s, w in book.words.items() if bits.startswith(w)),
+                         (None, None))
+        if word is None:
+            raise ValidationError(f"undecodable bitstring {bits!r}")
         out.append(sym)
-        bits = bits[used:]
+        bits = bits[len(word):]
+    return out
+
+
+def ref_pack_slots(slots):
+    """The packed-transcript body, one byte at a time; the header as `pack_slots` writes it."""
+    head = bytearray(b"PSQ1") + struct.pack(">H", len(slots))
+    for label, bits in slots:
+        raw = label.encode("ascii")
+        head += struct.pack(">B", len(raw)) + raw + struct.pack(">I", len(bits))
+    allbits = "".join(bits for _, bits in slots)
+    body = bytes(int(allbits[i:i + 8].ljust(8, "0"), 2) for i in range(0, len(allbits), 8))
+    return bytes(head) + body
+
+
+def ref_unpack_slots(data):
+    """The slots of a well-formed packed transcript, formatted one byte at a time."""
+    (count,) = struct.unpack_from(">H", data, 4)
+    pos = 6
+    meta = []
+    for _ in range(count):
+        llen = data[pos]
+        label = data[pos + 1:pos + 1 + llen].decode("ascii")
+        (blen,) = struct.unpack_from(">I", data, pos + 1 + llen)
+        pos += 5 + llen
+        meta.append((label, blen))
+    allbits = "".join(format(byte, "08b") for byte in data[pos:])
+    out = []
+    for label, blen in meta:
+        out.append((label, allbits[:blen]))
+        allbits = allbits[blen:]
     return out
 
 

@@ -390,6 +390,16 @@ class TestUserDecodeValidation:
         with pytest.raises(ValidationError, match="belongs"):
             user_decode(session, 1, t, caches[1], PadKey(0, 2))
 
+    @pytest.mark.parametrize("modulus", [1, 3])
+    def test_key_modulus_must_match(self, modulus):
+        cfg = CacheConfig(2, 2, 1, 2)
+        session = make_cache_session(cfg, masked_db("1/2", 2, 2), (1, 2))
+        caches = placement(cfg, [1, 2])
+        stream = delivery_blocks(cfg, [1, 2], (1, 2))
+        t, _ = private_wrap(session, stream.blocks, 1, PadKey(0, 2), RandomDraws(0))
+        with pytest.raises(ValidationError, match=rf"modulus {modulus} != \|X\| = 2"):
+            user_decode(session, 1, t, caches[0], PadKey(0, modulus))
+
     def test_relabelled_transcript_rejected(self):
         cfg = CacheConfig(2, 2, 1, 2)
         session = make_cache_session(cfg, masked_db("1/2", 2, 2), (1, 2))

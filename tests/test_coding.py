@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privseq.coding import (
@@ -21,7 +22,14 @@ from privseq.frl import frl_construct
 from privseq.probability import Alphabet, JointDist
 
 from conftest import random_pair
-from reference import decode_all, expected_code_length, kraft_sum, product_extend
+from reference import (
+    decode_all,
+    expected_code_length,
+    kraft_sum,
+    product_extend,
+    ref_pack_slots,
+    ref_unpack_slots,
+)
 
 
 class TestPad:
@@ -163,12 +171,42 @@ class TestDecoding:
 
     def test_undecodable(self):
         cb = Codebook({0: "00", 1: "01"})
-        with pytest.raises(ValidationError, match="undecodable"):
-            cb.decode_one("1")
+        for bits in ["1", "0", "", "000", "0100"]:
+            with pytest.raises(ValidationError, match="undecodable"):
+                cb.decode(bits)
 
     def test_zero_bit_decode(self):
         cb = fixed_length_codebook(1)
-        assert cb.decode_one("") == (0, 0)
+        assert cb.decode("") == 0
+
+    def test_one_word_book_reads_its_bits(self):
+        # a one-symbol book decodes only its own word, not any string
+        cb = Codebook({0: "0"})
+        assert cb.decode("0") == 0
+        for bits in ["1", "", "00"]:
+            with pytest.raises(ValidationError, match="undecodable"):
+                cb.decode(bits)
+
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_decode_accepts_exactly_the_codewords(self, seed, entropy):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        if entropy:
+            weights = [rng.randint(0, 5) for _ in range(n)]
+            weights[rng.randrange(n)] += 1
+            cb = entropy_codebook(weights)
+        else:
+            cb = fixed_length_codebook(n)
+        longest = max(len(w) for w in cb.words.values())
+        for length in range(longest + 2):
+            for bits in itertools.product("01", repeat=length):
+                bits = "".join(bits)
+                if bits in cb.words.values():
+                    assert cb.encode(cb.decode(bits)) == bits
+                else:
+                    with pytest.raises(ValidationError, match="undecodable"):
+                        cb.decode(bits)
 
 
 class TestPacking:
@@ -180,6 +218,25 @@ class TestPacking:
         data = pack_slots([("a", "1")])
         # header: magic + count + (label len, label, bitlen); payload one byte
         assert data[-1] == 0b10000000
+
+    @pytest.mark.parametrize("last", [0x81, 0xC0, 0xFF])
+    def test_nonzero_padding_rejected(self, last):
+        data = b"PSQ1\x00\x01\x03pad\x00\x00\x00\x01\x80"
+        assert pack_slots([("pad", "1")]) == data
+        assert unpack_slots(data) == [("pad", "1")]
+        with pytest.raises(ValidationError, match="padding"):
+            unpack_slots(data[:-1] + bytes([last]))
+
+    @example([])
+    @example([("pad", "")])
+    @example([("pad", ""), ("u1", ""), ("u2", "1")])
+    @given(st.lists(st.tuples(st.text("abpuz0123456789", max_size=4),
+                              st.text("01", max_size=20)), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_byte_at_a_time_codec(self, slots):
+        data = pack_slots(slots)
+        assert data == ref_pack_slots(slots)
+        assert unpack_slots(data) == ref_unpack_slots(data) == slots
 
     def test_bad_magic(self):
         with pytest.raises(ValidationError, match="magic"):

@@ -20,6 +20,7 @@ from privseq.pipeline import (
     _write_slots,
     audit_demands,
     decode_session,
+    decode_walk,
     encode_session,
     expected_length,
     leakage_audit,
@@ -99,6 +100,20 @@ class TestEncodeDecode:
         t = encode_session(p, (1, 1), (1,), PadKey(1, 2), chain, RandomDraws(0))
         x, _ = decode_session(t, PadKey(0, 2), (1,), chain)
         assert x != 1
+
+    @pytest.mark.parametrize("modulus", [1, 3])
+    def test_decoder_checks_key_modulus(self, modulus):
+        # the decoder rejects a key the encoder would reject, before reading a slot
+        p = deterministic_db()
+        chain = session_chain(p, (1,))
+        t = encode_session(p, (1, 1), (1,), PadKey(1, 2), chain, RandomDraws(0))
+        key = PadKey(0, modulus)
+        with pytest.raises(ValidationError, match=rf"modulus {modulus} != \|X\| = 2"):
+            encode_session(p, (1, 1), (1,), key, chain, RandomDraws(0))
+        with pytest.raises(ValidationError, match=rf"modulus {modulus} != \|X\| = 2"):
+            decode_session(t, key, (1,), chain)
+        with pytest.raises(ValidationError, match=rf"modulus {modulus} != \|X\| = 2"):
+            decode_walk(chain, session_codebooks(chain, FIXED), t, key)
 
     def test_repeated_demands_rejected(self):
         p = masked_bits("1/2", 2, 2, 1)
