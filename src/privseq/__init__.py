@@ -7,7 +7,7 @@ delivery application.
 """
 
 from .errors import InvariantError, LimitError, ValidationError
-from .probability import Alphabet, JointDist, load_dist, parse_dist, format_dist, uniform
+from .probability import Alphabet, JointDist, load_dist, parse_dist, format_dist
 from .frl import (
     FrlMechanism,
     MechanismChain,
@@ -38,10 +38,8 @@ from .pipeline import (
     worst_case_sweep,
 )
 from .bounds import (
-    BoundReport,
     Example1Params,
     example1_build,
-    example1_ratio,
     lower_bound,
     upper_bound_cardinality,
     upper_bound_entropy_estimate,

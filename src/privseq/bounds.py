@@ -80,18 +80,6 @@ def lower_bound(p: JointDist, demands: Sequence[int]) -> float:
     return p.max_entropy_given(demand_names(p, demands), p.variables[0].name)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    lower: float
-    upper_cardinality: int
-    upper_entropy_estimate: int  # surrogate-based; >= nothing is claimed vs true optimum
-    measured: float
-
-    def sandwich_ok(self, tol: float = 1e-9) -> bool:
-        return (self.lower <= self.measured + tol
-                and self.measured <= self.upper_cardinality + tol)
-
-
 # ---------------------------------------------------------------------------
 # The Bernoulli-AND database family: X ~ Bern(p) masks i.i.d. fair bits, so
 # every file is all-zero when X=0 and uniform when X=1.
@@ -136,14 +124,3 @@ def example1_build(params: Example1Params, limit: int = DEFAULT_STATE_LIMIT) -> 
     if total != den:
         raise InvariantError(f"masked database sums to {Fraction(total, den)}, expected exactly 1")
     return JointDist._exact(variables, num, den)
-
-
-def example1_ratio(k: int, f: int) -> float:
-    """Cardinality upper bound over the k*f converse, by closed formula.
-
-    Decreases toward (k+1)/2 as the file size grows; no mechanism is built,
-    so arbitrarily large f is cheap.
-    """
-    if k < 1 or f < 1:
-        raise ValidationError("need k >= 1 and f >= 1")
-    return upper_bound_cardinality(2, [2 ** f] * k) / (k * f)

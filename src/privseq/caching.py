@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter, xor
 from typing import Iterable, Mapping, Sequence
@@ -319,7 +319,9 @@ def adversary_view_distribution(session: CacheSession, key_size: int,
 
     The public cache replays the auxiliary slots verbatim, so each view is
     the wrapped transcript's slots followed by its log entries: a one-to-one
-    relabelling of the transcripts over the same (C, X, W) joint.
+    relabelling of the enumerated transcripts over the same (C, X) marginal.
+    A view is longer than its transcript, so the per-key sums of its lengths
+    are taken again, in one walk of that marginal.
     """
     x_size = session.chain.private_size
     if key_size != x_size:
@@ -328,7 +330,13 @@ def adversary_view_distribution(session: CacheSession, key_size: int,
     views = tuple(pipeline.Transcript(t.slots + tuple(
         (f"cache{i}", bits) for i, bits in enumerate(t.bitstrings[1:], 1)
     )) for t in td.transcripts)
-    return pipeline.TranscriptDistribution.of_transcripts(td.joint, views, td.parts)
+    lengths = tuple(sum(map(len, v.bitstrings)) for v in views)
+    totals = [0] * key_size
+    mass = [0] * key_size
+    for (c, _x, w), n in td.cxw_cells():
+        totals[w] += n * lengths[c]
+        mass[w] += n
+    return replace(td, lengths=lengths, w_sums=tuple(zip(totals, mass)), _transcripts=views)
 
 
 def delivery_bound(cfg: CacheConfig, x_size: int) -> int:

@@ -25,6 +25,8 @@ EXIT_VALIDATION = 1
 EXIT_INVARIANT = 2
 EXIT_LIMIT = 3
 
+DROPPED_SHOWN = 8  # `frl build` names this many dropped symbols and counts the rest
+
 
 def _write_output(args, payload: dict, rows: list[dict] | None = None,
                   fieldnames: list[str] | None = None) -> None:
@@ -101,7 +103,9 @@ def cmd_frl_build(args) -> int:
     print(f"variables: {dist.variables[0].name} (size {dist.variables[0].size}) -> "
           f"{dist.variables[1].name} (size {dist.variables[1].size})")
     if mech.dropped_x:
-        print(f"warning: dropped zero-mass private symbols {list(mech.dropped_x)}")
+        rest = len(mech.dropped_x) - DROPPED_SHOWN
+        print(f"warning: dropped zero-mass private symbols {list(mech.dropped_x[:DROPPED_SHOWN])}"
+              + (f" and {rest} more" if rest > 0 else ""))
     print(f"atoms: {mech.u_size} (cap {frl.cardinality_bound(dist.variables[0].size, dist.variables[1].size)})")
     for u, ((a, b), q) in enumerate(zip(mech.atoms, mech.p_u)):
         print(f"  u{u}: [{_fraction_str(a)}, {_fraction_str(b)})  p={_fraction_str(q)}")
@@ -132,12 +136,6 @@ def _sample_row(d: JointDist) -> tuple[int, ...]:
 def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
     row, chain, books = pipeline.audit_demands(p, demands, args.mode, args.limit)
     x_size = p.variables[0].size
-    report = bounds_mod.BoundReport(
-        lower=row.lower,
-        upper_cardinality=row.upper_cardinality,
-        upper_entropy_estimate=row.upper_entropy_estimate,
-        measured=row.expected_len,
-    )
 
     draws = pipeline.RandomDraws(args.seed)
     sample = _sample_row(p)
@@ -162,11 +160,11 @@ def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
         "leakage_bits": row.leakage_bits,
         "expected_len_per_w": list(row.per_w),
         "expected_len_max": row.expected_len,
-        "lower_bound": report.lower,
-        "upper_cardinality": report.upper_cardinality,
-        "upper_entropy_estimate": report.upper_entropy_estimate,
+        "lower_bound": row.lower,
+        "upper_cardinality": row.upper_cardinality,
+        "upper_entropy_estimate": row.upper_entropy_estimate,
         "upper_entropy_note": "estimate: surrogate per-stage entropies",
-        "sandwich_ok": report.sandwich_ok(),
+        "sandwich_ok": row.sandwich_ok(),
     }
 
 
@@ -251,7 +249,7 @@ def cmd_bounds_sweep(args) -> int:
     for k in k_values:
         for f in f_values:
             upper = bounds_mod.upper_bound_cardinality(2, [2 ** f] * k, args.limit)
-            ratio = upper / (k * f)  # example1_ratio, from the same caps
+            ratio = upper / (k * f)  # the cardinality bound over the k*f converse
             row = {
                 "n": k, "k": k, "f": f,
                 "demands": " ".join(str(i) for i in range(1, k + 1)),

@@ -55,8 +55,8 @@ class FrlMechanism:
                  segments of one positive x tile the atoms 0..n-1 in order
 
     The spans are the whole map: `apply(u, x)` is the y whose segment covers
-    atom u, `row` the integer P(U | x, y), `conditional_u` its Fraction view.
-    `atoms` and `p_u` are the Fraction views of `bounds`.
+    atom u, and `row` the integer P(U | x, y). `atoms` and `p_u` are the
+    Fraction views of `bounds`.
     """
 
     u_alphabet: Alphabet
@@ -122,13 +122,6 @@ class FrlMechanism:
         span = self._span(x, y)
         b = self.bounds
         return span, self.widths[span.start:span.stop], b[span.stop] - b[span.start]
-
-    def conditional_u(self, x: int, y: int) -> dict[int, Fraction]:
-        """Exact P(U=u | X=x, Y=y): atom length over segment length."""
-        span = self._span(x, y)
-        b = self.bounds
-        length = b[span.stop] - b[span.start]
-        return {u: Fraction(b[u + 1] - b[u], length) for u in span}
 
 
 def _bounds_entropy(bounds: Sequence[int]) -> float:
@@ -398,9 +391,6 @@ class ChainStage:
     def row(self, x: int, u_prefix: Sequence[int], y: int) -> Row:
         """P(U_k | x, u_prefix, y) on integers, as `FrlMechanism.row` gives it."""
         return self.mechanism.row(self._state(x, u_prefix), y)
-
-    def conditional_u(self, x: int, u_prefix: Sequence[int], y: int) -> dict[int, Fraction]:
-        return self.mechanism.conditional_u(self._state(x, u_prefix), y)
 
 
 @dataclass(frozen=True)

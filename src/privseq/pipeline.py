@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from . import bounds as bounds_mod
 from .coding import (
@@ -45,10 +45,6 @@ class Transcript:
     """Delivered message: ordered (label, bitstring) slots."""
 
     slots: tuple[tuple[str, str], ...]
-
-    @property
-    def total_length(self) -> int:
-        return sum(len(bits) for _, bits in self.slots)
 
     @property
     def bitstrings(self) -> tuple[str, ...]:
@@ -246,43 +242,39 @@ def decode_session(transcript: Transcript, key: PadKey, demands: Sequence[int],
 class TranscriptDistribution:
     """Exact joint of (transcript index, private symbol, key symbol).
 
-    `lengths[c]` is the bit length of transcript c. `transcript_distribution`
-    works the lengths out from the books' code-length tables and keeps each
-    transcript as its `parts`; `transcripts` writes them with `books` on
-    first access. It also keeps the (C, X) marginal `cx` and, per key value,
-    the sums `expected_length` divides; the (C, X, W) `joint` is derived
-    from `cx` on first read, since the key is a function of the transcript's
-    padded symbol and x. A distribution built from an explicit joint, as
-    `of_transcripts` builds one, has neither.
+    `transcript_distribution` builds one. `lengths[c]` is the bit length of
+    transcript c, worked out from the books' code-length tables; each
+    transcript is kept as its `parts`, and `transcripts` writes them with
+    `books` on first access. It keeps the (C, X) marginal `cx`, which the
+    leakage audit reads, and, per key value, the sums `expected_length`
+    divides. The (C, X, W) `joint` is derived from `cx` on first read, since
+    the key is a function of the transcript's padded symbol and x.
     """
 
-    _joint: JointDist | None  # variables C, X, W; None until derived from `cx`
     lengths: tuple[int, ...]
-    parts: tuple[tuple[int, tuple[int, ...]], ...] | None = None  # (padded x, u vector)
-    books: Books | None = field(default=None, repr=False)
+    parts: tuple[tuple[int, tuple[int, ...]], ...]  # (padded x, u vector)
+    books: Books = field(repr=False)
+    cx: JointDist = field(repr=False)  # variables C, X
+    w_sums: tuple[tuple[int, int], ...] = field(repr=False)  # per w: (mass * length, mass)
     _transcripts: tuple[Transcript, ...] | None = field(default=None, repr=False, compare=False)
-    cx: JointDist | None = field(default=None, repr=False)  # variables C, X
-    w_sums: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)  # per w: (mass * length, mass)
+    _joint: JointDist | None = field(default=None, init=False, repr=False, compare=False)
 
-    @classmethod
-    def of_transcripts(cls, joint: JointDist, transcripts: Iterable[Transcript],
-                       parts: tuple[tuple[int, tuple[int, ...]], ...] | None = None
-                       ) -> "TranscriptDistribution":
-        transcripts = tuple(transcripts)
-        return cls(joint, tuple(t.total_length for t in transcripts), parts,
-                   _transcripts=transcripts)
+    def cxw_cells(self) -> Iterator[tuple[tuple[int, int, int], int]]:
+        """The (C, X, W) cells with their numerators over `cx`'s denominator:
+        cell (c, x) of `cx` gains w = padded x - x mod |X|, which keeps the
+        cells sorted."""
+        key_size = self.cx.variables[1].size
+        parts = self.parts
+        for (c, x), n in self.cx._ints()[0].items():
+            yield (c, x, (parts[c][0] - x) % key_size), n
 
     @property
     def joint(self) -> JointDist:
-        """Cell (c, x) of `cx` gains w = padded x - x mod |X|, which keeps the
-        cells sorted; derived once, then kept."""
+        """The (C, X, W) joint of `cxw_cells`; derived once, then kept."""
         if self._joint is None:
-            num, den = self.cx._ints()
-            key_size = self.cx.variables[1].size
-            parts = self.parts
-            table = {(c, x, (parts[c][0] - x) % key_size): n for (c, x), n in num.items()}
             object.__setattr__(self, "_joint", JointDist._exact(
-                (*self.cx.variables, Alphabet("W", key_size)), table, den))
+                (*self.cx.variables, Alphabet("W", self.cx.variables[1].size)),
+                dict(self.cxw_cells()), self.cx._ints()[1]))
         return self._joint
 
     @property
@@ -292,10 +284,6 @@ class TranscriptDistribution:
             object.__setattr__(self, "_transcripts",
                                tuple(_write_slots(self.books, *part) for part in self.parts))
         return self._transcripts
-
-    @property
-    def key_size(self) -> int:
-        return self.joint.variables[2].size
 
 
 def transcript_distribution(chain: MechanismChain, books: Books | str,
@@ -362,7 +350,7 @@ def transcript_distribution(chain: MechanismChain, books: Books | str,
     # each cell's weight is spread evenly over the key_size key values
     cx = JointDist._exact((Alphabet("C", len(parts)), Alphabet("X", x_size)),
                           table, den * key_size, ordered=False)
-    return TranscriptDistribution(None, tuple(lengths), tuple(parts), books, cx=cx, w_sums=w_sums)
+    return TranscriptDistribution(tuple(lengths), tuple(parts), books, cx, w_sums)
 
 
 @dataclass(frozen=True)
@@ -374,13 +362,12 @@ class LeakageReport:
 def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
     """Rational product test of transcript-vs-private independence, and I(C; X).
 
-    One (C, X) marginal serves both: the verdict is `is_independent`'s
-    product test, and I = H(C) + H(X) - H(C, X), clamped at 0, with each
-    entropy summed over sorted cells as `JointDist.entropy` sums it. The
-    marginal is the enumeration's `td.cx`, or is summed from an explicit `td.joint`.
+    The enumeration's (C, X) marginal `td.cx` serves both: the verdict is
+    `_product_test` on its (c, x) pairs, and I = H(C) + H(X) - H(C, X),
+    clamped at 0, with each entropy summed over sorted cells as
+    `JointDist.entropy` sums it.
     """
-    marginal = td.cx if td.cx is not None else td.joint.marginalize(["C", "X"])
-    cx, den = marginal._ints()  # cells are (c, x) pairs
+    cx, den = td.cx._ints()  # cells are (c, x) pairs
     exact, pc, px = _product_test(cx, den)
     # cx is sorted, so pc meets its symbols in sorted order and px may not
     bits = (_entropy_bits(pc.values(), den) + _entropy_bits((px[x] for x in sorted(px)), den)
@@ -395,20 +382,10 @@ class ExpectedLength:
 
 
 def expected_length(td: TranscriptDistribution) -> ExpectedLength:
-    """E[len(C) | W=w] for each key value; exact ratios, reported as floats.
-
-    The enumeration's per-key sums are read as they are; an explicit joint is walked.
-    """
-    sums = td.w_sums
-    if sums is None:
-        totals = [0] * td.key_size
-        mass = [0] * td.key_size
-        for (c, _x, w), n in td.joint._ints()[0].items():
-            totals[w] += n * td.lengths[c]
-            mass[w] += n
-        sums = zip(totals, mass)
+    """E[len(C) | W=w] for each key value, from the per-key sums `td.w_sums`;
+    exact ratios, reported as floats."""
     # int / int is correctly rounded, as float() of the reduced Fraction is
-    per_w = tuple(t / m if m else 0.0 for t, m in sums)
+    per_w = tuple(t / m if m else 0.0 for t, m in td.w_sums)
     return ExpectedLength(per_w=per_w, max_over_w=max(per_w))
 
 
@@ -424,6 +401,11 @@ class SweepRow:
     leakage_bits: float
     u_sizes: tuple[int, ...]
     transcript_support: int
+
+    def sandwich_ok(self) -> bool:
+        """lower <= measured <= cardinality bound, within 1e-9 of float dust."""
+        return (self.lower <= self.expected_len + 1e-9
+                and self.expected_len <= self.upper_cardinality + 1e-9)
 
 
 def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,

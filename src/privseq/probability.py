@@ -5,7 +5,7 @@ reduced so that the numerators and the denominator share no factor; the
 kernel (marginals, per-symbol conditional entropies, independence tests)
 adds and multiplies plain integers, so every check is an exact equality,
 never a float comparison. `fractions.Fraction` appears only at the API
-edges: `table`, `items()`, `prob()` and the constructor's table. A table
+edges: `table`, `items()` and the constructor's table. A table
 given to the constructor is validated and then stored as numerators like a
 kernel result; every table gets its Fraction view on first use, one Fraction
 per distinct numerator shared by every cell that has it, and keeps it.
@@ -214,9 +214,6 @@ class JointDist:
             raise ValidationError(f"repeated variable in {list(names)}")
         return tuple(axes)
 
-    def prob(self, cell: Sequence[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(cell), 0), self._den)
-
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.table.items())
 
@@ -259,26 +256,6 @@ class JointDist:
             masses[key] = masses.get(key, 0) + n
         return max(_entropy_bits((masses[k] for k in sorted(masses)), sum(masses.values()))
                    for masses in groups.values())
-
-    def is_independent(self, a: Sequence[str], b: Sequence[str]) -> bool:
-        """Exact rational test of P(a,b) == P(a)P(b) on every cell.
-
-        An empty set on either side is vacuously independent.
-        """
-        a = list(a)
-        b = list(b)
-        if set(a) & set(b):
-            raise ValidationError("variable sets must be disjoint")
-        if not a or not b:
-            return True
-        joint, den = self.marginalize(a + b)._ints()
-        na = len(a)
-        return _product_test({(cell[:na], cell[na:]): n for cell, n in joint.items()}, den)[0]
-
-
-def uniform(alphabet: Alphabet) -> JointDist:
-    q = Fraction(1, alphabet.size)
-    return JointDist([alphabet], {(s,): q for s in alphabet.symbols()})
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,16 @@
 `ref_*` recompute a kernel result from Fractions by the textbook formula;
 `ref_pick` is the Fraction draw that the integer `RandomDraws.pick` must
 match, and `ref_pack_slots`/`ref_unpack_slots` the byte-at-a-time codec
-that the one-conversion `pack_slots`/`unpack_slots` must match. The other functions are exact helpers over the library's objects
-that the tests use to state a property: conditionals and information
-measures of a `JointDist`, a pair mechanism's (U, X, Y) joint, codebook
-sums, and `outcomes`, the one walk over every coupling a chain can draw,
-each pushed through the real encoder.
+that the one-conversion `pack_slots`/`unpack_slots` must match. The
+explicit-joint audit (`explicit_leakage_audit`, `explicit_expected_length`)
+walks a whole (C, X, W) joint; the product audits, which read only the
+enumeration's (C, X) marginal and per-key sums, must agree with it to the
+bit. The other functions are exact helpers over the library's objects that
+the tests use to state a property: point probabilities, conditionals,
+independence and information measures of a `JointDist`, a mechanism's
+Fraction conditionals and a pair mechanism's (U, X, Y) joint, codebook
+sums, the masked family's closed-form ratio, and `outcomes`, the one walk
+over every coupling a chain can draw, each pushed through the real encoder.
 """
 
 import bisect
@@ -17,10 +22,13 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+from privseq.bounds import upper_bound_cardinality
 from privseq.caching import delivery_blocks, placement, private_wrap, user_decode
 from privseq.coding import FIXED, PadKey, fixed_length_codebook
 from privseq.errors import InvariantError, ValidationError
 from privseq.pipeline import (
+    ExpectedLength,
+    LeakageReport,
     Transcript,
     TranscriptDistribution,
     decode_walk,
@@ -28,7 +36,7 @@ from privseq.pipeline import (
     encode_session,
     session_codebooks,
 )
-from privseq.probability import Alphabet, JointDist
+from privseq.probability import Alphabet, JointDist, _product_test
 
 # ---------------------------------------------------------------------------
 # Distributions
@@ -37,6 +45,31 @@ from privseq.probability import Alphabet, JointDist
 
 def point_mass(alphabet, symbol):
     return JointDist([alphabet], {(symbol,): F(1)})
+
+
+def uniform(alphabet):
+    q = F(1, alphabet.size)
+    return JointDist([alphabet], {(s,): q for s in alphabet.symbols()})
+
+
+def prob(d, cell):
+    """P(cell) as a Fraction, 0 off the support; read from the integer table."""
+    num, den = d._ints()
+    return F(num.get(tuple(cell), 0), den)
+
+
+def is_independent(d, a, b):
+    """Exact rational test of P(a,b) == P(a)P(b) on every cell, by the
+    library's `_product_test`. An empty set on either side is vacuously
+    independent."""
+    a, b = list(a), list(b)
+    if set(a) & set(b):
+        raise ValidationError("variable sets must be disjoint")
+    if not a or not b:
+        return True
+    joint, den = d.marginalize(a + b)._ints()
+    na = len(a)
+    return _product_test({(cell[:na], cell[na:]): n for cell, n in joint.items()}, den)[0]
 
 
 def condition(d, name, symbol):
@@ -99,11 +132,35 @@ def product_extend(d, fresh, marginal):
     return JointDist._exact(d.variables + (fresh,), out, den * m_den)
 
 
+def conditional_u(mech, x, y):
+    """Exact P(U=u | X=x, Y=y) of a mechanism: atom length over segment length."""
+    span = mech._span(x, y)
+    b = mech.bounds
+    length = b[span.stop] - b[span.start]
+    return {u: F(b[u + 1] - b[u], length) for u in span}
+
+
+def stage_conditional_u(stage, x, u_prefix, y):
+    """Exact P(U_k | x, u_1..u_{k-1}, y) of a chain stage."""
+    return conditional_u(stage.mechanism, stage._state(x, u_prefix), y)
+
+
 def mechanism_joint(mech, pxy):
     """The (U, X, Y) joint of a pair mechanism: P(x, y) P(u | x, y) on every positive (x, y)."""
     return JointDist([mech.u_alphabet, *pxy.variables],
                      {(u, x, y): q * pu for (x, y), q in pxy.items()
-                      for u, pu in mech.conditional_u(x, y).items()})
+                      for u, pu in conditional_u(mech, x, y).items()})
+
+
+def example1_ratio(k, f):
+    """Cardinality upper bound over the k*f converse, by closed formula.
+
+    Decreases toward (k+1)/2 as the file size grows; no mechanism is built,
+    so arbitrarily large f is cheap.
+    """
+    if k < 1 or f < 1:
+        raise ValidationError("need k >= 1 and f >= 1")
+    return upper_bound_cardinality(2, [2 ** f] * k) / (k * f)
 
 
 def ref_marginalize(variables, table, keep):
@@ -250,7 +307,7 @@ def ref_pick(rng, slot, conditional):
 
     An integer uniform on [0, D), D the lcm of the conditional's
     denominators, placed against the integer cumulative sums. Fed a stage's
-    `conditional_u`, it must draw what `RandomDraws.pick` draws from the
+    `stage_conditional_u`, it must draw what `RandomDraws.pick` draws from the
     stage's `row` and leave `rng` in the same state.
     """
     symbols = sorted(conditional)
@@ -283,7 +340,7 @@ def outcomes(chain, x, targets, prob, encode):
     stack = [((), prob)]
     for stage, y in zip(chain.stages, targets):
         stack = [(prefix + (u,), q * qu) for prefix, q in stack
-                 for u, qu in stage.conditional_u(x, prefix, y).items()]
+                 for u, qu in stage_conditional_u(stage, x, prefix, y).items()]
     for u_vec, q in stack:
         for w in range(x_size):
             yield Outcome(x, tuple(targets), w, q / x_size,
@@ -333,8 +390,48 @@ def td_law(td):
     return {(td.transcripts[c], x, w): q for (c, x, w), q in td.joint.items()}
 
 
+def total_length(transcript):
+    return sum(len(bits) for _, bits in transcript.slots)
+
+
+# ---------------------------------------------------------------------------
+# The explicit-joint audit
+# ---------------------------------------------------------------------------
+
+
+def _w_sums(joint, lengths):
+    """Per key value w of a (C, X, W) joint: (mass * length, mass), by one walk."""
+    totals = [0] * joint.variables[2].size
+    mass = [0] * joint.variables[2].size
+    for (c, _x, w), n in joint._ints()[0].items():
+        totals[w] += n * lengths[c]
+        mass[w] += n
+    return tuple(zip(totals, mass))
+
+
+def explicit_leakage_audit(joint):
+    """The exact product test of C against X, and I(C; X), from a whole (C, X, W) joint."""
+    return LeakageReport(exact_zero=is_independent(joint, ["C"], ["X"]),
+                         bits=mutual_information(joint, ["C"], ["X"]))
+
+
+def explicit_expected_length(joint, lengths):
+    """E[len(C) | W=w] for each key value, by one walk of a whole (C, X, W) joint."""
+    per_w = tuple(t / m if m else 0.0 for t, m in _w_sums(joint, lengths))
+    return ExpectedLength(per_w=per_w, max_over_w=max(per_w))
+
+
+def explicit_distribution(joint, lengths):
+    """A `TranscriptDistribution` that states an arbitrary (C, X, W) joint to
+    the product audits: the joint's (C, X) marginal and per-key sums. It has
+    no parts or books, so it has no `joint` or `transcripts` view."""
+    return TranscriptDistribution(tuple(lengths), (), None, joint.marginalize(["C", "X"]),
+                                  _w_sums(joint, lengths))
+
+
 def plaintext_baseline(p, demand):
-    """Uncoded single-demand baseline: the file symbol itself is the message."""
+    """Uncoded single-demand baseline, the file symbol itself as the message:
+    its explicit (C, X, W) joint, with a one-symbol key, and the messages' lengths."""
     (demand,) = demand_vector(p, [demand])
     y_alpha = p.variables[demand]
     book = fixed_length_codebook(y_alpha.size)
@@ -342,5 +439,4 @@ def plaintext_baseline(p, demand):
     joint = JointDist(
         [Alphabet("C", y_alpha.size), Alphabet("X", p.variables[0].size), Alphabet("W", 1)],
         {(y, x, 0): q for (x, y), q in pair.items()})
-    transcripts = tuple(Transcript((("y", book.encode(y)),)) for y in y_alpha.symbols())
-    return TranscriptDistribution.of_transcripts(joint, transcripts)
+    return joint, tuple(book.length(y) for y in y_alpha.symbols())

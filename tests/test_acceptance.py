@@ -18,7 +18,6 @@ import pytest
 from privseq.bounds import (
     Example1Params,
     example1_build,
-    example1_ratio,
     lower_bound,
     upper_bound_cardinality,
 )
@@ -42,7 +41,16 @@ from privseq.pipeline import (
 from privseq.probability import Alphabet, JointDist
 
 from conftest import random_database, random_pair
-from reference import cache_roundtrip, condition, enumerate_outcomes, mechanism_joint, product_extend
+from reference import (
+    cache_roundtrip,
+    condition,
+    enumerate_outcomes,
+    example1_ratio,
+    is_independent,
+    mechanism_joint,
+    product_extend,
+    stage_conditional_u,
+)
 from test_frl import brute_force_joint
 
 TOL = 1e-9
@@ -191,7 +199,7 @@ def test_c07_one_time_pad():
         full = JointDist(list(ext.variables) + [Alphabet("P", mod)], table)
         if full.marginalize(["P"]).table != {(s,): F(1, mod) for s in range(mod)}:
             ok = False
-        if not full.is_independent(["P"], ["X"]):
+        if not is_independent(full, ["P"], ["X"]):
             ok = False
         for x in range(mod):
             for w in range(mod):
@@ -255,7 +263,7 @@ def test_c10_sequentiality():
             bad += 1
             continue
         cell = next(iter(p.table))
-        cond = sa.conditional_u(cell[0], (), cell[d1])
+        cond = stage_conditional_u(sa, cell[0], (), cell[d1])
         u = min(cond)
 
         class ForceFirst:

@@ -10,23 +10,21 @@ from hypothesis import strategies as st
 
 import privseq.bounds as bounds_mod
 from privseq.bounds import (
-    BoundReport,
     Example1Params,
     cardinality_caps,
     ceil_log2,
     example1_build,
-    example1_ratio,
     lower_bound,
     upper_bound_cardinality,
     upper_bound_entropy_estimate,
 )
 from privseq.errors import LimitError, ValidationError
 from privseq.frl import cardinality_bound
-from privseq.pipeline import session_chain
+from privseq.pipeline import SweepRow, session_chain
 from privseq.probability import Alphabet, JointDist, load_dist
 
 from conftest import random_database
-from reference import condition
+from reference import condition, example1_ratio, prob
 
 
 class TestCeilLog2:
@@ -191,7 +189,7 @@ class TestMaskedFamilyBuild:
 
     def test_single_bit_marginal(self):
         p = example1_build(Example1Params(F(1, 2), 1, 1, 1))
-        assert p.marginalize(["Y1"]).prob((1,)) == F(1, 4)
+        assert prob(p.marginalize(["Y1"]), (1,)) == F(1, 4)
 
     def test_limit_guard(self):
         with pytest.raises(LimitError):
@@ -229,9 +227,14 @@ class TestRatio:
         assert abs(example1_ratio(3, 512) - 7 / 3) < 0.01
 
 
-class TestBoundReport:
+class TestSandwich:
+    @staticmethod
+    def row(lower, measured, upper):
+        return SweepRow(demands=(1,), expected_len=measured, per_w=(measured,), lower=lower,
+                        upper_cardinality=upper, upper_entropy_estimate=3,
+                        leakage_exact_zero=True, leakage_bits=0.0, u_sizes=(2,),
+                        transcript_support=4)
+
     def test_sandwich_check(self):
-        rep = BoundReport(lower=2.0, upper_cardinality=6, upper_entropy_estimate=3, measured=3.0)
-        assert rep.sandwich_ok()
-        bad = BoundReport(lower=4.0, upper_cardinality=6, upper_entropy_estimate=3, measured=3.0)
-        assert not bad.sandwich_ok()
+        assert self.row(2.0, 3.0, 6).sandwich_ok()
+        assert not self.row(4.0, 3.0, 6).sandwich_ok()

@@ -30,7 +30,15 @@ from privseq.pipeline import (
 from privseq.probability import Alphabet, JointDist
 
 from conftest import random_database
-from reference import cache_bits, cache_roundtrip, law, outcomes, td_law
+from reference import (
+    cache_bits,
+    cache_roundtrip,
+    explicit_expected_length,
+    law,
+    outcomes,
+    td_law,
+    total_length,
+)
 
 
 def masked_db(p, n, f):
@@ -298,6 +306,15 @@ class TestWrapAndDecode:
             private_wrap(session, blocks + (3, 0), 0, PadKey(0, 2), RandomDraws(4))
 
 
+def assert_view_length_is_the_explicit_walk(view):
+    """E[len | w] of the view from its per-key sums, against one walk of its
+    (C, X, W) joint with the view's lengths; returns it."""
+    per_w = expected_length(view).per_w
+    ref = explicit_expected_length(view.joint, view.lengths).per_w
+    assert [v.hex() for v in per_w] == [v.hex() for v in ref]
+    return per_w
+
+
 class TestAudits:
     @pytest.mark.parametrize("shape, p, demands, mode", [
         ((2, 2, 1, 2), "1/2", (1, 2), FIXED),
@@ -325,7 +342,17 @@ class TestAudits:
         for t, v in zip(td.transcripts, view.transcripts):
             copies = tuple((f"cache{i}", bits) for i, (_, bits) in enumerate(t.slots[1:], 1))
             assert v.slots == t.slots + copies
-        assert view.lengths == tuple(v.total_length for v in view.transcripts)
+        assert view.lengths == tuple(total_length(v) for v in view.transcripts)
+        assert_view_length_is_the_explicit_walk(view)
+
+    def test_benchmark_cache_view_length(self):
+        # the deliver benchmark's cache session at seed 0: prior 8/13, demands (3, 1, 2, 4);
+        # its view's E[len | w] is the cache_view_len_per_w fingerprint
+        cfg = CacheConfig(4, 4, 1, 4)
+        session = make_cache_session(cfg, example1_build(Example1Params(F(8, 13), 4, 4, 4)),
+                                     (3, 1, 2, 4), ENTROPY)
+        view = adversary_view_distribution(session, 2)
+        assert assert_view_length_is_the_explicit_walk(view) == (13.0, 13.0)
 
     def test_adversary_view_independent(self):
         cfg = CacheConfig(2, 2, 1, 2)

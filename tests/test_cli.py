@@ -73,6 +73,18 @@ class TestFrlBuild:
                      "--optimize", "10"]) == 0
         assert "ordering-optimized" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("x_size, more", [(10, ""), (11, " and 1 more"),
+                                              (200_000, " and 199990 more")])
+    def test_dropped_warning_is_bounded(self, spec_path, tmp_path, capsys, x_size, more):
+        # stdout names the first 8 dropped symbols and counts the rest; --out lists them all
+        out = tmp_path / "mech.json"
+        spec = spec_path(f"var X {x_size}\nvar Y 2\np 0 0 1/2\np 1 1 1/2\n")
+        assert main(["frl", "build", "--spec", spec, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert len(stdout.encode()) < 4096
+        assert f"warning: dropped zero-mass private symbols [2, 3, 4, 5, 6, 7, 8, 9]{more}\n" in stdout
+        assert json.loads(out.read_text())["dropped_x"] == list(range(2, x_size))
+
     def test_optimize_below_one_is_validation_error(self, spec_path, capsys):
         assert main(["frl", "build", "--spec", spec_path(DESIGNED), "--optimize", "-1"]) == 1
         assert "ordering-search budget must be at least 1, got -1" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from conftest import random_pair
 from reference import (
     decode_all,
     expected_code_length,
+    is_independent,
     kraft_sum,
     product_extend,
     ref_pack_slots,
@@ -67,7 +68,7 @@ class TestPad:
         full = JointDist(list(ext.variables) + [Alphabet("P", mod)], table)
         padded = full.marginalize(["P"])
         assert padded.table == {(s,): F(1, mod) for s in range(mod)}
-        assert full.is_independent(["P"], ["X"])
+        assert is_independent(full, ["P"], ["X"])
 
 
 class TestFixedLength:

@@ -23,7 +23,7 @@ from privseq.bounds import Example1Params, example1_build
 from privseq.probability import Alphabet, JointDist
 
 from conftest import random_pair, random_database
-from reference import conditional_entropy, mechanism_joint
+from reference import conditional_entropy, conditional_u, is_independent, mechanism_joint, prob
 
 
 def brute_force_joint(pxy, policy=None):
@@ -40,7 +40,7 @@ def brute_force_joint(pxy, policy=None):
         pos = F(0)
         rows = []
         for y in order:
-            w = pxy.prob((x, y)) / mass
+            w = prob(pxy, (x, y)) / mass
             rows.append((pos, pos + w, y))
             pos += w
         segs[x] = rows
@@ -108,9 +108,9 @@ class TestConstruct:
             with pytest.raises(ValidationError, match=rf"\(u={u}, x={x}\) outside the positive support"):
                 m.apply(u, x)
         with pytest.raises(ValidationError, match="x=2 has zero mass"):
-            m.conditional_u(2, 0)
+            conditional_u(m, 2, 0)
         with pytest.raises(ValidationError, match=r"\(x=0, y=1\) outside the positive support"):
-            m.conditional_u(0, 1)
+            conditional_u(m, 0, 1)
 
     def test_uniform_conditionals_full_entropy(self):
         d = JointDist(
@@ -124,9 +124,9 @@ class TestConstruct:
     def test_conditional_u_matches_ratio(self, designed_2x2):
         m = frl_construct(designed_2x2)
         # segment (x=0, y=0) = [0,1/2) holds the first two quarter atoms
-        assert m.conditional_u(0, 0) == {0: F(1, 2), 1: F(1, 2)}
+        assert conditional_u(m, 0, 0) == {0: F(1, 2), 1: F(1, 2)}
         # segment (x=1, y=1) = [1/4,1) holds atoms 1 and 2
-        assert m.conditional_u(1, 1) == {1: F(1, 3), 2: F(2, 3)}
+        assert conditional_u(m, 1, 1) == {1: F(1, 3), 2: F(2, 3)}
 
     def test_needs_pair(self):
         d = example1_build(Example1Params(F(1, 2), 2, 2, 1))
@@ -164,12 +164,12 @@ class TestInvariants:
         pxy = random_pair(rng, rng.randint(1, 3), rng.randint(1, 4), sparse=True)
         m = frl_construct(pxy)
         joint = mechanism_joint(m, pxy)
-        assert joint.is_independent([m.u_alphabet.name], ["X"])
+        assert is_independent(joint, [m.u_alphabet.name], ["X"])
         assert conditional_entropy(joint, ["Y"], [m.u_alphabet.name, "X"]) == 0.0
         assert m.u_size <= cardinality_bound(pxy.variables[0].size, pxy.variables[1].size)
         assert sum(m.p_u) == 1
         marg = joint.marginalize([m.u_alphabet.name])
-        assert tuple(marg.prob((u,)) for u in range(m.u_size)) == m.p_u
+        assert tuple(prob(marg, (u,)) for u in range(m.u_size)) == m.p_u
 
     def test_g_total_on_positive_support(self, designed_2x2):
         m = frl_construct(designed_2x2)
@@ -177,7 +177,7 @@ class TestInvariants:
         for u in range(m.u_size):
             for x in (0, 1):
                 y = m.apply(u, x)
-                assert joint.prob((u, x, y)) > 0
+                assert prob(joint, (u, x, y)) > 0
 
 
 class TestCardinalityBound:
@@ -287,7 +287,7 @@ class TestChain:
         p = example1_build(Example1Params(F(1, 2), 2, 2, 1))
         base = p.marginalize(["X", "Y1", "Y2"])
         chain = build_chain(base, "X", ["Y1", "Y2"])
-        assert chain.joint.is_independent(["U1", "U2"], ["X"])
+        assert is_independent(chain.joint, ["U1", "U2"], ["X"])
         assert conditional_entropy(chain.joint, ["Y1"], ["X", "U1"]) == 0.0
         assert conditional_entropy(chain.joint, ["Y2"], ["X", "U1", "U2"]) == 0.0
 
@@ -296,7 +296,7 @@ class TestChain:
         p = random_database(rng, 3, 2, 1)
         chain = build_chain(p, "X", ["Y1", "Y2"])
         for i in range(1, 3):
-            assert chain.joint.is_independent([f"U{j}" for j in range(1, i + 1)], ["X"])
+            assert is_independent(chain.joint, [f"U{j}" for j in range(1, i + 1)], ["X"])
 
     def test_auxiliaries_mutually_independent(self):
         # the stage marginals factorize, which is what makes the total slot
@@ -305,10 +305,10 @@ class TestChain:
         for _ in range(5):
             p = random_database(rng, rng.randint(2, 3), 2, 1, sparse=True)
             chain = build_chain(p, "X", ["Y1", "Y2"])
-            assert chain.joint.is_independent(["U1"], ["U2"])
+            assert is_independent(chain.joint, ["U1"], ["U2"])
             for i, stage in enumerate(chain.stages, start=1):
                 marg = chain.joint.marginalize([f"U{i}"])
-                assert tuple(marg.prob((u,)) for u in range(stage.mechanism.u_size)) == \
+                assert tuple(prob(marg, (u,)) for u in range(stage.mechanism.u_size)) == \
                     stage.mechanism.p_u
 
     def test_stage_sizes_within_recursive_caps(self):

@@ -13,10 +13,10 @@ from privseq import caching, coding
 from privseq.bounds import Example1Params, example1_build
 from privseq.coding import ENTROPY, FIXED, Codebook, PadKey
 from privseq.errors import InvariantError, LimitError, ValidationError
+from privseq.frl import MechanismChain
 from privseq.pipeline import (
     RandomDraws,
     Transcript,
-    TranscriptDistribution,
     _write_slots,
     audit_demands,
     decode_session,
@@ -35,12 +35,18 @@ from conftest import random_database
 from reference import (
     FixedDraws,
     enumerate_outcomes,
+    explicit_distribution,
+    explicit_expected_length,
+    explicit_leakage_audit,
+    is_independent,
     law,
     mutual_information,
     outcomes,
     plaintext_baseline,
     ref_pick,
+    stage_conditional_u,
     td_law,
+    total_length,
 )
 
 
@@ -70,7 +76,7 @@ class TestEncodeDecode:
         chain = session_chain(p, (1,))
         t = encode_session(p, (1, 1), (1,), PadKey(1, 2), chain, RandomDraws(0))
         assert [len(b) for _, b in t.slots] == [1, 0]
-        assert t.total_length == 1
+        assert total_length(t) == 1
         x, ys = decode_session(t, PadKey(1, 2), (1,), chain)
         assert (x, ys) == (1, (1,))
 
@@ -78,7 +84,7 @@ class TestEncodeDecode:
         p = designed_db(designed_2x2)
         chain = session_chain(p, (1,))
         stage = chain.stages[0]
-        cond = stage.conditional_u(0, (), 0)
+        cond = stage_conditional_u(stage, 0, (), 0)
         assert cond == {0: F(1, 2), 1: F(1, 2)}
         for u in cond:
             t = encode_session(p, (0, 0), (1,), PadKey(0, 2), chain, FixedDraws([u]))
@@ -227,7 +233,7 @@ class TestExactDraws:
            st.sampled_from([FIXED, ENTROPY]), st.integers(0, 2**32), st.data())
     def test_row_draw_is_the_fraction_draw(self, db_seed, x_size, sparse, mode, seed, data):
         """Along a session, each stage's row draws what `ref_pick` draws from the
-        stage's `conditional_u` and consumes the same random bits; with |X| = 1
+        stage's `stage_conditional_u` and consumes the same random bits; with |X| = 1
         every row has one atom."""
         p = random_database(random.Random(db_seed), x_size, 3, 1, sparse)
         demands = data.draw(st.permutations((1, 2, 3)))[:data.draw(st.integers(1, 3))]
@@ -237,7 +243,7 @@ class TestExactDraws:
         x, prefix = cell[0], ()
         for i, (stage, d) in enumerate(zip(chain.stages, demands)):
             u = draws.pick(i, stage.row(x, prefix, cell[d]))
-            assert u == ref_pick(twin, i, stage.conditional_u(x, prefix, cell[d]))
+            assert u == ref_pick(twin, i, stage_conditional_u(stage, x, prefix, cell[d]))
             assert draws._rng.getstate() == twin.getstate()
             prefix += (u,)
         key = PadKey(0, x_size)
@@ -311,7 +317,7 @@ class TestTranscriptDistribution:
             [Alphabet("P", 2)] + [Alphabet(f"V{i}", s) for i, s in enumerate(u_sizes)],
             table,
         )
-        assert d.is_independent(["P"], [f"V{i}" for i in range(len(u_sizes))])
+        assert is_independent(d, ["P"], [f"V{i}" for i in range(len(u_sizes))])
 
 
 class TestLazyTranscripts:
@@ -322,7 +328,7 @@ class TestLazyTranscripts:
         assert len(td.parts) == len(td.lengths) == len(td.transcripts)
         for c, part in enumerate(td.parts):
             assert td.transcripts[c] == _write_slots(books, *part)
-            assert td.lengths[c] == td.transcripts[c].total_length
+            assert td.lengths[c] == total_length(td.transcripts[c])
 
     @pytest.mark.parametrize("mode", [FIXED, ENTROPY])
     @pytest.mark.parametrize("seed, shape, demands", [
@@ -352,8 +358,8 @@ class TestLazyTranscripts:
 
 class TestKeptMarginal:
     """`transcript_distribution` keeps the (C, X) marginal and the per-key length
-    sums, and derives (C, X, W) from them; a distribution over the same joint
-    given explicitly sums both from (C, X, W). The two must agree to the bit."""
+    sums, and derives (C, X, W) from them; the explicit-joint audit sums both
+    from (C, X, W). The two must agree to the bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
@@ -365,8 +371,8 @@ class TestKeptMarginal:
         td = transcript_distribution(session_chain(p, demands), mode)
         leak, el = leakage_audit(td), expected_length(td)
         assert td._joint is None  # neither call derives (C, X, W)
-        explicit = TranscriptDistribution(td.joint, td.lengths)
-        leak_ref, el_ref = leakage_audit(explicit), expected_length(explicit)
+        leak_ref = explicit_leakage_audit(td.joint)
+        el_ref = explicit_expected_length(td.joint, td.lengths)
         assert leak.exact_zero == leak_ref.exact_zero
         assert leak.bits.hex() == leak_ref.bits.hex()
         assert [v.hex() for v in el.per_w] == [v.hex() for v in el_ref.per_w]
@@ -394,18 +400,23 @@ def cxw_joints(draw):
     return JointDist([Alphabet(n, size) for n, size in zip(names, sizes)], table)
 
 
-def assert_audit_matches_reference(td):
-    leak = leakage_audit(td)
-    assert leak.exact_zero == td.joint.is_independent(["C"], ["X"])
-    assert leak.bits.hex() == mutual_information(td.joint, ["C"], ["X"]).hex()
+def assert_audit_matches_reference(td, joint):
+    """The product audit of `td` against the explicit-joint audit of `joint`."""
+    leak, ref = leakage_audit(td), explicit_leakage_audit(joint)
+    assert leak.exact_zero == ref.exact_zero
+    assert leak.bits.hex() == ref.bits.hex()
     return leak
 
 
 class TestLeakage:
     @settings(max_examples=150, deadline=None)
-    @given(cxw_joints())
-    def test_audit_matches_reference(self, joint):
-        assert_audit_matches_reference(TranscriptDistribution(joint, (0,) * joint.variables[0].size))
+    @given(cxw_joints(), st.randoms(use_true_random=False))
+    def test_audit_matches_reference(self, joint, rnd):
+        lengths = [rnd.randint(0, 5) for _ in range(joint.variables[0].size)]
+        td = explicit_distribution(joint, lengths)
+        assert_audit_matches_reference(td, joint)
+        el, el_ref = expected_length(td), explicit_expected_length(joint, lengths)
+        assert [v.hex() for v in el.per_w] == [v.hex() for v in el_ref.per_w]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
@@ -413,34 +424,41 @@ class TestLeakage:
     def test_chain_audit_matches_reference(self, seed, x_size, n_files, sparse, mode):
         p = random_database(random.Random(seed), x_size, n_files, 1, sparse)
         chain = session_chain(p, range(1, n_files + 1))
-        assert assert_audit_matches_reference(
-            transcript_distribution(chain, session_codebooks(chain, mode))).exact_zero
+        td = transcript_distribution(chain, session_codebooks(chain, mode))
+        assert assert_audit_matches_reference(td, td.joint).exact_zero
 
     def test_plaintext_baseline_matches_reference(self):
         for seed in range(4):
             p = random_database(random.Random(seed), 3, 2, 1)
-            leak = assert_audit_matches_reference(plaintext_baseline(p, 1 + seed % 2))
+            joint, lengths = plaintext_baseline(p, 1 + seed % 2)
+            leak = assert_audit_matches_reference(explicit_distribution(joint, lengths), joint)
             assert not leak.exact_zero and leak.bits > 0
 
     @pytest.mark.parametrize("mode", [FIXED, ENTROPY])
-    def test_perturbed_scheme_matches_reference(self, mode):
+    def test_leaky_chain_detected(self, mode):
+        """A hand-made chain whose auxiliaries depend on X, through the real enumeration."""
         p = random_database(random.Random(6), 2, 2, 1)
         chain = session_chain(p, (1, 2))
-        td = transcript_distribution(chain, session_codebooks(chain, mode))
-        assert assert_audit_matches_reference(td).exact_zero
-        # move half of one cell's mass to the same (c, w) under the other x
-        table = dict(td.joint.table)
-        (c, x, w), q = next(iter(table.items()))
-        table[(c, x, w)] -= q / 2
-        table[(c, 1 - x, w)] = table.get((c, 1 - x, w), F(0)) + q / 2
-        leaky = TranscriptDistribution(JointDist(td.joint.variables, table), td.lengths)
-        leak = assert_audit_matches_reference(leaky)
+        clean = transcript_distribution(chain, mode)
+        assert assert_audit_matches_reference(clean, clean.joint).exact_zero
+        # move half of the first cell's mass to the other x with the same files and u vector
+        num, den = chain.joint._ints()
+        cell, n = next(iter(num.items()))
+        moved = {c: 2 * m for c, m in num.items()}
+        moved[cell] -= n
+        other = (1 - cell[0],) + cell[1:]
+        moved[other] = moved.get(other, 0) + n
+        leaky = MechanismChain(chain.private,
+                               JointDist._exact(chain.joint.variables, moved, 2 * den, ordered=False),
+                               chain.stages)
+        td = transcript_distribution(leaky, mode)
+        leak = assert_audit_matches_reference(td, td.joint)
         assert not leak.exact_zero and leak.bits > 0
+        assert leak.bits.hex() == mutual_information(td.joint, ["C"], ["X"]).hex()
 
     def test_plaintext_baseline_leaks(self):
         p = masked_bits("1/2", 1, 1, 1)
-        td = plaintext_baseline(p, 1)
-        leak = leakage_audit(td)
+        leak = leakage_audit(explicit_distribution(*plaintext_baseline(p, 1)))
         assert not leak.exact_zero
         expect = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)) - 0.5
         assert leak.bits == pytest.approx(expect, abs=1e-12)
@@ -556,7 +574,7 @@ class TestSequentiality:
         for cell in p.table:
             chain_a = session_chain(p, (1, 2))
             chain_b = session_chain(p, (1, 3))
-            cond = chain_a.stages[0].conditional_u(cell[0], (), cell[1])
+            cond = stage_conditional_u(chain_a.stages[0], cell[0], (), cell[1])
             for u in cond:
                 ta = encode_session(p, cell, (1, 2), PadKey(1, 2), chain_a, ForceFirst(u))
                 tb = encode_session(p, cell, (1, 3), PadKey(1, 2), chain_b, ForceFirst(u))
