@@ -319,9 +319,10 @@ def adversary_view_distribution(session: CacheSession, key_size: int,
 
     The public cache replays the auxiliary slots verbatim, so each view is
     the wrapped transcript's slots followed by its log entries: a one-to-one
-    relabelling of the enumerated transcripts over the same (C, X) marginal.
-    A view is longer than its transcript, so the per-key sums of its lengths
-    are taken again, in one walk of that marginal.
+    relabelling of the enumerated transcripts over the same factored law.
+    A view is its auxiliary bits longer than its transcript under every key
+    value, so each key's length sum gains the mass-weighted auxiliary bits,
+    summed over the u vectors' groups.
     """
     x_size = session.chain.private_size
     if key_size != x_size:
@@ -331,12 +332,9 @@ def adversary_view_distribution(session: CacheSession, key_size: int,
         (f"cache{i}", bits) for i, bits in enumerate(t.bitstrings[1:], 1)
     )) for t in td.transcripts)
     lengths = tuple(sum(map(len, v.bitstrings)) for v in views)
-    totals = [0] * key_size
-    mass = [0] * key_size
-    for (c, _x, w), n in td.cxw_cells():
-        totals[w] += n * lengths[c]
-        mass[w] += n
-    return replace(td, lengths=lengths, w_sums=tuple(zip(totals, mass)), _transcripts=views)
+    replayed = sum(bits * sum(masses.values()) for _, bits, masses in td.groups.values())
+    return replace(td, w_sums=tuple((total + replayed, mass) for total, mass in td.w_sums),
+                   _lengths=lengths, _transcripts=views)
 
 
 def delivery_bound(cfg: CacheConfig, x_size: int) -> int:

@@ -184,11 +184,13 @@ def _print_run_report(rep: dict) -> None:
 def cmd_pipeline_run(args) -> int:
     p = _load_database(args)
     demands = _parse_demands(args.demands)
+    if demands is not None and args.k is not None:
+        raise ValidationError("--k needs --demands sweep: a demand vector sets its own length")
     if demands is None:
         if args.transcript_out:
             raise ValidationError("--transcript-out needs an explicit demand vector: "
                                   "a sweep encodes no sample transcript")
-        k = args.k or (len(p.variables) - 1)
+        k = len(p.variables) - 1 if args.k is None else args.k
         sweep = pipeline.worst_case_sweep(p, k, args.mode, args.limit)
         rows = []
         for row in sweep.rows:
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_sub = pipe_p.add_subparsers(dest="subcommand", required=True)
     r = pipe_sub.add_parser("run", help="run one demand vector or a sweep")
     _add_family_args(r)
-    r.add_argument("--k", type=int, default=0, help="demand count when --demands sweep")
+    r.add_argument("--k", type=int, help="demand count when --demands sweep (default: every file)")
     r.add_argument("--transcript-out", help="write the sample transcript packed (binary)")
     r.set_defaults(func=cmd_pipeline_run)
 

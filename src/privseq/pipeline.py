@@ -5,12 +5,15 @@ symbol followed by one prefix-free slot per demand, each encoding the stage's
 auxiliary variable. The encoder samples each auxiliary from its stage's
 integer row, P(U_i | x, u_1..u_{i-1}, y_i) as atom widths over a segment
 length, with one uniform integer draw, so a session forms no Fraction.
-Distribution-level objects never sample: the exact joint
-of (transcript, private symbol, key) is built by full enumeration, so the
-zero-leakage audit is a rational product test, not a float comparison. The
-enumeration needs only each transcript's bit length, which it reads from the
-codebooks' code-length tables; the transcripts themselves are written from
-their (padded x, u vector) parts on first access.
+Distribution-level objects never sample: the exact joint of (transcript,
+private symbol, key) is built by full enumeration, so the zero-leakage audit
+is a rational product test, not a float comparison. The key is uniform, so
+that joint is |X| copies of the (u vector, private symbol) law, one per
+padded symbol; the enumeration keeps that law once, with each u vector's
+block of padded symbols, and the audit checks the blocks and tests and sums
+the law without writing the copies. Each transcript's bit length is summed
+from the codebooks' code-length tables; the transcripts, their lengths and
+the whole (transcript, private symbol) table are derived on first access.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .coding import (
 )
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
 from .frl import MechanismChain, Row, build_chain
-from .probability import Alphabet, JointDist, _entropy_bits, _product_test
+from .probability import Alphabet, JointDist, _entropy_bits, _plogp
 
 
 @dataclass(frozen=True)
@@ -238,48 +241,102 @@ def decode_session(transcript: Transcript, key: PadKey, demands: Sequence[int],
     return decode_walk(chain, books or session_codebooks(chain, mode), transcript, key)
 
 
+Group = tuple[int, int, dict[int, int]]  # (x0, auxiliary bits, {x: mass})
+
+
 @dataclass(frozen=True)
 class TranscriptDistribution:
-    """Exact joint of (transcript index, private symbol, key symbol).
+    """Exact joint of (transcript index, private symbol, key symbol), kept factored.
 
-    `transcript_distribution` builds one. `lengths[c]` is the bit length of
-    transcript c, worked out from the books' code-length tables; each
-    transcript is kept as its `parts`, and `transcripts` writes them with
-    `books` on first access. It keeps the (C, X) marginal `cx`, which the
-    leakage audit reads, and, per key value, the sums `expected_length`
-    divides. The (C, X, W) `joint` is derived from `cx` on first read, since
-    the key is a function of the transcript's padded symbol and x.
+    `transcript_distribution` builds one. The key is uniform over `pad_size`
+    values, and each key value sends a chain cell to one padded symbol, so
+    the (C, X) law is `pad_size` copies of the (U vector, X) law. `groups`
+    maps each u vector, in the order first met, to (x0, bits, masses): x0 is
+    the x of its first cell, and `pads[x0]` lists the padded symbols of its
+    block's copies by key value; bits is the auxiliaries' code length;
+    masses maps each x, ascending, to the numerator of P(U = u, X = x) over
+    `den`. Transcript g * pad_size + j of group g is (pads[x0][j], u), and
+    its cell with x has mass masses[x] / (den * pad_size). `x_mass[x]` is the
+    numerator of P(X = x) over `den`, and `w_sums` holds, per key value, the
+    sums `expected_length` divides.
+
+    The transcripts' `lengths` and `parts` (padded x, u vector), the
+    `transcripts` written from the parts with `books`, the (C, X) marginal
+    `cx` and the (C, X, W) `joint` are views: each is derived on first read
+    and kept.
     """
 
-    lengths: tuple[int, ...]
-    parts: tuple[tuple[int, tuple[int, ...]], ...]  # (padded x, u vector)
     books: Books = field(repr=False)
-    cx: JointDist = field(repr=False)  # variables C, X
+    pad_size: int
+    groups: dict[tuple[int, ...], Group] = field(repr=False)
+    pads: dict[int, tuple[int, ...]] = field(repr=False)  # x0 -> padded symbol by key value
+    den: int
+    x_mass: tuple[int, ...] = field(repr=False)
     w_sums: tuple[tuple[int, int], ...] = field(repr=False)  # per w: (mass * length, mass)
+    _lengths: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     _transcripts: tuple[Transcript, ...] | None = field(default=None, repr=False, compare=False)
+    _parts: tuple[tuple[int, tuple[int, ...]], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _cx: JointDist | None = field(default=None, init=False, repr=False, compare=False)
     _joint: JointDist | None = field(default=None, init=False, repr=False, compare=False)
 
+    @property
+    def support(self) -> int:
+        """The number of transcripts: a block of `pad_size` per u vector."""
+        return len(self.groups) * self.pad_size
+
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        """Transcript c's bit length: its pad codeword's plus its auxiliaries'."""
+        if self._lengths is None:
+            pad_length = self.books[0].length
+            object.__setattr__(self, "_lengths", tuple(
+                pad_length(xt) + bits for x0, bits, _ in self.groups.values()
+                for xt in self.pads[x0]))
+        return self._lengths
+
+    @property
+    def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Transcript c as (padded x, u vector)."""
+        if self._parts is None:
+            object.__setattr__(self, "_parts", tuple(
+                (xt, u_vec) for u_vec, (x0, _, _) in self.groups.items() for xt in self.pads[x0]))
+        return self._parts
+
     def cxw_cells(self) -> Iterator[tuple[tuple[int, int, int], int]]:
-        """The (C, X, W) cells with their numerators over `cx`'s denominator:
-        cell (c, x) of `cx` gains w = padded x - x mod |X|, which keeps the
-        cells sorted."""
-        key_size = self.cx.variables[1].size
-        parts = self.parts
-        for (c, x), n in self.cx._ints()[0].items():
-            yield (c, x, (parts[c][0] - x) % key_size), n
+        """The (C, X, W) cells in sorted order, with their numerators over
+        den * pad_size: the copy padding x0 with key value j pads x with
+        w = padded x - x mod pad_size."""
+        size, pads = self.pad_size, self.pads
+        c = 0
+        for x0, _, masses in self.groups.values():
+            for xt in pads[x0]:
+                for x, n in masses.items():
+                    yield (c, x, (xt - x) % size), n
+                c += 1
+
+    @property
+    def cx(self) -> JointDist:
+        """The (C, X) marginal of `cxw_cells`."""
+        if self._cx is None:
+            object.__setattr__(self, "_cx", JointDist._exact(
+                (Alphabet("C", self.support), Alphabet("X", len(self.x_mass))),
+                {(c, x): n for (c, x, _), n in self.cxw_cells()}, self.den * self.pad_size))
+        return self._cx
 
     @property
     def joint(self) -> JointDist:
-        """The (C, X, W) joint of `cxw_cells`; derived once, then kept."""
+        """The (C, X, W) joint of `cxw_cells`."""
         if self._joint is None:
             object.__setattr__(self, "_joint", JointDist._exact(
-                (*self.cx.variables, Alphabet("W", self.cx.variables[1].size)),
-                dict(self.cxw_cells()), self.cx._ints()[1]))
+                (Alphabet("C", self.support), Alphabet("X", len(self.x_mass)),
+                 Alphabet("W", self.pad_size)),
+                dict(self.cxw_cells()), self.den * self.pad_size))
         return self._joint
 
     @property
     def transcripts(self) -> tuple[Transcript, ...]:
-        """Transcript c is `_write_slots(books, *parts[c])`; written once, then kept."""
+        """Transcript c is `_write_slots(books, *parts[c])`."""
         if self._transcripts is None:
             object.__setattr__(self, "_transcripts",
                                tuple(_write_slots(self.books, *part) for part in self.parts))
@@ -288,69 +345,57 @@ class TranscriptDistribution:
 
 def transcript_distribution(chain: MechanismChain, books: Books | str,
                             limit: int = DEFAULT_STATE_LIMIT) -> TranscriptDistribution:
-    """Enumerate the exact joint (C, X), and through it (C, X, W), with rational weights.
+    """Enumerate the exact transcript law with rational weights, factored.
 
     `books` are the chain's codebooks from session_codebooks, or a coding
     mode whose books are built once the |chain joint| * |X| states are
     within `limit`, so no |X|-word pad book is built past it. The key size
     is |X|, as the one-time pad fixes it. Each cell of the chain's joint
-    (x, demanded files, auxiliaries) fans out over the uniform key. A
-    transcript's index is the order its (padded x, u vector) is first met
-    over the chain joint's sorted cells; its length is summed from the books'
-    code-length tables. The same walk gathers, per key value, the mass and
-    the mass times length that `expected_length` divides. A chain with no
-    stages (a fully cached delivery) gives the pad slot alone.
+    (x, demanded files, auxiliaries) fans out over the uniform key into one
+    transcript per padded symbol x + w mod |X|, each with 1/|X| of its mass,
+    so the walk keeps only the (u vector, x) masses, grouped by u vector in
+    the order first met over the chain joint's sorted cells. A u vector's
+    block of transcript indices takes the padded symbols of its first x in
+    key order; a transcript's length is summed from the books' code-length
+    tables. Per key value, the mass and the mass times length that
+    `expected_length` divides are summed from the same masses. A chain with
+    no stages (a fully cached delivery) gives the pad slot alone.
     """
-    x_size = key_size = chain.private_size
-    states = len(chain.joint) * key_size
+    x_size = chain.private_size
+    states = len(chain.joint) * x_size
     if states > limit:
         raise LimitError(f"{states} weighted states exceed the limit {limit}")
     if isinstance(books, str):
         books = session_codebooks(chain, books)
 
     pad_book, stage_books = books
-    k = len(chain.stages)
     x_axis = chain.joint.names.index(chain.private)
-    u_start = len(chain.joint.variables) - k  # the stages' U variables come last
+    u_start = len(chain.joint.variables) - len(chain.stages)  # the stages' U variables come last
 
-    # u vector -> (its bits, the index of (padded x, u vector) by padded x; None until met)
-    by_u: dict[tuple[int, ...], tuple[int, list[int | None]]] = {}
-    pads: dict[int, list[tuple[int, int]]] = {}  # occurring x -> (x + w mod |X|, its bits) by w
-    x_mass: dict[int, int] = {}
-    u_bits_mass = 0  # the chain cells' masses times their auxiliary bits
-    lengths: list[int] = []
-    parts: list[tuple[int, tuple[int, ...]]] = []
-    table: dict[tuple[int, int], int] = {}
+    groups: dict[tuple[int, ...], Group] = {}
+    x_mass = [0] * x_size
     num, den = chain.joint._ints()
     for cell, n in num.items():
         x = cell[x_axis]
         u_vec = cell[u_start:]
-        entry = by_u.get(u_vec)
-        if entry is None:
-            entry = by_u[u_vec] = (sum(book.length(u) for book, u in zip(stage_books, u_vec)),
-                                   [None] * x_size)
-        bits, index_by_xt = entry
-        x_pads = pads.get(x)
-        if x_pads is None:
-            x_pads = pads[x] = [(xt, pad_book.length(xt)) for xt in (*range(x, x_size), *range(x))]
-        x_mass[x] = x_mass.get(x, 0) + n
-        u_bits_mass += n * bits
-        for xt, pad_bits in x_pads:
-            idx = index_by_xt[xt]
-            if idx is None:
-                idx = index_by_xt[xt] = len(parts)
-                lengths.append(pad_bits + bits)
-                parts.append((xt, u_vec))
-            key = (idx, x)
-            table[key] = table.get(key, 0) + n
+        group = groups.get(u_vec)
+        if group is None:
+            groups[u_vec] = (x, sum(map(Codebook.length, stage_books, u_vec)), {x: n})
+        else:
+            masses = group[2]
+            masses[x] = masses.get(x, 0) + n
+        x_mass[x] += n
+    if x_axis:  # the cells are sorted by x first only when x is the first variable
+        groups = {u_vec: (x0, bits, dict(sorted(masses.items())))
+                  for u_vec, (x0, bits, masses) in groups.items()}
 
+    pads = {x: (*range(x, x_size), *range(x)) for x, m in enumerate(x_mass) if m}
+    pad_bits = [pad_book.length(xt) for xt in range(x_size)]
+    u_bits_mass = sum(bits * sum(masses.values()) for _, bits, masses in groups.values())
     # each cell's weight n meets every key value once, so each w has mass den
-    w_sums = tuple((u_bits_mass + sum(m * pads[x][w][1] for x, m in x_mass.items()), den)
-                   for w in range(key_size))
-    # each cell's weight is spread evenly over the key_size key values
-    cx = JointDist._exact((Alphabet("C", len(parts)), Alphabet("X", x_size)),
-                          table, den * key_size, ordered=False)
-    return TranscriptDistribution(tuple(lengths), tuple(parts), books, cx, w_sums)
+    w_sums = tuple((u_bits_mass + sum(m * pad_bits[(x + w) % x_size] for x, m in enumerate(x_mass)),
+                    den) for w in range(x_size))
+    return TranscriptDistribution(books, x_size, groups, pads, den, tuple(x_mass), w_sums)
 
 
 @dataclass(frozen=True)
@@ -360,18 +405,49 @@ class LeakageReport:
 
 
 def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
-    """Rational product test of transcript-vs-private independence, and I(C; X).
+    """Exact test of transcript-vs-private independence, and I(C; X), on the factored law.
 
-    The enumeration's (C, X) marginal `td.cx` serves both: the verdict is
-    `_product_test` on its (c, x) pairs, and I = H(C) + H(X) - H(C, X),
-    clamped at 0, with each entropy summed over sorted cells as
-    `JointDist.entropy` sums it.
+    The pad check reads every stored block: its copies' padded symbols must
+    be 0..pad_size-1 once each, so each key value gives its own transcript
+    of the block, and each (c, x) cell of u's block has mass P(u, x) /
+    pad_size. A block that fails is not the law of a one-time pad, and
+    raises InvariantError. Given the check, C is independent of X exactly
+    when U is, so the verdict is the rational product test
+    n * den == n_u * n_x on every (u, x) pair, an absent pair failing it.
+    I = H(C) + H(X) - H(C, X), clamped at 0. Each entropy adds its terms to
+    one float in the sorted cell order of the (C, X) table `td.cx`, as
+    `JointDist.entropy` would on it: one term per (u, x) cell, added once
+    per copy, so the sum is the same float without writing that table.
     """
-    cx, den = td.cx._ints()  # cells are (c, x) pairs
-    exact, pc, px = _product_test(cx, den)
-    # cx is sorted, so pc meets its symbols in sorted order and px may not
-    bits = (_entropy_bits(pc.values(), den) + _entropy_bits((px[x] for x in sorted(px)), den)
-            - _entropy_bits(cx.values(), den))
+    size, den, x_mass, pads = td.pad_size, td.den, td.x_mass, td.pads
+    every = set(range(size))
+    for x0, block in pads.items():
+        if len(block) != size or set(block) != every:
+            raise InvariantError(f"the blocks of x={x0} pad to {block}, "
+                                 f"not to each of 0..{size - 1} once")
+    cx_den = den * size
+    copies = range(size)
+    exact = True
+    cells = 0
+    h_c = h_cx = 0.0
+    for x0, _, masses in td.groups.values():
+        if x0 not in pads:
+            raise InvariantError(f"no padded symbols for the blocks of x={x0}")
+        n_u = sum(masses.values())
+        cells += len(masses)
+        if exact:
+            for x, n in masses.items():
+                if n * den != n_u * x_mass[x]:
+                    exact = False
+                    break
+        c_term = _plogp(n_u, cx_den)
+        cx_terms = [_plogp(n, cx_den) for n in masses.values()]
+        for _ in copies:
+            h_c += c_term
+            for term in cx_terms:
+                h_cx += term
+    exact = exact and cells == len(td.groups) * sum(1 for m in x_mass if m)
+    bits = (0.0 - h_c) + _entropy_bits((m for m in x_mass if m), den) - (0.0 - h_cx)
     return LeakageReport(exact_zero=exact, bits=max(0.0, bits))
 
 
@@ -429,7 +505,7 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
         leakage_exact_zero=leak.exact_zero,
         leakage_bits=leak.bits,
         u_sizes=chain.u_sizes(),
-        transcript_support=len(td.lengths),
+        transcript_support=td.support,
     )
     return row, chain, td.books
 

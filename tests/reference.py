@@ -5,14 +5,17 @@
 match, and `ref_pack_slots`/`ref_unpack_slots` the byte-at-a-time codec
 that the one-conversion `pack_slots`/`unpack_slots` must match. The
 explicit-joint audit (`explicit_leakage_audit`, `explicit_expected_length`)
-walks a whole (C, X, W) joint; the product audits, which read only the
-enumeration's (C, X) marginal and per-key sums, must agree with it to the
-bit. The other functions are exact helpers over the library's objects that
-the tests use to state a property: point probabilities, conditionals,
-independence and information measures of a `JointDist`, a mechanism's
-Fraction conditionals and a pair mechanism's (U, X, Y) joint, codebook
-sums, the masked family's closed-form ratio, and `outcomes`, the one walk
-over every coupling a chain can draw, each pushed through the real encoder.
+walks a whole (C, X, W) joint; `ref_transcript_distribution` writes a
+chain's whole (C, X) table, every key value's copy cell by cell, and
+`ref_leakage_audit` tests and sums that table. The library's audit, which
+reads only the factored (u vector, X) law, its pad blocks and per-key sums,
+must agree with both to the bit. The other functions are exact helpers over
+the library's objects that the tests use to state a property: point
+probabilities, conditionals, independence and information measures of a
+`JointDist`, a mechanism's Fraction conditionals and a pair mechanism's
+(U, X, Y) joint, codebook sums, the masked family's closed-form ratio, and
+`outcomes`, the one walk over every coupling a chain can draw, each pushed
+through the real encoder.
 """
 
 import bisect
@@ -36,7 +39,7 @@ from privseq.pipeline import (
     encode_session,
     session_codebooks,
 )
-from privseq.probability import Alphabet, JointDist, _product_test
+from privseq.probability import Alphabet, JointDist, _entropy_bits, _product_test
 
 # ---------------------------------------------------------------------------
 # Distributions
@@ -423,10 +426,84 @@ def explicit_expected_length(joint, lengths):
 
 def explicit_distribution(joint, lengths):
     """A `TranscriptDistribution` that states an arbitrary (C, X, W) joint to
-    the product audits: the joint's (C, X) marginal and per-key sums. It has
-    no parts or books, so it has no `joint` or `transcripts` view."""
-    return TranscriptDistribution(tuple(lengths), (), None, joint.marginalize(["C", "X"]),
-                                  _w_sums(joint, lengths))
+    the audits: one group of one copy per positive value of C, in order,
+    with its (C, X) row as masses and a one-symbol pad, and the joint's
+    per-key sums. It has no books and numbers C by rank, so only
+    `leakage_audit` and `expected_length` read it."""
+    num, den = joint.marginalize(["C", "X"])._ints()
+    groups = {}
+    x_mass = [0] * joint.variables[1].size
+    for (c, x), n in num.items():
+        groups.setdefault((c,), (x, lengths[c], {}))[2][x] = n
+        x_mass[x] += n
+    return TranscriptDistribution(None, 1, groups, {x0: (0,) for x0, _, _ in groups.values()},
+                                  den, tuple(x_mass), _w_sums(joint, lengths),
+                                  _lengths=tuple(lengths))
+
+
+# ---------------------------------------------------------------------------
+# The unfactored enumeration
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RefTranscriptLaw:
+    """The whole (C, X) table of a chain's transcripts, every copy written out."""
+
+    lengths: tuple
+    parts: tuple  # (padded x, u vector)
+    cx: JointDist
+    w_sums: tuple  # per w: (mass * length, mass)
+
+    @property
+    def joint(self):
+        """(C, X, W): cell (c, x) gains w = padded x - x mod |X|."""
+        key_size = self.cx.variables[1].size
+        num, den = self.cx._ints()
+        return JointDist._exact((*self.cx.variables, Alphabet("W", key_size)),
+                                {(c, x, (self.parts[c][0] - x) % key_size): n
+                                 for (c, x), n in num.items()}, den)
+
+
+def ref_transcript_distribution(chain, books):
+    """The (C, X) enumeration written cell by cell: each chain cell's weight
+    goes to every padded symbol x + w mod |X|, a transcript's index is the
+    order its (padded x, u vector) is first met over the sorted chain
+    cells, and the table is sorted once at the end."""
+    pad_book, stage_books = books
+    x_size = chain.private_size
+    x_axis = chain.joint.names.index(chain.private)
+    u_start = len(chain.joint.variables) - len(chain.stages)
+    index = {}
+    lengths, parts, table = [], [], {}
+    totals, mass = [0] * x_size, [0] * x_size
+    num, den = chain.joint._ints()
+    for cell, n in num.items():
+        x, u_vec = cell[x_axis], cell[u_start:]
+        bits = sum(book.length(u) for book, u in zip(stage_books, u_vec))
+        for w in range(x_size):
+            xt = (x + w) % x_size
+            c = index.get((xt, u_vec))
+            if c is None:
+                c = index[(xt, u_vec)] = len(parts)
+                parts.append((xt, u_vec))
+                lengths.append(pad_book.length(xt) + bits)
+            table[(c, x)] = table.get((c, x), 0) + n
+            totals[w] += n * lengths[c]
+            mass[w] += n
+    cx = JointDist._exact((Alphabet("C", len(parts)), Alphabet("X", x_size)),
+                          table, den * x_size, ordered=False)
+    return RefTranscriptLaw(tuple(lengths), tuple(parts), cx, tuple(zip(totals, mass)))
+
+
+def ref_leakage_audit(law):
+    """The product test on the (c, x) pairs of the whole table, and I(C; X)
+    with each entropy summed over its sorted cells."""
+    cx, den = law.cx._ints()
+    exact, pc, px = _product_test(cx, den)
+    bits = (_entropy_bits(pc.values(), den) + _entropy_bits((px[x] for x in sorted(px)), den)
+            - _entropy_bits(cx.values(), den))
+    return LeakageReport(exact_zero=exact, bits=max(0.0, bits))
 
 
 def plaintext_baseline(p, demand):

@@ -180,6 +180,26 @@ class TestPipelineRun:
         assert "--transcript-out needs an explicit demand vector" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_sweep_k_outside_range_rejected(self, k, capsys):
+        # an explicit 0 is not the unset default: it must not sweep all N files
+        assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",
+                     "--demands", "sweep", "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert "k must be in 1..2" in captured.err
+        assert "worst case" not in captured.out
+
+    def test_k_with_demand_vector_rejected(self, monkeypatch, capsys):
+        from privseq import pipeline
+
+        def no_audit(*args):
+            raise AssertionError("the audit ran")
+
+        monkeypatch.setattr(pipeline, "audit_demands", no_audit)
+        assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",
+                     "--demands", "1,2", "--k", "2"]) == 1
+        assert "--k needs --demands sweep" in capsys.readouterr().err
+
 
 class TestBoundsSweep:
     def test_csv_output(self, tmp_path, capsys):
@@ -318,6 +338,26 @@ FAMILY_COMMANDS = [
     ["cache", "demo", "--n", "2", "--k", "2", "--m", "1", "--f", "2", "--demands", "1,2"],
     ["bounds", "sweep", "--k-range", "2", "--f-range", "1", "--measure"],
 ]
+
+
+class TestNoCopiedTable:
+    """The CLI's audits read the factored law; no command writes the (C, X) cells."""
+
+    @pytest.mark.parametrize("command", FAMILY_COMMANDS + [
+        ["pipeline", "run", "--n", "3", "--f", "1", "--demands", "sweep", "--k", "2"],
+    ], ids=lambda c: "-".join(c[:2]))
+    def test_no_cx_table_written(self, command, monkeypatch, capsys):
+        from privseq.probability import JointDist
+
+        exact = JointDist._exact.__func__
+
+        def no_transcript_table(cls, variables, *args, **kwargs):
+            if any(v.name == "C" for v in variables):
+                raise AssertionError("a table over the transcripts was written")
+            return exact(cls, variables, *args, **kwargs)
+
+        monkeypatch.setattr(JointDist, "_exact", classmethod(no_transcript_table))
+        assert main(command + ["--p", "1/3"]) == 0
 
 
 class TestBadNumbers:

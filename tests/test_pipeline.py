@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from privseq import caching, coding
 from privseq.bounds import Example1Params, example1_build
 from privseq.coding import ENTROPY, FIXED, Codebook, PadKey
 from privseq.errors import InvariantError, LimitError, ValidationError
-from privseq.frl import MechanismChain
+from privseq.frl import MechanismChain, build_chain
 from privseq.pipeline import (
     RandomDraws,
     Transcript,
@@ -43,7 +44,9 @@ from reference import (
     mutual_information,
     outcomes,
     plaintext_baseline,
+    ref_leakage_audit,
     ref_pick,
+    ref_transcript_distribution,
     stage_conditional_u,
     td_law,
     total_length,
@@ -357,9 +360,9 @@ class TestLazyTranscripts:
 
 
 class TestKeptMarginal:
-    """`transcript_distribution` keeps the (C, X) marginal and the per-key length
-    sums, and derives (C, X, W) from them; the explicit-joint audit sums both
-    from (C, X, W). The two must agree to the bit."""
+    """`transcript_distribution` keeps the factored (u vector, X) law and the
+    per-key length sums, and derives (C, X, W) from them; the explicit-joint
+    audit sums both from (C, X, W). The two must agree to the bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
@@ -370,7 +373,7 @@ class TestKeptMarginal:
         demands = rng.sample(range(1, n_files + 1), rng.randint(1, n_files))
         td = transcript_distribution(session_chain(p, demands), mode)
         leak, el = leakage_audit(td), expected_length(td)
-        assert td._joint is None  # neither call derives (C, X, W)
+        assert td._cx is None and td._joint is None  # neither call derives a (C, X) table
         leak_ref = explicit_leakage_audit(td.joint)
         el_ref = explicit_expected_length(td.joint, td.lengths)
         assert leak.exact_zero == leak_ref.exact_zero
@@ -381,6 +384,80 @@ class TestKeptMarginal:
         rebuilt = JointDist(td.joint.variables, td.joint.table)
         assert td.joint == rebuilt
         assert list(td.joint._ints()[0]) == list(rebuilt._ints()[0])
+
+
+def leaky_chain(chain, index=0):
+    """The chain with half of its index-th cell's mass moved to the next x,
+    same files and u vector: its auxiliaries depend on X unless |X| = 1."""
+    num, den = chain.joint._ints()
+    cell, n = list(num.items())[index]
+    moved = {c: 2 * m for c, m in num.items()}
+    moved[cell] -= n
+    other = ((cell[0] + 1) % chain.private_size,) + cell[1:]
+    moved[other] = moved.get(other, 0) + n
+    return MechanismChain(chain.private,
+                          JointDist._exact(chain.joint.variables, moved, 2 * den, ordered=False),
+                          chain.stages)
+
+
+class TestFactoredLaw:
+    """The factored enumeration and audit against the oracle that writes
+    every (C, X) cell: the same transcripts, law, verdict and floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+           st.sampled_from([FIXED, ENTROPY]), st.booleans())
+    def test_matches_the_unfactored_oracle(self, seed, x_size, n_files, sparse, mode, leaky):
+        rng = random.Random(seed)
+        p = random_database(rng, x_size, n_files, 1, sparse)
+        demands = rng.sample(range(1, n_files + 1), rng.randint(1, n_files))
+        chain = session_chain(p, demands)
+        if leaky:
+            chain = leaky_chain(chain, rng.randrange(len(chain.joint)))
+        books = session_codebooks(chain, mode)
+        td, ref = transcript_distribution(chain, books), ref_transcript_distribution(chain, books)
+        leak, leak_ref = leakage_audit(td), ref_leakage_audit(ref)
+        assert leak.exact_zero == leak_ref.exact_zero
+        assert leak.exact_zero or x_size > 1 and leaky
+        assert leak.bits.hex() == leak_ref.bits.hex()
+        assert expected_length(td).per_w == tuple(t / m for t, m in ref.w_sums)
+        assert td.support == len(ref.lengths)
+        assert td.lengths == ref.lengths
+        assert td.parts == ref.parts
+        assert td.cx == ref.cx and list(td.cx._ints()[0]) == list(ref.cx._ints()[0])
+        assert td.joint == ref.joint
+
+    def test_private_variable_not_first(self):
+        # the chain's cells are then not sorted by x, so each group's masses are sorted after
+        p = random_database(random.Random(9), 3, 2, 1)
+        chain = build_chain(p.marginalize(["Y2", "X", "Y1"]), "X", ["Y1", "Y2"])
+        books = session_codebooks(chain, ENTROPY)
+        met = {}
+        for cell in chain.joint._ints()[0]:
+            met.setdefault(cell[-2:], []).append(cell[1])
+        assert any(xs != sorted(xs) for xs in met.values())
+        td, ref = transcript_distribution(chain, books), ref_transcript_distribution(chain, books)
+        assert all(list(masses) == sorted(masses) for _, _, masses in td.groups.values())
+        assert leakage_audit(td) == ref_leakage_audit(ref)
+        assert leakage_audit(td).bits.hex() == ref_leakage_audit(ref).bits.hex()
+        assert td.parts == ref.parts and td.cx == ref.cx and td.joint == ref.joint
+
+    @pytest.mark.parametrize("block", [(0, 1), (0, 0, 2), (2, 1, 0, 1)])
+    def test_pad_check_rejects_a_wrong_block(self, block):
+        p = random_database(random.Random(8), 3, 2, 1)
+        chain = session_chain(p, (2, 1))
+        td = transcript_distribution(chain, FIXED)
+        assert td.pads[0] == (0, 1, 2) and leakage_audit(td).exact_zero
+        bad = replace(td, pads={**td.pads, 0: block})
+        with pytest.raises(InvariantError, match=r"the blocks of x=0 pad to"):
+            leakage_audit(bad)
+
+    def test_pad_check_needs_every_first_x(self):
+        p = random_database(random.Random(8), 3, 2, 1)
+        td = transcript_distribution(session_chain(p, (2, 1)), FIXED)
+        bad = replace(td, pads={x: block for x, block in td.pads.items() if x})
+        with pytest.raises(InvariantError, match=r"no padded symbols for the blocks of x=0"):
+            leakage_audit(bad)
 
 
 @st.composite
@@ -441,17 +518,7 @@ class TestLeakage:
         chain = session_chain(p, (1, 2))
         clean = transcript_distribution(chain, mode)
         assert assert_audit_matches_reference(clean, clean.joint).exact_zero
-        # move half of the first cell's mass to the other x with the same files and u vector
-        num, den = chain.joint._ints()
-        cell, n = next(iter(num.items()))
-        moved = {c: 2 * m for c, m in num.items()}
-        moved[cell] -= n
-        other = (1 - cell[0],) + cell[1:]
-        moved[other] = moved.get(other, 0) + n
-        leaky = MechanismChain(chain.private,
-                               JointDist._exact(chain.joint.variables, moved, 2 * den, ordered=False),
-                               chain.stages)
-        td = transcript_distribution(leaky, mode)
+        td = transcript_distribution(leaky_chain(chain), mode)
         leak = assert_audit_matches_reference(td, td.joint)
         assert not leak.exact_zero and leak.bits > 0
         assert leak.bits.hex() == mutual_information(td.joint, ["C"], ["X"]).hex()
