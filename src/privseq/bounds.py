@@ -86,6 +86,13 @@ def lower_bound(p: JointDist, demands: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 
 
+def check_prior(p: Fraction) -> Fraction:
+    """The family's masking prior p, which must lie strictly in (0,1)."""
+    if not 0 < p < 1:
+        raise ValidationError(f"p must lie strictly in (0,1), got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class Example1Params:
     p: Fraction
@@ -94,8 +101,7 @@ class Example1Params:
     file_bits: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.p < 1:
-            raise ValidationError(f"p must lie strictly in (0,1), got {self.p}")
+        check_prior(self.p)
         if self.n_files < 1 or self.file_bits < 1:
             raise ValidationError("need at least one file and one bit per file")
         if not 1 <= self.k_demands <= self.n_files:

@@ -58,10 +58,11 @@ def _parse_demands(text: str) -> tuple[int, ...] | None:
 
 def _parse_prior(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        p = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(
             f"bad prior --p {text!r}; expected a rational such as 1/2") from None
+    return bounds_mod.check_prior(p)
 
 
 def _load_database(args) -> JointDist:
@@ -246,7 +247,7 @@ def cmd_bounds_sweep(args) -> int:
     f_values = _parse_range(args.f_range)
     if min(k_values + f_values, default=1) < 1:
         raise ValidationError("need k >= 1 and f >= 1")
-    prior = _parse_prior(args.p) if args.measure else None
+    prior = _parse_prior(args.p)  # checked before the first row, measured or not
     rows = []
     for k in k_values:
         for f in f_values:

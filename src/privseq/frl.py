@@ -9,34 +9,37 @@ function of (U, X), and the number of atoms is at most |X|(|Y|-1)+1. Each
 
 The same construction extends sequentially: to attach a target Y_next to an
 existing collection U_1..U_k, treat the compound (X, U_1..U_k) as the private
-variable and run the pair construction again. Each extension multiplies the
-chain joint by the new stage's conditionals P(U_{k+1} | X, U_1..U_k, Y_next);
-every row of those must sum to exactly 1, so every earlier marginal, and with
-it every earlier stage's guarantee, is left unchanged and needs no re-check.
-The new stage alone is then checked once: U_{k+1} independent of
-(X, U_1..U_k) and U_1..U_{k+1} of X, Y_next a function of (X, U_1..U_{k+1}),
-and |U_{k+1}| within its cap, all read off the stage's (given state, U_{k+1})
-marginal and the Y_next each of its cells meets, gathered as the stage's
-product table is written; a pair is checked the same way, given X. Each
-stage reads its (compound state, target) pairs from one walk of its parent.
+variable and run the construction again. One function builds every stage
+from one walk of its parent, keyed by the given state: x for a pair and a
+chain's first stage, (x, u_1..u_k) after it, so a pair is a chain's first
+stage under another name. Each extension multiplies the chain joint by the
+new stage's conditionals P(U_{k+1} | X, U_1..U_k, Y_next); every row of
+those must sum to exactly 1, so every earlier marginal, and with it every
+earlier stage's guarantee, is left unchanged and needs no re-check. The new
+stage alone is then checked once: U_{k+1} independent of (X, U_1..U_k) and
+U_1..U_{k+1} of X, Y_next a function of (X, U_1..U_{k+1}), and |U_{k+1}|
+within its cap, all read off the stage's (given state, U_{k+1}) marginal and
+the Y_next each of its cells meets, gathered as its product table is written.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Hashable, Mapping, Sequence
 
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
-from .probability import Alphabet, Cell, JointDist, _entropy_bits, _product_test, _projector
+from .probability import Alphabet, Cell, JointDist, _entropy_bits, _product_test
 
-# Per-x permutation of the positive-support y symbols, fixing how segments
-# are laid on [0,1); the default is ascending y. Guarantees hold for any
-# ordering; H(U) does not.
+# Per-x permutation of the positive-support y symbols, fixing how a pair's
+# segments are laid on [0,1); the default, and every chain stage's, is
+# ascending y. Guarantees hold for any ordering; H(U) does not.
 OrderingPolicy = Mapping[int, Sequence[int]]
 
 # P(U | given state, target) on integers: the atoms the segment covers (its
@@ -46,13 +49,16 @@ Row = tuple[range, Sequence[int], int]
 
 @dataclass(frozen=True)
 class FrlMechanism:
-    """The constructed auxiliary variable U for one (X, Y) pair.
+    """The constructed auxiliary variable U of one stage, given a state x:
+    the private symbol for a pair and a chain's first stage, the tuple
+    (x, u_1..u_{k-1}) at stage k >= 2.
 
     bounds    -- atom boundaries 0 = b_0 < ... < b_n on [0,1), as integers
                  over the common denominator b_n; atom u is [b_u, b_{u+1})
-    dropped_x -- the zero-mass x symbols, which get no segments
-    spans     -- (x, y) -> the range of atom indices its segment covers; the
-                 segments of one positive x tile the atoms 0..n-1 in order
+    dropped_x -- a pair's zero-mass x symbols, which get no segments
+    spans     -- (given state, y) -> the range of atom indices its segment
+                 covers; the segments of one positive state tile the atoms
+                 0..n-1 in order
 
     The spans are the whole map: `apply(u, x)` is the y whose segment covers
     atom u, and `row` the integer P(U | x, y). `atoms` and `p_u` are the
@@ -62,7 +68,7 @@ class FrlMechanism:
     u_alphabet: Alphabet
     bounds: tuple[int, ...]
     dropped_x: tuple[int, ...]
-    spans: Mapping[tuple[int, int], range] = field(repr=False)
+    spans: Mapping[tuple[Hashable, int], range] = field(repr=False)
 
     @property
     def u_size(self) -> int:
@@ -91,16 +97,16 @@ class FrlMechanism:
         return _bounds_entropy(self.bounds)
 
     @cached_property
-    def _segments(self) -> dict[int, tuple[list[int], list[int]]]:
-        """x -> the ends of its segments, ascending, and their y symbols."""
-        segments: dict[int, tuple[list[int], list[int]]] = {}
+    def _segments(self) -> dict[Hashable, tuple[list[int], list[int]]]:
+        """Positive given state -> the ends of its segments, ascending, and their y symbols."""
+        segments: dict[Hashable, tuple[list[int], list[int]]] = {}
         for (x, y), span in sorted(self.spans.items(), key=lambda item: (item[0][0], item[1].stop)):
             stops, ys = segments.setdefault(x, ([], []))
             stops.append(span.stop)
             ys.append(y)
         return segments
 
-    def apply(self, u: int, x: int) -> int:
+    def apply(self, u: int, x: Hashable) -> int:
         """The y whose (x, y) segment covers atom u: a bisection over x's segment ends."""
         stops, ys = self._segments.get(x, ((), ()))
         i = bisect.bisect_right(stops, u)
@@ -108,7 +114,7 @@ class FrlMechanism:
             return ys[i]
         raise ValidationError(f"(u={u}, x={x}) outside the positive support")
 
-    def _span(self, x: int, y: int) -> range:
+    def _span(self, x: Hashable, y: int) -> range:
         span = self.spans.get((x, y))
         if span is None:
             if x in self.dropped_x:
@@ -116,7 +122,7 @@ class FrlMechanism:
             raise ValidationError(f"(x={x}, y={y}) outside the positive support")
         return span
 
-    def row(self, x: int, y: int) -> Row:
+    def row(self, x: Hashable, y: int) -> Row:
         """P(U | X=x, Y=y) on integers: the atoms the (x, y) segment covers,
         their widths b[u+1] - b[u], and the segment length they sum to."""
         span = self._span(x, y)
@@ -129,31 +135,29 @@ def _bounds_entropy(bounds: Sequence[int]) -> float:
     return _entropy_bits((hi - lo for lo, hi in zip(bounds, bounds[1:])), bounds[-1])
 
 
-def _supports(pxy: JointDist) -> dict[int, list[int]]:
-    """x -> its positive-support y symbols, ascending, in one pass."""
-    supports: dict[int, list[int]] = {}
-    for x, y in pxy._ints()[0]:
+def _masses(num: Mapping[tuple[Hashable, int], int]
+            ) -> tuple[dict[Hashable, list[int]], dict[Hashable, int], int]:
+    """From the (given state, y) numerators in sorted order: each positive
+    state's support targets, ascending, its mass n(x), and the segment
+    scale, the lcm of the masses."""
+    supports: dict[Hashable, list[int]] = {}
+    px: dict[Hashable, int] = {}
+    for (x, y), n in num.items():
         supports.setdefault(x, []).append(y)
-    return supports
+        px[x] = px.get(x, 0) + n
+    return supports, px, math.lcm(*px.values())
 
 
-def _masses(num: Mapping[tuple[int, int], int],
-            supports: Mapping[int, Sequence[int]]) -> tuple[dict[int, int], int]:
-    """The integer mass n(x) of every positive x, and the segment scale: their lcm."""
-    px = {x: sum(num[(x, y)] for y in ys) for x, ys in supports.items()}
-    return px, math.lcm(*px.values())
-
-
-def _segment_layout(num: Mapping[tuple[int, int], int], px: Mapping[int, int],
+def _segment_layout(num: Mapping[tuple[Hashable, int], int], px: Mapping[Hashable, int],
                     orders: OrderingPolicy, scale: int
-                    ) -> tuple[dict[int, list[tuple[int, int, int]]], set[int]]:
-    """Lay each x's segments P(y|x) = n(x,y)/n(x) end to end on [0, scale).
+                    ) -> tuple[dict[Hashable, list[tuple[int, int, int]]], set[int]]:
+    """Lay each state's segments P(y|x) = n(x,y)/n(x) end to end on [0, scale).
 
     Returns x -> its segments (start, end, y) in order, and the cut set: every
     segment end short of `scale`. The atom boundaries are the sorted cut set
     between 0 and `scale`.
     """
-    ends: dict[int, list[tuple[int, int, int]]] = {}
+    ends: dict[Hashable, list[tuple[int, int, int]]] = {}
     cutset: set[int] = set()
     for x, mass in px.items():
         step = scale // mass
@@ -171,52 +175,69 @@ def _segment_layout(num: Mapping[tuple[int, int], int], px: Mapping[int, int],
 
 
 def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None) -> FrlMechanism:
-    """Build the interval mechanism U for a pair distribution (X, Y).
+    """Build the interval mechanism U for a pair distribution (X, Y): the
+    first stage of a chain over X, built and checked by the same function.
 
     Zero-mass x symbols are dropped (recorded in `dropped_x`); zero-mass
-    (x, y) pairs produce no segment. The mechanism is checked exactly as a
-    chain stage is, on the (X, Y, U) table its rows write, given X.
-    LimitError is raised before that table is built if it would hold more
-    than DEFAULT_STATE_LIMIT cells, or X more than that many symbols.
+    (x, y) pairs produce no segment. LimitError is raised before any
+    segment is laid if X has more than DEFAULT_STATE_LIMIT symbols, and
+    before the mechanism's spans are found if they would cover more
+    (x, U) cells.
     """
-    mech = _interval_mechanism(pxy, policy, "U", DEFAULT_STATE_LIMIT)
-    num, _ = pxy._ints()
-    _stage_joint(pxy, (0, 1), dict.fromkeys(num, 1), {(x,): x for x, _ in num}, mech,
-                 f"pair ({', '.join(pxy.names)})", DEFAULT_STATE_LIMIT)
-    return mech
-
-
-def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: str,
-                        limit: int) -> FrlMechanism:
-    """`frl_construct` without its check and without writing a table."""
     if len(pxy.variables) != 2:
         raise ValidationError(f"need a pair distribution, got variables {pxy.names}")
-    num, _ = pxy._ints()
+    x_alpha = pxy.variables[0]
+    if x_alpha.size > DEFAULT_STATE_LIMIT:  # listing the zero-mass x symbols walks the whole alphabet
+        raise LimitError(f"the U mechanism's {x_alpha.name} has {x_alpha.size} symbols, "
+                         f"over the limit {DEFAULT_STATE_LIMIT}")
+    mech, _ = _stage(pxy, (0,), 1, "U", policy, f"pair ({', '.join(pxy.names)})", DEFAULT_STATE_LIMIT)
+    return dataclasses.replace(
+        mech, dropped_x=tuple(x for x in x_alpha.symbols() if x not in mech._segments))
 
-    supports = _supports(pxy)
-    px, scale = _masses(num, supports)
 
-    orders: Mapping[int, Sequence[int]] = supports
+def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_name: str,
+           policy: OrderingPolicy | None, where: str, limit: int) -> tuple[FrlMechanism, JointDist]:
+    """One stage: the mechanism U given the variables at `given_axes`, for the
+    target at `target_axis`, and `parent` times its rows, checked on the table
+    written. A cell's given state is `itemgetter(*given_axes)(cell)`: x alone
+    for a pair or a chain's first stage, (x, u_1..u_{k-1}) after it. `policy`
+    orders each state's targets, and `where` names the stage in a row fault.
+    LimitError is raised before the spans are found if the mechanism would
+    pass `limit` (given state, U) cells, and before the product table is
+    built if it would.
+    """
+    given = itemgetter(*given_axes)
+    num, den = parent._ints()
+    # one walk of the parent: the mass of each positive (given state, target)
+    # and the number of parent cells behind it
+    mass: dict[tuple[Hashable, int], int] = {}
+    count: dict[tuple[Hashable, int], int] = {}
+    for cell, n in num.items():
+        key = (given(cell), cell[target_axis])
+        mass[key] = mass.get(key, 0) + n
+        count[key] = count.get(key, 0) + 1
+    # reduced by their gcd, so the atom boundaries are those of the
+    # (given state, target) pair distribution
+    g = math.gcd(*mass.values())
+    mass = {key: mass[key] // g for key in sorted(mass)}
+    supports, px, scale = _masses(mass)
+
+    orders: Mapping[Hashable, Sequence[int]] = supports
     if policy is not None:
         orders = {x: tuple(policy.get(x, ())) for x in supports}
         for x, ys in supports.items():
             if sorted(orders[x]) != ys:
                 raise ValidationError(f"policy for x={x} must permute the positive-support y symbols {ys}")
-    ends, cutset = _segment_layout(num, px, orders, scale)
+    ends, cutset = _segment_layout(mass, px, orders, scale)
 
     bounds = (0, *sorted(cutset), scale)
     n_atoms = len(bounds) - 1
     cells = n_atoms * len(px)
     if cells > limit:
         raise LimitError(f"the {u_name} mechanism needs {cells} cells, over the limit {limit}")
-    x_alpha = pxy.variables[0]
-    if x_alpha.size > limit:  # listing the zero-mass x symbols walks the whole alphabet
-        raise LimitError(f"the {u_name} mechanism's {x_alpha.name} has {x_alpha.size} symbols, "
-                         f"over the limit {limit}")
-
     # each segment covers a run of whole atoms, found by bisection over the
     # atom boundaries; an endpoint that is not a boundary would split an atom
-    spans: dict[tuple[int, int], range] = {}
+    spans: dict[tuple[Hashable, int], range] = {}
     for x, segs in ends.items():
         for start, end, y in segs:
             i0 = bisect.bisect_left(bounds, start)
@@ -224,54 +245,39 @@ def _interval_mechanism(pxy: JointDist, policy: OrderingPolicy | None, u_name: s
             if bounds[i0] != start or bounds[i1] != end:
                 raise InvariantError("refinement atom crosses a segment boundary")
             spans[(x, y)] = range(i0, i1)
+    del mass, supports, orders, px, ends  # freed before the product table sets the peak memory
+    mech = FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds, dropped_x=(), spans=spans)
 
-    dropped = tuple(x for x in x_alpha.symbols() if x not in px)
-    return FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds,
-                        dropped_x=dropped, spans=spans)
-
-
-def _stage_joint(parent: JointDist, axes: Sequence[int], count: Mapping[Cell, int],
-                 index: Mapping[Cell, int], mech: FrlMechanism, where: str, limit: int) -> JointDist:
-    """`parent` times the rows P(U | given state, target) of `mech`, checked on
-    the table written. `axes` are the given variables' then the target's;
-    `count` maps each positive (given state, target) to its parent cells,
-    `index` a given state to its symbol on `mech`'s x axis. LimitError is
-    raised before the table is built if it would pass `limit` cells.
-    """
-    *given, y_alpha = [parent.variables[a] for a in axes]
-    u_name, target = mech.u_alphabet.name, y_alpha.name
+    u_alpha, y_alpha = mech.u_alphabet, parent.variables[target_axis]
     # one conditional row per positive (given state, target): atom widths over
     # the segment length, reduced by their gcd; a row summing to 1 keeps the
     # marginal of every parent variable unchanged
-    rows: dict[Cell, Row] = {}
-    for key in count:
-        state, y = key[:-1], key[-1]
-        span, widths, length = mech.row(index[state], y)
+    rows: dict[tuple[Hashable, int], Row] = {}
+    for state, y in count:
+        span, widths, length = mech.row(state, y)
         total = sum(widths)
         if total != length or min(widths) <= 0:
             fault = "does not sum to 1" if total != length else "has a nonpositive entry"
-            raise InvariantError(f"{where}: P({u_name} | {state}, {target}={y}) {fault}")
+            shown = state if len(given_axes) > 1 else (state,)
+            raise InvariantError(f"{where}: P({u_name} | {shown}, {y_alpha.name}={y}) {fault}")
         g = math.gcd(length, *widths)
-        rows[key] = (span, [w // g for w in widths], length // g)
+        rows[(state, y)] = (span, [w // g for w in widths], length // g)
     stage_den = math.lcm(*(length for _, _, length in rows.values()))
     scaled = {key: [(u, w * (stage_den // length)) for u, w in zip(span, widths)]
               for key, (span, widths, length) in rows.items()}
 
     cells = sum(count[key] * len(span) for key, (span, _, _) in rows.items())
     if cells > limit:
-        raise LimitError(f"{where}: the product needs {cells} cells, over the limit {limit}")
+        raise LimitError(f"the product needs {cells} cells, over the limit {limit}")
     # the product table, and as each cell is written, the stage checks' input:
-    # the (given state, U_k) marginal of the written masses and the target each meets
-    project = _projector(axes)
-    num, den = parent._ints()
+    # the (given state, U) marginal of the written masses and the target each meets
     table: dict[Cell, int] = {}
-    head: dict[tuple[Cell, int], int] = {}
-    image: dict[tuple[Cell, int], int] = {}
+    head: dict[tuple[Hashable, int], int] = {}
+    image: dict[tuple[Hashable, int], int] = {}
     forked = False
     for cell, n in num.items():
-        key = project(cell)
-        state, y = key[:-1], key[-1]
-        for u, m in scaled[key]:
+        state, y = given(cell), cell[target_axis]
+        for u, m in scaled[(state, y)]:
             mass_u = n * m
             table[cell + (u,)] = mass_u
             head_key = (state, u)
@@ -282,11 +288,12 @@ def _stage_joint(parent: JointDist, axes: Sequence[int], count: Mapping[Cell, in
             else:
                 head[head_key] = mass_u
                 image[head_key] = y
-    _check_stage(head, den * stage_den, forked, [v.name for v in given], mech.u_alphabet, y_alpha)
-    return JointDist._exact(parent.variables + (mech.u_alphabet,), table, den * stage_den)
+    _check_stage(head, den * stage_den, forked, [parent.variables[a].name for a in given_axes],
+                 u_alpha, y_alpha)
+    return mech, JointDist._exact(parent.variables + (u_alpha,), table, den * stage_den)
 
 
-def _check_stage(head: Mapping[tuple[Cell, int], int], den: int, forked: bool,
+def _check_stage(head: Mapping[tuple[Hashable, int], int], den: int, forked: bool,
                  given: Sequence[str], u_alpha: Alphabet, y_alpha: Alphabet) -> None:
     """The checks of stage U_k given (X, U_1..U_{k-1}), exactly and in this order:
     the target is a function of (given, U_k), that is, not `forked` (no
@@ -294,8 +301,9 @@ def _check_stage(head: Mapping[tuple[Cell, int], int], den: int, forked: bool,
     given states; U_1..U_k is independent of X; and
     |U_k| <= (positive given states) * (|target| - 1) + 1.
 
-    `head` is the (given state, U_k) marginal over `den`, keyed by (given state
-    as a tuple in `given` order, u); scaling both by one factor changes no verdict.
+    `head` is the (given state, U_k) marginal over `den`, keyed by (given state,
+    u), the state x alone or a tuple in `given` order; scaling both by one
+    factor changes no verdict.
     """
     u_name, target = u_alpha.name, y_alpha.name
     if forked:
@@ -330,7 +338,8 @@ def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, 
     """
     if budget < 1:
         raise ValidationError(f"ordering-search budget must be at least 1, got {budget}")
-    supports = _supports(pxy)
+    num, _ = pxy._ints()
+    supports, px, scale = _masses(num)
     xs = sorted(supports)
     count = 1
     for x in xs:
@@ -339,8 +348,6 @@ def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, 
             raise LimitError(
                 f"{count}+ orderings exceed budget {budget}; use the canonical ordering surrogate"
             )
-    num, _ = pxy._ints()
-    px, scale = _masses(num, supports)
     best_policy = None
     best_h = math.inf
     for combo in itertools.product(*(itertools.permutations(sorted(supports[x])) for x in xs)):
@@ -360,37 +367,32 @@ def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, 
 
 @dataclass(frozen=True)
 class ChainStage:
-    """One extension step: a mechanism over the compound private variable.
+    """One extension step: the mechanism of U_k given (X, U_1..U_{k-1}).
 
-    `compound` lists the positive-support tuples (x, u_1, ..., u_{k-1}) in
-    sorted order; the mechanism's x axis indexes into it.
+    The mechanism's given states are the positive x symbols at the first
+    stage, as for a pair, and the positive tuples (x, u_1, ..., u_{k-1})
+    after it.
     """
 
     target: str
     mechanism: FrlMechanism
-    compound: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        """Compound state -> its index on the mechanism's x axis."""
-        return {state: i for i, state in enumerate(self.compound)}
 
     @property
     def u_name(self) -> str:
         return self.mechanism.u_alphabet.name
 
-    def _state(self, x: int, u_prefix: Sequence[int]) -> int:
-        state = self.index.get((x, *u_prefix))
-        if state is None:
+    def _given_state(self, x: int, u_prefix: Sequence[int]) -> Hashable:
+        state = (x, *u_prefix) if u_prefix else x
+        if state not in self.mechanism._segments:
             raise ValidationError(f"compound state {(x, *u_prefix)} has zero mass")
         return state
 
     def decode(self, x: int, u_prefix: Sequence[int], u: int) -> int:
-        return self.mechanism.apply(u, self._state(x, u_prefix))
+        return self.mechanism.apply(u, self._given_state(x, u_prefix))
 
     def row(self, x: int, u_prefix: Sequence[int], y: int) -> Row:
         """P(U_k | x, u_prefix, y) on integers, as `FrlMechanism.row` gives it."""
-        return self.mechanism.row(self._state(x, u_prefix), y)
+        return self.mechanism.row(self._given_state(x, u_prefix), y)
 
 
 @dataclass(frozen=True)
@@ -433,37 +435,16 @@ def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT
     u_names = list(chain.u_names)
     if target == chain.private or target in u_names:
         raise ValidationError(f"cannot target {target!r}")
-    axes = chain.joint._axes([chain.private, *u_names, target])
-
-    # one walk of the parent joint: the mass of each (compound state, target)
-    # pair and the number of parent cells behind it
-    project = _projector(axes)
-    num, chain_den = chain.joint._ints()
-    mass: dict[tuple[int, ...], int] = {}
-    count: dict[tuple[int, ...], int] = {}
-    for cell, n in num.items():
-        key = project(cell)
-        mass[key] = mass.get(key, 0) + n
-        count[key] = count.get(key, 0) + 1
-    # the pair (compound state, target); compound states in sorted order
-    index: dict[tuple[int, ...], int] = {}
-    pair_num: dict[tuple[int, int], int] = {}
-    for key in sorted(mass):
-        pair_num[(index.setdefault(key[:-1], len(index)), key[-1])] = mass[key]
-    states = tuple(index)
-    pair = JointDist._exact((Alphabet(f"_XU{k}", len(states)), chain.joint.variables[axes[-1]]),
-                            pair_num, chain_den)
-
+    *given_axes, target_axis = chain.joint._axes([chain.private, *u_names, target])
     u_name = f"U{k + 1}"
     if u_name in chain.joint.names:
         raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
     where = f"chain stage {k + 1} ({target})"
     try:
-        mech = _interval_mechanism(pair, None, u_name, limit)
+        mech, joint = _stage(chain.joint, given_axes, target_axis, u_name, None, where, limit)
     except LimitError as exc:
         raise LimitError(f"{where}: {exc}") from None
-    joint = _stage_joint(chain.joint, axes, count, index, mech, where, limit)
-    stage = ChainStage(target=target, mechanism=mech, compound=states)
+    stage = ChainStage(target=target, mechanism=mech)
     return MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))
 
 

@@ -125,17 +125,17 @@ def session_chain(p: JointDist, demands: Sequence[int],
 
 
 def session_codebooks(chain: MechanismChain, mode: str) -> tuple[Codebook, list[Codebook]]:
-    """Pad-slot book plus one book per stage, derived deterministically."""
+    """Pad-slot book plus one book per stage, derived deterministically.
+
+    The mode is checked before any book is built, so a chain with no stages
+    rejects an unknown one too.
+    """
+    if mode not in (FIXED, ENTROPY):
+        raise ValidationError(f"unknown coding mode {mode!r}")
     pad = fixed_length_codebook(chain.private_size)
-    books = []
-    for stage in chain.stages:
-        if mode == FIXED:
-            books.append(fixed_length_codebook(stage.mechanism.u_size))
-        elif mode == ENTROPY:
-            books.append(entropy_codebook(stage.mechanism.widths))
-        else:
-            raise ValidationError(f"unknown coding mode {mode!r}")
-    return pad, books
+    if mode == FIXED:
+        return pad, [fixed_length_codebook(stage.mechanism.u_size) for stage in chain.stages]
+    return pad, [entropy_codebook(stage.mechanism.widths) for stage in chain.stages]
 
 
 def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismChain) -> None:

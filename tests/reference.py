@@ -9,13 +9,15 @@ walks a whole (C, X, W) joint; `ref_transcript_distribution` writes a
 chain's whole (C, X) table, every key value's copy cell by cell, and
 `ref_leakage_audit` tests and sums that table. The library's audit, which
 reads only the factored (u vector, X) law, its pad blocks and per-key sums,
-must agree with both to the bit. The other functions are exact helpers over
-the library's objects that the tests use to state a property: point
-probabilities, conditionals, independence and information measures of a
-`JointDist`, a mechanism's Fraction conditionals and a pair mechanism's
-(U, X, Y) joint, codebook sums, the masked family's closed-form ratio, and
-`outcomes`, the one walk over every coupling a chain can draw, each pushed
-through the real encoder.
+must agree with both to the bit. `ref_stage_mechanisms` rebuilds every
+stage of a chain the way stages were once built: as a pair over an index of
+the sorted compound states, passed to `frl_construct`. The other functions
+are exact helpers over the library's objects that the tests use to state a
+property: point probabilities, conditionals, independence and information
+measures of a `JointDist`, a mechanism's Fraction conditionals and a pair
+mechanism's (U, X, Y) joint, codebook sums, the masked family's closed-form
+ratio, and `outcomes`, the one walk over every coupling a chain can draw,
+each pushed through the real encoder.
 """
 
 import bisect
@@ -29,6 +31,7 @@ from privseq.bounds import upper_bound_cardinality
 from privseq.caching import delivery_blocks, placement, private_wrap, user_decode
 from privseq.coding import FIXED, PadKey, fixed_length_codebook
 from privseq.errors import InvariantError, ValidationError
+from privseq.frl import frl_construct
 from privseq.pipeline import (
     ExpectedLength,
     LeakageReport,
@@ -144,8 +147,26 @@ def conditional_u(mech, x, y):
 
 
 def stage_conditional_u(stage, x, u_prefix, y):
-    """Exact P(U_k | x, u_1..u_{k-1}, y) of a chain stage."""
-    return conditional_u(stage.mechanism, stage._state(x, u_prefix), y)
+    """Exact P(U_k | x, u_1..u_{k-1}, y) of a chain stage, whose given state
+    is x alone at the first stage and (x, u_1..u_{k-1}) after it."""
+    return conditional_u(stage.mechanism, (x, *u_prefix) if u_prefix else x, y)
+
+
+def ref_stage_mechanisms(chain):
+    """Each stage's (bounds, spans) from the compound-index pair: the stage's
+    (compound state, target) law, read off the chain joint, as a pair over
+    the compound states numbered in sorted order, passed to `frl_construct`.
+    Its spans are read back by state, x alone at the first stage."""
+    out = []
+    for k, target in enumerate(chain.targets):
+        marg = chain.joint.marginalize([chain.private, *chain.u_names[:k], target])
+        index, pair = {}, {}
+        for cell, q in marg.items():
+            pair[(index.setdefault(cell[:-1], len(index)), cell[-1])] = q
+        mech = frl_construct(JointDist([Alphabet(f"_XU{k}", len(index)), marg.variables[-1]], pair))
+        states = [state if k else state[0] for state in index]
+        out.append((mech.bounds, {(states[i], y): span for (i, y), span in mech.spans.items()}))
+    return out
 
 
 def mechanism_joint(mech, pxy):

@@ -256,10 +256,11 @@ def test_c10_sequentiality():
         a = session_chain(p, (d1, futures[0]))
         b = session_chain(p, (d1, futures[1]))
         sa, sb = a.stages[0], b.stages[0]
-        maps = [[s.mechanism.apply(u, x) for x in range(len(s.compound))
-                 for u in range(s.mechanism.u_size)] for s in (sa, sb)]
-        if (sa.mechanism.atoms, sa.mechanism.p_u, maps[0], sa.compound) != \
-           (sb.mechanism.atoms, sb.mechanism.p_u, maps[1], sb.compound):
+        states = [sorted({x for x, _ in s.mechanism.spans}) for s in (sa, sb)]
+        maps = [[s.mechanism.apply(u, x) for x in xs for u in range(s.mechanism.u_size)]
+                for s, xs in zip((sa, sb), states)]
+        if (sa.mechanism.atoms, sa.mechanism.p_u, maps[0], states[0]) != \
+           (sb.mechanism.atoms, sb.mechanism.p_u, maps[1], states[1]):
             bad += 1
             continue
         cell = next(iter(p.table))

@@ -249,6 +249,11 @@ class TestWrapAndDecode:
         with pytest.raises(ValidationError):
             CacheConfig(2, 1, 1, 1)  # partial cache impossible for one user
 
+    def test_unknown_mode_rejected_without_stages(self):
+        # with M = N no block is delivered, so the chain has no stage to build a book for
+        with pytest.raises(ValidationError, match="unknown coding mode 'bogus'"):
+            make_cache_session(CacheConfig(2, 2, 2, 1), masked_db("1/2", 2, 1), (1, 2), "bogus")
+
     def test_full_caching_pad_only(self):
         cfg = CacheConfig(2, 2, 2, 2)
         db_dist = masked_db("1/2", 2, 2)

@@ -248,6 +248,17 @@ class TestBoundsSweep:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: need k >= 1 and f >= 1\n"
 
+    @pytest.mark.parametrize("extra, err", [
+        ([], "error: bad prior --p 'abc'; expected a rational such as 1/2\n"),
+        ([], "error: p must lie strictly in (0,1), got 7\n"),
+        # every row's audit is over the limit, so no row would build the family
+        (["--measure", "--limit", "4"], "error: p must lie strictly in (0,1), got 7\n"),
+    ], ids=["unparsed", "out of range", "measured rows over the limit"])
+    def test_bad_prior_rejected_before_any_row(self, capsys, extra, err):
+        p = "abc" if "abc" in err else "7"
+        assert main(["bounds", "sweep", "--k-range", "2", "--f-range", "1", "--p", p, *extra]) == 1
+        assert capsys.readouterr() == ("", err)
+
     def test_caps_bounded_by_default_limit(self, capsys):
         # a cap has about as many bits as all earlier ones together: stage 24
         # of 40 would pass the default limit of 10^7 bits

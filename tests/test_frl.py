@@ -3,8 +3,10 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import types
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,19 @@ from privseq.frl import (
     min_entropy_search,
 )
 from privseq.bounds import Example1Params, example1_build
-from privseq.probability import Alphabet, JointDist
+from privseq.probability import Alphabet, JointDist, load_dist
 
 from conftest import random_pair, random_database
-from reference import conditional_entropy, conditional_u, is_independent, mechanism_joint, prob
+from reference import (
+    conditional_entropy,
+    conditional_u,
+    is_independent,
+    mechanism_joint,
+    prob,
+    ref_stage_mechanisms,
+)
+
+GOLDEN_PAIR = Path(__file__).parent / "golden" / "pair.dist"
 
 
 def brute_force_joint(pxy, policy=None):
@@ -273,8 +284,8 @@ class TestChain:
         stage = chain.stages[0]
         assert stage.mechanism.atoms == direct.atoms
         assert stage.mechanism.p_u == direct.p_u
-        # compound symbols are (x,) singletons in sorted order
-        assert stage.compound == ((0,), (1,))
+        # the first stage's given states are the x symbols themselves
+        assert sorted({x for x, _ in stage.mechanism.spans}) == [0, 1]
         assert {(u, x): stage.decode(x, (), u) for x in range(2) for u in range(direct.u_size)} == \
             {(u, x): direct.apply(u, x) for x in range(2) for u in range(direct.u_size)}
 
@@ -335,6 +346,21 @@ class TestChain:
             for i, (stage, y_axis) in enumerate(zip(chain.stages, y_axes)):
                 assert stage.decode(cell[x_axis], us[:i], us[i]) == cell[y_axis]
 
+    @pytest.mark.parametrize("method", ["row", "decode"])
+    def test_zero_mass_compound_state(self, method):
+        # x=2 of the golden pair has zero mass, so every state that starts with it has none
+        chain = build_chain(load_dist(GOLDEN_PAIR), "X", ["Y", "Y"])
+        stage1, stage2 = chain.stages
+        u1_size = stage1.mechanism.u_size
+        for stage, x, prefix in [(stage1, 2, ()), (stage1, 0, (0,)),
+                                 (stage2, 2, (0,)), (stage2, 0, (u1_size,)), (stage2, 0, ())]:
+            state = re.escape(str((x, *prefix)))
+            with pytest.raises(ValidationError, match=f"compound state {state} has zero mass"):
+                getattr(stage, method)(x, prefix, 0)
+        # the positive states of both stages still read
+        assert getattr(stage1, method)(0, (), 0) is not None
+        assert getattr(stage2, method)(0, (0,), 0) is not None
+
     def test_unknown_private_or_target_rejected(self, designed_2x2):
         with pytest.raises(ValidationError):
             build_chain(designed_2x2, "Z", ["Y"])
@@ -342,6 +368,29 @@ class TestChain:
             build_chain(designed_2x2, "X", ["Z"])
         with pytest.raises(ValidationError, match="cannot target"):
             build_chain(designed_2x2, "X", ["X"])
+
+
+class TestOneStageConstruction:
+    """Every stage, the pair included, is built by one function keyed by the
+    given state; it must lay the same atoms and spans as the pair over the
+    sorted compound-state index that stages were once built from."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.booleans())
+    def test_stages_match_the_compound_index_pair(self, seed, x_size, n_files, file_bits, sparse):
+        if file_bits == 2:
+            n_files = min(n_files, 2)  # a 3-file, 2-bit chain has 10^5 cells
+        p = random_database(random.Random(seed), x_size, n_files, file_bits, sparse)
+        chain = build_chain(p, "X", [f"Y{i}" for i in range(n_files, 0, -1)])
+        assert [(s.mechanism.bounds, s.mechanism.spans) for s in chain.stages] == \
+            ref_stage_mechanisms(chain)
+
+    def test_first_stage_is_the_pair(self):
+        pxy = load_dist(GOLDEN_PAIR)
+        stage = build_chain(pxy, "X", ["Y"]).stages[0].mechanism
+        pair = frl_construct(pxy)
+        assert (stage.bounds, stage.spans) == (pair.bounds, pair.spans)
+        assert pair.dropped_x == (2,)
 
 
 class TestStageChecks:
@@ -394,18 +443,19 @@ class TestStageChecks:
 
     @staticmethod
     def with_corrupted_span(monkeypatch, stage, corrupt):
-        # `corrupt(spans, u_size)` rewrites one span of the `stage` mechanism in place
-        original = frl_mod._interval_mechanism
+        # `corrupt(spans, u_size)` rewrites one span of the `stage` mechanism
+        # as `_stage` makes it, before its rows are read
+        original = frl_mod.FrlMechanism
 
-        def corrupted(pxy, policy, u_name, limit):
-            mech = original(pxy, policy, u_name, limit)
-            if u_name != stage:
+        def corrupted(**fields):
+            mech = original(**fields)
+            if mech.u_alphabet.name != stage:
                 return mech
             spans = dict(mech.spans)
             corrupt(spans, mech.u_size)
             return dataclasses.replace(mech, spans=spans)
 
-        monkeypatch.setattr(frl_mod, "_interval_mechanism", corrupted)
+        monkeypatch.setattr(frl_mod, "FrlMechanism", corrupted)
 
     @staticmethod
     def overlap(spans, u_size):
@@ -697,16 +747,16 @@ class TestBuiltStagesMatchTheReference:
 
     @pytest.mark.parametrize("stage", ["U1", "U2"])
     def test_u_alphabet_over_its_cap(self, monkeypatch, stage):
-        original = frl_mod._interval_mechanism
+        original = frl_mod.FrlMechanism
 
-        def inflated(pxy, policy, u_name, limit):
-            mech = original(pxy, policy, u_name, limit)
-            if u_name != stage:
+        def inflated(**fields):
+            mech = original(**fields)
+            if mech.u_alphabet.name != stage:
                 return mech
-            return dataclasses.replace(mech, u_alphabet=Alphabet(u_name, mech.u_size + 1000))
+            return dataclasses.replace(mech, u_alphabet=Alphabet(stage, mech.u_size + 1000))
 
         seen = []
-        monkeypatch.setattr(frl_mod, "_interval_mechanism", inflated)
+        monkeypatch.setattr(frl_mod, "FrlMechanism", inflated)
         monkeypatch.setattr(frl_mod, "_check_stage", self.recording(seen))
         chain = build_chain(random_database(random.Random(5), 3, 2, 1), "X", ["Y1", "Y2"])
         assert seen == self.reference(chain)
@@ -739,7 +789,7 @@ class TestStageLimit:
         assert built and max(built) <= limit
 
     def test_mechanism_limit_checked_before_segments(self, monkeypatch):
-        # the interval builder a chain stage calls with its limit
+        # `_stage` given X, with a limit
         d = random_pair(random.Random(3), 3, 3)
         cells = len(mechanism_joint(frl_construct(d), d))
         made = []
@@ -754,15 +804,15 @@ class TestStageLimit:
             made.append("table")
             return original(cls, *args, **kwargs)
 
-        # the span search over `bounds`; the pair's product table is written only by frl_construct
+        # the span search over `bounds`, and the stage's product table after it
         monkeypatch.setattr(frl_mod, "bisect", types.SimpleNamespace(bisect_left=bisect_left))
         monkeypatch.setattr(JointDist, "_exact", classmethod(recording))
         with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
-            frl_mod._interval_mechanism(d, None, "U", cells - 1)
+            frl_mod._stage(d, (0,), 1, "U", None, "pair (X, Y)", cells - 1)
         assert made == []
-        mech = frl_mod._interval_mechanism(d, None, "U", cells)
-        assert len(mechanism_joint(mech, d)) == cells
-        assert "span search" in made
+        mech, joint = frl_mod._stage(d, (0,), 1, "U", None, "pair (X, Y)", cells)
+        assert len(mechanism_joint(mech, d)) == len(joint) == cells
+        assert made[0] == "span search" and made[-1] == "table"
 
     def test_limit_at_stage_size_passes(self):
         # the chain joint also carries Y3, so the stage-2 product outgrows
@@ -785,10 +835,12 @@ class TestStageLimit:
         with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
             build_chain(p, "X", targets, limit=cells - 1)
 
-    def test_private_alphabet_over_the_limit(self):
+    def test_private_alphabet_over_the_limit(self, monkeypatch):
         # one positive cell: the mechanism needs 1 cell, but listing the
         # dropped x symbols walks all 101
         pair = JointDist([Alphabet("X", 101), Alphabet("Y", 2)], {(0, 0): F(1)})
+        monkeypatch.setattr(frl_mod, "DEFAULT_STATE_LIMIT", 100)
         with pytest.raises(LimitError, match="X has 101 symbols, over the limit 100"):
-            frl_mod._interval_mechanism(pair, None, "U", 100)
-        assert frl_mod._interval_mechanism(pair, None, "U", 101).dropped_x == tuple(range(1, 101))
+            frl_construct(pair)
+        monkeypatch.setattr(frl_mod, "DEFAULT_STATE_LIMIT", 101)
+        assert frl_construct(pair).dropped_x == tuple(range(1, 101))

@@ -255,6 +255,14 @@ class TestExactDraws:
 
 
 class TestTranscriptDistribution:
+    @pytest.mark.parametrize("targets", [[], ["Y1"]], ids=["no stages", "one stage"])
+    def test_unknown_mode_rejected(self, targets):
+        chain = build_chain(masked_bits("1/2", 1, 1, 1), "X", targets)
+        with pytest.raises(ValidationError, match="unknown coding mode 'bogus'"):
+            transcript_distribution(chain, "bogus")
+        with pytest.raises(ValidationError, match="unknown coding mode 'bogus'"):
+            session_codebooks(chain, "bogus")
+
     def test_independent_file_product_structure(self):
         # Y independent of X: transcript = (pad, code of Y); both slots uniform
         p = JointDist(
@@ -624,9 +632,10 @@ class TestSequentiality:
             assert sa.mechanism.atoms == sb.mechanism.atoms
             assert sa.mechanism.p_u == sb.mechanism.p_u
             ma, mb = sa.mechanism, sb.mechanism
-            assert [ma.apply(u, x) for x in range(len(sa.compound)) for u in range(ma.u_size)] == \
-                [mb.apply(u, x) for x in range(len(sb.compound)) for u in range(mb.u_size)]
-            assert sa.compound == sb.compound
+            states = sorted({x for x, _ in ma.spans})
+            assert [ma.apply(u, x) for x in states for u in range(ma.u_size)] == \
+                [mb.apply(u, x) for x in states for u in range(mb.u_size)]
+            assert states == sorted({x for x, _ in mb.spans})
 
     def test_emitted_slot_bits_identical(self):
         class ForceFirst:
