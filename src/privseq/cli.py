@@ -65,20 +65,28 @@ def _parse_prior(text: str) -> Fraction:
     return bounds_mod.check_prior(p)
 
 
+# the built-in family's options and their defaults; unset on the command line
+# so that giving one with --spec, which would ignore it, is an error
+FAMILY_DEFAULTS = {"p": "1/2", "n": 2, "f": 1}
+
+
 def _load_database(args) -> JointDist:
     if args.spec:
+        for name in FAMILY_DEFAULTS:
+            if getattr(args, name) is not None:
+                raise ValidationError(f"--{name} sets the built-in family; it cannot be given with --spec")
         return load_dist(args.spec)
-    params = bounds_mod.Example1Params(
-        p=_parse_prior(args.p), n_files=args.n, k_demands=1, file_bits=args.f,
-    )
+    p, n, f = (FAMILY_DEFAULTS[name] if getattr(args, name) is None else getattr(args, name)
+               for name in FAMILY_DEFAULTS)
+    params = bounds_mod.Example1Params(p=_parse_prior(p), n_files=n, k_demands=1, file_bits=f)
     return bounds_mod.example1_build(params, limit=args.limit)
 
 
 def _add_family_args(sp) -> None:
     sp.add_argument("--spec", help="distribution-spec file (first variable is private)")
-    sp.add_argument("--p", default="1/2", help="masking prior for the built-in family")
-    sp.add_argument("--n", type=int, default=2, help="file count for the built-in family")
-    sp.add_argument("--f", type=int, default=1, help="bits per file for the built-in family")
+    sp.add_argument("--p", help="masking prior for the built-in family (default 1/2)")
+    sp.add_argument("--n", type=int, help="file count for the built-in family (default 2)")
+    sp.add_argument("--f", type=int, help="bits per file for the built-in family (default 1)")
     sp.add_argument("--demands", required=True,
                     help="comma-separated 1-based file indices, or 'sweep'")
     sp.add_argument("--mode", choices=[coding.FIXED, coding.ENTROPY], default=coding.FIXED)

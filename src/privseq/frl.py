@@ -18,8 +18,11 @@ those must sum to exactly 1, so every earlier marginal, and with it every
 earlier stage's guarantee, is left unchanged and needs no re-check. The new
 stage alone is then checked once: U_{k+1} independent of (X, U_1..U_k) and
 U_1..U_{k+1} of X, Y_next a function of (X, U_1..U_{k+1}), and |U_{k+1}|
-within its cap, all read off the stage's (given state, U_{k+1}) marginal and
-the Y_next each of its cells meets, gathered as its product table is written.
+within its cap. The first check reads the stage's (given state, U_{k+1})
+marginal, gathered as its product table is written; the second reads the
+state marginal P(x, u_1..u_k) that the first returns, which is exact once
+the first has passed; the function check reads the Y_next that each
+(given state, U_{k+1}) cell meets in the stage's rows.
 """
 
 from __future__ import annotations
@@ -205,22 +208,35 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
     LimitError is raised before the spans are found if the mechanism would
     pass `limit` (given state, U) cells, and before the product table is
     built if it would.
+
+    Each parent cell is read once, as one flat key (given state..., target);
+    the masses, the cell counts and the product walk all use those keys. A
+    parent cell of key (s, y) writes exactly row (s, y)'s atoms, so whether
+    the target is a function of (s, U) is read off the rows, one (s, u, y)
+    triple per row atom, the triples the written cells meet.
     """
-    given = itemgetter(*given_axes)
+    key_of = itemgetter(*given_axes, target_axis)
+    # a flat key (x, y) is already (given state, target); a longer one splits
+    split = (lambda key: key) if len(given_axes) == 1 else (lambda key: (key[:-1], key[-1]))
     num, den = parent._ints()
-    # one walk of the parent: the mass of each positive (given state, target)
+    keys = list(map(key_of, num))
+    # one walk of the keys: the mass of each positive (given state, target)
     # and the number of parent cells behind it
-    mass: dict[tuple[Hashable, int], int] = {}
-    count: dict[tuple[Hashable, int], int] = {}
-    for cell, n in num.items():
-        key = (given(cell), cell[target_axis])
-        mass[key] = mass.get(key, 0) + n
-        count[key] = count.get(key, 0) + 1
+    mass: dict[tuple, int] = {}
+    count: dict[tuple, int] = {}
+    for key, n in zip(keys, num.values()):
+        if key in mass:
+            mass[key] += n
+            count[key] += 1
+        else:
+            mass[key] = n
+            count[key] = 1
     # reduced by their gcd, so the atom boundaries are those of the
-    # (given state, target) pair distribution
+    # (given state, target) pair distribution; sorting the flat keys sorts
+    # the (given state, target) pairs
     g = math.gcd(*mass.values())
-    mass = {key: mass[key] // g for key in sorted(mass)}
-    supports, px, scale = _masses(mass)
+    pair_mass = {split(key): mass[key] // g for key in sorted(mass)}
+    supports, px, scale = _masses(pair_mass)
 
     orders: Mapping[Hashable, Sequence[int]] = supports
     if policy is not None:
@@ -228,7 +244,7 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
         for x, ys in supports.items():
             if sorted(orders[x]) != ys:
                 raise ValidationError(f"policy for x={x} must permute the positive-support y symbols {ys}")
-    ends, cutset = _segment_layout(mass, px, orders, scale)
+    ends, cutset = _segment_layout(pair_mass, px, orders, scale)
 
     bounds = (0, *sorted(cutset), scale)
     n_atoms = len(bounds) - 1
@@ -245,15 +261,16 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
             if bounds[i0] != start or bounds[i1] != end:
                 raise InvariantError("refinement atom crosses a segment boundary")
             spans[(x, y)] = range(i0, i1)
-    del mass, supports, orders, px, ends  # freed before the product table sets the peak memory
+    del mass, pair_mass, supports, orders, px, ends  # freed before the product table sets the peak memory
     mech = FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds, dropped_x=(), spans=spans)
 
     u_alpha, y_alpha = mech.u_alphabet, parent.variables[target_axis]
     # one conditional row per positive (given state, target): atom widths over
     # the segment length, reduced by their gcd; a row summing to 1 keeps the
     # marginal of every parent variable unchanged
-    rows: dict[tuple[Hashable, int], Row] = {}
-    for state, y in count:
+    rows: dict[tuple, tuple[Hashable, range, list[int], int]] = {}
+    for key in count:
+        state, y = split(key)
         span, widths, length = mech.row(state, y)
         total = sum(widths)
         if total != length or min(widths) <= 0:
@@ -261,33 +278,37 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
             shown = state if len(given_axes) > 1 else (state,)
             raise InvariantError(f"{where}: P({u_name} | {shown}, {y_alpha.name}={y}) {fault}")
         g = math.gcd(length, *widths)
-        rows[(state, y)] = (span, [w // g for w in widths], length // g)
-    stage_den = math.lcm(*(length for _, _, length in rows.values()))
-    scaled = {key: [(u, w * (stage_den // length)) for u, w in zip(span, widths)]
-              for key, (span, widths, length) in rows.items()}
+        rows[key] = (state, span, [w // g for w in widths], length // g)
+    stage_den = math.lcm(*(length for _, _, _, length in rows.values()))
 
-    cells = sum(count[key] * len(span) for key, (span, _, _) in rows.items())
+    cells = sum(count[key] * len(span) for key, (_, span, _, _) in rows.items())
     if cells > limit:
         raise LimitError(f"the product needs {cells} cells, over the limit {limit}")
-    # the product table, and as each cell is written, the stage checks' input:
-    # the (given state, U) marginal of the written masses and the target each meets
-    table: dict[Cell, int] = {}
-    head: dict[tuple[Hashable, int], int] = {}
+    # per row, its atoms u with their (given state, U) cell and scaled width,
+    # and the target each (given state, U) cell meets
+    scaled: dict[tuple, list[tuple[int, tuple[Hashable, int], int]]] = {}
     image: dict[tuple[Hashable, int], int] = {}
     forked = False
-    for cell, n in num.items():
-        state, y = given(cell), cell[target_axis]
-        for u, m in scaled[(state, y)]:
+    for key, (state, span, widths, length) in rows.items():
+        y, factor = key[-1], stage_den // length
+        atoms = scaled[key] = []
+        for u, w in zip(span, widths):
+            head_key = (state, u)
+            if image.setdefault(head_key, y) != y:
+                forked = True
+            atoms.append((u, head_key, w * factor))
+    del rows  # its widths, one per row atom, are freed before the product table is written
+    # the product table, and as each cell is written, the stage checks' input:
+    # the (given state, U) marginal of the written masses
+    table: dict[Cell, int] = {}
+    head = dict.fromkeys(image, 0)
+    del image
+    for (cell, n), key in zip(num.items(), keys):
+        for u, head_key, m in scaled[key]:
             mass_u = n * m
             table[cell + (u,)] = mass_u
-            head_key = (state, u)
-            if head_key in head:
-                head[head_key] += mass_u
-                if image[head_key] != y:
-                    forked = True
-            else:
-                head[head_key] = mass_u
-                image[head_key] = y
+            head[head_key] += mass_u
+    del keys, scaled
     _check_stage(head, den * stage_den, forked, [parent.variables[a].name for a in given_axes],
                  u_alpha, y_alpha)
     return mech, JointDist._exact(parent.variables + (u_alpha,), table, den * stage_den)
@@ -304,6 +325,15 @@ def _check_stage(head: Mapping[tuple[Hashable, int], int], den: int, forked: boo
     `head` is the (given state, U_k) marginal over `den`, keyed by (given state,
     u), the state x alone or a tuple in `given` order; scaling both by one
     factor changes no verdict.
+
+    The third check runs on the state marginal P(x, u_<k) that the second
+    returns, not on `head`. Once U_k is independent of the states with the
+    full product support, P(x, u_<k, u) = P(x, u_<k) P(u), and P(u) > 0 for
+    every u of `head`. Summing over x, P(u_<k, u) = P(u_<k) P(u). So
+    P(x, u_<k, u) = P(x) P(u_<k, u) holds exactly when P(x, u_<k) =
+    P(x) P(u_<k) does, and the (x, (u_<k, u)) support is a full product
+    exactly when the (x, u_<k) support is: X is independent of U_1..U_k
+    exactly when it is of U_1..U_{k-1} on the state marginal.
     """
     u_name, target = u_alpha.name, y_alpha.name
     if forked:
@@ -312,7 +342,7 @@ def _check_stage(head: Mapping[tuple[Hashable, int], int], den: int, forked: boo
     if not independent:
         raise InvariantError(f"{u_name} not exactly independent of ({', '.join(given)})")
     if len(given) > 1 and not _product_test(
-            {(state[0], (*state[1:], u)): n for (state, u), n in head.items()}, den)[0]:
+            {(state[0], state[1:]): n for state, n in states.items()}, den)[0]:
         raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
     cap = cardinality_bound(len(states), y_alpha.size)
     if u_alpha.size > cap:
@@ -425,6 +455,12 @@ class MechanismChain:
         return tuple(s.mechanism.u_size for s in self.stages)
 
 
+def _u_name(stage: int) -> str:
+    """The name of a chain's auxiliary variable at 1-based `stage`; a base
+    variable of that name is rejected when the stage is added."""
+    return f"U{stage}"
+
+
 def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Add one stage; the caller guarantees U_1..U_k is independent of the private variable.
 
@@ -436,7 +472,7 @@ def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT
     if target == chain.private or target in u_names:
         raise ValidationError(f"cannot target {target!r}")
     *given_axes, target_axis = chain.joint._axes([chain.private, *u_names, target])
-    u_name = f"U{k + 1}"
+    u_name = _u_name(k + 1)
     if u_name in chain.joint.names:
         raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
     where = f"chain stage {k + 1} ({target})"

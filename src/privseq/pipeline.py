@@ -39,7 +39,7 @@ from .coding import (
     unpack_slots,
 )
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
-from .frl import MechanismChain, Row, build_chain
+from .frl import MechanismChain, Row, _u_name, build_chain
 from .probability import Alphabet, JointDist, _entropy_bits, _plogp
 
 
@@ -112,15 +112,20 @@ def demand_vector(p: JointDist, demands: Sequence[int]) -> tuple[int, ...]:
     return demands
 
 
+def _demanded_base(p: JointDist, demands: Sequence[int]) -> tuple[JointDist, list[str]]:
+    """The exact (private, demanded files) marginal a chain is built on, and
+    the demanded files' names in demand order."""
+    names = bounds_mod.demand_names(p, demands)
+    return p.marginalize([p.variables[0].name, *names]), names
+
+
 def session_chain(p: JointDist, demands: Sequence[int],
                   limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Build the mechanism chain for a demand vector over database joint `p`.
 
     A stage whose joint would pass `limit` cells raises LimitError.
     """
-    demands = demand_vector(p, demands)
-    names = bounds_mod.demand_names(p, demands)
-    base = p.marginalize([p.variables[0].name, *names])
+    base, names = _demanded_base(p, demand_vector(p, demands))
     return build_chain(base, p.variables[0].name, names, limit=limit)
 
 
@@ -484,14 +489,12 @@ class SweepRow:
                 and self.expected_len <= self.upper_cardinality + 1e-9)
 
 
-def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
-                  limit: int = DEFAULT_STATE_LIMIT) -> tuple[SweepRow, MechanismChain, Books]:
-    """One demand vector end to end: chain, transcript distribution, leakage
-    audit, expected length and bounds. Returns the row, the chain it built
-    and the chain's codebooks, for sessions over the same chain."""
-    demands = demand_vector(p, demands)
-    chain = session_chain(p, demands, limit=limit)
-    td = transcript_distribution(chain, mode, limit)
+def _audit_row(p: JointDist, demands: tuple[int, ...], chain: MechanismChain,
+               books: Books | str, limit: int) -> tuple[SweepRow, Books]:
+    """The row of a valid demand vector on its built chain: the transcript
+    distribution, leakage audit, expected length and bounds, and the books,
+    given as `transcript_distribution` takes them."""
+    td = transcript_distribution(chain, books, limit)
     el = expected_length(td)
     leak = leakage_audit(td)
     row = SweepRow(
@@ -507,7 +510,18 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
         u_sizes=chain.u_sizes(),
         transcript_support=td.support,
     )
-    return row, chain, td.books
+    return row, td.books
+
+
+def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
+                  limit: int = DEFAULT_STATE_LIMIT) -> tuple[SweepRow, MechanismChain, Books]:
+    """One demand vector end to end: chain, transcript distribution, leakage
+    audit, expected length and bounds. Returns the row, the chain it built
+    and the chain's codebooks, for sessions over the same chain."""
+    demands = demand_vector(p, demands)
+    chain = session_chain(p, demands, limit=limit)
+    row, books = _audit_row(p, demands, chain, mode, limit)
+    return row, chain, books
 
 
 @dataclass(frozen=True)
@@ -518,12 +532,43 @@ class SweepResult:
 
 def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
                      limit: int = DEFAULT_STATE_LIMIT) -> SweepResult:
-    """Evaluate every length-k demand vector and report the maximizer."""
+    """Evaluate every length-k demand vector and report the maximizer.
+
+    Each row is the one `audit_demands` gives its vector. A chain is a
+    function of its vector's demanded marginal, so the vectors are grouped
+    by that marginal (alphabet sizes in demand order, denominator and
+    integer cells) and one chain, and one set of codebooks, is built per
+    group, from its first vector's files: exchangeable files, as in the
+    masked family, share one chain across every ordering. Every vector
+    still enumerates and audits its own transcript law on the group's
+    chain, and gets its own bounds. The groups are built and
+    audited one at a time, in the order of their first vectors, so at most
+    one built chain is alive, and the first vector that raises is the one
+    that would without the sharing.
+    """
     n_files = len(p.variables) - 1
     if not 1 <= k <= n_files:
         raise ValidationError(f"k must be in 1..{n_files}")
     if math.perm(n_files, k) > limit:
         raise LimitError(f"perm({n_files}, {k}) demand vectors exceed the limit {limit}")
-    rows = tuple(audit_demands(p, demands, mode, limit)[0]
-                 for demands in itertools.permutations(range(1, n_files + 1), k))
-    return SweepResult(rows=rows, worst=max(rows, key=lambda r: r.expected_len))
+    private = p.variables[0].name
+    vectors = list(itertools.permutations(range(1, n_files + 1), k))
+    # a demanded file named like a stage's auxiliary fails the build, so
+    # which of those names are taken is part of the key
+    u_names = [_u_name(i) for i in range(1, k + 1)]
+    groups: dict[tuple, tuple[JointDist, list[str], list[int]]] = {}
+    for i, demands in enumerate(vectors):
+        base, names = _demanded_base(p, demands)
+        num, den = base._ints()
+        key = (tuple(v.size for v in base.variables), den, tuple(num.items()),
+               tuple(u in base.names for u in u_names))
+        groups.setdefault(key, (base, names, []))[2].append(i)
+    rows: dict[int, SweepRow] = {}
+    for base, names, members in groups.values():
+        chain = build_chain(base, private, names, limit=limit)
+        books: Books | str = mode  # built by the group's first enumeration
+        for i in members:
+            rows[i], books = _audit_row(p, vectors[i], chain, books, limit)
+        del chain, books  # freed before the next group's chain is built
+    ordered = tuple(rows[i] for i in range(len(vectors)))
+    return SweepResult(rows=ordered, worst=max(ordered, key=lambda r: r.expected_len))

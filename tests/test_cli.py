@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -383,6 +384,44 @@ class TestBadNumbers:
     def test_limit_below_one(self, command, limit, capsys):
         assert main(command + ["--limit", limit]) == 1
         assert f"--limit must be at least 1, got {limit}" in capsys.readouterr().err
+
+
+class TestFamilyOptionsWithSpec:
+    """--p, --n and --f set the built-in family, which --spec replaces, so
+    each is a validation error with --spec, named before the spec is read."""
+
+    SPEC = str(Path(__file__).parent / "golden" / "dense.dist")
+    SPEC_COMMANDS = [["pipeline", "run", "--demands", "1"], ["audit", "--demands", "1"]]
+    OPTIONS = [["--p", "abc"], ["--p", "1/2"], ["--n", "3"], ["--f", "2"]]
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("option", OPTIONS, ids=" ".join)
+    def test_rejected_with_spec(self, command, option, capsys):
+        assert main(command + ["--spec", self.SPEC] + option) == 1
+        captured = capsys.readouterr()
+        assert f"error: {option[0]} sets the built-in family; it cannot be given with --spec" \
+            in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("option", OPTIONS, ids=" ".join)
+    def test_rejected_before_the_spec_is_read(self, command, option, tmp_path, capsys):
+        assert main(command + ["--spec", str(tmp_path / "missing.dist")] + option) == 1
+        err = capsys.readouterr().err
+        assert f"{option[0]} sets the built-in family" in err and "missing.dist" not in err
+
+    @pytest.mark.parametrize("command", SPEC_COMMANDS, ids=lambda c: c[0])
+    def test_spec_alone_is_read(self, command, capsys):
+        assert main(command + ["--spec", self.SPEC]) == 0
+
+    @pytest.mark.parametrize("command", [["pipeline", "run", "--demands", "1,2", "--seed", "3"],
+                                         ["audit", "--demands", "2,1"]], ids=lambda c: c[0])
+    def test_family_defaults_without_spec(self, command, tmp_path, capsys):
+        # 1/2, 2 and 1 apply when the options are left out
+        unset, explicit = tmp_path / "unset.json", tmp_path / "explicit.json"
+        assert main(command + ["--out", str(unset)]) == 0
+        assert main(command + ["--p", "1/2", "--n", "2", "--f", "1", "--out", str(explicit)]) == 0
+        assert unset.read_text() == explicit.read_text()
 
 
 class TestFileErrors:

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction as F
 
 import pytest
@@ -684,3 +686,134 @@ class TestWorstCaseSweep:
             assert row.lower <= row.expected_len + 1e-9
             assert row.expected_len <= row.upper_cardinality + 1e-9
             assert row.upper_entropy_estimate <= row.upper_cardinality
+
+
+@st.composite
+def sweep_databases(draw):
+    """A database over (X, Y_1..Y_N), |X| 1-3 and 2-3 files, sparse or dense:
+    either arbitrary, or with files independent given X, where Y_2 copies
+    Y_1's conditional law, so orderings that swap them share a demanded
+    marginal. Returns (database, twins)."""
+    seed = draw(st.integers(0, 10**6))
+    x_size, n_files = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    sparse, twins = draw(st.booleans()), draw(st.booleans())
+    rng = random.Random(seed)
+    if not twins:
+        return random_database(rng, x_size, n_files, 1, sparse), False
+    low = 0 if sparse else 1
+
+    def weights(size):
+        w = [rng.randint(low, 4) for _ in range(size)]
+        w[rng.randrange(size)] += 1  # at least one positive weight
+        return w
+
+    sizes = [draw(st.integers(1, 3)) for _ in range(n_files - 1)]
+    sizes.insert(1, sizes[0])
+    p_x = weights(x_size)
+    laws = [[weights(size) for _ in range(x_size)] for size in sizes]
+    laws[1] = laws[0]
+    cells = {}
+    for x in range(x_size):
+        for ys in itertools.product(*map(range, sizes)):
+            w = p_x[x] * math.prod(law[x][y] for law, y in zip(laws, ys))
+            if w:
+                cells[(x, *ys)] = w
+    total = sum(cells.values())
+    variables = [Alphabet("X", x_size)] + [Alphabet(f"Y{j}", size) for j, size in enumerate(sizes, 1)]
+    return JointDist(variables, {cell: F(w, total) for cell, w in cells.items()}), True
+
+
+def row_fields(row):
+    """Every field of a sweep row, its floats as hex so that 0.0 and -0.0 differ."""
+    return {name: (value.hex() if isinstance(value, float)
+                   else tuple(v.hex() for v in value) if name == "per_w" else value)
+            for name, value in asdict(row).items()}
+
+
+class TestSweepSharesChains:
+    """A sweep builds one chain per distinct demanded marginal, yet every row
+    is the one the vector's own audit gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_databases(), st.sampled_from([FIXED, ENTROPY]))
+    def test_matches_the_per_vector_audits(self, case, mode):
+        p, twins = case
+        n_files = len(p.variables) - 1
+        for k in range(1, n_files + 1):
+            vectors = list(itertools.permutations(range(1, n_files + 1), k))
+            built = []
+
+            def counted(*args, **kwargs):
+                built.append(args)
+                return build_chain(*args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline_mod, "build_chain", counted)
+                res = worst_case_sweep(p, k, mode)
+            oracle = [audit_demands(p, d, mode)[0] for d in vectors]
+            assert [row_fields(r) for r in res.rows] == [row_fields(r) for r in oracle]
+            worst = oracle.index(max(oracle, key=lambda r: r.expected_len))
+            assert res.worst is res.rows[worst]
+            assert 1 <= len(built) <= len(vectors)
+            if twins:  # swapping Y1 and Y2 keeps the demanded marginal
+                assert len(built) < len(vectors)
+
+    @pytest.mark.parametrize("p, k", [(masked_bits("1/3", 3, 2, 1), 2),
+                                      (random_database(random.Random(4), 2, 3, 1), 2)],
+                             ids=["one chain", "a chain per vector"])
+    @pytest.mark.parametrize("stage", ["chain", "enumeration"])
+    def test_limit_error_is_the_first_vectors(self, p, k, stage):
+        first = tuple(range(1, k + 1))
+        cells = len(session_chain(p, first).joint)
+        # one cell short of the first vector's chain, or of its enumeration
+        limit = cells - 1 if stage == "chain" else cells * p.variables[0].size - 1
+        with pytest.raises(LimitError) as own:
+            audit_demands(p, first, FIXED, limit)
+        with pytest.raises(LimitError) as swept:
+            worst_case_sweep(p, k, FIXED, limit)
+        assert str(swept.value) == str(own.value)
+        assert ("stage" in str(own.value)) == (stage == "chain")
+
+    def test_file_named_like_an_auxiliary(self):
+        # Y1 and U1 have one law, but a chain cannot name its stage U1 when a
+        # demanded file has that name: the second vector fails on its own
+        p = JointDist([Alphabet("X", 2), Alphabet("Y1", 2), Alphabet("U1", 2)],
+                      {(x, y1, y2): F(1, 8) for x, y1, y2 in itertools.product(range(2), repeat=3)})
+        assert audit_demands(p, (1,))[0].leakage_exact_zero
+        with pytest.raises(ValidationError) as own:
+            audit_demands(p, (2,))
+        with pytest.raises(ValidationError) as swept:
+            worst_case_sweep(p, 1)
+        assert str(swept.value) == str(own.value) == "variable name 'U1' already taken in the base joint"
+
+    def test_masked_sweep_builds_once_and_enumerates_every_vector(self, monkeypatch):
+        # one chain and one set of books serve all six orderings
+        calls = Counter()
+
+        def counted(name, fn):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return run
+
+        for name in ("build_chain", "session_codebooks", "transcript_distribution"):
+            monkeypatch.setattr(pipeline_mod, name, counted(name, getattr(pipeline_mod, name)))
+        res = worst_case_sweep(masked_bits("1/2", 3, 2, 1), 2, ENTROPY)
+        assert calls == {"build_chain": 1, "session_codebooks": 1, "transcript_distribution": 6}
+        assert [r.transcript_support for r in res.rows] == [8] * 6
+
+    def test_one_built_chain_alive_at_a_time(self, monkeypatch):
+        # every ordering of these files has its own demanded marginal
+        built, alive = [], []
+
+        def tracked(*args, **kwargs):
+            chain = build_chain(*args, **kwargs)
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+            built.append(weakref.ref(chain))
+            return chain
+
+        monkeypatch.setattr(pipeline_mod, "build_chain", tracked)
+        worst_case_sweep(random_database(random.Random(4), 2, 3, 1), 2)
+        assert alive == [0] * 6
+
