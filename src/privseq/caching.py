@@ -317,24 +317,20 @@ def adversary_view_distribution(session: CacheSession, key_size: int,
                                 limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
     """Exact joint of ((transcript, public cache), X, W); `key_size` must be |X|.
 
-    The public cache replays the auxiliary slots verbatim, so each view is
-    the wrapped transcript's slots followed by its log entries: a one-to-one
-    relabelling of the enumerated transcripts over the same factored law.
-    A view is its auxiliary bits longer than its transcript under every key
-    value, so each key's length sum gains the mass-weighted auxiliary bits,
-    summed over the u vectors' groups.
+    `private_wrap` logs the transcript's auxiliary slots verbatim, so the
+    public cache is a one-to-one function of the transcript and each view
+    has its transcript's law: the result is the wrapped transcripts' law,
+    whose `transcripts` index the views by their transcript part. A view is
+    its auxiliary bits longer than its transcript under every key value, so
+    each key's length sum gains the mass-weighted auxiliary bits, summed
+    over the u vectors' groups.
     """
     x_size = session.chain.private_size
     if key_size != x_size:
         raise ValidationError(f"the multi-part scheme needs key size |X|={x_size}, got {key_size}")
     td = pipeline.transcript_distribution(session.chain, session.books, limit)
-    views = tuple(pipeline.Transcript(t.slots + tuple(
-        (f"cache{i}", bits) for i, bits in enumerate(t.bitstrings[1:], 1)
-    )) for t in td.transcripts)
-    lengths = tuple(sum(map(len, v.bitstrings)) for v in views)
     replayed = sum(bits * sum(masses.values()) for _, bits, masses in td.groups.values())
-    return replace(td, w_sums=tuple((total + replayed, mass) for total, mass in td.w_sums),
-                   _lengths=lengths, _transcripts=views)
+    return replace(td, w_sums=tuple((total + replayed, mass) for total, mass in td.w_sums))
 
 
 def delivery_bound(cfg: CacheConfig, x_size: int) -> int:

@@ -96,10 +96,6 @@ def _add_family_args(sp) -> None:
     sp.add_argument("--format", choices=["csv", "json"], default="json")
 
 
-def _fraction_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
-
-
 def cmd_frl_build(args) -> int:
     dist = load_dist(args.spec)
     if len(dist.variables) != 2:
@@ -117,7 +113,7 @@ def cmd_frl_build(args) -> int:
               + (f" and {rest} more" if rest > 0 else ""))
     print(f"atoms: {mech.u_size} (cap {frl.cardinality_bound(dist.variables[0].size, dist.variables[1].size)})")
     for u, ((a, b), q) in enumerate(zip(mech.atoms, mech.p_u)):
-        print(f"  u{u}: [{_fraction_str(a)}, {_fraction_str(b)})  p={_fraction_str(q)}")
+        print(f"  u{u}: [{a!s}, {b!s})  p={q!s}")
     print(f"H(U) = {mech.entropy():.6f} bits" + (
         f" (ordering-optimized, search min {searched_h:.6f})" if searched_h is not None else ""))
     print("map (u, x) -> y:")

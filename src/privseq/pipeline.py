@@ -11,9 +11,10 @@ is a rational product test, not a float comparison. The key is uniform, so
 that joint is |X| copies of the (u vector, private symbol) law, one per
 padded symbol; the enumeration keeps that law once, with each u vector's
 block of padded symbols, and the audit checks the blocks and tests and sums
-the law without writing the copies. Each transcript's bit length is summed
-from the codebooks' code-length tables; the transcripts, their lengths and
-the whole (transcript, private symbol) table are derived on first access.
+the law without writing the copies. The per-key length sums are read from
+the codebooks' code-length tables, so no transcript is written; the
+transcripts and the whole (transcript, private symbol, key) joint are
+views, derived from the factored law on every read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from . import bounds as bounds_mod
 from .coding import (
@@ -101,14 +102,11 @@ class RandomDraws:
 def demand_vector(p: JointDist, demands: Sequence[int]) -> tuple[int, ...]:
     """Validate a demand vector: distinct 1-based file indices."""
     demands = tuple(int(d) for d in demands)
-    n_files = len(p.variables) - 1
     if not demands:
         raise ValidationError("empty demand vector")
     if len(set(demands)) != len(demands):
         raise ValidationError(f"demands must be pairwise distinct: {demands}")
-    for d in demands:
-        if not 1 <= d <= n_files:
-            raise ValidationError(f"demand {d} outside 1..{n_files}")
+    bounds_mod.demand_names(p, demands)  # each index in 1..n_files
     return demands
 
 
@@ -265,10 +263,9 @@ class TranscriptDistribution:
     numerator of P(X = x) over `den`, and `w_sums` holds, per key value, the
     sums `expected_length` divides.
 
-    The transcripts' `lengths` and `parts` (padded x, u vector), the
-    `transcripts` written from the parts with `books`, the (C, X) marginal
-    `cx` and the (C, X, W) `joint` are views: each is derived on first read
-    and kept.
+    The audits read only these fields. The (C, X, W) `joint` and the
+    `transcripts` written with `books` are views, derived from them on every
+    read and not kept.
     """
 
     books: Books = field(repr=False)
@@ -278,12 +275,6 @@ class TranscriptDistribution:
     den: int
     x_mass: tuple[int, ...] = field(repr=False)
     w_sums: tuple[tuple[int, int], ...] = field(repr=False)  # per w: (mass * length, mass)
-    _lengths: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-    _transcripts: tuple[Transcript, ...] | None = field(default=None, repr=False, compare=False)
-    _parts: tuple[tuple[int, tuple[int, ...]], ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _cx: JointDist | None = field(default=None, init=False, repr=False, compare=False)
-    _joint: JointDist | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def support(self) -> int:
@@ -291,61 +282,26 @@ class TranscriptDistribution:
         return len(self.groups) * self.pad_size
 
     @property
-    def lengths(self) -> tuple[int, ...]:
-        """Transcript c's bit length: its pad codeword's plus its auxiliaries'."""
-        if self._lengths is None:
-            pad_length = self.books[0].length
-            object.__setattr__(self, "_lengths", tuple(
-                pad_length(xt) + bits for x0, bits, _ in self.groups.values()
-                for xt in self.pads[x0]))
-        return self._lengths
-
-    @property
-    def parts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Transcript c as (padded x, u vector)."""
-        if self._parts is None:
-            object.__setattr__(self, "_parts", tuple(
-                (xt, u_vec) for u_vec, (x0, _, _) in self.groups.items() for xt in self.pads[x0]))
-        return self._parts
-
-    def cxw_cells(self) -> Iterator[tuple[tuple[int, int, int], int]]:
-        """The (C, X, W) cells in sorted order, with their numerators over
-        den * pad_size: the copy padding x0 with key value j pads x with
-        w = padded x - x mod pad_size."""
+    def joint(self) -> JointDist:
+        """The (C, X, W) joint in sorted cell order: the copy padding x0 with
+        key value j pads x with w = padded x - x mod pad_size."""
         size, pads = self.pad_size, self.pads
+        cells = {}
         c = 0
         for x0, _, masses in self.groups.values():
             for xt in pads[x0]:
                 for x, n in masses.items():
-                    yield (c, x, (xt - x) % size), n
+                    cells[c, x, (xt - x) % size] = n
                 c += 1
-
-    @property
-    def cx(self) -> JointDist:
-        """The (C, X) marginal of `cxw_cells`."""
-        if self._cx is None:
-            object.__setattr__(self, "_cx", JointDist._exact(
-                (Alphabet("C", self.support), Alphabet("X", len(self.x_mass))),
-                {(c, x): n for (c, x, _), n in self.cxw_cells()}, self.den * self.pad_size))
-        return self._cx
-
-    @property
-    def joint(self) -> JointDist:
-        """The (C, X, W) joint of `cxw_cells`."""
-        if self._joint is None:
-            object.__setattr__(self, "_joint", JointDist._exact(
-                (Alphabet("C", self.support), Alphabet("X", len(self.x_mass)),
-                 Alphabet("W", self.pad_size)),
-                dict(self.cxw_cells()), self.den * self.pad_size))
-        return self._joint
+        return JointDist._exact(
+            (Alphabet("C", self.support), Alphabet("X", len(self.x_mass)), Alphabet("W", size)),
+            cells, self.den * size)
 
     @property
     def transcripts(self) -> tuple[Transcript, ...]:
-        """Transcript c is `_write_slots(books, *parts[c])`."""
-        if self._transcripts is None:
-            object.__setattr__(self, "_transcripts",
-                               tuple(_write_slots(self.books, *part) for part in self.parts))
-        return self._transcripts
+        """Transcript c, written with `books` from its padded x and u vector."""
+        return tuple(_write_slots(self.books, xt, u_vec)
+                     for u_vec, (x0, _, _) in self.groups.items() for xt in self.pads[x0])
 
 
 def transcript_distribution(chain: MechanismChain, books: Books | str,
@@ -420,9 +376,10 @@ def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
     when U is, so the verdict is the rational product test
     n * den == n_u * n_x on every (u, x) pair, an absent pair failing it.
     I = H(C) + H(X) - H(C, X), clamped at 0. Each entropy adds its terms to
-    one float in the sorted cell order of the (C, X) table `td.cx`, as
-    `JointDist.entropy` would on it: one term per (u, x) cell, added once
-    per copy, so the sum is the same float without writing that table.
+    one float in the sorted order of the (C, X) table's cells, as the test
+    oracle `ref_leakage_audit` sums them over the written table: one term
+    per (u, x) cell, added once per copy, so the sum is the same float
+    without writing that table.
     """
     size, den, x_mass, pads = td.pad_size, td.den, td.x_mass, td.pads
     every = set(range(size))

@@ -411,7 +411,8 @@ def law(outs):
 
 def td_law(td):
     """The law of (transcript, x, w) that a transcript distribution states."""
-    return {(td.transcripts[c], x, w): q for (c, x, w), q in td.joint.items()}
+    transcripts = td.transcripts
+    return {(transcripts[c], x, w): q for (c, x, w), q in td.joint.items()}
 
 
 def total_length(transcript):
@@ -458,8 +459,7 @@ def explicit_distribution(joint, lengths):
         groups.setdefault((c,), (x, lengths[c], {}))[2][x] = n
         x_mass[x] += n
     return TranscriptDistribution(None, 1, groups, {x0: (0,) for x0, _, _ in groups.values()},
-                                  den, tuple(x_mass), _w_sums(joint, lengths),
-                                  _lengths=tuple(lengths))
+                                  den, tuple(x_mass), _w_sums(joint, lengths))
 
 
 # ---------------------------------------------------------------------------

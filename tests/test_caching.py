@@ -34,6 +34,7 @@ from reference import (
     cache_bits,
     cache_roundtrip,
     explicit_expected_length,
+    explicit_leakage_audit,
     law,
     outcomes,
     td_law,
@@ -311,11 +312,16 @@ class TestWrapAndDecode:
             private_wrap(session, blocks + (3, 0), 0, PadKey(0, 2), RandomDraws(4))
 
 
-def assert_view_length_is_the_explicit_walk(view):
-    """E[len | w] of the view from its per-key sums, against one walk of its
-    (C, X, W) joint with the view's lengths; returns it."""
+def view_length(transcript, entries):
+    """The bit length of the view (transcript, public cache entries)."""
+    return total_length(transcript) + sum(map(len, entries))
+
+
+def assert_view_length_is_the_explicit_walk(view, joint, lengths):
+    """E[len | w] of the view from its per-key sums, against one walk of the
+    (C, X, W) joint `joint` in which view c is lengths[c] bits; returns it."""
     per_w = expected_length(view).per_w
-    ref = explicit_expected_length(view.joint, view.lengths).per_w
+    ref = explicit_expected_length(joint, lengths).per_w
     assert [v.hex() for v in per_w] == [v.hex() for v in ref]
     return per_w
 
@@ -337,18 +343,37 @@ class TestAudits:
         assert law(wrapped) == td_law(transcript_distribution(session.chain, session.books))
 
     @pytest.mark.parametrize("shape, demands", [((2, 2, 1, 2), (1, 2)), ((3, 3, 1, 3), (3, 1, 2))])
-    def test_view_is_transcript_then_cache_copies(self, shape, demands):
+    def test_view_law_is_the_wrapped_law(self, shape, demands):
+        # every coupling through the real wrap: the law of ((transcript, public cache), x, w)
         cfg = CacheConfig(*shape)
-        session = make_cache_session(cfg, masked_db("1/3", cfg.n_files, cfg.file_bits), demands,
-                                     ENTROPY)
-        td = transcript_distribution(session.chain, session.books)
+        db_dist = masked_db("1/3", cfg.n_files, cfg.file_bits)
+        session = make_cache_session(cfg, db_dist, demands, ENTROPY)
+
+        def wrap(blocks, x):
+            def encode(key, draws):
+                transcript, public = private_wrap(session, blocks, x, key, draws)
+                return transcript, public.entries
+            return encode
+
+        wrapped = []
+        for (x, *blocks), prob in block_joint(cfg, db_dist, demands).items():
+            wrapped += outcomes(session.chain, x, blocks, prob, wrap(blocks, x))
+        views = law(wrapped)
         view = adversary_view_distribution(session, 2)
-        assert view.joint == td.joint and len(view.transcripts) == len(td.transcripts)
-        for t, v in zip(td.transcripts, view.transcripts):
-            copies = tuple((f"cache{i}", bits) for i, (_, bits) in enumerate(t.slots[1:], 1))
-            assert v.slots == t.slots + copies
-        assert view.lengths == tuple(total_length(v) for v in view.transcripts)
-        assert_view_length_is_the_explicit_walk(view)
+        index = {t: c for c, t in enumerate(view.transcripts)}
+        # one view per transcript, so the transcripts index the views
+        assert len({v for v, _, _ in views}) == len(index)
+        x_size = session.chain.private_size
+        joint = JointDist([Alphabet("C", len(index)), Alphabet("X", x_size), Alphabet("W", x_size)],
+                          {(index[t], x, w): q for ((t, _), x, w), q in views.items()})
+        lengths = [0] * len(index)
+        for (t, entries), _, _ in views:
+            lengths[index[t]] = view_length(t, entries)
+        assert joint == view.joint
+        assert_view_length_is_the_explicit_walk(view, joint, lengths)
+        leak, ref = leakage_audit(view), explicit_leakage_audit(joint)
+        assert leak.exact_zero == ref.exact_zero
+        assert leak.bits.hex() == ref.bits.hex()
 
     def test_benchmark_cache_view_length(self):
         # the deliver benchmark's cache session at seed 0: prior 8/13, demands (3, 1, 2, 4);
@@ -357,7 +382,9 @@ class TestAudits:
         session = make_cache_session(cfg, example1_build(Example1Params(F(8, 13), 4, 4, 4)),
                                      (3, 1, 2, 4), ENTROPY)
         view = adversary_view_distribution(session, 2)
-        assert assert_view_length_is_the_explicit_walk(view) == (13.0, 13.0)
+        # the public cache logs the auxiliary slots, as private_wrap returns it
+        lengths = [view_length(t, t.bitstrings[1:]) for t in view.transcripts]
+        assert assert_view_length_is_the_explicit_walk(view, view.joint, lengths) == (13.0, 13.0)
 
     def test_adversary_view_independent(self):
         cfg = CacheConfig(2, 2, 1, 2)

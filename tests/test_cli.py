@@ -45,6 +45,20 @@ class TestFrlBuild:
         assert "atoms: 3" in out
         assert "H(U) = 1.500000" in out
 
+    def test_golden_pair_stdout(self, capsys):
+        # interval ends print as reduced fractions, whole numbers without a denominator
+        pair = str(Path(__file__).parent / "golden" / "pair.dist")
+        assert main(["frl", "build", "--spec", pair]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:8] == [
+            "atoms: 5 (cap 7)",
+            "  u0: [0, 1/6)  p=1/6",
+            "  u1: [1/6, 1/2)  p=1/3",
+            "  u2: [1/2, 2/3)  p=1/6",
+            "  u3: [2/3, 5/6)  p=1/6",
+            "  u4: [5/6, 1)  p=1/6",
+        ]
+
     def test_deterministic_single_atom(self, spec_path, capsys):
         assert main(["frl", "build", "--spec", spec_path(DETERMINISTIC)]) == 0
         assert "atoms: 1" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import math
@@ -6,6 +7,7 @@ import weakref
 from collections import Counter
 from dataclasses import asdict, replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -320,10 +322,13 @@ class TestTranscriptDistribution:
         # padded symbol and the u-vector factorize exactly
         p = masked_bits("1/2", 2, 2, 1)
         chain = session_chain(p, (1, 2))
-        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
+        books = session_codebooks(chain, FIXED)
+        td, ref = transcript_distribution(chain, books), ref_transcript_distribution(chain, books)
+        joint = td.joint
+        assert joint == ref.joint
         table = {}
-        for (c, _x, _w), q in td.joint.items():
-            xt, u_vec = td.parts[c]
+        for (c, _x, _w), q in joint.items():
+            xt, u_vec = ref.parts[c]
             table[(xt,) + u_vec] = table.get((xt,) + u_vec, F(0)) + q
         u_sizes = chain.u_sizes()
         d = JointDist(
@@ -334,14 +339,16 @@ class TestTranscriptDistribution:
 
 
 class TestLazyTranscripts:
-    """Lengths come from code-length tables; transcripts are written from parts on first access."""
+    """Transcripts are written on read, in the oracle's order of (padded x,
+    u vector) parts, and are as long as its code-length tables say."""
 
     @staticmethod
-    def check(td, books):
-        assert len(td.parts) == len(td.lengths) == len(td.transcripts)
-        for c, part in enumerate(td.parts):
-            assert td.transcripts[c] == _write_slots(books, *part)
-            assert td.lengths[c] == total_length(td.transcripts[c])
+    def check(chain, td, books):
+        transcripts, ref = td.transcripts, ref_transcript_distribution(chain, books)
+        assert len(ref.parts) == len(ref.lengths) == len(transcripts)
+        for c, part in enumerate(ref.parts):
+            assert transcripts[c] == _write_slots(books, *part)
+            assert ref.lengths[c] == total_length(transcripts[c])
 
     @pytest.mark.parametrize("mode", [FIXED, ENTROPY])
     @pytest.mark.parametrize("seed, shape, demands", [
@@ -353,12 +360,13 @@ class TestLazyTranscripts:
         p = random_database(random.Random(seed), *shape)
         chain = session_chain(p, demands)
         td = transcript_distribution(chain, session_codebooks(chain, mode))
-        self.check(td, session_codebooks(chain, mode))
+        self.check(chain, td, session_codebooks(chain, mode))
 
     def test_cache_delivery(self):
         cfg = caching.CacheConfig(3, 3, 1, 3)
         session = caching.make_cache_session(cfg, masked_bits("1/3", 3, 3, 3), (3, 1, 2), ENTROPY)
-        self.check(transcript_distribution(session.chain, session.books), session.books)
+        self.check(session.chain, transcript_distribution(session.chain, session.books),
+                   session.books)
 
     def test_u_without_codeword_rejected(self):
         p = random_database(random.Random(4), 2, 1, 1)
@@ -367,6 +375,16 @@ class TestLazyTranscripts:
         pad, _ = session_codebooks(chain, FIXED)
         with pytest.raises(ValidationError, match="has no codeword"):
             transcript_distribution(chain, (pad, [Codebook({0: ""})]))
+
+
+@contextlib.contextmanager
+def no_joint_built():
+    """Fails the test if a JointDist is built inside the block."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JointDist was built")
+    with mock.patch.object(JointDist, "__init__", refuse), \
+            mock.patch.object(JointDist, "_exact", refuse):
+        yield
 
 
 class TestKeptMarginal:
@@ -382,18 +400,19 @@ class TestKeptMarginal:
         p = random_database(rng, x_size, n_files, 1, sparse)
         demands = rng.sample(range(1, n_files + 1), rng.randint(1, n_files))
         td = transcript_distribution(session_chain(p, demands), mode)
-        leak, el = leakage_audit(td), expected_length(td)
-        assert td._cx is None and td._joint is None  # neither call derives a (C, X) table
-        leak_ref = explicit_leakage_audit(td.joint)
-        el_ref = explicit_expected_length(td.joint, td.lengths)
+        with no_joint_built():  # neither call derives a (C, X) table
+            leak, el = leakage_audit(td), expected_length(td)
+        joint = td.joint
+        leak_ref = explicit_leakage_audit(joint)
+        el_ref = explicit_expected_length(joint, [total_length(t) for t in td.transcripts])
         assert leak.exact_zero == leak_ref.exact_zero
         assert leak.bits.hex() == leak_ref.bits.hex()
         assert [v.hex() for v in el.per_w] == [v.hex() for v in el_ref.per_w]
         assert el.max_over_w.hex() == el_ref.max_over_w.hex()
         # the derived joint is a valid one: sums to 1, reduced, in sorted cell order
-        rebuilt = JointDist(td.joint.variables, td.joint.table)
-        assert td.joint == rebuilt
-        assert list(td.joint._ints()[0]) == list(rebuilt._ints()[0])
+        rebuilt = JointDist(joint.variables, joint.table)
+        assert joint == rebuilt
+        assert list(joint._ints()[0]) == list(rebuilt._ints()[0])
 
 
 def leaky_chain(chain, index=0):
@@ -432,10 +451,12 @@ class TestFactoredLaw:
         assert leak.bits.hex() == leak_ref.bits.hex()
         assert expected_length(td).per_w == tuple(t / m for t, m in ref.w_sums)
         assert td.support == len(ref.lengths)
-        assert td.lengths == ref.lengths
-        assert td.parts == ref.parts
-        assert td.cx == ref.cx and list(td.cx._ints()[0]) == list(ref.cx._ints()[0])
-        assert td.joint == ref.joint
+        transcripts, joint = td.transcripts, td.joint
+        assert [total_length(t) for t in transcripts] == list(ref.lengths)
+        assert transcripts == tuple(_write_slots(books, *part) for part in ref.parts)
+        cx = joint.marginalize(["C", "X"])
+        assert cx == ref.cx and list(cx._ints()[0]) == list(ref.cx._ints()[0])
+        assert joint == ref.joint
 
     def test_private_variable_not_first(self):
         # the chain's cells are then not sorted by x, so each group's masses are sorted after
@@ -450,7 +471,9 @@ class TestFactoredLaw:
         assert all(list(masses) == sorted(masses) for _, _, masses in td.groups.values())
         assert leakage_audit(td) == ref_leakage_audit(ref)
         assert leakage_audit(td).bits.hex() == ref_leakage_audit(ref).bits.hex()
-        assert td.parts == ref.parts and td.cx == ref.cx and td.joint == ref.joint
+        transcripts, joint = td.transcripts, td.joint
+        assert transcripts == tuple(_write_slots(books, *part) for part in ref.parts)
+        assert joint.marginalize(["C", "X"]) == ref.cx and joint == ref.joint
 
     @pytest.mark.parametrize("block", [(0, 1), (0, 0, 2), (2, 1, 0, 1)])
     def test_pad_check_rejects_a_wrong_block(self, block):
@@ -529,9 +552,10 @@ class TestLeakage:
         clean = transcript_distribution(chain, mode)
         assert assert_audit_matches_reference(clean, clean.joint).exact_zero
         td = transcript_distribution(leaky_chain(chain), mode)
-        leak = assert_audit_matches_reference(td, td.joint)
+        joint = td.joint
+        leak = assert_audit_matches_reference(td, joint)
         assert not leak.exact_zero and leak.bits > 0
-        assert leak.bits.hex() == mutual_information(td.joint, ["C"], ["X"]).hex()
+        assert leak.bits.hex() == mutual_information(joint, ["C"], ["X"]).hex()
 
     def test_plaintext_baseline_leaks(self):
         p = masked_bits("1/2", 1, 1, 1)
@@ -594,7 +618,7 @@ class TestExpectedLength:
         td = transcript_distribution(chain, session_codebooks(chain, FIXED))
         el = expected_length(td)
         assert el.per_w == (3.0, 3.0)
-        assert set(td.lengths) == {3}
+        assert {total_length(t) for t in td.transcripts} == {3}
 
     def test_entropy_mode_designed_instance(self, designed_2x2):
         # P_U = (1/4,1/4,1/2) is dyadic: the code hits H(U) = 1.5 exactly
