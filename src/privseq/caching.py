@@ -2,8 +2,10 @@
 
 Placement splits each file into equal subfiles indexed by p-subsets of the
 user set; delivery XORs, per (p+1)-subset, the subfiles each member misses.
-One block plan per (config, demand vector) lists, for every block, the
-(file, shift) pairs XORed into it; `delivery_blocks` applies it to one
+The config owns the index layout (subset shifts, cached subsets, block
+members, decode recipes); each call applies its demands and database to it.
+One block plan per demand vector lists, for every block, the (file, shift)
+pairs XORed into it; `delivery_blocks` applies it to one
 database, and `block_joint` applies it to each file alone and XORs those
 per-file tables to push the database joint's integer numerators onto the
 exact (X, blocks) joint, with no per-cell Fractions.
@@ -30,7 +32,11 @@ from .frl import MechanismChain, build_chain
 from .probability import Alphabet, JointDist
 
 
-def subsets_colex(k: int, r: int) -> tuple[tuple[int, ...], ...]:
+Subset = tuple[int, ...]
+Chunks = tuple[tuple[int, Subset], ...]  # (user, subset) pairs: the user's demanded file's chunk
+
+
+def subsets_colex(k: int, r: int) -> tuple[Subset, ...]:
     """All r-subsets of {1..k} in colexicographic order."""
     combos = itertools.combinations(range(1, k + 1), r)
     return tuple(sorted(combos, key=lambda c: c[::-1]))
@@ -42,7 +48,9 @@ class CacheConfig:
 
     Requires p = KM/N to be an integer (no memory sharing) and F divisible by
     C(K, p) so subfiles and delivery blocks have exact bit sizes. The derived
-    shape is computed once per instance; `==` compares the four fields only.
+    shape and the coded-caching layout that placement, delivery and decoding
+    apply are computed once per instance, from `subfile_subsets` and
+    `block_subsets`; `==`, `hash` and `repr` read the four fields only.
     """
 
     n_files: int
@@ -80,24 +88,54 @@ class CacheConfig:
         return self.file_bits // self.subfile_count
 
     @cached_property
-    def subfile_subsets(self) -> tuple[tuple[int, ...], ...]:
+    def subfile_subsets(self) -> tuple[Subset, ...]:
         return subsets_colex(self.k_users, self.p)
 
     @cached_property
-    def block_subsets(self) -> tuple[tuple[int, ...], ...]:
+    def block_subsets(self) -> tuple[Subset, ...]:
         return subsets_colex(self.k_users, self.p + 1)
 
+    @cached_property
+    def subfile_shifts(self) -> dict[Subset, int]:
+        """Right shift that brings each subset's chunk of a file (MSB-first) to the bottom."""
+        bits = self.block_bits
+        return {sub: self.file_bits - (i + 1) * bits for i, sub in enumerate(self.subfile_subsets)}
 
-def _shift(cfg: CacheConfig, position: int) -> int:
-    """Right shift that brings chunk `position` of a file (MSB-first) to the bottom."""
-    return cfg.file_bits - (position + 1) * cfg.block_bits
+    @cached_property
+    def cached_subsets(self) -> tuple[tuple[Subset, ...], ...]:
+        """Per user, the subfile subsets that contain it: the chunks it caches of every file."""
+        return tuple(tuple(sub for sub in self.subfile_subsets if k in sub)
+                     for k in range(1, self.k_users + 1))
+
+    @cached_property
+    def block_members(self) -> tuple[Chunks, ...]:
+        """Per block subset, each member j paired with the subset without j."""
+        return tuple(tuple((j, tuple(u for u in gamma if u != j)) for j in gamma)
+                     for gamma in self.block_subsets)
+
+    @cached_property
+    def decode_recipes(self) -> tuple[tuple[tuple[int | None, Chunks], ...], ...]:
+        """Per user, per subfile subset in order: the index of the block that
+        starts its chunk (None, starting from 0, for a subset the user caches)
+        and the (member, subset) chunks the user XORs onto that start.
+        """
+        index = {gamma: b for b, gamma in enumerate(self.block_subsets)}
+        return tuple(
+            tuple((None, ((k, omega),)) if k in omega else
+                  (b := index[tuple(sorted(omega + (k,)))],
+                   tuple(m for m in self.block_members[b] if m[0] != k))
+                  for omega in self.subfile_subsets)
+            for k in range(1, self.k_users + 1))
 
 
 def _check_database(cfg: CacheConfig, database: Sequence[int]) -> None:
     if len(database) != cfg.n_files:
         raise ValidationError(f"expected {cfg.n_files} files, got {len(database)}")
+    size = 2 ** cfg.file_bits
     for y in database:
-        if not 0 <= y < 2 ** cfg.file_bits:
+        if not isinstance(y, int):
+            raise ValidationError(f"file value {y!r} is not an integer")
+        if not 0 <= y < size:
             raise ValidationError(f"file value {y} outside [0, 2^{cfg.file_bits})")
 
 
@@ -108,18 +146,16 @@ class UserCache:
 
 
 def placement(cfg: CacheConfig, database: Sequence[int]) -> list[UserCache]:
-    """Fill each user's cache with every subfile whose subset contains it."""
+    """Fill each user's cache with every subfile whose subset contains it.
+
+    The subsets and their shifts come from the config's layout.
+    """
     _check_database(cfg, database)
     mask = (1 << cfg.block_bits) - 1
-    caches = []
-    for k in range(1, cfg.k_users + 1):
-        contents = {}
-        for n in range(1, cfg.n_files + 1):
-            for position, sub in enumerate(cfg.subfile_subsets):
-                if k in sub:
-                    contents[(n, sub)] = (database[n - 1] >> _shift(cfg, position)) & mask
-        caches.append(UserCache(user=k, contents=contents))
-    return caches
+    shifts = cfg.subfile_shifts
+    return [UserCache(user=k, contents={(n, sub): (y >> shifts[sub]) & mask
+                                        for n, y in enumerate(database, 1) for sub in subs})
+            for k, subs in enumerate(cfg.cached_subsets, 1)]
 
 
 @dataclass(frozen=True)
@@ -140,11 +176,9 @@ def _block_plan(cfg: CacheConfig, demands: tuple[int, ...]) -> Plan:
     Each member j of the subset contributes the chunk of its demanded file
     indexed by the subset without j, which every other member has cached.
     """
-    positions = {sub: i for i, sub in enumerate(cfg.subfile_subsets)}
-    return tuple(
-        tuple((demands[j - 1] - 1, _shift(cfg, positions[tuple(u for u in gamma if u != j)]))
-              for j in gamma)
-        for gamma in cfg.block_subsets)
+    shifts = cfg.subfile_shifts
+    return tuple(tuple((demands[j - 1] - 1, shifts[rest]) for j, rest in members)
+                 for members in cfg.block_members)
 
 
 def _apply_plan(plan: Plan, files: Sequence[int], mask: int) -> tuple[int, ...]:
@@ -283,33 +317,37 @@ def private_wrap(session: CacheSession, stream: Iterable[int], x: int, key: PadK
 
 def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcript,
                 cache: UserCache, key: PadKey) -> int:
-    """Rebuild the user's demanded file from the transcript plus its cache."""
+    """Rebuild the user's demanded file from the transcript plus its cache.
+
+    The config's decode recipe names, per subfile subset, the block and the
+    cached chunks that XOR to it; the session's demands pick each chunk's
+    file. A cache that lacks a chunk the recipe reads, or holds one that is
+    not an integer in [0, 2^block_bits), is a ValidationError.
+    """
     cfg = session.cfg
     if not 1 <= user <= cfg.k_users:
         raise ValidationError(f"user {user} outside 1..{cfg.k_users}")
     if cache.user != user:
         raise ValidationError(f"cache belongs to user {cache.user}, not {user}")
     _x, blocks = pipeline.decode_walk(session.chain, session.books, transcript, key)
-    by_subset = dict(zip(cfg.block_subsets, blocks))
-    demand = session.demands[user - 1]
-
-    chunks: dict[tuple[int, ...], int] = {}
-    for omega in cfg.subfile_subsets:
-        if user in omega:
-            chunks[omega] = cache.contents[(demand, omega)]
-        else:
-            gamma = tuple(sorted(omega + (user,)))
-            value = by_subset[gamma]
-            for j in gamma:
-                if j == user:
-                    continue
-                rest = tuple(u for u in gamma if u != j)
-                value ^= cache.contents[(session.demands[j - 1], rest)]
-            chunks[omega] = value
-
-    out = 0
-    for omega in cfg.subfile_subsets:
-        out = (out << cfg.block_bits) | chunks[omega]
+    demands, contents, bits = session.demands, cache.contents, cfg.block_bits
+    out = read = 0
+    try:
+        for b, xors in cfg.decode_recipes[user - 1]:
+            chunk = 0 if b is None else blocks[b]
+            for j, sub in xors:
+                cached = contents[demands[j - 1], sub]
+                read |= cached
+                chunk ^= cached
+            out = (out << bits) | chunk
+    except KeyError as err:
+        file, subset = err.args[0]
+        raise ValidationError(f"cache of user {user} lacks file {file}'s chunk "
+                              f"for subset {subset}") from None
+    except TypeError:
+        raise ValidationError(f"cache of user {user} holds a chunk that is not an integer") from None
+    if not 0 <= read < 1 << bits:
+        raise ValidationError(f"cache of user {user} holds a chunk outside [0, 2^{bits})")
     return out
 
 

@@ -11,7 +11,10 @@ chain's whole (C, X) table, every key value's copy cell by cell, and
 reads only the factored (u vector, X) law, its pad blocks and per-key sums,
 must agree with both to the bit. `ref_stage_mechanisms` rebuilds every
 stage of a chain the way stages were once built: as a pair over an index of
-the sorted compound states, passed to `frl_construct`. The other functions
+the sorted compound states, passed to `frl_construct`. `ref_placement`,
+`ref_block_plan` and `ref_user_decode` work out coded caching's subsets,
+shifts and XOR terms on every call, as the library did before its config
+owned that layout. The other functions
 are exact helpers over the library's objects that the tests use to state a
 property: point probabilities, conditionals, independence and information
 measures of a `JointDist`, a mechanism's Fraction conditionals and a pair
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 from privseq.bounds import upper_bound_cardinality
-from privseq.caching import delivery_blocks, placement, private_wrap, user_decode
+from privseq.caching import UserCache, delivery_blocks, placement, private_wrap, user_decode
 from privseq.coding import FIXED, PadKey, fixed_length_codebook
 from privseq.errors import InvariantError, ValidationError
 from privseq.frl import frl_construct
@@ -309,6 +312,58 @@ def kraft_sum(book):
 
 def cache_bits(cfg, cache):
     return len(cache.contents) * cfg.block_bits
+
+
+def _ref_shift(cfg, position):
+    """Right shift that brings chunk `position` of a file (MSB-first) to the bottom."""
+    return cfg.file_bits - (position + 1) * cfg.block_bits
+
+
+def ref_placement(cfg, database):
+    """Every user's cache, each chunk's subset and shift worked out per call."""
+    mask = (1 << cfg.block_bits) - 1
+    caches = []
+    for k in range(1, cfg.k_users + 1):
+        contents = {}
+        for n in range(1, cfg.n_files + 1):
+            for position, sub in enumerate(cfg.subfile_subsets):
+                if k in sub:
+                    contents[(n, sub)] = (database[n - 1] >> _ref_shift(cfg, position)) & mask
+        caches.append(UserCache(user=k, contents=contents))
+    return caches
+
+
+def ref_block_plan(cfg, demands):
+    """Per (p+1)-subset, the (file index, shift) pairs XORed into its block, from the subsets."""
+    positions = {sub: i for i, sub in enumerate(cfg.subfile_subsets)}
+    return tuple(
+        tuple((demands[j - 1] - 1, _ref_shift(cfg, positions[tuple(u for u in gamma if u != j)]))
+              for j in gamma)
+        for gamma in cfg.block_subsets)
+
+
+def ref_user_decode(session, user, transcript, cache, key):
+    """The user's demanded file, each missing chunk's block and XOR terms found per call."""
+    cfg = session.cfg
+    _x, blocks = decode_walk(session.chain, session.books, transcript, key)
+    by_subset = dict(zip(cfg.block_subsets, blocks))
+    demand = session.demands[user - 1]
+    chunks = {}
+    for omega in cfg.subfile_subsets:
+        if user in omega:
+            chunks[omega] = cache.contents[(demand, omega)]
+        else:
+            gamma = tuple(sorted(omega + (user,)))
+            value = by_subset[gamma]
+            for j in gamma:
+                if j != user:
+                    rest = tuple(u for u in gamma if u != j)
+                    value ^= cache.contents[(session.demands[j - 1], rest)]
+            chunks[omega] = value
+    out = 0
+    for omega in cfg.subfile_subsets:
+        out = (out << cfg.block_bits) | chunks[omega]
+    return out
 
 
 # ---------------------------------------------------------------------------

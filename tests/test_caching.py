@@ -3,11 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privseq import caching, coding, pipeline
 from privseq.bounds import Example1Params, example1_build
 from privseq.caching import (
     CacheConfig,
+    UserCache,
+    _apply_plan,
+    _block_plan,
     adversary_view_distribution,
     block_joint,
     delivery_blocks,
@@ -23,6 +28,7 @@ from privseq.errors import LimitError, ValidationError
 from privseq.pipeline import (
     RandomDraws,
     Transcript,
+    decode_walk,
     expected_length,
     leakage_audit,
     transcript_distribution,
@@ -37,6 +43,9 @@ from reference import (
     explicit_leakage_audit,
     law,
     outcomes,
+    ref_block_plan,
+    ref_placement,
+    ref_user_decode,
     td_law,
     total_length,
 )
@@ -44,6 +53,14 @@ from reference import (
 
 def masked_db(p, n, f):
     return example1_build(Example1Params(F(p), n, min(n, 2), f))
+
+
+def listed_session(cfg, databases, demands):
+    """A session over a uniform joint whose x-th cell is (x, databases[x])."""
+    variables = [Alphabet("X", len(databases))] + [
+        Alphabet(f"Y{n}", 2 ** cfg.file_bits) for n in range(1, cfg.n_files + 1)]
+    table = {(x, *db): F(1, len(databases)) for x, db in enumerate(databases)}
+    return make_cache_session(cfg, JointDist(variables, table), demands)
 
 
 class TestSubsets:
@@ -85,14 +102,22 @@ class TestConfig:
 
         monkeypatch.setattr(caching, "subsets_colex", counting)
         cfg = CacheConfig(2, 2, 1, 2)
+        shown = (repr(cfg), hash(cfg))
         db_dist = masked_db("1/2", 2, 2)
         session = make_cache_session(cfg, db_dist, (1, 2))
         block_joint(cfg, db_dist, (2, 1))
-        caches = placement(cfg, [1, 2])
-        stream = delivery_blocks(cfg, [1, 2], (1, 2))
-        t, _ = private_wrap(session, stream.blocks, 1, PadKey(0, 2), RandomDraws(0))
-        assert [user_decode(session, c.user, t, c, PadKey(0, 2)) for c in caches] == [1, 2]
+        cells = [cell for cell, _ in db_dist.items()]
+        for i in range(20):
+            x, *files = cells[i % len(cells)]
+            key = PadKey(i % 2, 2)
+            caches = placement(cfg, files)
+            stream = delivery_blocks(cfg, files, (1, 2))
+            t, _ = private_wrap(session, stream.blocks, x, key, RandomDraws(i))
+            assert [user_decode(session, c.user, t, c, key) for c in caches] == files
         assert sorted(calls) == [(2, 1), (2, 2)]  # subfile_subsets, block_subsets
+        assert (repr(cfg), hash(cfg)) == shown == (repr(CacheConfig(2, 2, 1, 2)),
+                                                   hash(CacheConfig(2, 2, 1, 2)))
+        assert cfg == CacheConfig(2, 2, 1, 2) and cfg != CacheConfig(2, 2, 2, 2)
 
     def test_cached_shape_keeps_equality(self):
         a, b = CacheConfig(4, 4, 1, 4), CacheConfig(4, 4, 1, 4)
@@ -137,6 +162,11 @@ class TestPlacement:
         with pytest.raises(ValidationError):
             placement(cfg, [4, 0])
 
+    @pytest.mark.parametrize("value", [1.5, "3"])
+    def test_non_integer_file_rejected(self, value):
+        with pytest.raises(ValidationError, match=f"file value {value!r} is not an integer"):
+            placement(CacheConfig(4, 4, 1, 4), [value, 2, 3, 4])
+
 
 class TestDelivery:
     def test_single_block_xor(self):
@@ -157,7 +187,8 @@ class TestDelivery:
         cfg = CacheConfig(2, 2, 2, 2)
         assert delivery_blocks(cfg, [1, 2], (1, 2)).blocks == ()
 
-    @pytest.mark.parametrize("database", [[13, 0], [-1, 0], [4, 0], [3], [0, 0, 0]])
+    @pytest.mark.parametrize("database", [[13, 0], [-1, 0], [4, 0], [3], [0, 0, 0],
+                                          [1.5, 0], ["3", 0]])
     def test_database_checked(self, database):
         cfg = CacheConfig(2, 2, 1, 2)
         with pytest.raises(ValidationError, match="file value|expected 2 files"):
@@ -182,6 +213,39 @@ def ref_block_joint(cfg, db_dist, demands):
 # (N, K, M, F): p = K with no blocks (M = N), one user, p = 1 and p = 2, two-bit blocks
 JOINT_CONFIGS = [(2, 2, 1, 2), (2, 2, 2, 2), (2, 1, 2, 1), (3, 3, 1, 3), (3, 3, 2, 3),
                  (4, 2, 2, 2), (2, 2, 1, 4), (3, 3, 3, 1)]
+
+
+# JOINT_CONFIGS plus p = 1 with six blocks, and p = 2 with six subfiles and four blocks
+LAYOUT_CONFIGS = sorted(set(JOINT_CONFIGS) | {(4, 4, 1, 4), (3, 3, 2, 3), (4, 4, 2, 6)})
+
+
+class TestLayout:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_per_call_reference(self, data):
+        cfg = CacheConfig(*data.draw(st.sampled_from(LAYOUT_CONFIGS)))
+        file = st.integers(0, 2 ** cfg.file_bits - 1)
+        databases = data.draw(st.lists(st.tuples(*[file] * cfg.n_files),
+                                       min_size=1, max_size=3, unique=True))
+        demand = st.integers(1, cfg.n_files)
+        demands = data.draw(st.tuples(*[demand] * cfg.k_users))
+        plan = ref_block_plan(cfg, demands)
+        assert _block_plan(cfg, demands) == plan
+        session = listed_session(cfg, databases, demands)
+        for x, files in enumerate(databases):
+            caches = placement(cfg, files)
+            want = ref_placement(cfg, files)
+            assert [(c.user, list(c.contents.items())) for c in caches] == \
+                [(c.user, list(c.contents.items())) for c in want]
+            blocks = delivery_blocks(cfg, files, demands).blocks
+            assert blocks == _apply_plan(plan, files, (1 << cfg.block_bits) - 1)
+            key = PadKey(data.draw(st.integers(0, len(databases) - 1)), len(databases))
+            t, _ = private_wrap(session, blocks, x, key, RandomDraws(x))
+            assert decode_walk(session.chain, session.books, t, key) == (x, blocks)
+            for cache in caches:
+                got = user_decode(session, cache.user, t, cache, key)
+                assert got == ref_user_decode(session, cache.user, t, cache, key)
+                assert got == files[demands[cache.user - 1] - 1]
 
 
 class TestBlockJoint:
@@ -440,6 +504,40 @@ class TestAudits:
 
 
 class TestUserDecodeValidation:
+    @pytest.fixture
+    def wrapped_4414(self):
+        cfg = CacheConfig(4, 4, 1, 4)
+        files = (9, 4, 15, 2)
+        session = listed_session(cfg, [files, (0, 0, 0, 0)], (2, 4, 1, 3))
+        stream = delivery_blocks(cfg, files, session.demands)
+        t, _ = private_wrap(session, stream.blocks, 0, PadKey(1, 2), RandomDraws(0))
+        assert user_decode(session, 1, t, placement(cfg, files)[0], PadKey(1, 2)) == 4
+        return session, t
+
+    def test_missing_chunk_named(self, wrapped_4414):
+        session, t = wrapped_4414
+        with pytest.raises(ValidationError, match=r"user 1 lacks file 2's chunk for subset \(1,\)"):
+            user_decode(session, 1, t, UserCache(1, {}), PadKey(1, 2))
+        other_layout = placement(CacheConfig(4, 4, 2, 6), [9, 4, 15, 2])[0]
+        with pytest.raises(ValidationError, match=r"lacks file 2's chunk for subset \(1,\)"):
+            user_decode(session, 1, t, other_layout, PadKey(1, 2))
+
+    @pytest.mark.parametrize("chunk", [99, -1, 2])
+    def test_chunk_out_of_range(self, wrapped_4414, chunk):
+        session, t = wrapped_4414
+        contents = placement(session.cfg, [9, 4, 15, 2])[0].contents
+        bad = UserCache(1, {sub: chunk for sub in contents})
+        with pytest.raises(ValidationError, match=r"user 1 holds a chunk outside \[0, 2\^1\)"):
+            user_decode(session, 1, t, bad, PadKey(1, 2))
+
+    @pytest.mark.parametrize("chunk", [1.0, "1"])
+    def test_chunk_not_an_integer(self, wrapped_4414, chunk):
+        session, t = wrapped_4414
+        contents = placement(session.cfg, [9, 4, 15, 2])[0].contents
+        bad = UserCache(1, {sub: chunk for sub in contents})
+        with pytest.raises(ValidationError, match="user 1 holds a chunk that is not an integer"):
+            user_decode(session, 1, t, bad, PadKey(1, 2))
+
     def test_wrong_user_cache(self):
         cfg = CacheConfig(2, 2, 1, 2)
         session = make_cache_session(cfg, masked_db("1/2", 2, 2), (1, 2))
