@@ -16,24 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
+from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError, check_index
 from .frl import MechanismChain, cardinality_bound
 from .probability import Alphabet, JointDist
 
 
 def ceil_log2(n: int) -> int:
-    if n < 1:
-        raise ValidationError(f"need a positive integer, got {n}")
-    return (n - 1).bit_length()
+    return (check_index(n, 1, None, "ceil_log2 argument") - 1).bit_length()
 
 
 def demand_names(p: JointDist, demands: Sequence[int]) -> list[str]:
     """Map 1-based file indices onto variable names (first variable is private)."""
     n_files = len(p.variables) - 1
-    for d in demands:
-        if not 1 <= d <= n_files:
-            raise ValidationError(f"demand {d} outside 1..{n_files}")
-    return [p.variables[d].name for d in demands]
+    return [p.variables[check_index(d, 1, n_files, "demand")].name for d in demands]
 
 
 def cardinality_caps(x_size: int, y_sizes: Sequence[int], limit: int = DEFAULT_STATE_LIMIT) -> list[int]:
@@ -102,10 +97,9 @@ class Example1Params:
 
     def __post_init__(self) -> None:
         check_prior(self.p)
-        if self.n_files < 1 or self.file_bits < 1:
-            raise ValidationError("need at least one file and one bit per file")
-        if not 1 <= self.k_demands <= self.n_files:
-            raise ValidationError("demand count must lie in 1..n_files")
+        check_index(self.n_files, 1, None, "file count")
+        check_index(self.file_bits, 1, None, "bits per file")
+        check_index(self.k_demands, 1, self.n_files, "demand count")
 
 
 def example1_build(params: Example1Params, limit: int = DEFAULT_STATE_LIMIT) -> JointDist:

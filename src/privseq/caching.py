@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from . import pipeline
 from .bounds import upper_bound_cardinality
 from .coding import PadKey
-from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError
+from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError, check_index
 from .frl import MechanismChain, build_chain
 from .probability import Alphabet, JointDist
 
@@ -59,11 +59,9 @@ class CacheConfig:
     file_bits: int
 
     def __post_init__(self) -> None:
-        n, k, m, f = self.n_files, self.k_users, self.cache_files, self.file_bits
-        if min(n, k, f) < 1:
-            raise ValidationError("n_files, k_users and file_bits must be >= 1")
-        if not 1 <= m <= n:
-            raise ValidationError(f"cache size {m} outside 1..{n} files")
+        n, k, f = (check_index(getattr(self, name), 1, None, name)
+                   for name in ("n_files", "k_users", "file_bits"))
+        m = check_index(self.cache_files, 1, n, "cache_files")
         if (k * m) % n != 0:
             raise ValidationError(
                 f"KM/N = {k}*{m}/{n} is not an integer; memory sharing is unsupported"
@@ -131,12 +129,9 @@ class CacheConfig:
 def _check_database(cfg: CacheConfig, database: Sequence[int]) -> None:
     if len(database) != cfg.n_files:
         raise ValidationError(f"expected {cfg.n_files} files, got {len(database)}")
-    size = 2 ** cfg.file_bits
+    top = 2 ** cfg.file_bits - 1
     for y in database:
-        if not isinstance(y, int):
-            raise ValidationError(f"file value {y!r} is not an integer")
-        if not 0 <= y < size:
-            raise ValidationError(f"file value {y} outside [0, 2^{cfg.file_bits})")
+        check_index(y, 0, top, "file value")
 
 
 @dataclass(frozen=True)
@@ -203,12 +198,11 @@ def delivery_blocks(cfg: CacheConfig, database: Sequence[int],
 
 
 def _user_demands(cfg: CacheConfig, demands: Sequence[int]) -> tuple[int, ...]:
-    demands = tuple(int(d) for d in demands)
+    demands = tuple(demands)
     if len(demands) != cfg.k_users:
         raise ValidationError(f"need one demand per user ({cfg.k_users}), got {len(demands)}")
     for d in demands:
-        if not 1 <= d <= cfg.n_files:
-            raise ValidationError(f"demand {d} outside 1..{cfg.n_files}")
+        check_index(d, 1, cfg.n_files, "demand")
     return demands
 
 
@@ -303,15 +297,9 @@ def private_wrap(session: CacheSession, stream: Iterable[int], x: int, key: PadK
     cache logs every auxiliary slot, which is what lets later stages
     condition on the earlier auxiliaries.
     """
-    bits = session.cfg.block_bits
-
-    def checked(block: int) -> int:
-        if not 0 <= block < 2 ** bits:
-            raise ValidationError(f"block value {block} outside [0, 2^{bits})")
-        return block
-
-    transcript = pipeline.encode_walk(session.chain, session.books, x, key,
-                                      map(checked, stream), draws)
+    top = 2 ** session.cfg.block_bits - 1
+    blocks = (check_index(block, 0, top, "block value") for block in stream)
+    transcript = pipeline.encode_walk(session.chain, session.books, x, key, blocks, draws)
     return transcript, PublicCache(transcript.bitstrings[1:])
 
 
@@ -325,8 +313,7 @@ def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcrip
     not an integer in [0, 2^block_bits), is a ValidationError.
     """
     cfg = session.cfg
-    if not 1 <= user <= cfg.k_users:
-        raise ValidationError(f"user {user} outside 1..{cfg.k_users}")
+    check_index(user, 1, cfg.k_users, "user")
     if cache.user != user:
         raise ValidationError(f"cache belongs to user {cache.user}, not {user}")
     _x, blocks = pipeline.decode_walk(session.chain, session.books, transcript, key)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_index
 
 FIXED = "fixed"
 ENTROPY = "entropy"
@@ -31,23 +31,17 @@ class PadKey:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValidationError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValidationError(f"key value {self.value} outside [0, {self.modulus})")
+        check_index(self.modulus, 1, None, "key modulus")
+        check_index(self.value, 0, self.modulus - 1, "key value")
 
 
 def otp_encrypt(x: int, key: PadKey) -> int:
     """(x + key) mod m: uniform and independent of x for a uniform key."""
-    if not 0 <= x < key.modulus:
-        raise ValidationError(f"symbol {x} outside [0, {key.modulus})")
-    return (x + key.value) % key.modulus
+    return (check_index(x, 0, key.modulus - 1, "symbol") + key.value) % key.modulus
 
 
 def otp_decrypt(xt: int, key: PadKey) -> int:
-    if not 0 <= xt < key.modulus:
-        raise ValidationError(f"symbol {xt} outside [0, {key.modulus})")
-    return (xt - key.value) % key.modulus
+    return (check_index(xt, 0, key.modulus - 1, "padded symbol") - key.value) % key.modulus
 
 
 @dataclass(frozen=True)
@@ -109,9 +103,7 @@ def verify_prefix_free(codebook: Codebook) -> bool:
 
 def fixed_length_codebook(size: int) -> Codebook:
     """ceil(log2 size)-bit words for symbols 0..size-1; empty word at size 1."""
-    if size < 1:
-        raise ValidationError(f"alphabet size must be >= 1, got {size}")
-    width = (size - 1).bit_length()
+    width = (check_index(size, 1, None, "alphabet size") - 1).bit_length()
     return Codebook({s: format(s, f"0{width}b") if width else "" for s in range(size)})
 
 

@@ -37,7 +37,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
 
-from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
+from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError, check_index
 from .probability import Alphabet, Cell, JointDist, _entropy_bits, _product_test
 
 # Per-x permutation of the positive-support y symbols, fixing how a pair's
@@ -212,8 +212,8 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
     Each parent cell is read once, as one flat key (given state..., target);
     the masses, the cell counts and the product walk all use those keys. A
     parent cell of key (s, y) writes exactly row (s, y)'s atoms, so whether
-    the target is a function of (s, U) is read off the rows, one (s, u, y)
-    triple per row atom, the triples the written cells meet.
+    the target is a function of (s, U) is read off the rows: it is unless
+    an atom lies in two rows of one state.
     """
     key_of = itemgetter(*given_axes, target_axis)
     # a flat key (x, y) is already (given state, target); a longer one splits
@@ -284,37 +284,33 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
     cells = sum(count[key] * len(span) for key, (_, span, _, _) in rows.items())
     if cells > limit:
         raise LimitError(f"the product needs {cells} cells, over the limit {limit}")
-    # per row, its atoms u with their (given state, U) cell and scaled width,
-    # and the target each (given state, U) cell meets
-    scaled: dict[tuple, list[tuple[int, tuple[Hashable, int], int]]] = {}
-    image: dict[tuple[Hashable, int], int] = {}
+    # the stage checks' input, the (given state, U) marginal, as one row per
+    # state; each conditional row's atoms u carry their scaled width and
+    # their state's row, and an atom in two rows of a state meets two targets
+    head: dict[Hashable, dict[int, int]] = {}
+    scaled: dict[tuple, list[tuple[int, dict[int, int], int]]] = {}
     forked = False
     for key, (state, span, widths, length) in rows.items():
-        y, factor = key[-1], stage_den // length
-        atoms = scaled[key] = []
-        for u, w in zip(span, widths):
-            head_key = (state, u)
-            if image.setdefault(head_key, y) != y:
-                forked = True
-            atoms.append((u, head_key, w * factor))
+        factor = stage_den // length
+        row = head.setdefault(state, {})
+        forked = forked or not row.keys().isdisjoint(span)
+        row.update(dict.fromkeys(span, 0))
+        scaled[key] = [(u, row, w * factor) for u, w in zip(span, widths)]
     del rows  # its widths, one per row atom, are freed before the product table is written
-    # the product table, and as each cell is written, the stage checks' input:
-    # the (given state, U) marginal of the written masses
+    # the product table, each written mass added to its (given state, U) cell
     table: dict[Cell, int] = {}
-    head = dict.fromkeys(image, 0)
-    del image
     for (cell, n), key in zip(num.items(), keys):
-        for u, head_key, m in scaled[key]:
+        for u, row, m in scaled[key]:
             mass_u = n * m
             table[cell + (u,)] = mass_u
-            head[head_key] += mass_u
+            row[u] += mass_u
     del keys, scaled
     _check_stage(head, den * stage_den, forked, [parent.variables[a].name for a in given_axes],
                  u_alpha, y_alpha)
     return mech, JointDist._exact(parent.variables + (u_alpha,), table, den * stage_den)
 
 
-def _check_stage(head: Mapping[tuple[Hashable, int], int], den: int, forked: bool,
+def _check_stage(head: Mapping[Hashable, Mapping[int, int]], den: int, forked: bool,
                  given: Sequence[str], u_alpha: Alphabet, y_alpha: Alphabet) -> None:
     """The checks of stage U_k given (X, U_1..U_{k-1}), exactly and in this order:
     the target is a function of (given, U_k), that is, not `forked` (no
@@ -322,28 +318,32 @@ def _check_stage(head: Mapping[tuple[Hashable, int], int], den: int, forked: boo
     given states; U_1..U_k is independent of X; and
     |U_k| <= (positive given states) * (|target| - 1) + 1.
 
-    `head` is the (given state, U_k) marginal over `den`, keyed by (given state,
-    u), the state x alone or a tuple in `given` order; scaling both by one
-    factor changes no verdict.
+    `head` is the (given state, U_k) marginal over `den`, one row per given
+    state, `head[state][u]`: the state is x alone or a tuple in `given`
+    order. Scaling the masses and `den` by one factor changes no verdict.
+    Both independence checks are `_product_test`.
 
     The third check runs on the state marginal P(x, u_<k) that the second
-    returns, not on `head`. Once U_k is independent of the states with the
-    full product support, P(x, u_<k, u) = P(x, u_<k) P(u), and P(u) > 0 for
-    every u of `head`. Summing over x, P(u_<k, u) = P(u_<k) P(u). So
-    P(x, u_<k, u) = P(x) P(u_<k, u) holds exactly when P(x, u_<k) =
-    P(x) P(u_<k) does, and the (x, (u_<k, u)) support is a full product
-    exactly when the (x, u_<k) support is: X is independent of U_1..U_k
-    exactly when it is of U_1..U_{k-1} on the state marginal.
+    returns, regrouped by x, not on `head`. Once U_k is independent of the
+    states with the full product support, P(x, u_<k, u) = P(x, u_<k) P(u),
+    and P(u) > 0 for every u of `head`. Summing over x, P(u_<k, u) =
+    P(u_<k) P(u). So P(x, u_<k, u) = P(x) P(u_<k, u) holds exactly when
+    P(x, u_<k) = P(x) P(u_<k) does, and the (x, (u_<k, u)) support is a
+    full product exactly when the (x, u_<k) support is: X is independent of
+    U_1..U_k exactly when it is of U_1..U_{k-1} on the state marginal.
     """
     u_name, target = u_alpha.name, y_alpha.name
     if forked:
         raise InvariantError(f"{target} not a function of ({', '.join([*given, u_name])})")
-    independent, states, _ = _product_test(head, den)
+    independent, states = _product_test(head, den)
     if not independent:
         raise InvariantError(f"{u_name} not exactly independent of ({', '.join(given)})")
-    if len(given) > 1 and not _product_test(
-            {(state[0], state[1:]): n for state, n in states.items()}, den)[0]:
-        raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
+    if len(given) > 1:
+        by_x: dict[int, dict[tuple[int, ...], int]] = {}
+        for state, n in states.items():
+            by_x.setdefault(state[0], {})[state[1:]] = n
+        if not _product_test(by_x, den)[0]:
+            raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
     cap = cardinality_bound(len(states), y_alpha.size)
     if u_alpha.size > cap:
         raise InvariantError(f"|{u_name}|={u_alpha.size} exceeds the cardinality bound {cap}")
@@ -351,8 +351,8 @@ def _check_stage(head: Mapping[tuple[Hashable, int], int], den: int, forked: boo
 
 def cardinality_bound(x_size: int, y_size: int) -> int:
     """|X| * (|Y|-1) + 1, for X the (compound) given variable of a stage."""
-    if x_size < 1 or y_size < 1:
-        raise ValidationError("alphabet sizes must be >= 1")
+    check_index(x_size, 1, None, "given-state count")
+    check_index(y_size, 1, None, "target alphabet size")
     return x_size * (y_size - 1) + 1
 
 

@@ -39,9 +39,9 @@ from .coding import (
     pack_slots,
     unpack_slots,
 )
-from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError
+from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError, check_index
 from .frl import MechanismChain, Row, _u_name, build_chain
-from .probability import Alphabet, JointDist, _entropy_bits, _plogp
+from .probability import Alphabet, JointDist, _entropy_bits, _plogp, _product_test
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ class RandomDraws:
 
 def demand_vector(p: JointDist, demands: Sequence[int]) -> tuple[int, ...]:
     """Validate a demand vector: distinct 1-based file indices."""
-    demands = tuple(int(d) for d in demands)
+    demands = tuple(demands)
     if not demands:
         raise ValidationError("empty demand vector")
+    bounds_mod.demand_names(p, demands)  # each an int in 1..n_files
     if len(set(demands)) != len(demands):
         raise ValidationError(f"demands must be pairwise distinct: {demands}")
-    bounds_mod.demand_names(p, demands)  # each index in 1..n_files
     return demands
 
 
@@ -231,6 +231,8 @@ def encode_session(p: JointDist, realization: Sequence[int], demands: Sequence[i
     demands = demand_vector(p, demands)
     _check_chain_matches(p, demands, chain)
     realization = tuple(realization)
+    for s, alpha in zip(realization, p.variables):
+        check_index(s, 0, alpha.size - 1, f"{alpha.name!r} symbol")
     if realization not in p._ints()[0]:
         raise ValidationError(f"realization {realization} outside the support")
     return encode_walk(chain, books or session_codebooks(chain, mode), realization[0], key,
@@ -373,13 +375,13 @@ def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
     of the block, and each (c, x) cell of u's block has mass P(u, x) /
     pad_size. A block that fails is not the law of a one-time pad, and
     raises InvariantError. Given the check, C is independent of X exactly
-    when U is, so the verdict is the rational product test
-    n * den == n_u * n_x on every (u, x) pair, an absent pair failing it.
-    I = H(C) + H(X) - H(C, X), clamped at 0. Each entropy adds its terms to
-    one float in the sorted order of the (C, X) table's cells, as the test
-    oracle `ref_leakage_audit` sums them over the written table: one term
-    per (u, x) cell, added once per copy, so the sum is the same float
-    without writing that table.
+    when U is, so the verdict is `_product_test` on the (u vector, X) law,
+    one row of masses per u vector. I = H(C) + H(X) - H(C, X), clamped at
+    0: H(C) reads the test's P(U), H(X) `td.x_mass`. Each entropy adds its
+    terms to one float in the sorted order of the (C, X) table's cells, as
+    the test oracle `ref_leakage_audit` sums them over the written table:
+    one term per (u, x) cell, added once per copy, so the sum is the same
+    float without writing that table.
     """
     size, den, x_mass, pads = td.pad_size, td.den, td.x_mass, td.pads
     every = set(range(size))
@@ -387,28 +389,20 @@ def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
         if len(block) != size or set(block) != every:
             raise InvariantError(f"the blocks of x={x0} pad to {block}, "
                                  f"not to each of 0..{size - 1} once")
+    exact, u_mass = _product_test(
+        {u_vec: masses for u_vec, (_, _, masses) in td.groups.items()}, den)
     cx_den = den * size
     copies = range(size)
-    exact = True
-    cells = 0
     h_c = h_cx = 0.0
-    for x0, _, masses in td.groups.values():
+    for (x0, _, masses), n_u in zip(td.groups.values(), u_mass.values()):
         if x0 not in pads:
             raise InvariantError(f"no padded symbols for the blocks of x={x0}")
-        n_u = sum(masses.values())
-        cells += len(masses)
-        if exact:
-            for x, n in masses.items():
-                if n * den != n_u * x_mass[x]:
-                    exact = False
-                    break
         c_term = _plogp(n_u, cx_den)
         cx_terms = [_plogp(n, cx_den) for n in masses.values()]
         for _ in copies:
             h_c += c_term
             for term in cx_terms:
                 h_cx += term
-    exact = exact and cells == len(td.groups) * sum(1 for m in x_mass if m)
     bits = (0.0 - h_c) + _entropy_bits((m for m in x_mass if m), den) - (0.0 - h_cx)
     return LeakageReport(exact_zero=exact, bits=max(0.0, bits))
 
@@ -504,8 +498,7 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
     that would without the sharing.
     """
     n_files = len(p.variables) - 1
-    if not 1 <= k <= n_files:
-        raise ValidationError(f"k must be in 1..{n_files}")
+    check_index(k, 1, n_files, "k")
     if math.perm(n_files, k) > limit:
         raise LimitError(f"perm({n_files}, {k}) demand vectors exceed the limit {limit}")
     private = p.variables[0].name

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_index
 
 Cell = tuple[int, ...]
 
@@ -39,8 +39,7 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("alphabet needs a nonempty name")
-        if self.size < 1:
-            raise ValidationError(f"alphabet {self.name!r}: size must be >= 1, got {self.size}")
+        check_index(self.size, 1, None, f"alphabet {self.name!r} size")
 
     def symbols(self) -> range:
         return range(self.size)
@@ -65,25 +64,29 @@ def _entropy_bits(nums: Iterable[int], den: int) -> float:
     return 0.0 - h
 
 
-def _product_test(num: Mapping[tuple[Hashable, Hashable], int], den: int
-                  ) -> tuple[bool, dict[Hashable, int], dict[Hashable, int]]:
-    """Exact test that a joint over (A, B), keyed by (a, b) pairs, is the
-    product of its marginals: P(a,b) == P(a)P(b) on every pair.
+def _product_test(rows: Mapping[Hashable, Mapping[Hashable, int]], den: int
+                  ) -> tuple[bool, dict[Hashable, int]]:
+    """Exact test that a joint over (A, B) is the product of its marginals:
+    P(a,b) == P(a)P(b) on every pair, an absent pair failing it. The joint
+    comes grouped by A: `rows[a][b]` is the numerator of P(a, b) over `den`
+    on the positive pairs. Every independence verdict is this test: both
+    checks of each chain stage, and the leakage audit.
 
-    Returns the verdict and the numerators of P(A) and P(B) over `den`, each
-    keyed in the order its symbols first appear in `num`.
+    Returns the verdict and the numerators of P(A) over `den`, in the order
+    of `rows`.
     """
-    pa: dict[Hashable, int] = {}
+    pa = {a: sum(row.values()) for a, row in rows.items()}
     pb: dict[Hashable, int] = {}
-    for (a, b), n in num.items():
-        pa[a] = pa.get(a, 0) + n
-        pb[b] = pb.get(b, 0) + n
+    for row in rows.values():
+        for b, n in row.items():
+            pb[b] = pb.get(b, 0) + n
     # a pair of positive marginal cells with no joint cell would fail the
     # product test below anyway; counting the cells finds it sooner
-    if len(num) != len(pa) * len(pb):
-        return False, pa, pb
+    if sum(map(len, rows.values())) != len(pa) * len(pb):
+        return False, pa
     # n_ab/den == (n_a/den)(n_b/den) on every pair
-    return all(n * den == pa[a] * pb[b] for (a, b), n in num.items()), pa, pb
+    return all(n * den == n_a * pb[b] for row, n_a in zip(rows.values(), pa.values())
+               for b, n in row.items()), pa
 
 
 def _projector(axes: Sequence[int]) -> Callable[[Cell], Cell]:
@@ -119,16 +122,16 @@ class JointDist:
             raise ValidationError(f"duplicate variable names: {names}")
         if not variables:
             raise ValidationError("a distribution needs at least one variable")
-        sizes = [v.size for v in variables]
+        # the largest symbol of each variable, and its name in a range fault
+        tops = [(v.size - 1, f"{v.name!r} symbol") for v in variables]
         clean: dict[tuple[int, ...], Fraction] = {}
         by_den: dict[int, int] = {}  # exact running sum, numerators grouped by denominator
         for cell, p in table.items():
             cell = tuple(cell)
             if len(cell) != len(variables):
                 raise ValidationError(f"cell {cell} does not index every variable")
-            for s, size, var in zip(cell, sizes, variables):
-                if not 0 <= s < size:
-                    raise ValidationError(f"symbol {s} out of range for {var.name!r} (size {var.size})")
+            for s, (top, what) in zip(cell, tops):
+                check_index(s, 0, top, what)
             if type(p) is not Fraction:
                 p = Fraction(p)
             if p.numerator < 0:

@@ -7,7 +7,8 @@ that the one-conversion `pack_slots`/`unpack_slots` must match. The
 explicit-joint audit (`explicit_leakage_audit`, `explicit_expected_length`)
 walks a whole (C, X, W) joint; `ref_transcript_distribution` writes a
 chain's whole (C, X) table, every key value's copy cell by cell, and
-`ref_leakage_audit` tests and sums that table. The library's audit, which
+`ref_leakage_audit` tests that table with the Fraction `ref_is_independent`,
+sharing no code with `_product_test`, and sums it. The library's audit, which
 reads only the factored (u vector, X) law, its pad blocks and per-key sums,
 must agree with both to the bit. `ref_stage_mechanisms` rebuilds every
 stage of a chain the way stages were once built: as a pair over an index of
@@ -78,7 +79,10 @@ def is_independent(d, a, b):
         return True
     joint, den = d.marginalize(a + b)._ints()
     na = len(a)
-    return _product_test({(cell[:na], cell[na:]): n for cell, n in joint.items()}, den)[0]
+    rows = {}
+    for cell, n in joint.items():
+        rows.setdefault(cell[:na], {})[cell[na:]] = n
+    return _product_test(rows, den)[0]
 
 
 def condition(d, name, symbol):
@@ -573,10 +577,15 @@ def ref_transcript_distribution(chain, books):
 
 
 def ref_leakage_audit(law):
-    """The product test on the (c, x) pairs of the whole table, and I(C; X)
-    with each entropy summed over its sorted cells."""
+    """The Fraction independence test `ref_is_independent` on the whole
+    (C, X) table, so the verdict shares no code with `_product_test`, and
+    I(C; X) with each entropy summed over its sorted cells."""
     cx, den = law.cx._ints()
-    exact, pc, px = _product_test(cx, den)
+    pc, px = {}, {}
+    for (c, x), n in cx.items():
+        pc[c] = pc.get(c, 0) + n
+        px[x] = px.get(x, 0) + n
+    exact = ref_is_independent(law.cx.variables, law.cx.table, ["C"], ["X"])
     bits = (_entropy_bits(pc.values(), den) + _entropy_bits((px[x] for x in sorted(px)), den)
             - _entropy_bits(cx.values(), den))
     return LeakageReport(exact_zero=exact, bits=max(0.0, bits))

@@ -164,7 +164,7 @@ class TestPlacement:
 
     @pytest.mark.parametrize("value", [1.5, "3"])
     def test_non_integer_file_rejected(self, value):
-        with pytest.raises(ValidationError, match=f"file value {value!r} is not an integer"):
+        with pytest.raises(ValidationError, match=f"file value {value!r} outside the integers 0..15"):
             placement(CacheConfig(4, 4, 1, 4), [value, 2, 3, 4])
 
 

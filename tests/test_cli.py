@@ -201,7 +201,7 @@ class TestPipelineRun:
         assert main(["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1",
                      "--demands", "sweep", "--k", k]) == 1
         captured = capsys.readouterr()
-        assert "k must be in 1..2" in captured.err
+        assert f"k {k} outside the integers 1..2" in captured.err
         assert "worst case" not in captured.out
 
     def test_k_with_demand_vector_rejected(self, monkeypatch, capsys):

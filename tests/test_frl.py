@@ -579,15 +579,17 @@ def stage_joints(draw):
 
 def check_joint(joint, given, u_name, target):
     """`frl._check_stage` on the joint a stage lives in, fed from one walk of it:
-    its (given state, U_k) marginal and whether a cell of it meets two targets."""
+    its (given state, U_k) marginal, one row per given state, and whether a
+    cell of it meets two targets."""
     *given_axes, u_axis, y_axis = joint._axes([*given, u_name, target])
     num, den = joint._ints()
     head, image = {}, {}
     forked = False
     for cell, n in num.items():
-        key = (tuple(cell[a] for a in given_axes), cell[u_axis])
-        head[key] = head.get(key, 0) + n
-        forked |= image.setdefault(key, cell[y_axis]) != cell[y_axis]
+        state, u = tuple(cell[a] for a in given_axes), cell[u_axis]
+        row = head.setdefault(state, {})
+        row[u] = row.get(u, 0) + n
+        forked |= image.setdefault((state, u), cell[y_axis]) != cell[y_axis]
     frl_mod._check_stage(head, den, forked, given, joint.variables[u_axis], joint.variables[y_axis])
 
 

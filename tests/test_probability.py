@@ -57,7 +57,7 @@ class TestConstruction:
             JointDist([Alphabet("A", 2)], {(0,): F(3, 2), (1,): F(-1, 2)})
 
     def test_rejects_out_of_range_symbol(self):
-        with pytest.raises(ValidationError, match="out of range"):
+        with pytest.raises(ValidationError, match=r"'A' symbol 2 outside the integers 0\.\.1"):
             JointDist([Alphabet("A", 2)], {(2,): F(1)})
 
     def test_zero_cells_dropped(self):
