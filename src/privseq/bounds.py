@@ -72,7 +72,7 @@ def upper_bound_entropy_estimate(chain: MechanismChain) -> int:
 
 def lower_bound(p: JointDist, demands: Sequence[int]) -> float:
     """Converse: max over private realizations of H(demanded files | X=x)."""
-    return p.max_entropy_given(demand_names(p, demands), p.variables[0].name)
+    return p.max_entropy_given(demand_names(p, demands))
 
 
 # ---------------------------------------------------------------------------

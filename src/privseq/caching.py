@@ -282,7 +282,7 @@ def make_cache_session(cfg: CacheConfig, database_dist: JointDist, demands: Sequ
     demands = _user_demands(cfg, demands)
     bj = block_joint(cfg, database_dist, demands, limit)
     targets = [a.name for a in bj.variables[1:]]
-    chain = build_chain(bj, bj.variables[0].name, targets, limit=limit)
+    chain = build_chain(bj, targets, limit=limit)
     return CacheSession(cfg=cfg, demands=demands, chain=chain,
                         books=pipeline.session_codebooks(chain, mode))
 

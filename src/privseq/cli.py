@@ -90,7 +90,6 @@ def _add_family_args(sp) -> None:
     sp.add_argument("--demands", required=True,
                     help="comma-separated 1-based file indices, or 'sweep'")
     sp.add_argument("--mode", choices=[coding.FIXED, coding.ENTROPY], default=coding.FIXED)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--limit", type=int, default=pipeline.DEFAULT_STATE_LIMIT)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["csv", "json"], default="json")
@@ -141,10 +140,11 @@ def _sample_row(d: JointDist) -> tuple[int, ...]:
 def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
     row, chain, books = pipeline.audit_demands(p, demands, args.mode, args.limit)
     x_size = p.variables[0].size
+    seed = 0 if args.seed is None else args.seed
 
-    draws = pipeline.RandomDraws(args.seed)
+    draws = pipeline.RandomDraws(seed)
     sample = _sample_row(p)
-    key = coding.PadKey(args.seed % x_size, x_size)
+    key = coding.PadKey(seed % x_size, x_size)
     transcript = pipeline.encode_session(p, sample, demands, key, chain, draws, args.mode, books)
     decoded = pipeline.decode_session(transcript, key, demands, chain, args.mode, books)
     roundtrip = decoded == (sample[0], tuple(sample[d] for d in demands))
@@ -155,7 +155,7 @@ def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
     return {
         "demands": list(demands),
         "mode": args.mode,
-        "seed": args.seed,
+        "seed": seed,
         "u_sizes": list(row.u_sizes),
         "stage_entropies": [round(s.mechanism.entropy(), 9) for s in chain.stages],
         "per_slot_bits": [len(bits) for _, bits in transcript.slots],
@@ -195,6 +195,8 @@ def cmd_pipeline_run(args) -> int:
         if args.transcript_out:
             raise ValidationError("--transcript-out needs an explicit demand vector: "
                                   "a sweep encodes no sample transcript")
+        if args.seed is not None:
+            raise ValidationError("--seed needs an explicit demand vector: a sweep draws no sample session")
         k = len(p.variables) - 1 if args.k is None else args.k
         sweep = pipeline.worst_case_sweep(p, k, args.mode, args.limit)
         rows = []
@@ -395,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(r)
     r.add_argument("--k", type=int, help="demand count when --demands sweep (default: every file)")
     r.add_argument("--transcript-out", help="write the sample transcript packed (binary)")
+    r.add_argument("--seed", type=int, help="sample-session randomness, with a demand vector (default 0)")
     r.set_defaults(func=cmd_pipeline_run)
 
     bounds_p = sub.add_parser("bounds", help="bound tables")

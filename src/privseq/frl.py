@@ -204,10 +204,10 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
     target at `target_axis`, and `parent` times its rows, checked on the table
     written. A cell's given state is `itemgetter(*given_axes)(cell)`: x alone
     for a pair or a chain's first stage, (x, u_1..u_{k-1}) after it. `policy`
-    orders each state's targets, and `where` names the stage in a row fault.
-    LimitError is raised before the spans are found if the mechanism would
-    pass `limit` (given state, U) cells, and before the product table is
-    built if it would.
+    orders each state's targets, and `where` names the stage in a row fault
+    and in a LimitError, raised before the spans are found if the mechanism
+    would pass `limit` (given state, U) cells, and before the product table
+    is built if it would.
 
     Each parent cell is read once, as one flat key (given state..., target);
     the masses, the cell counts and the product walk all use those keys. A
@@ -250,7 +250,7 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
     n_atoms = len(bounds) - 1
     cells = n_atoms * len(px)
     if cells > limit:
-        raise LimitError(f"the {u_name} mechanism needs {cells} cells, over the limit {limit}")
+        raise LimitError(f"{where}: the {u_name} mechanism needs {cells} cells, over the limit {limit}")
     # each segment covers a run of whole atoms, found by bisection over the
     # atom boundaries; an endpoint that is not a boundary would split an atom
     spans: dict[tuple[Hashable, int], range] = {}
@@ -283,7 +283,7 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
 
     cells = sum(count[key] * len(span) for key, (_, span, _, _) in rows.items())
     if cells > limit:
-        raise LimitError(f"the product needs {cells} cells, over the limit {limit}")
+        raise LimitError(f"{where}: the product needs {cells} cells, over the limit {limit}")
     # the stage checks' input, the (given state, U) marginal, as one row per
     # state; each conditional row's atoms u carry their scaled width and
     # their state's row, and an atom in two rows of a state meets two targets
@@ -429,12 +429,11 @@ class ChainStage:
 class MechanismChain:
     """A sequence of mechanisms sharing one exact joint.
 
-    `joint` covers the private variable, every base variable it was created
-    with, and one U variable per stage. The whole U prefix is exactly
-    independent of the private variable at every length.
+    `joint` covers every base variable it was created with, the private
+    variable X first, and one U variable per stage after them. The whole U
+    prefix is exactly independent of X at every length.
     """
 
-    private: str
     joint: JointDist
     stages: tuple[ChainStage, ...] = ()
 
@@ -449,7 +448,7 @@ class MechanismChain:
     @property
     def private_size(self) -> int:
         """|X|, the size of the private variable's alphabet."""
-        return self.joint.variables[self.joint.names.index(self.private)].size
+        return self.joint.variables[0].size
 
     def u_sizes(self) -> tuple[int, ...]:
         return tuple(s.mechanism.u_size for s in self.stages)
@@ -462,40 +461,38 @@ def _u_name(stage: int) -> str:
 
 
 def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
-    """Add one stage; the caller guarantees U_1..U_k is independent of the private variable.
+    """Add one stage given X, the joint's first variable, and U_1..U_k; the
+    caller guarantees U_1..U_k is independent of X.
 
     Raises LimitError before the stage's mechanism or product table is built
     if it would hold more than `limit` cells.
     """
-    k = len(chain.stages)
-    u_names = list(chain.u_names)
-    if target == chain.private or target in u_names:
+    given = [chain.joint.names[0], *chain.u_names]
+    if target in given:
         raise ValidationError(f"cannot target {target!r}")
-    *given_axes, target_axis = chain.joint._axes([chain.private, *u_names, target])
+    *given_axes, target_axis = chain.joint._axes([*given, target])
+    k = len(chain.stages)
     u_name = _u_name(k + 1)
     if u_name in chain.joint.names:
         raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
-    where = f"chain stage {k + 1} ({target})"
-    try:
-        mech, joint = _stage(chain.joint, given_axes, target_axis, u_name, None, where, limit)
-    except LimitError as exc:
-        raise LimitError(f"{where}: {exc}") from None
+    mech, joint = _stage(chain.joint, given_axes, target_axis, u_name, None,
+                         f"chain stage {k + 1} ({target})", limit)
     stage = ChainStage(target=target, mechanism=mech)
-    return MechanismChain(private=chain.private, joint=joint, stages=chain.stages + (stage,))
+    return MechanismChain(joint=joint, stages=chain.stages + (stage,))
 
 
-def build_chain(base: JointDist, private: str, targets: Sequence[str],
+def build_chain(base: JointDist, targets: Sequence[str],
                 limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
-    """Run the sequential construction over `targets` in order.
+    """Run the sequential construction over `targets` in order; X is the
+    base joint's first variable.
 
-    Stage i only reads the marginal over (private, U_1..U_{i-1}, targets[i]),
+    Stage i only reads the marginal over (X, U_1..U_{i-1}, targets[i]),
     so the first i stages are identical for any continuation of the target
     list. A repeated target yields a constant (zero-entropy) stage. Segments
     are laid in the canonical ascending order. A stage whose joint would pass
     `limit` cells raises LimitError before it is built.
     """
-    base._axes([private])  # validates the variable exists
-    chain = MechanismChain(private, base)
+    chain = MechanismChain(base)
     for t in targets:
         chain = _extend(chain, t, limit)
     return chain

@@ -124,7 +124,7 @@ def session_chain(p: JointDist, demands: Sequence[int],
     A stage whose joint would pass `limit` cells raises LimitError.
     """
     base, names = _demanded_base(p, demand_vector(p, demands))
-    return build_chain(base, p.variables[0].name, names, limit=limit)
+    return build_chain(base, names, limit=limit)
 
 
 def session_codebooks(chain: MechanismChain, mode: str) -> tuple[Codebook, list[Codebook]]:
@@ -145,7 +145,7 @@ def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismC
     names = tuple(bounds_mod.demand_names(p, demands))
     if chain.targets != names:
         raise ValidationError(f"chain targets {chain.targets} do not match demands {names}")
-    if chain.private != p.variables[0].name:
+    if chain.joint.variables[0] != p.variables[0]:
         raise ValidationError("chain private variable does not match the database joint")
 
 
@@ -317,7 +317,8 @@ def transcript_distribution(chain: MechanismChain, books: Books | str,
     (x, demanded files, auxiliaries) fans out over the uniform key into one
     transcript per padded symbol x + w mod |X|, each with 1/|X| of its mass,
     so the walk keeps only the (u vector, x) masses, grouped by u vector in
-    the order first met over the chain joint's sorted cells. A u vector's
+    the order first met over the chain joint's sorted cells; X is its first
+    variable, so each group meets its x in ascending order. A u vector's
     block of transcript indices takes the padded symbols of its first x in
     key order; a transcript's length is summed from the books' code-length
     tables. Per key value, the mass and the mass times length that
@@ -332,14 +333,13 @@ def transcript_distribution(chain: MechanismChain, books: Books | str,
         books = session_codebooks(chain, books)
 
     pad_book, stage_books = books
-    x_axis = chain.joint.names.index(chain.private)
     u_start = len(chain.joint.variables) - len(chain.stages)  # the stages' U variables come last
 
     groups: dict[tuple[int, ...], Group] = {}
     x_mass = [0] * x_size
     num, den = chain.joint._ints()
     for cell, n in num.items():
-        x = cell[x_axis]
+        x = cell[0]
         u_vec = cell[u_start:]
         group = groups.get(u_vec)
         if group is None:
@@ -348,9 +348,6 @@ def transcript_distribution(chain: MechanismChain, books: Books | str,
             masses = group[2]
             masses[x] = masses.get(x, 0) + n
         x_mass[x] += n
-    if x_axis:  # the cells are sorted by x first only when x is the first variable
-        groups = {u_vec: (x0, bits, dict(sorted(masses.items())))
-                  for u_vec, (x0, bits, masses) in groups.items()}
 
     pads = {x: (*range(x, x_size), *range(x)) for x, m in enumerate(x_mass) if m}
     pad_bits = [pad_book.length(xt) for xt in range(x_size)]
@@ -501,7 +498,6 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
     check_index(k, 1, n_files, "k")
     if math.perm(n_files, k) > limit:
         raise LimitError(f"perm({n_files}, {k}) demand vectors exceed the limit {limit}")
-    private = p.variables[0].name
     vectors = list(itertools.permutations(range(1, n_files + 1), k))
     # a demanded file named like a stage's auxiliary fails the build, so
     # which of those names are taken is part of the key
@@ -515,7 +511,7 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
         groups.setdefault(key, (base, names, []))[2].append(i)
     rows: dict[int, SweepRow] = {}
     for base, names, members in groups.values():
-        chain = build_chain(base, private, names, limit=limit)
+        chain = build_chain(base, names, limit=limit)
         books: Books | str = mode  # built by the group's first enumeration
         for i in members:
             rows[i], books = _audit_row(p, vectors[i], chain, books, limit)

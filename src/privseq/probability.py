@@ -244,21 +244,14 @@ class JointDist:
         ordered = axes == tuple(range(len(axes)))
         return JointDist._exact(tuple(self.variables[a] for a in axes), out, den, ordered)
 
-    def entropy(self, of: Sequence[str] | None = None) -> float:
-        """Shannon entropy in bits of the (marginal) distribution."""
-        d = self if of is None else self.marginalize(of)
-        num, den = d._ints()
-        return _entropy_bits(num.values(), den)
-
-    def max_entropy_given(self, of: Sequence[str], name: str) -> float:
-        """max over the symbols s of `name` of H(of | name = s), from one walk
-        grouped by s. Each group's masses are summed in sorted order, so each
-        H is the float `entropy(of)` gives on the conditional table given s."""
+    def max_entropy_given(self, of: Sequence[str]) -> float:
+        """max over the symbols x of the first variable X of H(of | X = x),
+        from one walk grouped by x; each group's masses are summed in sorted
+        order, as `_entropy_bits` sums the sorted table of `of` given x."""
         project = _projector(self._kept_axes(of))
-        (axis,) = self._axes([name])
         groups: dict[int, dict[Cell, int]] = {}
         for cell, n in self._ints()[0].items():
-            masses = groups.setdefault(cell[axis], {})
+            masses = groups.setdefault(cell[0], {})
             key = project(cell)
             masses[key] = masses.get(key, 0) + n
         return max(_entropy_bits((masses[k] for k in sorted(masses)), sum(masses.values()))

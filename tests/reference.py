@@ -68,6 +68,13 @@ def prob(d, cell):
     return F(num.get(tuple(cell), 0), den)
 
 
+def entropy(d, of=None):
+    """Shannon entropy in bits of `d`, or of its marginal over `of`: the
+    library's `marginalize` and `_entropy_bits` over the sorted cells."""
+    num, den = (d if of is None else d.marginalize(of))._ints()
+    return _entropy_bits(num.values(), den)
+
+
 def is_independent(d, a, b):
     """Exact rational test of P(a,b) == P(a)P(b) on every cell, by the
     library's `_product_test`. An empty set on either side is vacuously
@@ -110,7 +117,7 @@ def conditional_entropy(d, target, given):
     if set(target) & set(given):
         raise ValidationError("target and given must be disjoint")
     if not given:
-        return d.entropy(target)
+        return entropy(d, target)
     num, den = d.marginalize(given + target)._ints()
     ng = len(given)
     by_g = {}
@@ -128,7 +135,7 @@ def mutual_information(d, a, b):
     a, b = list(a), list(b)
     if set(a) & set(b):
         raise ValidationError("variable sets must be disjoint")
-    return max(0.0, d.entropy(a) + d.entropy(b) - d.entropy(a + b))
+    return max(0.0, entropy(d, a) + entropy(d, b) - entropy(d, a + b))
 
 
 def product_extend(d, fresh, marginal):
@@ -166,7 +173,7 @@ def ref_stage_mechanisms(chain):
     Its spans are read back by state, x alone at the first stage."""
     out = []
     for k, target in enumerate(chain.targets):
-        marg = chain.joint.marginalize([chain.private, *chain.u_names[:k], target])
+        marg = chain.joint.marginalize([chain.joint.names[0], *chain.u_names[:k], target])
         index, pair = {}, {}
         for cell, q in marg.items():
             pair[(index.setdefault(cell[:-1], len(index)), cell[-1])] = q
@@ -552,14 +559,13 @@ def ref_transcript_distribution(chain, books):
     cells, and the table is sorted once at the end."""
     pad_book, stage_books = books
     x_size = chain.private_size
-    x_axis = chain.joint.names.index(chain.private)
     u_start = len(chain.joint.variables) - len(chain.stages)
     index = {}
     lengths, parts, table = [], [], {}
     totals, mass = [0] * x_size, [0] * x_size
     num, den = chain.joint._ints()
     for cell, n in num.items():
-        x, u_vec = cell[x_axis], cell[u_start:]
+        x, u_vec = cell[0], cell[u_start:]
         bits = sum(book.length(u) for book, u in zip(stage_books, u_vec))
         for w in range(x_size):
             xt = (x + w) % x_size

@@ -44,6 +44,7 @@ from conftest import random_database, random_pair
 from reference import (
     cache_roundtrip,
     condition,
+    entropy,
     enumerate_outcomes,
     example1_ratio,
     is_independent,
@@ -172,7 +173,7 @@ def test_c05_masked_family_exact_values():
             if lower_bound(p, demands) != float(k * f):
                 ok = False
             names = [p.variables[d].name for d in demands]
-            if condition(p, "X", 0).entropy(names) != 0.0:
+            if entropy(condition(p, "X", 0), names) != 0.0:
                 ok = False
     report("masked family: lower bound equals k*f exactly; zero entropy at x=0", ok,
            "(k,f) over {1,2}^2")

@@ -215,6 +215,26 @@ class TestPipelineRun:
                      "--demands", "1,2", "--k", "2"]) == 1
         assert "--k needs --demands sweep" in capsys.readouterr().err
 
+    def test_seed_with_sweep_rejected(self, monkeypatch, capsys):
+        # a sweep draws no sample session, so a seed would change nothing
+        from privseq import pipeline
+
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(pipeline, "worst_case_sweep", no_sweep)
+        assert main(["pipeline", "run", "--p", "1/2", "--n", "3", "--f", "1",
+                     "--demands", "sweep", "--k", "2", "--seed", "5"]) == 1
+        assert "--seed needs an explicit demand vector" in capsys.readouterr().err
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        args = ["pipeline", "run", "--p", "1/2", "--n", "2", "--f", "1", "--demands", "1,2"]
+        unset, zero = tmp_path / "unset.json", tmp_path / "zero.json"
+        assert main(args + ["--out", str(unset)]) == 0
+        assert main(args + ["--seed", "0", "--out", str(zero)]) == 0
+        assert unset.read_text() == zero.read_text()
+        assert json.loads(unset.read_text())["seed"] == 0
+
 
 class TestBoundsSweep:
     def test_csv_output(self, tmp_path, capsys):
@@ -324,6 +344,12 @@ class TestAudit:
         data = json.loads(out.read_text())
         assert data["leakage_exact_zero"] is True
 
+    def test_seed_is_unknown(self, capsys):
+        # an audit draws nothing, so it takes no seed: argparse rejects it
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--p", "1/2", "--n", "2", "--f", "1", "--demands", "2,1", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 class TestLimitBeforeAlphabetWork:

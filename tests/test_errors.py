@@ -129,9 +129,14 @@ class TestLibraryErrors:
         with pytest.raises(ValidationError, match=r"chain targets \('Y1',\) do not match"):
             encode_session(MASKED, (1, 0, 1), (2,), PadKey(0, 2), chain, RandomDraws(0))
         # the same target under another private variable
-        other = build_chain(MASKED.marginalize(["Y2", "Y1"]), "Y2", ["Y1"])
+        other = build_chain(MASKED.marginalize(["Y2", "Y1"]), ["Y1"])
         with pytest.raises(ValidationError, match="chain private variable does not match"):
             encode_session(MASKED, (1, 0, 1), (1,), PadKey(0, 2), other, RandomDraws(0))
+        # the same target under a same-named X of three symbols, not two
+        wide = build_chain(JointDist([Alphabet("X", 3), Alphabet("Y1", 2)],
+                                     {(x, y): F(1, 6) for x in range(3) for y in range(2)}), ["Y1"])
+        with pytest.raises(ValidationError, match="chain private variable does not match"):
+            encode_session(MASKED, (1, 0, 1), (1,), PadKey(1, 3), wide, RandomDraws(0))
 
     def test_empty_demand_vector(self):
         with pytest.raises(ValidationError, match="empty demand vector"):

@@ -279,7 +279,7 @@ class TestMinEntropySearch:
 
 class TestChain:
     def test_extend_from_empty_equals_construct(self, designed_2x2):
-        chain = build_chain(designed_2x2, "X", ["Y"])
+        chain = build_chain(designed_2x2, ["Y"])
         direct = frl_construct(designed_2x2)
         stage = chain.stages[0]
         assert stage.mechanism.atoms == direct.atoms
@@ -290,14 +290,14 @@ class TestChain:
             {(u, x): direct.apply(u, x) for x in range(2) for u in range(direct.u_size)}
 
     def test_repeated_target_constant_stage(self, designed_2x2):
-        chain = build_chain(designed_2x2, "X", ["Y", "Y"])
+        chain = build_chain(designed_2x2, ["Y", "Y"])
         assert chain.stages[1].mechanism.u_size == 1
         assert chain.stages[1].mechanism.entropy() == 0.0
 
     def test_masked_two_file_chain(self):
         p = example1_build(Example1Params(F(1, 2), 2, 2, 1))
         base = p.marginalize(["X", "Y1", "Y2"])
-        chain = build_chain(base, "X", ["Y1", "Y2"])
+        chain = build_chain(base, ["Y1", "Y2"])
         assert is_independent(chain.joint, ["U1", "U2"], ["X"])
         assert conditional_entropy(chain.joint, ["Y1"], ["X", "U1"]) == 0.0
         assert conditional_entropy(chain.joint, ["Y2"], ["X", "U1", "U2"]) == 0.0
@@ -305,7 +305,7 @@ class TestChain:
     def test_prefix_independence_every_length(self):
         rng = random.Random(5)
         p = random_database(rng, 3, 2, 1)
-        chain = build_chain(p, "X", ["Y1", "Y2"])
+        chain = build_chain(p, ["Y1", "Y2"])
         for i in range(1, 3):
             assert is_independent(chain.joint, [f"U{j}" for j in range(1, i + 1)], ["X"])
 
@@ -315,7 +315,7 @@ class TestChain:
         rng = random.Random(31)
         for _ in range(5):
             p = random_database(rng, rng.randint(2, 3), 2, 1, sparse=True)
-            chain = build_chain(p, "X", ["Y1", "Y2"])
+            chain = build_chain(p, ["Y1", "Y2"])
             assert is_independent(chain.joint, ["U1"], ["U2"])
             for i, stage in enumerate(chain.stages, start=1):
                 marg = chain.joint.marginalize([f"U{i}"])
@@ -326,7 +326,7 @@ class TestChain:
         rng = random.Random(17)
         for _ in range(6):
             p = random_database(rng, rng.randint(2, 3), 2, 1, sparse=True)
-            chain = build_chain(p, "X", ["Y1", "Y2"])
+            chain = build_chain(p, ["Y1", "Y2"])
             x_size = p.variables[0].size
             sizes = chain.u_sizes()
             for i, s in enumerate(sizes):
@@ -338,7 +338,7 @@ class TestChain:
         # the map `decode` reads is the one the joint was written from
         p = random_database(random.Random(seed), x_size, n_files, 1, sparse)
         targets = [f"Y{i}" for i in range(n_files, 0, -1)]
-        chain = build_chain(p, "X", targets)
+        chain = build_chain(p, targets)
         x_axis, *u_axes = chain.joint._axes(["X", *chain.u_names])
         y_axes = chain.joint._axes(targets)
         for cell in chain.joint.table:
@@ -349,7 +349,7 @@ class TestChain:
     @pytest.mark.parametrize("method", ["row", "decode"])
     def test_zero_mass_compound_state(self, method):
         # x=2 of the golden pair has zero mass, so every state that starts with it has none
-        chain = build_chain(load_dist(GOLDEN_PAIR), "X", ["Y", "Y"])
+        chain = build_chain(load_dist(GOLDEN_PAIR), ["Y", "Y"])
         stage1, stage2 = chain.stages
         u1_size = stage1.mechanism.u_size
         for stage, x, prefix in [(stage1, 2, ()), (stage1, 0, (0,)),
@@ -362,12 +362,11 @@ class TestChain:
         assert getattr(stage2, method)(0, (0,), 0) is not None
 
     def test_unknown_private_or_target_rejected(self, designed_2x2):
+        # X is the base joint's first variable; an unknown target and X itself are rejected
         with pytest.raises(ValidationError):
-            build_chain(designed_2x2, "Z", ["Y"])
-        with pytest.raises(ValidationError):
-            build_chain(designed_2x2, "X", ["Z"])
+            build_chain(designed_2x2, ["Z"])
         with pytest.raises(ValidationError, match="cannot target"):
-            build_chain(designed_2x2, "X", ["X"])
+            build_chain(designed_2x2, ["X"])
 
 
 class TestOneStageConstruction:
@@ -381,13 +380,13 @@ class TestOneStageConstruction:
         if file_bits == 2:
             n_files = min(n_files, 2)  # a 3-file, 2-bit chain has 10^5 cells
         p = random_database(random.Random(seed), x_size, n_files, file_bits, sparse)
-        chain = build_chain(p, "X", [f"Y{i}" for i in range(n_files, 0, -1)])
+        chain = build_chain(p, [f"Y{i}" for i in range(n_files, 0, -1)])
         assert [(s.mechanism.bounds, s.mechanism.spans) for s in chain.stages] == \
             ref_stage_mechanisms(chain)
 
     def test_first_stage_is_the_pair(self):
         pxy = load_dist(GOLDEN_PAIR)
-        stage = build_chain(pxy, "X", ["Y"]).stages[0].mechanism
+        stage = build_chain(pxy, ["Y"]).stages[0].mechanism
         pair = frl_construct(pxy)
         assert (stage.bounds, stage.spans) == (pair.bounds, pair.spans)
         assert pair.dropped_x == (2,)
@@ -415,7 +414,7 @@ class TestStageChecks:
         monkeypatch.setattr(FrlMechanism, "row", patched)
         p = random_database(random.Random(5), 3, 2, 1)
         try:
-            return build_chain(p, "X", ["Y1", "Y2"])
+            return build_chain(p, ["Y1", "Y2"])
         finally:
             assert chosen, f"stage {stage} has no row with two atoms to corrupt"
 
@@ -473,7 +472,7 @@ class TestStageChecks:
     def build(stage, designed_2x2):
         if stage == "U":
             return frl_construct(designed_2x2)
-        return build_chain(random_database(random.Random(5), 3, 2, 1), "X", ["Y1", "Y2"])
+        return build_chain(random_database(random.Random(5), 3, 2, 1), ["Y1", "Y2"])
 
     @pytest.mark.parametrize("stage, message", [("U", r"Y not a function of \(X, U\)"),
                                                 ("U2", r"Y2 not a function of \(X, U1, U2\)")],
@@ -700,7 +699,7 @@ class TestBuiltStagesMatchTheReference:
     def reference(chain):
         u_names = chain.u_names
         return [stage_outcome(reference_verify_stage, chain.joint,
-                              [chain.private, *u_names[:i]], u_names[i], target)
+                              [chain.joint.names[0], *u_names[:i]], u_names[i], target)
                 for i, target in enumerate(chain.targets)]
 
     @settings(max_examples=40, deadline=None)
@@ -710,7 +709,7 @@ class TestBuiltStagesMatchTheReference:
         seen = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frl_mod, "_check_stage", self.recording(seen))
-            chain = build_chain(p, "X", [f"Y{i}" for i in range(n_files, 0, -1)])
+            chain = build_chain(p, [f"Y{i}" for i in range(n_files, 0, -1)])
         assert seen == self.reference(chain) == [None] * n_files
 
     @settings(max_examples=40, deadline=None)
@@ -760,7 +759,7 @@ class TestBuiltStagesMatchTheReference:
         seen = []
         monkeypatch.setattr(frl_mod, "FrlMechanism", inflated)
         monkeypatch.setattr(frl_mod, "_check_stage", self.recording(seen))
-        chain = build_chain(random_database(random.Random(5), 3, 2, 1), "X", ["Y1", "Y2"])
+        chain = build_chain(random_database(random.Random(5), 3, 2, 1), ["Y1", "Y2"])
         assert seen == self.reference(chain)
         assert "exceeds the cardinality bound" in seen[int(stage[1:]) - 1]
 
@@ -770,7 +769,7 @@ class TestStageLimit:
 
     @staticmethod
     def stage_cells(p, targets):
-        return [len(build_chain(p, "X", targets[:i]).joint) for i in range(1, len(targets) + 1)]
+        return [len(build_chain(p, targets[:i]).joint) for i in range(1, len(targets) + 1)]
 
     def test_limit_between_stages(self, monkeypatch):
         p = random_database(random.Random(1), 3, 3, 1)
@@ -787,7 +786,7 @@ class TestStageLimit:
 
         monkeypatch.setattr(JointDist, "_exact", classmethod(recording))
         with pytest.raises(LimitError, match=f"stage 3 .* {stage3} cells.*limit {limit}"):
-            build_chain(p, "X", targets, limit=limit)
+            build_chain(p, targets, limit=limit)
         assert built and max(built) <= limit
 
     def test_mechanism_limit_checked_before_segments(self, monkeypatch):
@@ -809,7 +808,9 @@ class TestStageLimit:
         # the span search over `bounds`, and the stage's product table after it
         monkeypatch.setattr(frl_mod, "bisect", types.SimpleNamespace(bisect_left=bisect_left))
         monkeypatch.setattr(JointDist, "_exact", classmethod(recording))
-        with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
+        # the stage names itself in its LimitError, as in a row fault
+        with pytest.raises(LimitError, match=fr"^pair \(X, Y\): the U mechanism needs {cells} cells, "
+                                             fr"over the limit {cells - 1}$"):
             frl_mod._stage(d, (0,), 1, "U", None, "pair (X, Y)", cells - 1)
         assert made == []
         mech, joint = frl_mod._stage(d, (0,), 1, "U", None, "pair (X, Y)", cells)
@@ -821,9 +822,9 @@ class TestStageLimit:
         # the stage-2 mechanism and the product count is what trips
         p = random_database(random.Random(1), 3, 3, 1)
         cells = self.stage_cells(p, ["Y1", "Y2"])
-        assert len(build_chain(p, "X", ["Y1", "Y2"], limit=cells[-1]).joint) == cells[-1]
-        with pytest.raises(LimitError, match=f"stage 2 .*the product needs {cells[-1]} cells"):
-            build_chain(p, "X", ["Y1", "Y2"], limit=cells[-1] - 1)
+        assert len(build_chain(p, ["Y1", "Y2"], limit=cells[-1]).joint) == cells[-1]
+        with pytest.raises(LimitError, match=fr"^chain stage 2 \(Y2\): the product needs {cells[-1]} cells"):
+            build_chain(p, ["Y1", "Y2"], limit=cells[-1] - 1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans())
@@ -832,10 +833,10 @@ class TestStageLimit:
         # limit one below it raises; no stage or mechanism needs more than it
         p = random_database(random.Random(seed), x_size, n_files, 1, sparse)
         targets = [f"Y{i}" for i in range(1, n_files + 1)]
-        cells = len(build_chain(p, "X", targets).joint)
-        assert len(build_chain(p, "X", targets, limit=cells).joint) == cells
+        cells = len(build_chain(p, targets).joint)
+        assert len(build_chain(p, targets, limit=cells).joint) == cells
         with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
-            build_chain(p, "X", targets, limit=cells - 1)
+            build_chain(p, targets, limit=cells - 1)
 
     def test_private_alphabet_over_the_limit(self, monkeypatch):
         # one positive cell: the mechanism needs 1 cell, but listing the

@@ -261,7 +261,7 @@ class TestExactDraws:
 class TestTranscriptDistribution:
     @pytest.mark.parametrize("targets", [[], ["Y1"]], ids=["no stages", "one stage"])
     def test_unknown_mode_rejected(self, targets):
-        chain = build_chain(masked_bits("1/2", 1, 1, 1), "X", targets)
+        chain = build_chain(masked_bits("1/2", 1, 1, 1), targets)
         with pytest.raises(ValidationError, match="unknown coding mode 'bogus'"):
             transcript_distribution(chain, "bogus")
         with pytest.raises(ValidationError, match="unknown coding mode 'bogus'"):
@@ -424,8 +424,7 @@ def leaky_chain(chain, index=0):
     moved[cell] -= n
     other = ((cell[0] + 1) % chain.private_size,) + cell[1:]
     moved[other] = moved.get(other, 0) + n
-    return MechanismChain(chain.private,
-                          JointDist._exact(chain.joint.variables, moved, 2 * den, ordered=False),
+    return MechanismChain(JointDist._exact(chain.joint.variables, moved, 2 * den, ordered=False),
                           chain.stages)
 
 
@@ -457,23 +456,6 @@ class TestFactoredLaw:
         cx = joint.marginalize(["C", "X"])
         assert cx == ref.cx and list(cx._ints()[0]) == list(ref.cx._ints()[0])
         assert joint == ref.joint
-
-    def test_private_variable_not_first(self):
-        # the chain's cells are then not sorted by x, so each group's masses are sorted after
-        p = random_database(random.Random(9), 3, 2, 1)
-        chain = build_chain(p.marginalize(["Y2", "X", "Y1"]), "X", ["Y1", "Y2"])
-        books = session_codebooks(chain, ENTROPY)
-        met = {}
-        for cell in chain.joint._ints()[0]:
-            met.setdefault(cell[-2:], []).append(cell[1])
-        assert any(xs != sorted(xs) for xs in met.values())
-        td, ref = transcript_distribution(chain, books), ref_transcript_distribution(chain, books)
-        assert all(list(masses) == sorted(masses) for _, _, masses in td.groups.values())
-        assert leakage_audit(td) == ref_leakage_audit(ref)
-        assert leakage_audit(td).bits.hex() == ref_leakage_audit(ref).bits.hex()
-        transcripts, joint = td.transcripts, td.joint
-        assert transcripts == tuple(_write_slots(books, *part) for part in ref.parts)
-        assert joint.marginalize(["C", "X"]) == ref.cx and joint == ref.joint
 
     @pytest.mark.parametrize("block", [(0, 1), (0, 0, 2), (2, 1, 0, 1)])
     def test_pad_check_rejects_a_wrong_block(self, block):
