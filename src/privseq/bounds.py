@@ -14,15 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
+from .coding import fixed_width
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError, check_index
 from .frl import MechanismChain, cardinality_bound
 from .probability import Alphabet, JointDist
-
-
-def ceil_log2(n: int) -> int:
-    return (check_index(n, 1, None, "ceil_log2 argument") - 1).bit_length()
 
 
 def demand_names(p: JointDist, demands: Sequence[int]) -> list[str]:
@@ -31,7 +28,11 @@ def demand_names(p: JointDist, demands: Sequence[int]) -> list[str]:
     return [p.variables[check_index(d, 1, n_files, "demand")].name for d in demands]
 
 
-def cardinality_caps(x_size: int, y_sizes: Sequence[int], limit: int = DEFAULT_STATE_LIMIT) -> list[int]:
+def cap_limit_error(stage: int, limit: int) -> LimitError:
+    return LimitError(f"the stage {stage} cardinality cap needs more than the limit of {limit} bits")
+
+
+def cardinality_caps(x_size: int, y_sizes: Iterable[int], limit: int = DEFAULT_STATE_LIMIT) -> list[int]:
     """Recursive per-stage caps: cap_i = |X| * cap_1*..*cap_{i-1} * (|Y_i|-1) + 1.
 
     Each cap is about as long as all earlier ones together; one longer than
@@ -42,18 +43,18 @@ def cardinality_caps(x_size: int, y_sizes: Sequence[int], limit: int = DEFAULT_S
     for i, y in enumerate(y_sizes, start=1):
         # a product has at least its factors' bit lengths summed, less one per multiplication
         if caps and y > 1 and prod.bit_length() + caps[-1].bit_length() + (y - 1).bit_length() - 2 > limit:
-            raise LimitError(f"the stage {i} cardinality cap needs more than the limit of {limit} bits")
+            raise cap_limit_error(i, limit)
         prod *= caps[-1] if caps else 1
         caps.append(cardinality_bound(prod, y))
         if caps[-1].bit_length() > limit:
-            raise LimitError(f"the stage {i} cardinality cap needs more than the limit of {limit} bits")
+            raise cap_limit_error(i, limit)
     return caps
 
 
-def upper_bound_cardinality(x_size: int, y_sizes: Sequence[int], limit: int = DEFAULT_STATE_LIMIT) -> int:
+def upper_bound_cardinality(x_size: int, y_sizes: Iterable[int], limit: int = DEFAULT_STATE_LIMIT) -> int:
     """Achievable bits via fixed-length slots at the cardinality caps."""
     caps = cardinality_caps(x_size, y_sizes, limit)
-    return sum(ceil_log2(c) for c in caps) + ceil_log2(x_size)
+    return sum(fixed_width(c) for c in caps) + fixed_width(x_size)
 
 
 def upper_bound_entropy_estimate(chain: MechanismChain) -> int:
@@ -63,7 +64,7 @@ def upper_bound_entropy_estimate(chain: MechanismChain) -> int:
     an estimate of the entropy-route bound, not the bound itself. It never
     exceeds the cardinality bound.
     """
-    total = ceil_log2(chain.private_size)
+    total = fixed_width(chain.private_size)
     for stage in chain.stages:
         # round before ceiling so float dust cannot bump an exact integer up
         total += math.ceil(round(stage.mechanism.entropy(), 9))

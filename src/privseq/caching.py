@@ -347,15 +347,15 @@ def adversary_view_distribution(session: CacheSession, key_size: int,
     has its transcript's law: the result is the wrapped transcripts' law,
     whose `transcripts` index the views by their transcript part. A view is
     its auxiliary bits longer than its transcript under every key value, so
-    each key's length sum gains the mass-weighted auxiliary bits, summed
-    over the u vectors' groups.
+    the length sum gains the mass-weighted auxiliary bits, summed over the
+    u vectors' groups.
     """
     x_size = session.chain.private_size
     if key_size != x_size:
         raise ValidationError(f"the multi-part scheme needs key size |X|={x_size}, got {key_size}")
     td = pipeline.transcript_distribution(session.chain, session.books, limit)
     replayed = sum(bits * sum(masses.values()) for _, bits, masses in td.groups.values())
-    return replace(td, w_sums=tuple((total + replayed, mass) for total, mass in td.w_sums))
+    return replace(td, length_sum=td.length_sum + replayed)
 
 
 def delivery_bound(cfg: CacheConfig, x_size: int) -> int:

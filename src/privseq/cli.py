@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -249,15 +250,17 @@ SWEEP_COLUMNS = ["n", "k", "f", "demands", "lower", "upper_cardinality",
 
 
 def cmd_bounds_sweep(args) -> int:
-    k_values = _parse_range(args.k_range)
-    f_values = _parse_range(args.f_range)
-    if min(k_values + f_values, default=1) < 1:
+    k_ranges = _parse_range(args.k_range)
+    f_ranges = _parse_range(args.f_range)
+    if any(r and r[0] < 1 for r in k_ranges + f_ranges):
         raise ValidationError("need k >= 1 and f >= 1")
     prior = _parse_prior(args.p)  # checked before the first row, measured or not
     rows = []
-    for k in k_values:
-        for f in f_values:
-            upper = bounds_mod.upper_bound_cardinality(2, [2 ** f] * k, args.limit)
+    for k in itertools.chain.from_iterable(k_ranges):
+        for f in itertools.chain.from_iterable(f_ranges):
+            if f >= args.limit:  # the stage-1 cap, 2 * (2^f - 1) + 1, has f + 1 bits
+                raise bounds_mod.cap_limit_error(1, args.limit)
+            upper = bounds_mod.upper_bound_cardinality(2, itertools.repeat(2 ** f, k), args.limit)
             ratio = upper / (k * f)  # the cardinality bound over the k*f converse
             row = {
                 "n": k, "k": k, "f": f,
@@ -268,8 +271,8 @@ def cmd_bounds_sweep(args) -> int:
                 "measured": "",
                 "ratio": ratio,
             }
-            # the audit enumerates over (2^f)^k * 2 weighted states: skip larger rows unbuilt
-            if args.measure and (2 ** f) ** k * 2 <= args.limit:
+            # the audit enumerates 2^(k*f + 1) weighted states: skip larger rows, unbuilt and unformed
+            if args.measure and k * f + 1 < args.limit.bit_length():
                 params = bounds_mod.Example1Params(prior, k, k, f)
                 p = bounds_mod.example1_build(params, args.limit)
                 try:
@@ -288,24 +291,15 @@ def cmd_bounds_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> list[int]:
-    """'1..4,8' -> [1,2,3,4,8]; an empty string is an empty range."""
+def _parse_range(text: str) -> list[range]:
+    """'1..4,8' -> [range(1, 5), range(8, 9)], values unlisted; '' -> []."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            try:
-                out.extend(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise ValidationError(f"bad range {part!r}") from None
-        else:
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise ValidationError(f"bad range entry {part!r}") from None
+    for part in filter(None, map(str.strip, text.split(","))):
+        lo, dots, hi = part.partition("..")
+        try:
+            out.append(range(int(lo), int(hi if dots else lo) + 1))
+        except ValueError:
+            raise ValidationError(f"bad range {part!r}" if dots else f"bad range entry {part!r}") from None
     return out
 
 

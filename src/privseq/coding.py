@@ -2,7 +2,8 @@
 
 Bitstrings are plain '0'/'1' strings so equality is bit-exact and transcripts
 are directly printable. A slot holds exactly one codeword, so it is decoded by
-one whole-codeword lookup (`Codebook.decode`); no prefix of it is scanned.
+one whole-codeword lookup (`Codebook.decode`); no prefix of it is scanned. The
+pad slot's fixed-length word is written and read from |X|, with no book.
 Packed binary output uses big-endian bit order within bytes with the final
 partial byte zero-padded. Slot bit-lengths travel in a header, so each slot's
 bits are known before decoding, and nonzero padding is rejected: a transcript
@@ -101,10 +102,28 @@ def verify_prefix_free(codebook: Codebook) -> bool:
     return True
 
 
+def fixed_width(size: int) -> int:
+    """ceil(log2 size), the bits of every word of a fixed-length code over size symbols."""
+    return (check_index(size, 1, None, "alphabet size") - 1).bit_length()
+
+
 def fixed_length_codebook(size: int) -> Codebook:
     """ceil(log2 size)-bit words for symbols 0..size-1; empty word at size 1."""
-    width = (check_index(size, 1, None, "alphabet size") - 1).bit_length()
-    return Codebook({s: format(s, f"0{width}b") if width else "" for s in range(size)})
+    return Codebook({s: fixed_encode(s, size) for s in range(check_index(size, 1, None, "alphabet size"))})
+
+
+def fixed_encode(symbol: int, size: int) -> str:
+    """The word `fixed_length_codebook(size)` gives `symbol`, written without the book."""
+    width = fixed_width(size)  # symbol < size <= 2^width, so only width 0 is cut, to ""
+    return format(check_index(symbol, 0, size - 1, "symbol"), f"0{width}b")[:width]
+
+
+def fixed_decode(bits: str, size: int) -> int:
+    """The symbol whose `fixed_encode` word is exactly `bits`, read without a book."""
+    # int() also reads "_", signs and spaces, so the digits are checked first
+    if len(bits) == fixed_width(size) and not bits.strip("01") and (symbol := int(bits or "0", 2)) < size:
+        return symbol
+    raise ValidationError(f"undecodable bitstring {bits!r}")
 
 
 def entropy_codebook(weights: Sequence[int]) -> Codebook:

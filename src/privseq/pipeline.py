@@ -11,10 +11,10 @@ is a rational product test, not a float comparison. The key is uniform, so
 that joint is |X| copies of the (u vector, private symbol) law, one per
 padded symbol; the enumeration keeps that law once, with each u vector's
 block of padded symbols, and the audit checks the blocks and tests and sums
-the law without writing the copies. The per-key length sums are read from
-the codebooks' code-length tables, so no transcript is written; the
-transcripts and the whole (transcript, private symbol, key) joint are
-views, derived from the factored law on every read.
+the law without writing the copies. The pad slot is a ceil(log2 |X|)-bit
+field, so all key values share one length sum, read from the stage books'
+code-length tables; no transcript is written. The transcripts and the whole
+(transcript, private symbol, key) joint are views, derived on every read.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ from .coding import (
     Codebook,
     PadKey,
     entropy_codebook,
+    fixed_decode,
+    fixed_encode,
     fixed_length_codebook,
+    fixed_width,
     otp_decrypt,
     otp_encrypt,
     pack_slots,
@@ -127,18 +130,17 @@ def session_chain(p: JointDist, demands: Sequence[int],
     return build_chain(base, names, limit=limit)
 
 
-def session_codebooks(chain: MechanismChain, mode: str) -> tuple[Codebook, list[Codebook]]:
-    """Pad-slot book plus one book per stage, derived deterministically.
+def session_codebooks(chain: MechanismChain, mode: str) -> Books:
+    """One book per stage, derived deterministically; the pad slot has none.
 
     The mode is checked before any book is built, so a chain with no stages
     rejects an unknown one too.
     """
     if mode not in (FIXED, ENTROPY):
         raise ValidationError(f"unknown coding mode {mode!r}")
-    pad = fixed_length_codebook(chain.private_size)
     if mode == FIXED:
-        return pad, [fixed_length_codebook(stage.mechanism.u_size) for stage in chain.stages]
-    return pad, [entropy_codebook(stage.mechanism.widths) for stage in chain.stages]
+        return tuple(fixed_length_codebook(stage.mechanism.u_size) for stage in chain.stages)
+    return tuple(entropy_codebook(stage.mechanism.widths) for stage in chain.stages)
 
 
 def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismChain) -> None:
@@ -149,7 +151,7 @@ def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismC
         raise ValidationError("chain private variable does not match the database joint")
 
 
-Books = tuple[Codebook, list[Codebook]]
+Books = tuple[Codebook, ...]  # one per stage, in stage order
 
 
 def _slot_label(i: int) -> str:
@@ -157,15 +159,19 @@ def _slot_label(i: int) -> str:
     return f"u{i}" if i else "pad"
 
 
-def _write_slots(books: Books, xt: int, u_vec: Sequence[int]) -> Transcript:
-    pad_book, stage_books = books
-    return Transcript(((_slot_label(0), pad_book.encode(xt)),) + tuple(
-        (_slot_label(i), book.encode(u)) for i, (book, u) in enumerate(zip(stage_books, u_vec), 1)))
+def _write_slots(books: Books, x_size: int, xt: int, u_vec: Sequence[int]) -> Transcript:
+    return Transcript(((_slot_label(0), fixed_encode(xt, x_size)),) + tuple(
+        (_slot_label(i), book.encode(u)) for i, (book, u) in enumerate(zip(books, u_vec), 1)))
 
 
 def _check_key(chain: MechanismChain, key: PadKey) -> None:
     if key.modulus != chain.private_size:
         raise ValidationError(f"pad key modulus {key.modulus} != |X| = {chain.private_size}")
+
+
+def _check_books(chain: MechanismChain, books: Books) -> None:
+    if len(books) != len(chain.stages):
+        raise ValidationError(f"{len(books)} codebooks for a chain of {len(chain.stages)} stages")
 
 
 def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
@@ -178,6 +184,7 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
     one more symbol is requested; a stream that has one is too long.
     """
     _check_key(chain, key)
+    _check_books(chain, books)
     xt = otp_encrypt(x, key)
     symbols = iter(symbols)
     prefix: tuple[int, ...] = ()
@@ -191,14 +198,14 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
         raise ValidationError(f"symbol stream ended early at stage {len(prefix) + 1}")
     for _ in symbols:
         raise ValidationError(f"symbol stream has a symbol past stage {len(prefix)}, the last")
-    return _write_slots(books, xt, prefix)
+    return _write_slots(books, chain.private_size, xt, prefix)
 
 
 def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
                 key: PadKey) -> tuple[int, tuple[int, ...]]:
     """The sequential decoder: recover x, then each stage's target value."""
     _check_key(chain, key)
-    pad_book, stage_books = books
+    _check_books(chain, books)
     if len(transcript.slots) != len(chain.stages) + 1:
         raise ValidationError(
             f"transcript has {len(transcript.slots)} slots, expected {len(chain.stages) + 1}"
@@ -207,10 +214,10 @@ def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
         if label != _slot_label(i):
             raise ValidationError(f"slot {i} is labelled {label!r}, expected {_slot_label(i)!r}")
     (_, pad_bits), *rest = transcript.slots
-    x = otp_decrypt(pad_book.decode(pad_bits), key)
+    x = otp_decrypt(fixed_decode(pad_bits, chain.private_size), key)
     ys = []
     prefix: tuple[int, ...] = ()
-    for stage, book, (_, bits) in zip(chain.stages, stage_books, rest):
+    for stage, book, (_, bits) in zip(chain.stages, books, rest):
         u = book.decode(bits)
         ys.append(stage.decode(x, prefix, u))
         prefix += (u,)
@@ -222,11 +229,11 @@ def encode_session(p: JointDist, realization: Sequence[int], demands: Sequence[i
                    mode: str = FIXED, books: Books | None = None) -> Transcript:
     """Produce the multi-part transcript for one realized database row.
 
-    Slot 0 is the fixed-length code of the padded private symbol; slot i
-    encodes the stage-i auxiliary sampled from its exact conditional given
-    (x, u_1..u_{i-1}, y at demand i). Only the current demand's file is read
-    at each step. Callers looping over many realizations can pass
-    precomputed `books` from session_codebooks.
+    Slot 0 is the padded private symbol as a ceil(log2 |X|)-bit field; slot
+    i encodes the stage-i auxiliary, sampled from its exact conditional
+    given (x, u_1..u_{i-1}, y at demand i), with the stage's book. Only the
+    current demand's file is read at each step. Callers looping over many
+    realizations can pass the stage books from session_codebooks once.
     """
     demands = demand_vector(p, demands)
     _check_chain_matches(p, demands, chain)
@@ -262,12 +269,12 @@ class TranscriptDistribution:
     masses maps each x, ascending, to the numerator of P(U = u, X = x) over
     `den`. Transcript g * pad_size + j of group g is (pads[x0][j], u), and
     its cell with x has mass masses[x] / (den * pad_size). `x_mass[x]` is the
-    numerator of P(X = x) over `den`, and `w_sums` holds, per key value, the
-    sums `expected_length` divides.
+    numerator of P(X = x) over `den`, and `length_sum / den` is E[len(C)],
+    the same under every key value.
 
     The audits read only these fields. The (C, X, W) `joint` and the
-    `transcripts` written with `books` are views, derived from them on every
-    read and not kept.
+    `transcripts`, written with the stage `books` and a fixed-width pad slot,
+    are views, derived from them on every read and not kept.
     """
 
     books: Books = field(repr=False)
@@ -276,7 +283,7 @@ class TranscriptDistribution:
     pads: dict[int, tuple[int, ...]] = field(repr=False)  # x0 -> padded symbol by key value
     den: int
     x_mass: tuple[int, ...] = field(repr=False)
-    w_sums: tuple[tuple[int, int], ...] = field(repr=False)  # per w: (mass * length, mass)
+    length_sum: int  # sum of mass * length over the cells under one key value, over den
 
     @property
     def support(self) -> int:
@@ -302,39 +309,33 @@ class TranscriptDistribution:
     @property
     def transcripts(self) -> tuple[Transcript, ...]:
         """Transcript c, written with `books` from its padded x and u vector."""
-        return tuple(_write_slots(self.books, xt, u_vec)
+        return tuple(_write_slots(self.books, self.pad_size, xt, u_vec)
                      for u_vec, (x0, _, _) in self.groups.items() for xt in self.pads[x0])
 
 
-def transcript_distribution(chain: MechanismChain, books: Books | str,
+def transcript_distribution(chain: MechanismChain, books: Books,
                             limit: int = DEFAULT_STATE_LIMIT) -> TranscriptDistribution:
     """Enumerate the exact transcript law with rational weights, factored.
 
-    `books` are the chain's codebooks from session_codebooks, or a coding
-    mode whose books are built once the |chain joint| * |X| states are
-    within `limit`, so no |X|-word pad book is built past it. The key size
-    is |X|, as the one-time pad fixes it. Each cell of the chain's joint
-    (x, demanded files, auxiliaries) fans out over the uniform key into one
-    transcript per padded symbol x + w mod |X|, each with 1/|X| of its mass,
-    so the walk keeps only the (u vector, x) masses, grouped by u vector in
-    the order first met over the chain joint's sorted cells; X is its first
-    variable, so each group meets its x in ascending order. A u vector's
-    block of transcript indices takes the padded symbols of its first x in
-    key order; a transcript's length is summed from the books' code-length
-    tables. Per key value, the mass and the mass times length that
-    `expected_length` divides are summed from the same masses. A chain with
-    no stages (a fully cached delivery) gives the pad slot alone.
+    `books` has one book per stage. The key size is |X|, as the one-time pad
+    fixes it, and the |chain joint| * |X| weighted states must be within
+    `limit`. Each cell of the chain's joint (x, demanded files, auxiliaries)
+    fans out over the uniform key into one transcript per padded symbol
+    x + w mod |X|, each with 1/|X| of its mass, so the walk keeps only the
+    (u vector, x) masses, grouped by u vector in the order first met over the
+    chain joint's sorted cells; X is its first variable, so each group meets
+    its x in ascending order. A u vector's block of transcript indices takes
+    the padded symbols of its first x in key order. The length sum adds the
+    books' code lengths and the pad slot's ceil(log2 |X|) bits, by mass. A
+    chain with no stages (a fully cached delivery) gives the pad slot alone.
     """
+    _check_books(chain, books)
     x_size = chain.private_size
     states = len(chain.joint) * x_size
     if states > limit:
         raise LimitError(f"{states} weighted states exceed the limit {limit}")
-    if isinstance(books, str):
-        books = session_codebooks(chain, books)
 
-    pad_book, stage_books = books
     u_start = len(chain.joint.variables) - len(chain.stages)  # the stages' U variables come last
-
     groups: dict[tuple[int, ...], Group] = {}
     x_mass = [0] * x_size
     num, den = chain.joint._ints()
@@ -343,19 +344,16 @@ def transcript_distribution(chain: MechanismChain, books: Books | str,
         u_vec = cell[u_start:]
         group = groups.get(u_vec)
         if group is None:
-            groups[u_vec] = (x, sum(map(Codebook.length, stage_books, u_vec)), {x: n})
+            groups[u_vec] = (x, sum(map(Codebook.length, books, u_vec)), {x: n})
         else:
             masses = group[2]
             masses[x] = masses.get(x, 0) + n
         x_mass[x] += n
 
     pads = {x: (*range(x, x_size), *range(x)) for x, m in enumerate(x_mass) if m}
-    pad_bits = [pad_book.length(xt) for xt in range(x_size)]
     u_bits_mass = sum(bits * sum(masses.values()) for _, bits, masses in groups.values())
-    # each cell's weight n meets every key value once, so each w has mass den
-    w_sums = tuple((u_bits_mass + sum(m * pad_bits[(x + w) % x_size] for x, m in enumerate(x_mass)),
-                    den) for w in range(x_size))
-    return TranscriptDistribution(books, x_size, groups, pads, den, tuple(x_mass), w_sums)
+    length_sum = u_bits_mass + fixed_width(x_size) * den
+    return TranscriptDistribution(books, x_size, groups, pads, den, tuple(x_mass), length_sum)
 
 
 @dataclass(frozen=True)
@@ -411,11 +409,11 @@ class ExpectedLength:
 
 
 def expected_length(td: TranscriptDistribution) -> ExpectedLength:
-    """E[len(C) | W=w] for each key value, from the per-key sums `td.w_sums`;
-    exact ratios, reported as floats."""
+    """E[len(C) | W=w] for each key value, all `td.length_sum / td.den`, as
+    each key value meets every chain cell once; exact, reported as floats."""
     # int / int is correctly rounded, as float() of the reduced Fraction is
-    per_w = tuple(t / m if m else 0.0 for t, m in td.w_sums)
-    return ExpectedLength(per_w=per_w, max_over_w=max(per_w))
+    mean = td.length_sum / td.den
+    return ExpectedLength(per_w=(mean,) * td.pad_size, max_over_w=mean)
 
 
 @dataclass(frozen=True)
@@ -438,14 +436,13 @@ class SweepRow:
 
 
 def _audit_row(p: JointDist, demands: tuple[int, ...], chain: MechanismChain,
-               books: Books | str, limit: int) -> tuple[SweepRow, Books]:
-    """The row of a valid demand vector on its built chain: the transcript
-    distribution, leakage audit, expected length and bounds, and the books,
-    given as `transcript_distribution` takes them."""
+               books: Books, limit: int) -> SweepRow:
+    """The row of a valid demand vector on its built chain and books: the
+    transcript distribution, leakage audit, expected length and bounds."""
     td = transcript_distribution(chain, books, limit)
     el = expected_length(td)
     leak = leakage_audit(td)
-    row = SweepRow(
+    return SweepRow(
         demands=demands,
         expected_len=el.max_over_w,
         per_w=el.per_w,
@@ -458,7 +455,6 @@ def _audit_row(p: JointDist, demands: tuple[int, ...], chain: MechanismChain,
         u_sizes=chain.u_sizes(),
         transcript_support=td.support,
     )
-    return row, td.books
 
 
 def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
@@ -468,8 +464,8 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
     and the chain's codebooks, for sessions over the same chain."""
     demands = demand_vector(p, demands)
     chain = session_chain(p, demands, limit=limit)
-    row, books = _audit_row(p, demands, chain, mode, limit)
-    return row, chain, books
+    books = session_codebooks(chain, mode)
+    return _audit_row(p, demands, chain, books, limit), chain, books
 
 
 @dataclass(frozen=True)
@@ -512,9 +508,9 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
     rows: dict[int, SweepRow] = {}
     for base, names, members in groups.values():
         chain = build_chain(base, names, limit=limit)
-        books: Books | str = mode  # built by the group's first enumeration
+        books = session_codebooks(chain, mode)
         for i in members:
-            rows[i], books = _audit_row(p, vectors[i], chain, books, limit)
+            rows[i] = _audit_row(p, vectors[i], chain, books, limit)
         del chain, books  # freed before the next group's chain is built
     ordered = tuple(rows[i] for i in range(len(vectors)))
     return SweepResult(rows=ordered, worst=max(ordered, key=lambda r: r.expected_len))

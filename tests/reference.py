@@ -8,11 +8,13 @@ explicit-joint audit (`explicit_leakage_audit`, `explicit_expected_length`)
 walks a whole (C, X, W) joint; `ref_transcript_distribution` writes a
 chain's whole (C, X) table, every key value's copy cell by cell, and
 `ref_leakage_audit` tests that table with the Fraction `ref_is_independent`,
-sharing no code with `_product_test`, and sums it. The library's audit, which
-reads only the factored (u vector, X) law, its pad blocks and per-key sums,
-must agree with both to the bit. `ref_stage_mechanisms` rebuilds every
-stage of a chain the way stages were once built: as a pair over an index of
-the sorted compound states, passed to `frl_construct`. `ref_placement`,
+sharing no code with `_product_test`, and sums it. The oracle's pad slot is
+written with a `fixed_length_codebook(|X|)`, a book the library never
+builds. The library's audit, which reads only the factored (u vector, X) law, its pad
+blocks and one length sum, must agree with both to the bit.
+`ref_stage_mechanisms` rebuilds every stage of a chain the way stages were
+once built: as a pair over an index of the sorted compound states, passed
+to `frl_construct`. `ref_placement`,
 `ref_block_plan` and `ref_user_decode` work out coded caching's subsets,
 shifts and XOR terms on every call, as the library did before its config
 owned that layout. The other functions
@@ -515,9 +517,10 @@ def explicit_expected_length(joint, lengths):
 def explicit_distribution(joint, lengths):
     """A `TranscriptDistribution` that states an arbitrary (C, X, W) joint to
     the audits: one group of one copy per positive value of C, in order,
-    with its (C, X) row as masses and a one-symbol pad, and the joint's
-    per-key sums. It has no books and numbers C by rank, so only
-    `leakage_audit` and `expected_length` read it."""
+    with its (C, X) row as masses and a one-symbol pad, and the length sum
+    over the whole joint. It has no books and numbers C by rank, so only
+    `leakage_audit` and `expected_length` read it, and its one expected
+    length is the joint's only when W has one value."""
     num, den = joint.marginalize(["C", "X"])._ints()
     groups = {}
     x_mass = [0] * joint.variables[1].size
@@ -525,7 +528,8 @@ def explicit_distribution(joint, lengths):
         groups.setdefault((c,), (x, lengths[c], {}))[2][x] = n
         x_mass[x] += n
     return TranscriptDistribution(None, 1, groups, {x0: (0,) for x0, _, _ in groups.values()},
-                                  den, tuple(x_mass), _w_sums(joint, lengths))
+                                  den, tuple(x_mass),
+                                  sum(n * lengths[c] for (c, _), n in num.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +560,10 @@ def ref_transcript_distribution(chain, books):
     """The (C, X) enumeration written cell by cell: each chain cell's weight
     goes to every padded symbol x + w mod |X|, a transcript's index is the
     order its (padded x, u vector) is first met over the sorted chain
-    cells, and the table is sorted once at the end."""
-    pad_book, stage_books = books
+    cells, and the table is sorted once at the end. The pad slot is written
+    with the |X|-word fixed-length book."""
     x_size = chain.private_size
+    pad_book = fixed_length_codebook(x_size)
     u_start = len(chain.joint.variables) - len(chain.stages)
     index = {}
     lengths, parts, table = [], [], {}
@@ -566,7 +571,7 @@ def ref_transcript_distribution(chain, books):
     num, den = chain.joint._ints()
     for cell, n in num.items():
         x, u_vec = cell[0], cell[u_start:]
-        bits = sum(book.length(u) for book, u in zip(stage_books, u_vec))
+        bits = sum(book.length(u) for book, u in zip(books, u_vec))
         for w in range(x_size):
             xt = (x + w) % x_size
             c = index.get((xt, u_vec))

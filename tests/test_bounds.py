@@ -12,12 +12,12 @@ import privseq.bounds as bounds_mod
 from privseq.bounds import (
     Example1Params,
     cardinality_caps,
-    ceil_log2,
     example1_build,
     lower_bound,
     upper_bound_cardinality,
     upper_bound_entropy_estimate,
 )
+from privseq.coding import fixed_width
 from privseq.errors import LimitError, ValidationError
 from privseq.frl import cardinality_bound
 from privseq.pipeline import SweepRow, session_chain
@@ -30,11 +30,11 @@ from reference import condition, entropy, example1_ratio, prob
 class TestCeilLog2:
     @pytest.mark.parametrize("n,expect", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (1024, 10), (1025, 11)])
     def test_values(self, n, expect):
-        assert ceil_log2(n) == expect
+        assert fixed_width(n) == expect
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
-            ceil_log2(0)
+            fixed_width(0)
 
 
 class TestUpperCardinality:
@@ -47,7 +47,7 @@ class TestUpperCardinality:
         assert upper_bound_cardinality(2, [2, 2]) == 2 + 3 + 1
 
     def test_constant_files(self):
-        assert upper_bound_cardinality(4, [1, 1, 1]) == ceil_log2(4)
+        assert upper_bound_cardinality(4, [1, 1, 1]) == fixed_width(4)
 
     def test_large_file_size_is_cheap(self):
         # closed-form integer arithmetic; no mechanism is ever built

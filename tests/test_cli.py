@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,29 @@ class TestBoundsSweep:
         assert out == ""
         assert err == "resource limit: the stage 24 cardinality cap needs more than the limit " \
                       "of 10000000 bits\n"
+
+    def test_k_range_read_one_value_at_a_time(self, capsys):
+        # 10^9 k values: the table stops at the first cap past the limit, before
+        # any list of the values or of a row's file sizes could be formed
+        for k_range, rows in [("1..1000000000", 4), ("1000000000", 0)]:
+            assert main(["bounds", "sweep", "--k-range", k_range, "--f-range", "1",
+                         "--limit", "20"]) == 3
+            out, err = capsys.readouterr()
+            assert len(out.splitlines()) == rows
+            assert err == "resource limit: the stage 5 cardinality cap needs more than the limit " \
+                          "of 20 bits\n"
+
+    def test_f_refused_before_its_alphabet_is_formed(self, capsys):
+        # the stage-1 cap of f = 10^9 has 10^9 + 1 bits; 2^f alone would take 119 MiB
+        tracemalloc.start()
+        try:
+            assert main(["bounds", "sweep", "--k-range", "1", "--f-range", "1000000000"]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert capsys.readouterr() == ("", "resource limit: the stage 1 cardinality cap needs more "
+                                           "than the limit of 10000000 bits\n")
 
     def test_small_limit_stops_an_early_row(self, capsys):
         assert main(["bounds", "sweep", "--k-range", "1..10", "--f-range", "1",

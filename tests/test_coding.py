@@ -10,6 +10,8 @@ from privseq.coding import (
     Codebook,
     PadKey,
     entropy_codebook,
+    fixed_decode,
+    fixed_encode,
     fixed_length_codebook,
     otp_decrypt,
     otp_encrypt,
@@ -88,6 +90,26 @@ class TestFixedLength:
     def test_prefix_free(self):
         for n in range(1, 9):
             assert verify_prefix_free(fixed_length_codebook(n))
+
+    def test_field_is_the_book_word(self):
+        # the pad slot's word, written and read from the size alone
+        for size in range(1, 71):
+            book, width = fixed_length_codebook(size), (size - 1).bit_length()
+            for s in range(size):
+                word = fixed_encode(s, size)
+                assert word == book.encode(s)
+                assert len(word) == width and int(word or "0", 2) == s
+                assert fixed_decode(word, size) == s
+
+    @pytest.mark.parametrize("bits, size", [
+        ("1", 4), ("001", 4), ("", 2), ("0", 1),  # wrong width
+        ("0a", 4), ("2", 2), ("１", 2),  # not binary
+        ("1_0", 8), ("+1", 4), (" 1", 4),  # read by int(), not binary
+        ("11", 3), ("111", 5),  # binary, past the last symbol
+    ])
+    def test_field_decode_rejects(self, bits, size):
+        with pytest.raises(ValidationError, match="undecodable bitstring"):
+            fixed_decode(bits, size)
 
 
 class TestEntropyCodebook:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privseq.bounds import Example1Params, ceil_log2, example1_build
+from privseq.bounds import Example1Params, example1_build
 from privseq.caching import (
     CacheConfig,
     block_joint,
@@ -20,7 +20,7 @@ from privseq.caching import (
     user_decode,
 )
 from privseq.cli import main
-from privseq.coding import Codebook, PadKey, fixed_length_codebook, otp_decrypt, otp_encrypt
+from privseq.coding import Codebook, PadKey, fixed_length_codebook, fixed_width, otp_decrypt, otp_encrypt
 from privseq.errors import ValidationError
 from privseq.frl import build_chain, cardinality_bound, frl_construct
 from privseq.pipeline import (
@@ -78,7 +78,7 @@ BOUNDARIES = [
     ("Alphabet size", lambda v, c: Alphabet("X", v), 0),
     ("fixed_length_codebook size", lambda v, c: fixed_length_codebook(v), 0),
     ("PadKey modulus", lambda v, c: PadKey(0, v), 0),
-    ("ceil_log2", lambda v, c: ceil_log2(v), 0),
+    ("ceil_log2", lambda v, c: fixed_width(v), 0),
     ("cardinality_bound", lambda v, c: cardinality_bound(2, v), 0),
 ]
 
