@@ -2,8 +2,8 @@
 
 Subcommands: `frl build`, `pipeline run`, `bounds sweep`, `cache demo`,
 `audit`. Human-readable text goes to stdout; `--out` with `--format csv|json`
-writes machine-readable reports. Exit codes: 0 ok, 1 validation error,
-2 invariant violation, 3 resource limit exceeded.
+writes machine-readable reports. Exit codes: 0 ok, 1 validation error
+(a usage error too), 2 invariant violation, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def _run_report(p: JointDist, demands: tuple[int, ...], args) -> dict:
         "sample_roundtrip_ok": roundtrip,
         "leakage_exact_zero": row.leakage_exact_zero,
         "leakage_bits": row.leakage_bits,
-        "expected_len_per_w": list(row.per_w),
+        "expected_len_per_w": [row.expected_len] * x_size,
         "expected_len_max": row.expected_len,
         "lower_bound": row.lower,
         "upper_cardinality": row.upper_cardinality,
@@ -180,7 +180,7 @@ def _print_run_report(rep: dict) -> None:
     print(f"sample transcript: {' | '.join(rep['sample_transcript'])}"
           f"  (round trip {'ok' if rep['sample_roundtrip_ok'] else 'FAILED'})")
     print(f"leakage: exact_zero={rep['leakage_exact_zero']}  I = {rep['leakage_bits']:.3g} bits")
-    print(f"E[len | w]: {['%.6f' % v for v in rep['expected_len_per_w']]}")
+    print(f"E[len]: {rep['expected_len_max']:.6f}")
     print(f"bounds: lower {rep['lower_bound']:.6f} <= measured {rep['expected_len_max']:.6f} "
           f"<= cardinality {rep['upper_cardinality']}")
     print(f"entropy-route estimate: {rep['upper_entropy_estimate']} bits "
@@ -234,13 +234,14 @@ def cmd_audit(args) -> int:
     row, _chain, _books = pipeline.audit_demands(p, demands, args.mode, args.limit)
     print(f"transcript support: {row.transcript_support}")
     print(f"leakage: exact_zero={row.leakage_exact_zero}  I = {row.leakage_bits:.3g} bits")
-    print(f"E[len | w]: {['%.6f' % v for v in row.per_w]}  max {row.expected_len:.6f}")
+    print(f"E[len]: {row.expected_len:.6f}")
     _write_output(args, {
         "demands": list(demands),
         "transcript_support": row.transcript_support,
         "leakage_exact_zero": row.leakage_exact_zero,
         "leakage_bits": row.leakage_bits,
-        "expected_len_per_w": list(row.per_w),
+        # one entry per key value, each the one expected length they share
+        "expected_len_per_w": [row.expected_len] * p.variables[0].size,
     })
     return EXIT_OK if row.leakage_exact_zero else EXIT_INVARIANT
 
@@ -438,9 +439,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        # argparse's own errors exit with 2, EXIT_INVARIANT, so the limit is checked here
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help exits 0
+            raise
+        # argparse has printed its usage error; its exit code, 2, is EXIT_INVARIANT's
+        return EXIT_VALIDATION
+    try:
+        # checked here, not by argparse, to give the validation errors' message form
         if getattr(args, "limit", 1) < 1:
             raise ValidationError(f"--limit must be at least 1, got {args.limit}")
         return args.func(args)

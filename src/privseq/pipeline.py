@@ -10,11 +10,12 @@ private symbol, key) is built by full enumeration, so the zero-leakage audit
 is a rational product test, not a float comparison. The key is uniform, so
 that joint is |X| copies of the (u vector, private symbol) law, one per
 padded symbol; the enumeration keeps that law once, with each u vector's
-block of padded symbols, and the audit checks the blocks and tests and sums
-the law without writing the copies. The pad slot is a ceil(log2 |X|)-bit
-field, so all key values share one length sum, read from the stage books'
-code-length tables; no transcript is written. The transcripts and the whole
-(transcript, private symbol, key) joint are views, derived on every read.
+block of padded symbols, and the audit checks the blocks and tests the law
+without writing the copies, so a pass is zero leakage exactly. The pad
+slot is a ceil(log2 |X|)-bit field, so all key values share one length
+sum, read from the stage books' code-length tables; no transcript is
+written. The transcripts and the whole (transcript, private symbol, key)
+joint are views, derived on every read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .coding import (
 )
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError, check_index
 from .frl import MechanismChain, Row, _u_name, build_chain
-from .probability import Alphabet, JointDist, _entropy_bits, _plogp, _product_test
+from .probability import Alphabet, JointDist, _entropy_bits, _product_test
 
 
 @dataclass(frozen=True)
@@ -262,15 +263,15 @@ class TranscriptDistribution:
 
     `transcript_distribution` builds one. The key is uniform over `pad_size`
     values, and each key value sends a chain cell to one padded symbol, so
-    the (C, X) law is `pad_size` copies of the (U vector, X) law. `groups`
-    maps each u vector, in the order first met, to (x0, bits, masses): x0 is
-    the x of its first cell, and `pads[x0]` lists the padded symbols of its
-    block's copies by key value; bits is the auxiliaries' code length;
-    masses maps each x, ascending, to the numerator of P(U = u, X = x) over
-    `den`. Transcript g * pad_size + j of group g is (pads[x0][j], u), and
-    its cell with x has mass masses[x] / (den * pad_size). `x_mass[x]` is the
-    numerator of P(X = x) over `den`, and `length_sum / den` is E[len(C)],
-    the same under every key value.
+    the (C, X) law is `pad_size` copies of the (U vector, X) law, and
+    I(C; X) = I(U; X). `groups` maps each u vector, in the order first met,
+    to (x0, bits, masses): x0 is the x of its first cell, and `pads[x0]`
+    lists the padded symbols of its block's copies by key value; bits is
+    the auxiliaries' code length; masses maps each x, ascending, to the
+    numerator of P(U = u, X = x) over `den`. Transcript g * pad_size + j of
+    group g is (pads[x0][j], u), and its cell with x has mass masses[x] /
+    (den * pad_size). `x_mass[x]` is the numerator of P(X = x) over `den`,
+    and `length_sum / den` is E[len(C)], the same under every key value.
 
     The audits read only these fields. The (C, X, W) `joint` and the
     `transcripts`, written with the stage `books` and a fixed-width pad slot,
@@ -363,43 +364,39 @@ class LeakageReport:
 
 
 def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
-    """Exact test of transcript-vs-private independence, and I(C; X), on the factored law.
+    """Exact test of transcript-vs-private independence on the factored law.
 
     The pad check reads every stored block: its copies' padded symbols must
     be 0..pad_size-1 once each, so each key value gives its own transcript
     of the block, and each (c, x) cell of u's block has mass P(u, x) /
-    pad_size. A block that fails is not the law of a one-time pad, and
-    raises InvariantError. Given the check, C is independent of X exactly
-    when U is, so the verdict is `_product_test` on the (u vector, X) law,
-    one row of masses per u vector. I = H(C) + H(X) - H(C, X), clamped at
-    0: H(C) reads the test's P(U), H(X) `td.x_mass`. Each entropy adds its
-    terms to one float in the sorted order of the (C, X) table's cells, as
-    the test oracle `ref_leakage_audit` sums them over the written table:
-    one term per (u, x) cell, added once per copy, so the sum is the same
-    float without writing that table.
+    pad_size. A block that fails, or a group whose first x has no block, is
+    not the law of a one-time pad, and raises InvariantError. Given the
+    check, C = (X + W mod pad_size, U) with W uniform and independent of
+    (X, U), so I(C; X) = I(U; X), and the verdict is `_product_test` on the
+    (u vector, X) law. A pass reports I = 0.0, exactly. A fail reports
+    I(U; X) = H(U) + H(X) - H(U, X), clamped at 0, each entropy summed with
+    the u vectors ascending and the x ascending within each, the order of
+    the sorted (U, X) table.
     """
-    size, den, x_mass, pads = td.pad_size, td.den, td.x_mass, td.pads
+    size, den, pads = td.pad_size, td.den, td.pads
     every = set(range(size))
     for x0, block in pads.items():
         if len(block) != size or set(block) != every:
             raise InvariantError(f"the blocks of x={x0} pad to {block}, "
                                  f"not to each of 0..{size - 1} once")
-    exact, u_mass = _product_test(
-        {u_vec: masses for u_vec, (_, _, masses) in td.groups.items()}, den)
-    cx_den = den * size
-    copies = range(size)
-    h_c = h_cx = 0.0
-    for (x0, _, masses), n_u in zip(td.groups.values(), u_mass.values()):
+    rows = {}
+    for u_vec, (x0, _, masses) in td.groups.items():
         if x0 not in pads:
             raise InvariantError(f"no padded symbols for the blocks of x={x0}")
-        c_term = _plogp(n_u, cx_den)
-        cx_terms = [_plogp(n, cx_den) for n in masses.values()]
-        for _ in copies:
-            h_c += c_term
-            for term in cx_terms:
-                h_cx += term
-    bits = (0.0 - h_c) + _entropy_bits((m for m in x_mass if m), den) - (0.0 - h_cx)
-    return LeakageReport(exact_zero=exact, bits=max(0.0, bits))
+        rows[u_vec] = masses
+    exact, u_mass = _product_test(rows, den)
+    if exact:
+        return LeakageReport(exact_zero=True, bits=0.0)
+    order = sorted(rows)
+    bits = (_entropy_bits((u_mass[u_vec] for u_vec in order), den)
+            + _entropy_bits((m for m in td.x_mass if m), den)
+            - _entropy_bits((n for u_vec in order for n in rows[u_vec].values()), den))
+    return LeakageReport(exact_zero=False, bits=max(0.0, bits))
 
 
 @dataclass(frozen=True)
@@ -419,8 +416,7 @@ def expected_length(td: TranscriptDistribution) -> ExpectedLength:
 @dataclass(frozen=True)
 class SweepRow:
     demands: tuple[int, ...]
-    expected_len: float
-    per_w: tuple[float, ...]
+    expected_len: float  # the same under every key value
     lower: float
     upper_cardinality: int
     upper_entropy_estimate: int
@@ -445,7 +441,6 @@ def _audit_row(p: JointDist, demands: tuple[int, ...], chain: MechanismChain,
     return SweepRow(
         demands=demands,
         expected_len=el.max_over_w,
-        per_w=el.per_w,
         lower=bounds_mod.lower_bound(p, demands),
         upper_cardinality=bounds_mod.upper_bound_cardinality(
             chain.private_size, [p.variables[d].size for d in demands]),

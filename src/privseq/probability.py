@@ -45,22 +45,17 @@ class Alphabet:
         return range(self.size)
 
 
-def _plogp(n: int, den: int) -> float:
-    """p log2 p of the mass p = n/den, reduced by its gcd first."""
-    g = math.gcd(n, den)
-    n, d = n // g, den // g
-    return n / d * (math.log2(n) - math.log2(d))
-
-
 def _entropy_bits(nums: Iterable[int], den: int) -> float:
-    """-sum p log2 p in bits over the masses n/den, the `_plogp` terms
-    added left to right in the given order.
+    """-sum p log2 p in bits over the masses p = n/den, each reduced by its
+    gcd first, the p log2 p terms added left to right in the given order.
 
     It starts from 0.0, so a single cell of mass 1 reads +0.0, not -0.0.
     """
     h = 0.0
     for n in nums:
-        h += _plogp(n, den)
+        g = math.gcd(n, den)
+        n, d = n // g, den // g
+        h += n / d * (math.log2(n) - math.log2(d))
     return 0.0 - h
 
 

@@ -8,10 +8,12 @@ explicit-joint audit (`explicit_leakage_audit`, `explicit_expected_length`)
 walks a whole (C, X, W) joint; `ref_transcript_distribution` writes a
 chain's whole (C, X) table, every key value's copy cell by cell, and
 `ref_leakage_audit` tests that table with the Fraction `ref_is_independent`,
-sharing no code with `_product_test`, and sums it. The oracle's pad slot is
-written with a `fixed_length_codebook(|X|)`, a book the library never
-builds. The library's audit, which reads only the factored (u vector, X) law, its pad
-blocks and one length sum, must agree with both to the bit.
+sharing no code with `_product_test`. The oracle's pad slot is written with
+a `fixed_length_codebook(|X|)`, a book the library never builds. The
+library's audit, which reads only the factored (u vector, X) law, its pad
+blocks and one length sum, must give both oracles' verdicts and lengths to
+the bit; its leakage is 0.0 on a pass and, on a fail, the I(U; X) that
+`mutual_information` gives from the chain.
 `ref_stage_mechanisms` rebuilds every stage of a chain the way stages were
 once built: as a pair over an index of the sorted compound states, passed
 to `frl_construct`. `ref_placement`,
@@ -589,17 +591,8 @@ def ref_transcript_distribution(chain, books):
 
 def ref_leakage_audit(law):
     """The Fraction independence test `ref_is_independent` on the whole
-    (C, X) table, so the verdict shares no code with `_product_test`, and
-    I(C; X) with each entropy summed over its sorted cells."""
-    cx, den = law.cx._ints()
-    pc, px = {}, {}
-    for (c, x), n in cx.items():
-        pc[c] = pc.get(c, 0) + n
-        px[x] = px.get(x, 0) + n
-    exact = ref_is_independent(law.cx.variables, law.cx.table, ["C"], ["X"])
-    bits = (_entropy_bits(pc.values(), den) + _entropy_bits((px[x] for x in sorted(px)), den)
-            - _entropy_bits(cx.values(), den))
-    return LeakageReport(exact_zero=exact, bits=max(0.0, bits))
+    (C, X) table, so the verdict shares no code with `_product_test`."""
+    return ref_is_independent(law.cx.variables, law.cx.table, ["C"], ["X"])
 
 
 def plaintext_baseline(p, demand):

@@ -230,7 +230,7 @@ class TestRatio:
 class TestSandwich:
     @staticmethod
     def row(lower, measured, upper):
-        return SweepRow(demands=(1,), expected_len=measured, per_w=(measured,), lower=lower,
+        return SweepRow(demands=(1,), expected_len=measured, lower=lower,
                         upper_cardinality=upper, upper_entropy_estimate=3,
                         leakage_exact_zero=True, leakage_bits=0.0, u_sizes=(2,),
                         transcript_support=4)

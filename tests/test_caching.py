@@ -437,7 +437,7 @@ class TestAudits:
         assert_view_length_is_the_explicit_walk(view, joint, lengths)
         leak, ref = leakage_audit(view), explicit_leakage_audit(joint)
         assert leak.exact_zero == ref.exact_zero
-        assert leak.bits.hex() == ref.bits.hex()
+        assert ref.exact_zero and leak.bits == 0.0
 
     def test_benchmark_cache_view_length(self):
         # the deliver benchmark's cache session at seed 0: prior 8/13, demands (3, 1, 2, 4);

@@ -369,11 +369,17 @@ class TestAudit:
         assert data["leakage_exact_zero"] is True
 
     def test_seed_is_unknown(self, capsys):
-        # an audit draws nothing, so it takes no seed: argparse rejects it
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", "--p", "1/2", "--n", "2", "--f", "1", "--demands", "2,1", "--seed", "5"])
-        assert exc.value.code == 2
+        # an audit draws nothing, so it takes no seed: argparse rejects it, a
+        # usage error, which exits as a validation error and not as a leak
+        assert main(["audit", "--p", "1/2", "--n", "2", "--f", "1", "--demands", "2,1",
+                     "--seed", "5"]) == 1
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--help"])
+        assert exc.value.code == 0
+        assert "--demands" in capsys.readouterr().out
 
 
 class TestLimitBeforeAlphabetWork:

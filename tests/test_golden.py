@@ -58,3 +58,11 @@ def test_report_bytes(name, tmp_path, capsys):
 def test_no_one_atom_stage():
     report = json.loads((GOLDEN / "run-fixed.json").read_text(encoding="utf-8"))
     assert min(report["u_sizes"]) > 1
+
+
+@pytest.mark.parametrize("golden", ["audit.json", "run-fixed.json", "run-entropy.json",
+                                    "cache-demo.json"])
+def test_a_proved_zero_leakage_reads_zero_bits(golden):
+    report = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
+    if report["leakage_exact_zero"]:
+        assert report["leakage_bits"] == 0.0

@@ -409,7 +409,8 @@ def no_joint_built():
 class TestKeptMarginal:
     """`transcript_distribution` keeps the factored (u vector, X) law and the
     per-key length sums, and derives (C, X, W) from them; the explicit-joint
-    audit sums both from (C, X, W). The two must agree to the bit."""
+    audit sums both from (C, X, W). The two must agree: the same verdict,
+    0.0 bits on the pass, and the same lengths to the bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
@@ -426,7 +427,7 @@ class TestKeptMarginal:
         leak_ref = explicit_leakage_audit(joint)
         el_ref = explicit_expected_length(joint, [total_length(t) for t in td.transcripts])
         assert leak.exact_zero == leak_ref.exact_zero
-        assert leak.bits.hex() == leak_ref.bits.hex()
+        assert leak_ref.exact_zero and leak.bits == 0.0
         assert [v.hex() for v in el.per_w] == [v.hex() for v in el_ref.per_w]
         assert el.max_over_w.hex() == el_ref.max_over_w.hex()
         # the derived joint is a valid one: sums to 1, reduced, in sorted cell order
@@ -448,9 +449,15 @@ def leaky_chain(chain, index=0):
                           chain.stages)
 
 
+def chain_leakage(chain, exact_zero):
+    """The leakage a chain's audit reports: 0.0 on a pass, else I(U; X) of its joint."""
+    return 0.0 if exact_zero else mutual_information(chain.joint, chain.u_names, ["X"])
+
+
 class TestFactoredLaw:
     """The factored enumeration and audit against the oracle that writes
-    every (C, X) cell: the same transcripts, law, verdict and floats."""
+    every (C, X) cell: the same transcripts, law, verdict and lengths, and
+    the leakage 0.0 on a pass and I(U; X) of the chain on a fail."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
@@ -464,10 +471,10 @@ class TestFactoredLaw:
             chain = leaky_chain(chain, rng.randrange(len(chain.joint)))
         books = session_codebooks(chain, mode)
         td, ref = transcript_distribution(chain, books), ref_transcript_distribution(chain, books)
-        leak, leak_ref = leakage_audit(td), ref_leakage_audit(ref)
-        assert leak.exact_zero == leak_ref.exact_zero
+        leak = leakage_audit(td)
+        assert leak.exact_zero == ref_leakage_audit(ref)
         assert leak.exact_zero or x_size > 1 and leaky
-        assert leak.bits.hex() == leak_ref.bits.hex()
+        assert leak.bits.hex() == chain_leakage(chain, leak.exact_zero).hex()
         assert expected_length(td).per_w == tuple(t / m for t, m in ref.w_sums)
         assert td.support == len(ref.lengths)
         transcripts, joint = td.transcripts, td.joint
@@ -513,11 +520,17 @@ def cxw_joints(draw):
     return JointDist([Alphabet(n, size) for n, size in zip(names, sizes)], table)
 
 
-def assert_audit_matches_reference(td, joint):
-    """The product audit of `td` against the explicit-joint audit of `joint`."""
+def assert_audit_matches_reference(td, joint, chain=None):
+    """The product audit of `td` against the explicit-joint audit of `joint`:
+    the same verdict, and 0.0 bits on a pass. On a fail the bits are I(U; X)
+    of `chain`, when given; else the explicit I(C; X), which is I(U; X) for
+    the one-key laws of `explicit_distribution`, where C is U."""
     leak, ref = leakage_audit(td), explicit_leakage_audit(joint)
     assert leak.exact_zero == ref.exact_zero
-    assert leak.bits.hex() == ref.bits.hex()
+    if chain is not None:
+        assert leak.bits.hex() == chain_leakage(chain, ref.exact_zero).hex()
+    else:
+        assert leak.bits.hex() == (0.0 if ref.exact_zero else ref.bits).hex()
     return leak
 
 
@@ -556,11 +569,10 @@ class TestLeakage:
         books = session_codebooks(chain, mode)
         clean = transcript_distribution(chain, books)
         assert assert_audit_matches_reference(clean, clean.joint).exact_zero
-        td = transcript_distribution(leaky_chain(chain), books)
-        joint = td.joint
-        leak = assert_audit_matches_reference(td, joint)
+        leaky = leaky_chain(chain)
+        td = transcript_distribution(leaky, books)
+        leak = assert_audit_matches_reference(td, td.joint, leaky)
         assert not leak.exact_zero and leak.bits > 0
-        assert leak.bits.hex() == mutual_information(joint, ["C"], ["X"]).hex()
 
     def test_plaintext_baseline_leaks(self):
         p = masked_bits("1/2", 1, 1, 1)
@@ -754,8 +766,7 @@ def sweep_databases(draw):
 
 def row_fields(row):
     """Every field of a sweep row, its floats as hex so that 0.0 and -0.0 differ."""
-    return {name: (value.hex() if isinstance(value, float)
-                   else tuple(v.hex() for v in value) if name == "per_w" else value)
+    return {name: value.hex() if isinstance(value, float) else value
             for name, value in asdict(row).items()}
 
 
