@@ -15,6 +15,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from . import bounds as bounds_mod
 from . import caching, coding, frl, pipeline
@@ -256,40 +257,56 @@ def cmd_bounds_sweep(args) -> int:
     if any(r and r[0] < 1 for r in k_ranges + f_ranges):
         raise ValidationError("need k >= 1 and f >= 1")
     prior = _parse_prior(args.p)  # checked before the first row, measured or not
+    # every row forms 2^f and a stage-1 cap of f + 1 bits; before the first row, those caps
+    # must fit the limit together, up to the first row that stops on a cap of its own (its
+    # stage-k cap has over f * 2^(k-1) bits) after printing the rows before it
+    need = 0
+    for k, f in _sweep_rows(k_ranges, f_ranges):
+        if k > args.limit.bit_length() or f << (k - 1) >= args.limit:
+            break
+        need += f + 1
+        if need > args.limit:
+            raise LimitError(f"the rows' stage-1 cardinality caps need more than the limit of "
+                             f"{args.limit} bits together")
     rows = []
-    for k in itertools.chain.from_iterable(k_ranges):
-        for f in itertools.chain.from_iterable(f_ranges):
-            if f >= args.limit:  # the stage-1 cap, 2 * (2^f - 1) + 1, has f + 1 bits
-                raise bounds_mod.cap_limit_error(1, args.limit)
-            upper = bounds_mod.upper_bound_cardinality(2, itertools.repeat(2 ** f, k), args.limit)
-            ratio = upper / (k * f)  # the cardinality bound over the k*f converse
-            row = {
-                "n": k, "k": k, "f": f,
-                "demands": " ".join(str(i) for i in range(1, k + 1)),
-                "lower": float(k * f),
-                "upper_cardinality": upper,
-                "upper_entropy_estimate": "",
-                "measured": "",
-                "ratio": ratio,
-            }
-            # the audit enumerates 2^(k*f + 1) weighted states: skip larger rows, unbuilt and unformed
-            if args.measure and k * f + 1 < args.limit.bit_length():
-                params = bounds_mod.Example1Params(prior, k, k, f)
-                p = bounds_mod.example1_build(params, args.limit)
-                try:
-                    audit, _chain, _books = pipeline.audit_demands(
-                        p, range(1, k + 1), args.mode, args.limit)
-                except LimitError:
-                    pass  # measured only where feasible: the row keeps its closed forms
-                else:
-                    row["lower"] = audit.lower
-                    row["measured"] = audit.expected_len
-                    row["upper_entropy_estimate"] = audit.upper_entropy_estimate
-            rows.append(row)
-            print(f"k={k} f={f}: upper={row['upper_cardinality']} ratio={ratio:.6f}"
-                  + (f" measured={row['measured']}" if row["measured"] != "" else ""))
+    for k, f in _sweep_rows(k_ranges, f_ranges):
+        if f >= args.limit:  # the stage-1 cap has f + 1 bits
+            raise bounds_mod.cap_limit_error(1, args.limit)
+        upper = bounds_mod.upper_bound_cardinality(2, itertools.repeat(1 << f, k), args.limit)
+        ratio = upper / (k * f)  # the cardinality bound over the k*f converse
+        row = {
+            "n": k, "k": k, "f": f,
+            "demands": " ".join(str(i) for i in range(1, k + 1)),
+            "lower": float(k * f),
+            "upper_cardinality": upper,
+            "upper_entropy_estimate": "",
+            "measured": "",
+            "ratio": ratio,
+        }
+        # the audit enumerates 2^(k*f + 1) weighted states: skip larger rows, unbuilt and unformed
+        if args.measure and k * f + 1 < args.limit.bit_length():
+            params = bounds_mod.Example1Params(prior, k, k, f)
+            p = bounds_mod.example1_build(params, args.limit)
+            try:
+                audit, _chain, _books = pipeline.audit_demands(
+                    p, range(1, k + 1), args.mode, args.limit)
+            except LimitError:
+                pass  # measured only where feasible: the row keeps its closed forms
+            else:
+                row["lower"] = audit.lower
+                row["measured"] = audit.expected_len
+                row["upper_entropy_estimate"] = audit.upper_entropy_estimate
+        rows.append(row)
+        print(f"k={k} f={f}: upper={row['upper_cardinality']} ratio={ratio:.6f}"
+              + (f" measured={row['measured']}" if row["measured"] != "" else ""))
     _write_output(args, {"rows": rows}, rows, fieldnames=SWEEP_COLUMNS)
     return EXIT_OK
+
+
+def _sweep_rows(k_ranges: list[range], f_ranges: list[range]) -> Iterator[tuple[int, int]]:
+    """The (k, f) of each sweep row in table order, read one value at a time."""
+    flat = itertools.chain.from_iterable
+    return ((k, f) for k in flat(k_ranges) for f in flat(f_ranges))
 
 
 def _parse_range(text: str) -> list[range]:

@@ -31,6 +31,7 @@ import bisect
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -209,33 +210,22 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
     would pass `limit` (given state, U) cells, and before the product table
     is built if it would.
 
-    Each parent cell is read once, as one flat key (given state..., target);
-    the masses, the cell counts and the product walk all use those keys. A
+    Each parent cell is read once, as one key (given state, target); the
+    masses, the cell counts and the product walk all use those keys. A
     parent cell of key (s, y) writes exactly row (s, y)'s atoms, so whether
     the target is a function of (s, U) is read off the rows: it is unless
     an atom lies in two rows of one state.
     """
-    key_of = itemgetter(*given_axes, target_axis)
-    # a flat key (x, y) is already (given state, target); a longer one splits
-    split = (lambda key: key) if len(given_axes) == 1 else (lambda key: (key[:-1], key[-1]))
     num, den = parent._ints()
-    keys = list(map(key_of, num))
-    # one walk of the keys: the mass of each positive (given state, target)
-    # and the number of parent cells behind it
+    keys = list(zip(map(itemgetter(*given_axes), num), map(itemgetter(target_axis), num)))
+    # the mass of each positive (given state, target), in the order first met
     mass: dict[tuple, int] = {}
-    count: dict[tuple, int] = {}
     for key, n in zip(keys, num.values()):
-        if key in mass:
-            mass[key] += n
-            count[key] += 1
-        else:
-            mass[key] = n
-            count[key] = 1
+        mass[key] = mass.get(key, 0) + n
     # reduced by their gcd, so the atom boundaries are those of the
-    # (given state, target) pair distribution; sorting the flat keys sorts
-    # the (given state, target) pairs
+    # (given state, target) pair distribution
     g = math.gcd(*mass.values())
-    pair_mass = {split(key): mass[key] // g for key in sorted(mass)}
+    pair_mass = {key: mass[key] // g for key in sorted(mass)}
     supports, px, scale = _masses(pair_mass)
 
     orders: Mapping[Hashable, Sequence[int]] = supports
@@ -268,9 +258,10 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
     # one conditional row per positive (given state, target): atom widths over
     # the segment length, reduced by their gcd; a row summing to 1 keeps the
     # marginal of every parent variable unchanged
+    count = Counter(keys)  # the parent cells behind each positive (given state, target)
     rows: dict[tuple, tuple[Hashable, range, list[int], int]] = {}
     for key in count:
-        state, y = split(key)
+        state, y = key
         span, widths, length = mech.row(state, y)
         total = sum(widths)
         if total != length or min(widths) <= 0:
@@ -296,7 +287,7 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
         forked = forked or not row.keys().isdisjoint(span)
         row.update(dict.fromkeys(span, 0))
         scaled[key] = [(u, row, w * factor) for u, w in zip(span, widths)]
-    del rows  # its widths, one per row atom, are freed before the product table is written
+    del rows, count  # its widths, one per row atom, are freed before the product table is written
     # the product table, each written mass added to its (given state, U) cell
     table: dict[Cell, int] = {}
     for (cell, n), key in zip(num.items(), keys):
@@ -305,12 +296,11 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
             table[cell + (u,)] = mass_u
             row[u] += mass_u
     del keys, scaled
-    _check_stage(head, den * stage_den, forked, [parent.variables[a].name for a in given_axes],
-                 u_alpha, y_alpha)
+    _check_stage(head, forked, [parent.variables[a].name for a in given_axes], u_alpha, y_alpha)
     return mech, JointDist._exact(parent.variables + (u_alpha,), table, den * stage_den)
 
 
-def _check_stage(head: Mapping[Hashable, Mapping[int, int]], den: int, forked: bool,
+def _check_stage(head: Mapping[Hashable, Mapping[int, int]], forked: bool,
                  given: Sequence[str], u_alpha: Alphabet, y_alpha: Alphabet) -> None:
     """The checks of stage U_k given (X, U_1..U_{k-1}), exactly and in this order:
     the target is a function of (given, U_k), that is, not `forked` (no
@@ -318,10 +308,11 @@ def _check_stage(head: Mapping[Hashable, Mapping[int, int]], den: int, forked: b
     given states; U_1..U_k is independent of X; and
     |U_k| <= (positive given states) * (|target| - 1) + 1.
 
-    `head` is the (given state, U_k) marginal over `den`, one row per given
-    state, `head[state][u]`: the state is x alone or a tuple in `given`
-    order. Scaling the masses and `den` by one factor changes no verdict.
-    Both independence checks are `_product_test`.
+    `head` is the (given state, U_k) marginal, one row per given state,
+    `head[state][u]`, as numerators over a denominator it need not name: the
+    state is x alone or a tuple in `given` order. Both independence checks
+    are `_product_test`, which compares ratios of masses, so scaling every
+    mass by one factor changes no verdict.
 
     The third check runs on the state marginal P(x, u_<k) that the second
     returns, regrouped by x, not on `head`. Once U_k is independent of the
@@ -335,14 +326,14 @@ def _check_stage(head: Mapping[Hashable, Mapping[int, int]], den: int, forked: b
     u_name, target = u_alpha.name, y_alpha.name
     if forked:
         raise InvariantError(f"{target} not a function of ({', '.join([*given, u_name])})")
-    independent, states = _product_test(head, den)
+    independent, states = _product_test(head)
     if not independent:
         raise InvariantError(f"{u_name} not exactly independent of ({', '.join(given)})")
     if len(given) > 1:
         by_x: dict[int, dict[tuple[int, ...], int]] = {}
         for state, n in states.items():
             by_x.setdefault(state[0], {})[state[1:]] = n
-        if not _product_test(by_x, den)[0]:
+        if not _product_test(by_x)[0]:
             raise InvariantError(f"{', '.join([*given[1:], u_name])} not exactly independent of {given[0]}")
     cap = cardinality_bound(len(states), y_alpha.size)
     if u_alpha.size > cap:
@@ -364,20 +355,22 @@ def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, 
     only on an ordering's cut set, so each ordering is scored from that set
     and no mechanism is built; `frl_construct` with the returned policy
     builds and verifies the winner, whose `entropy()` equals the returned H.
-    A budget below 1 is a ValidationError.
+    A budget below 1 is a ValidationError; more orderings than the budget,
+    or than DEFAULT_STATE_LIMIT whatever the budget, raise LimitError before
+    any is scored, counted only until they pass it.
     """
     if budget < 1:
         raise ValidationError(f"ordering-search budget must be at least 1, got {budget}")
+    cap = min(budget, DEFAULT_STATE_LIMIT)
+    bound = f"budget {budget}" if budget == cap else f"the limit {cap}"
     num, _ = pxy._ints()
     supports, px, scale = _masses(num)
     xs = sorted(supports)
     count = 1
-    for x in xs:
-        count *= math.factorial(len(supports[x]))
-        if count > budget:
-            raise LimitError(
-                f"{count}+ orderings exceed budget {budget}; use the canonical ordering surrogate"
-            )
+    for factor in itertools.chain.from_iterable(range(2, len(supports[x]) + 1) for x in xs):
+        count *= factor  # the product of the supports' factorials, stopped past the cap
+        if count > cap:
+            raise LimitError(f"{count}+ orderings exceed {bound}; use the canonical ordering surrogate")
     best_policy = None
     best_h = math.inf
     for combo in itertools.product(*(itertools.permutations(sorted(supports[x])) for x in xs)):

@@ -9,13 +9,13 @@ Distribution-level objects never sample: the exact joint of (transcript,
 private symbol, key) is built by full enumeration, so the zero-leakage audit
 is a rational product test, not a float comparison. The key is uniform, so
 that joint is |X| copies of the (u vector, private symbol) law, one per
-padded symbol; the enumeration keeps that law once, with each u vector's
-block of padded symbols, and the audit checks the blocks and tests the law
-without writing the copies, so a pass is zero leakage exactly. The pad
-slot is a ceil(log2 |X|)-bit field, so all key values share one length
-sum, read from the stage books' code-length tables; no transcript is
-written. The transcripts and the whole (transcript, private symbol, key)
-joint are views, derived on every read.
+padded symbol, as in Shannon's one-time pad: the enumeration keeps that law
+once, grouped by u vector, and transcript j of a group pads its first x by
+j, by definition. The audit tests the law without writing the copies, so a
+pass is zero leakage exactly. The pad slot is a ceil(log2 |X|)-bit field,
+so all key values share one length sum, read from the stage books'
+code-length tables; no transcript is written. The transcripts and the whole
+(transcript, private symbol, key) joint are views, derived on every read.
 """
 
 from __future__ import annotations
@@ -265,13 +265,14 @@ class TranscriptDistribution:
     values, and each key value sends a chain cell to one padded symbol, so
     the (C, X) law is `pad_size` copies of the (U vector, X) law, and
     I(C; X) = I(U; X). `groups` maps each u vector, in the order first met,
-    to (x0, bits, masses): x0 is the x of its first cell, and `pads[x0]`
-    lists the padded symbols of its block's copies by key value; bits is
-    the auxiliaries' code length; masses maps each x, ascending, to the
+    to (x0, bits, masses): x0 is the x of its first cell, bits is the
+    auxiliaries' code length, and masses maps each x, ascending, to the
     numerator of P(U = u, X = x) over `den`. Transcript g * pad_size + j of
-    group g is (pads[x0][j], u), and its cell with x has mass masses[x] /
-    (den * pad_size). `x_mass[x]` is the numerator of P(X = x) over `den`,
-    and `length_sum / den` is E[len(C)], the same under every key value.
+    group g is ((x0 + j) mod pad_size, u) by definition, the rotation that
+    the one-time pad makes of a block, and its cell with x has mass
+    masses[x] / (den * pad_size). `x_mass[x]` is the numerator of P(X = x)
+    over `den`, and `length_sum / den` is E[len(C)], the same under every
+    key value.
 
     The audits read only these fields. The (C, X, W) `joint` and the
     `transcripts`, written with the stage `books` and a fixed-width pad slot,
@@ -281,7 +282,6 @@ class TranscriptDistribution:
     books: Books = field(repr=False)
     pad_size: int
     groups: dict[tuple[int, ...], Group] = field(repr=False)
-    pads: dict[int, tuple[int, ...]] = field(repr=False)  # x0 -> padded symbol by key value
     den: int
     x_mass: tuple[int, ...] = field(repr=False)
     length_sum: int  # sum of mass * length over the cells under one key value, over den
@@ -293,13 +293,14 @@ class TranscriptDistribution:
 
     @property
     def joint(self) -> JointDist:
-        """The (C, X, W) joint in sorted cell order: the copy padding x0 with
-        key value j pads x with w = padded x - x mod pad_size."""
-        size, pads = self.pad_size, self.pads
+        """The (C, X, W) joint in sorted cell order: copy j of a group pads
+        its first x to x0 + j mod pad_size, and its cell with x has the key
+        value w = x0 + j - x mod pad_size."""
+        size = self.pad_size
         cells = {}
         c = 0
         for x0, _, masses in self.groups.values():
-            for xt in pads[x0]:
+            for xt in range(x0, x0 + size):
                 for x, n in masses.items():
                     cells[c, x, (xt - x) % size] = n
                 c += 1
@@ -310,8 +311,9 @@ class TranscriptDistribution:
     @property
     def transcripts(self) -> tuple[Transcript, ...]:
         """Transcript c, written with `books` from its padded x and u vector."""
-        return tuple(_write_slots(self.books, self.pad_size, xt, u_vec)
-                     for u_vec, (x0, _, _) in self.groups.items() for xt in self.pads[x0])
+        size = self.pad_size
+        return tuple(_write_slots(self.books, size, xt % size, u_vec)
+                     for u_vec, (x0, _, _) in self.groups.items() for xt in range(x0, x0 + size))
 
 
 def transcript_distribution(chain: MechanismChain, books: Books,
@@ -325,8 +327,8 @@ def transcript_distribution(chain: MechanismChain, books: Books,
     x + w mod |X|, each with 1/|X| of its mass, so the walk keeps only the
     (u vector, x) masses, grouped by u vector in the order first met over the
     chain joint's sorted cells; X is its first variable, so each group meets
-    its x in ascending order. A u vector's block of transcript indices takes
-    the padded symbols of its first x in key order. The length sum adds the
+    its x in ascending order. A u vector's block of transcript indices pads
+    its first x by each key value in turn. The length sum adds the
     books' code lengths and the pad slot's ceil(log2 |X|) bits, by mass. A
     chain with no stages (a fully cached delivery) gives the pad slot alone.
     """
@@ -351,10 +353,9 @@ def transcript_distribution(chain: MechanismChain, books: Books,
             masses[x] = masses.get(x, 0) + n
         x_mass[x] += n
 
-    pads = {x: (*range(x, x_size), *range(x)) for x, m in enumerate(x_mass) if m}
     u_bits_mass = sum(bits * sum(masses.values()) for _, bits, masses in groups.values())
     length_sum = u_bits_mass + fixed_width(x_size) * den
-    return TranscriptDistribution(books, x_size, groups, pads, den, tuple(x_mass), length_sum)
+    return TranscriptDistribution(books, x_size, groups, den, tuple(x_mass), length_sum)
 
 
 @dataclass(frozen=True)
@@ -366,30 +367,19 @@ class LeakageReport:
 def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
     """Exact test of transcript-vs-private independence on the factored law.
 
-    The pad check reads every stored block: its copies' padded symbols must
-    be 0..pad_size-1 once each, so each key value gives its own transcript
-    of the block, and each (c, x) cell of u's block has mass P(u, x) /
-    pad_size. A block that fails, or a group whose first x has no block, is
-    not the law of a one-time pad, and raises InvariantError. Given the
-    check, C = (X + W mod pad_size, U) with W uniform and independent of
-    (X, U), so I(C; X) = I(U; X), and the verdict is `_product_test` on the
-    (u vector, X) law. A pass reports I = 0.0, exactly. A fail reports
-    I(U; X) = H(U) + H(X) - H(U, X), clamped at 0, each entropy summed with
-    the u vectors ascending and the x ascending within each, the order of
-    the sorted (U, X) table.
+    Transcript j of a u vector's block pads its first x by j, so each key
+    value gives its own transcript of the block, and each (c, x) cell of
+    u's block has mass P(u, x) / pad_size: C = (X + W mod pad_size, U) with
+    W uniform and independent of (X, U), Shannon's one-time pad, so
+    I(C; X) = I(U; X), and the verdict is `_product_test` on the (u vector,
+    X) law. A pass reports I = 0.0, exactly. A fail reports I(U; X) =
+    H(U) + H(X) - H(U, X), clamped at 0, each entropy summed with the u
+    vectors ascending and the x ascending within each, the order of the
+    sorted (U, X) table.
     """
-    size, den, pads = td.pad_size, td.den, td.pads
-    every = set(range(size))
-    for x0, block in pads.items():
-        if len(block) != size or set(block) != every:
-            raise InvariantError(f"the blocks of x={x0} pad to {block}, "
-                                 f"not to each of 0..{size - 1} once")
-    rows = {}
-    for u_vec, (x0, _, masses) in td.groups.items():
-        if x0 not in pads:
-            raise InvariantError(f"no padded symbols for the blocks of x={x0}")
-        rows[u_vec] = masses
-    exact, u_mass = _product_test(rows, den)
+    den = td.den
+    rows = {u_vec: masses for u_vec, (_, _, masses) in td.groups.items()}
+    exact, u_mass = _product_test(rows)
     if exact:
         return LeakageReport(exact_zero=True, bits=0.0)
     order = sorted(rows)

@@ -59,29 +59,27 @@ def _entropy_bits(nums: Iterable[int], den: int) -> float:
     return 0.0 - h
 
 
-def _product_test(rows: Mapping[Hashable, Mapping[Hashable, int]], den: int
+def _product_test(rows: Mapping[Hashable, Mapping[Hashable, int]]
                   ) -> tuple[bool, dict[Hashable, int]]:
     """Exact test that a joint over (A, B) is the product of its marginals:
     P(a,b) == P(a)P(b) on every pair, an absent pair failing it. The joint
-    comes grouped by A: `rows[a][b]` is the numerator of P(a, b) over `den`
-    on the positive pairs. Every independence verdict is this test: both
-    checks of each chain stage, and the leakage audit.
+    comes grouped by A: `rows[a][b]` is P(a, b) on the positive pairs, as
+    numerators over any one denominator. Every independence verdict is this
+    test: both checks of each chain stage, and the leakage audit.
 
-    Returns the verdict and the numerators of P(A) over `den`, in the order
-    of `rows`.
+    It is a product exactly when every row is the first row a0 scaled:
+    every row has a0's support and n_ab * n_a0 == n_a0b * n_a on it, so
+    P(b | a) == P(b | a0) for every a, which is then P(b). Ratios need no
+    denominator, and no P(B) table is formed.
+
+    Returns the verdict and the row sums, the numerators of P(A), in the
+    order of `rows`.
     """
     pa = {a: sum(row.values()) for a, row in rows.items()}
-    pb: dict[Hashable, int] = {}
-    for row in rows.values():
-        for b, n in row.items():
-            pb[b] = pb.get(b, 0) + n
-    # a pair of positive marginal cells with no joint cell would fail the
-    # product test below anyway; counting the cells finds it sooner
-    if sum(map(len, rows.values())) != len(pa) * len(pb):
-        return False, pa
-    # n_ab/den == (n_a/den)(n_b/den) on every pair
-    return all(n * den == n_a * pb[b] for row, n_a in zip(rows.values(), pa.values())
-               for b, n in row.items()), pa
+    first, n_first = next(iter(rows.values()), {}), next(iter(pa.values()), 0)
+    return all(row.keys() == first.keys()
+               and all(n * n_first == first[b] * n_a for b, n in row.items())
+               for row, n_a in zip(rows.values(), pa.values())), pa
 
 
 def _projector(axes: Sequence[int]) -> Callable[[Cell], Cell]:

@@ -10,8 +10,8 @@ chain's whole (C, X) table, every key value's copy cell by cell, and
 `ref_leakage_audit` tests that table with the Fraction `ref_is_independent`,
 sharing no code with `_product_test`. The oracle's pad slot is written with
 a `fixed_length_codebook(|X|)`, a book the library never builds. The
-library's audit, which reads only the factored (u vector, X) law, its pad
-blocks and one length sum, must give both oracles' verdicts and lengths to
+library's audit, which reads only the factored (u vector, X) law and one
+length sum, must give both oracles' verdicts and lengths to
 the bit; its leakage is 0.0 on a pass and, on a fail, the I(U; X) that
 `mutual_information` gives from the chain.
 `ref_stage_mechanisms` rebuilds every stage of a chain the way stages were
@@ -88,12 +88,12 @@ def is_independent(d, a, b):
         raise ValidationError("variable sets must be disjoint")
     if not a or not b:
         return True
-    joint, den = d.marginalize(a + b)._ints()
+    joint, _ = d.marginalize(a + b)._ints()
     na = len(a)
     rows = {}
     for cell, n in joint.items():
         rows.setdefault(cell[:na], {})[cell[na:]] = n
-    return _product_test(rows, den)[0]
+    return _product_test(rows)[0]
 
 
 def condition(d, name, symbol):
@@ -519,7 +519,7 @@ def explicit_expected_length(joint, lengths):
 def explicit_distribution(joint, lengths):
     """A `TranscriptDistribution` that states an arbitrary (C, X, W) joint to
     the audits: one group of one copy per positive value of C, in order,
-    with its (C, X) row as masses and a one-symbol pad, and the length sum
+    with its (C, X) row as masses and a one-symbol key, and the length sum
     over the whole joint. It has no books and numbers C by rank, so only
     `leakage_audit` and `expected_length` read it, and its one expected
     length is the joint's only when W has one value."""
@@ -529,8 +529,7 @@ def explicit_distribution(joint, lengths):
     for (c, x), n in num.items():
         groups.setdefault((c,), (x, lengths[c], {}))[2][x] = n
         x_mass[x] += n
-    return TranscriptDistribution(None, 1, groups, {x0: (0,) for x0, _, _ in groups.values()},
-                                  den, tuple(x_mass),
+    return TranscriptDistribution(None, 1, groups, den, tuple(x_mass),
                                   sum(n * lengths[c] for (c, _), n in num.items()))
 
 

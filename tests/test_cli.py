@@ -105,6 +105,16 @@ class TestFrlBuild:
         assert main(["frl", "build", "--spec", spec_path(DESIGNED), "--optimize", "-1"]) == 1
         assert "ordering-search budget must be at least 1, got -1" in capsys.readouterr().err
 
+    def test_optimize_past_the_state_limit_exits_3_at_once(self, spec_path, capsys):
+        # a 2x8 uniform pair has 8!^2 orderings, within the budget but past the state limit
+        cells = "".join(f"p {x} {y} 1/16\n" for x in range(2) for y in range(8))
+        spec = spec_path("var X 2\nvar Y 8\n" + cells)
+        start = time.perf_counter()
+        assert main(["frl", "build", "--spec", spec, "--optimize", "2000000000"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", "resource limit: 29030400+ orderings exceed the limit "
+                                           "10000000; use the canonical ordering surrogate\n")
+
 
 class TestPipelineRun:
     def test_builtin_family(self, capsys):
@@ -328,6 +338,16 @@ class TestBoundsSweep:
         assert peak < 1 << 20
         assert capsys.readouterr() == ("", "resource limit: the stage 1 cardinality cap needs more "
                                            "than the limit of 10000000 bits\n")
+
+    def test_rows_bounded_before_the_first(self, capsys):
+        # each row's caps fit the limit, but their stage-1 caps (f + 1 bits each)
+        # pass it together near f = 4,470: no row is printed or kept
+        start = time.perf_counter()
+        assert main(["bounds", "sweep", "--k-range", "1", "--f-range", "1..9999999"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", "resource limit: the rows' stage-1 cardinality caps need "
+                                           "more than the limit of 10000000 bits together\n")
+        assert main(["bounds", "sweep", "--k-range", "1", "--f-range", "1..4000"]) == 0
 
     def test_small_limit_stops_an_early_row(self, capsys):
         assert main(["bounds", "sweep", "--k-range", "1..10", "--f-range", "1",

@@ -245,6 +245,18 @@ class TestMinEntropySearch:
         with pytest.raises(ValidationError, match="at least 1"):
             min_entropy_search(d, budget=0)
 
+    @pytest.mark.parametrize("x_size, y_size, budget, err", [
+        # 8!^2 orderings are within the budget, but not the state limit
+        (2, 8, 2_000_000_000, "29030400+ orderings exceed the limit 10000000"),
+        # 5000! has more digits than an int may print: the count stops past the budget
+        (1, 5000, 5, "6+ orderings exceed budget 5"),
+    ])
+    def test_orderings_counted_until_past_the_cap(self, x_size, y_size, budget, err):
+        d = JointDist([Alphabet("X", x_size), Alphabet("Y", y_size)],
+                      {(x, y): F(1, x_size * y_size) for x in range(x_size) for y in range(y_size)})
+        with pytest.raises(LimitError, match=re.escape(err + "; use the canonical ordering surrogate")):
+            min_entropy_search(d, budget=budget)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_exhaustive_construction(self, seed):
         # reference: build every ordering's mechanism, keep the first strict
@@ -581,7 +593,7 @@ def check_joint(joint, given, u_name, target):
     its (given state, U_k) marginal, one row per given state, and whether a
     cell of it meets two targets."""
     *given_axes, u_axis, y_axis = joint._axes([*given, u_name, target])
-    num, den = joint._ints()
+    num, _ = joint._ints()
     head, image = {}, {}
     forked = False
     for cell, n in num.items():
@@ -589,7 +601,7 @@ def check_joint(joint, given, u_name, target):
         row = head.setdefault(state, {})
         row[u] = row.get(u, 0) + n
         forked |= image.setdefault((state, u), cell[y_axis]) != cell[y_axis]
-    frl_mod._check_stage(head, den, forked, given, joint.variables[u_axis], joint.variables[y_axis])
+    frl_mod._check_stage(head, forked, given, joint.variables[u_axis], joint.variables[y_axis])
 
 
 def stage_outcome(check, joint, given, u_name, target):

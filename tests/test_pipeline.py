@@ -5,7 +5,7 @@ import math
 import random
 import weakref
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction as F
 from unittest import mock
 
@@ -27,6 +27,7 @@ from privseq.pipeline import (
     decode_session,
     decode_walk,
     encode_session,
+    encode_walk,
     expected_length,
     leakage_audit,
     session_chain,
@@ -454,6 +455,18 @@ def chain_leakage(chain, exact_zero):
     return 0.0 if exact_zero else mutual_information(chain.joint, chain.u_names, ["X"])
 
 
+class RecordingDraws(RandomDraws):
+    """Seeded draws that keep the auxiliary symbols they pick, in slot order."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.picks = []
+
+    def pick(self, slot, row):
+        self.picks.append(super().pick(slot, row))
+        return self.picks[-1]
+
+
 class TestFactoredLaw:
     """The factored enumeration and audit against the oracle that writes
     every (C, X) cell: the same transcripts, law, verdict and lengths, and
@@ -484,23 +497,28 @@ class TestFactoredLaw:
         assert cx == ref.cx and list(cx._ints()[0]) == list(ref.cx._ints()[0])
         assert joint == ref.joint
 
-    @pytest.mark.parametrize("block", [(0, 1), (0, 0, 2), (2, 1, 0, 1)])
-    def test_pad_check_rejects_a_wrong_block(self, block):
-        p = random_database(random.Random(8), 3, 2, 1)
-        chain = session_chain(p, (2, 1))
-        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
-        assert td.pads[0] == (0, 1, 2) and leakage_audit(td).exact_zero
-        bad = replace(td, pads={**td.pads, 0: block})
-        with pytest.raises(InvariantError, match=r"the blocks of x=0 pad to"):
-            leakage_audit(bad)
-
-    def test_pad_check_needs_every_first_x(self):
-        p = random_database(random.Random(8), 3, 2, 1)
-        chain = session_chain(p, (2, 1))
-        td = transcript_distribution(chain, session_codebooks(chain, FIXED))
-        bad = replace(td, pads={x: block for x, block in td.pads.items() if x})
-        with pytest.raises(InvariantError, match=r"no padded symbols for the blocks of x=0"):
-            leakage_audit(bad)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 3), st.booleans(),
+           st.sampled_from([FIXED, ENTROPY]))
+    def test_sampled_transcript_is_the_rotated_block(self, seed, x_size, n_files, sparse, mode):
+        # the pad is a rotation by definition: a session of row x under key w
+        # is transcript (x + w - x0) mod |X| of its u vector's block
+        rng = random.Random(seed)
+        p = random_database(rng, x_size, n_files, 1, sparse)
+        demands = rng.sample(range(1, n_files + 1), rng.randint(1, n_files))
+        chain = session_chain(p, demands)
+        books = session_codebooks(chain, mode)
+        td = transcript_distribution(chain, books)
+        transcripts, index = td.transcripts, {u_vec: g for g, u_vec in enumerate(td.groups)}
+        cells = list(p._ints()[0])
+        for _ in range(5):
+            row, w = rng.choice(cells), rng.randrange(x_size)
+            draws = RecordingDraws(rng.randrange(10**6))
+            sampled = encode_walk(chain, books, row[0], PadKey(w, x_size),
+                                  (row[d] for d in demands), draws)
+            u_vec = tuple(draws.picks)
+            x0 = td.groups[u_vec][0]
+            assert sampled == transcripts[index[u_vec] * x_size + (row[0] + w - x0) % x_size]
 
 
 @st.composite

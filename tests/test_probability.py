@@ -11,6 +11,7 @@ from privseq.errors import ValidationError
 from privseq.probability import (
     Alphabet,
     JointDist,
+    _product_test,
     format_dist,
     load_dist,
     parse_dist,
@@ -332,6 +333,24 @@ class TestKernelEquivalence:
             ref_is_independent(variables, moved, a_names, ["B"])
         if src_cell != dst_cell:
             assert perturbed != joint
+        # the product test itself, on the rows grouped by A: it reads ratios,
+        # so the numerators are scaled by a drawn factor, and each table is
+        # also tested with one pair deleted, against the renormalized oracle
+        factor = rng.randint(1, 10 ** 6)
+        for table in (product, moved):
+            dropped = rng.choice(sorted(table))
+            for kept in (table, {c: q for c, q in table.items() if c != dropped}):
+                if not kept:
+                    continue
+                den = math.lcm(*(q.denominator for q in kept.values()))
+                rows = {}
+                for cell, q in kept.items():
+                    rows.setdefault(cell[:-1], {})[cell[-1]] = int(q * den) * factor
+                total = sum(kept.values())
+                normalized = {c: q / total for c, q in kept.items()}
+                independent, row_sums = _product_test(rows)
+                assert independent == ref_is_independent(variables, normalized, a_names, ["B"])
+                assert row_sums == {a: sum(row.values()) for a, row in rows.items()}
 
     @given(joints(), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
