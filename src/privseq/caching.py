@@ -155,11 +155,10 @@ def placement(cfg: CacheConfig, database: Sequence[int]) -> list[UserCache]:
 
 @dataclass(frozen=True)
 class BlockStream:
-    """Delivery blocks, one per (p+1)-subset, each block_bits wide."""
+    """Delivery blocks, one per (p+1)-subset in the config's `block_subsets`
+    order, each `block_bits` wide."""
 
-    subsets: tuple[tuple[int, ...], ...]
     blocks: tuple[int, ...]
-    block_bits: int
 
 
 Plan = tuple[tuple[tuple[int, int], ...], ...]
@@ -192,9 +191,7 @@ def delivery_blocks(cfg: CacheConfig, database: Sequence[int],
     """XOR, over each (p+1)-subset, the subfile its members miss but want."""
     _check_database(cfg, database)
     plan = _block_plan(cfg, _user_demands(cfg, demands))
-    return BlockStream(subsets=cfg.block_subsets,
-                       blocks=_apply_plan(plan, database, (1 << cfg.block_bits) - 1),
-                       block_bits=cfg.block_bits)
+    return BlockStream(blocks=_apply_plan(plan, database, (1 << cfg.block_bits) - 1))
 
 
 def _user_demands(cfg: CacheConfig, demands: Sequence[int]) -> tuple[int, ...]:

@@ -1,9 +1,10 @@
 """Command-line front end for desk-scale experiments.
 
 Subcommands: `frl build`, `pipeline run`, `bounds sweep`, `cache demo`,
-`audit`. Human-readable text goes to stdout; `--out` with `--format csv|json`
-writes machine-readable reports. Exit codes: 0 ok, 1 validation error
-(a usage error too), 2 invariant violation, 3 resource limit exceeded.
+`audit`. Human-readable text goes to stdout; `--out PATH` writes each
+report as JSON, except `bounds sweep`, which writes its table as csv.
+Exit codes: 0 ok, 1 validation error (a usage error too), 2 invariant
+violation, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -30,23 +31,11 @@ EXIT_LIMIT = 3
 DROPPED_SHOWN = 8  # `frl build` names this many dropped symbols and counts the rest
 
 
-def _write_output(args, payload: dict, rows: list[dict] | None = None,
-                  fieldnames: list[str] | None = None) -> None:
-    if not args.out:
-        return
-    if args.format == "json":
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write_json(path: str | None, payload: dict) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
-    else:
-        if rows is None:
-            rows = [payload]
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            names = fieldnames or (list(rows[0]) if rows else [])
-            if names:
-                writer = csv.DictWriter(fh, fieldnames=names)
-                writer.writeheader()
-                writer.writerows(rows)
 
 
 def _parse_demands(text: str) -> tuple[int, ...] | None:
@@ -94,7 +83,6 @@ def _add_family_args(sp) -> None:
     sp.add_argument("--mode", choices=[coding.FIXED, coding.ENTROPY], default=coding.FIXED)
     sp.add_argument("--limit", type=int, default=pipeline.DEFAULT_STATE_LIMIT)
     sp.add_argument("--out")
-    sp.add_argument("--format", choices=["csv", "json"], default="json")
 
 
 def cmd_frl_build(args) -> int:
@@ -129,7 +117,7 @@ def cmd_frl_build(args) -> int:
         "map": {f"{u},{x}": mech.apply(u, x) for u in range(mech.u_size) for x in positive},
         "dropped_x": list(mech.dropped_x),
     }
-    _write_output(args, payload)
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -215,13 +203,13 @@ def cmd_pipeline_run(args) -> int:
                   f"lower={row.lower:.6f} upper={row.upper_cardinality} "
                   f"leak0={row.leakage_exact_zero}")
         print(f"worst case: {sweep.worst.demands} at {sweep.worst.expected_len:.6f} bits")
-        _write_output(args, {"rows": rows, "worst": list(sweep.worst.demands)}, rows)
+        _write_json(args.out, {"rows": rows, "worst": list(sweep.worst.demands)})
         if not all(r.leakage_exact_zero for r in sweep.rows):
             return EXIT_INVARIANT
         return EXIT_OK
     rep = _run_report(p, demands, args)
     _print_run_report(rep)
-    _write_output(args, rep)
+    _write_json(args.out, rep)
     if not (rep["leakage_exact_zero"] and rep["sample_roundtrip_ok"] and rep["sandwich_ok"]):
         return EXIT_INVARIANT
     return EXIT_OK
@@ -236,7 +224,7 @@ def cmd_audit(args) -> int:
     print(f"transcript support: {row.transcript_support}")
     print(f"leakage: exact_zero={row.leakage_exact_zero}  I = {row.leakage_bits:.3g} bits")
     print(f"E[len]: {row.expected_len:.6f}")
-    _write_output(args, {
+    _write_json(args.out, {
         "demands": list(demands),
         "transcript_support": row.transcript_support,
         "leakage_exact_zero": row.leakage_exact_zero,
@@ -299,7 +287,11 @@ def cmd_bounds_sweep(args) -> int:
         rows.append(row)
         print(f"k={k} f={f}: upper={row['upper_cardinality']} ratio={ratio:.6f}"
               + (f" measured={row['measured']}" if row["measured"] != "" else ""))
-    _write_output(args, {"rows": rows}, rows, fieldnames=SWEEP_COLUMNS)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
     return EXIT_OK
 
 
@@ -353,7 +345,7 @@ def cmd_cache_demo(args) -> int:
         print(f"  user {cache.user}: {cells}")
     print("blocks: " + (" ".join(
         f"{{{','.join(map(str, sub))}}}:{b:0{cfg.block_bits}b}"
-        for sub, b in zip(stream.subsets, stream.blocks)) or "(none)"))
+        for sub, b in zip(cfg.block_subsets, stream.blocks)) or "(none)"))
     print("transcript: " + " | ".join(f"{label}={bits or '-'}" for label, bits in transcript.slots))
     print(f"public cache entries: {list(public_cache.entries)}")
 
@@ -373,7 +365,7 @@ def cmd_cache_demo(args) -> int:
     print(f"adversary view: exact_zero={leak.exact_zero}  I = {leak.bits:.3g} bits")
     print(f"measured E[len] {el.max_over_w:.6f} <= bound {bound}")
 
-    _write_output(args, {
+    _write_json(args.out, {
         "config": {"n": cfg.n_files, "k": cfg.k_users, "m": cfg.cache_files,
                    "f": cfg.file_bits, "p": cfg.p, "blocks": cfg.block_count},
         "demands": list(demands),
@@ -400,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--optimize", type=int, default=0,
                    help="ordering-search budget (0 = canonical ordering)")
     b.add_argument("--out")
-    b.add_argument("--format", choices=["csv", "json"], default="json")
     b.set_defaults(func=cmd_frl_build)
 
     pipe_p = sub.add_parser("pipeline", help="end-to-end sessions")
@@ -423,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=[coding.FIXED, coding.ENTROPY], default=coding.FIXED)
     s.add_argument("--limit", type=int, default=pipeline.DEFAULT_STATE_LIMIT)
     s.add_argument("--out")
-    s.add_argument("--format", choices=["csv", "json"], default="csv")
     s.set_defaults(func=cmd_bounds_sweep)
 
     cache_p = sub.add_parser("cache", help="cache-aided delivery")
@@ -439,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--limit", type=int, default=pipeline.DEFAULT_STATE_LIMIT)
     d.add_argument("--out")
-    d.add_argument("--format", choices=["csv", "json"], default="json")
     d.set_defaults(func=cmd_cache_demo)
 
     a = sub.add_parser("audit", help="exact leakage audit for one demand vector")

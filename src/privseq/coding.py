@@ -69,21 +69,17 @@ class Codebook:
     def _reverse(self) -> dict[str, int]:
         return {w: s for s, w in self.words.items()}
 
-    @cached_property
-    def _lengths(self) -> dict[int, int]:
-        return {s: len(w) for s, w in self.words.items()}
-
     def encode(self, symbol: int) -> str:
         if symbol not in self.words:
             raise ValidationError(f"symbol {symbol} has no codeword")
         return self.words[symbol]
 
     def length(self, symbol: int) -> int:
-        """len(encode(symbol)), read from a code-length table built once per book."""
-        bits = self._lengths.get(symbol)
-        if bits is None:
+        """len(encode(symbol))."""
+        word = self.words.get(symbol)
+        if word is None:
             raise ValidationError(f"symbol {symbol} has no codeword")
-        return bits
+        return len(word)
 
     def decode(self, bits: str) -> int:
         """The symbol whose codeword is exactly `bits`."""

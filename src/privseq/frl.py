@@ -347,7 +347,7 @@ def cardinality_bound(x_size: int, y_size: int) -> int:
     return x_size * (y_size - 1) + 1
 
 
-def min_entropy_search(pxy: JointDist, budget: int = 10_000) -> tuple[dict[int, tuple[int, ...]], float]:
+def min_entropy_search(pxy: JointDist, budget: int) -> tuple[dict[int, tuple[int, ...]], float]:
     """Exhaust all segment orderings and return the one minimizing H(U).
 
     Explores the interval-construction subfamily only, so the reported value

@@ -14,7 +14,7 @@ once, grouped by u vector, and transcript j of a group pads its first x by
 j, by definition. The audit tests the law without writing the copies, so a
 pass is zero leakage exactly. The pad slot is a ceil(log2 |X|)-bit field,
 so all key values share one length sum, read from the stage books'
-code-length tables; no transcript is written. The transcripts and the whole
+codewords; no transcript is written. The transcripts and the whole
 (transcript, private symbol, key) joint are views, derived on every read.
 """
 

@@ -251,7 +251,7 @@ class TestBoundsSweep:
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["bounds", "sweep", "--k-range", "2", "--f-range", "1..32",
-                     "--out", str(out), "--format", "csv"]) == 0
+                     "--out", str(out)]) == 0
         rows = out.read_text().strip().splitlines()
         assert rows[0].startswith("n,k,f,")
         assert len(rows) == 33
@@ -282,8 +282,15 @@ class TestBoundsSweep:
     def test_empty_range_header_only_csv(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         assert main(["bounds", "sweep", "--k-range", "", "--f-range", "1",
-                     "--out", str(out), "--format", "csv"]) == 0
+                     "--out", str(out)]) == 0
         assert out.read_text().strip() == \
+            "n,k,f,demands,lower,upper_cardinality,upper_entropy_estimate,measured,ratio"
+
+    def test_csv_whatever_the_suffix(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["bounds", "sweep", "--k-range", "2", "--f-range", "1",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == \
             "n,k,f,demands,lower,upper_cardinality,upper_entropy_estimate,measured,ratio"
 
     def test_bad_range_rejected(self, capsys):
@@ -512,6 +519,19 @@ class TestFamilyOptionsWithSpec:
         assert main(command + ["--out", str(unset)]) == 0
         assert main(command + ["--p", "1/2", "--n", "2", "--f", "1", "--out", str(explicit)]) == 0
         assert unset.read_text() == explicit.read_text()
+
+
+class TestOutFormat:
+    """`--out` writes each report in its one format, so `--format` is an unknown option."""
+
+    @pytest.mark.parametrize("command", FAMILY_COMMANDS + [
+        ["frl", "build", "--spec", str(Path(__file__).parent / "golden" / "pair.dist")],
+    ], ids=lambda c: c[0])
+    def test_format_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert main(command + ["--format", "json", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFileErrors:

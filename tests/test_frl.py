@@ -208,11 +208,11 @@ class TestCardinalityBound:
 
 class TestMinEntropySearch:
     def test_deterministic_target_zero(self):
-        policy, h = min_entropy_search(deterministic_pair())
+        policy, h = min_entropy_search(deterministic_pair(), budget=1)
         assert h == 0.0
 
     def test_designed_2x2_symmetric(self, designed_2x2):
-        policy, h = min_entropy_search(designed_2x2)
+        policy, h = min_entropy_search(designed_2x2, budget=4)
         assert h == pytest.approx(1.5, abs=1e-12)
 
     def test_asymmetric_2x3(self):
