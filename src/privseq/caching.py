@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import pipeline
 from .bounds import upper_bound_cardinality
-from .coding import PadKey
+from .coding import PadKey, fixed_width
 from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError, check_index
 from .frl import MechanismChain, build_chain
 from .probability import Alphabet, JointDist
@@ -344,14 +344,14 @@ def adversary_view_distribution(session: CacheSession, key_size: int,
     has its transcript's law: the result is the wrapped transcripts' law,
     whose `transcripts` index the views by their transcript part. A view is
     its auxiliary bits longer than its transcript under every key value, so
-    the length sum gains the mass-weighted auxiliary bits, summed over the
-    u vectors' groups.
+    the length sum gains the mass-weighted auxiliary bits: the transcripts'
+    length sum less its pad slots.
     """
     x_size = session.chain.private_size
     if key_size != x_size:
         raise ValidationError(f"the multi-part scheme needs key size |X|={x_size}, got {key_size}")
     td = pipeline.transcript_distribution(session.chain, session.books, limit)
-    replayed = sum(bits * sum(masses.values()) for _, bits, masses in td.groups.values())
+    replayed = td.length_sum - fixed_width(x_size) * td.den
     return replace(td, length_sum=td.length_sum + replayed)
 
 

@@ -245,22 +245,16 @@ def cmd_bounds_sweep(args) -> int:
     if any(r and r[0] < 1 for r in k_ranges + f_ranges):
         raise ValidationError("need k >= 1 and f >= 1")
     prior = _parse_prior(args.p)  # checked before the first row, measured or not
-    # every row forms 2^f and a stage-1 cap of f + 1 bits; before the first row, those caps
-    # must fit the limit together, up to the first row that stops on a cap of its own (its
-    # stage-k cap has over f * 2^(k-1) bits) after printing the rows before it
-    need = 0
-    for k, f in _sweep_rows(k_ranges, f_ranges):
-        if k > args.limit.bit_length() or f << (k - 1) >= args.limit:
-            break
-        need += f + 1
-        if need > args.limit:
-            raise LimitError(f"the rows' stage-1 cardinality caps need more than the limit of "
-                             f"{args.limit} bits together")
     rows = []
+    bits = 0  # the rows' cardinality bounds so far: each is its cap words' bits
     for k, f in _sweep_rows(k_ranges, f_ranges):
         if f >= args.limit:  # the stage-1 cap has f + 1 bits
             raise bounds_mod.cap_limit_error(1, args.limit)
         upper = bounds_mod.upper_bound_cardinality(2, itertools.repeat(1 << f, k), args.limit)
+        bits += upper
+        if bits > args.limit:
+            raise LimitError(f"the table's cardinality bounds need more than the limit of "
+                             f"{args.limit} bits together")
         ratio = upper / (k * f)  # the cardinality bound over the k*f converse
         row = {
             "n": k, "k": k, "f": f,

@@ -10,12 +10,13 @@ private symbol, key) is built by full enumeration, so the zero-leakage audit
 is a rational product test, not a float comparison. The key is uniform, so
 that joint is |X| copies of the (u vector, private symbol) law, one per
 padded symbol, as in Shannon's one-time pad: the enumeration keeps that law
-once, grouped by u vector, and transcript j of a group pads its first x by
-j, by definition. The audit tests the law without writing the copies, so a
-pass is zero leakage exactly. The pad slot is a ceil(log2 |X|)-bit field,
-so all key values share one length sum, read from the stage books'
-codewords; no transcript is written. The transcripts and the whole
-(transcript, private symbol, key) joint are views, derived on every read.
+once, as one {x: mass} row per u vector, and transcript j of a u vector
+pads its row's first x by j, by definition. The audit tests those rows
+without writing the copies, so a pass is zero leakage exactly. The pad slot
+is a ceil(log2 |X|)-bit field, so all key values share one length sum, read
+from the stage books' codewords; no transcript is written. The transcripts
+and the whole (transcript, private symbol, key) joint are views, derived on
+every read.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import bisect
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
@@ -145,7 +147,8 @@ def session_codebooks(chain: MechanismChain, mode: str) -> Books:
 
 
 def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismChain) -> None:
-    names = tuple(bounds_mod.demand_names(p, demands))
+    """Check a chain against demands that `demand_vector` has already checked."""
+    names = tuple(p.variables[d].name for d in demands)
     if chain.targets != names:
         raise ValidationError(f"chain targets {chain.targets} do not match demands {names}")
     if chain.joint.variables[0] != p.variables[0]:
@@ -254,9 +257,6 @@ def decode_session(transcript: Transcript, key: PadKey, demands: Sequence[int],
     return decode_walk(chain, books or session_codebooks(chain, mode), transcript, key)
 
 
-Group = tuple[int, int, dict[int, int]]  # (x0, auxiliary bits, {x: mass})
-
-
 @dataclass(frozen=True)
 class TranscriptDistribution:
     """Exact joint of (transcript index, private symbol, key symbol), kept factored.
@@ -265,14 +265,12 @@ class TranscriptDistribution:
     values, and each key value sends a chain cell to one padded symbol, so
     the (C, X) law is `pad_size` copies of the (U vector, X) law, and
     I(C; X) = I(U; X). `groups` maps each u vector, in the order first met,
-    to (x0, bits, masses): x0 is the x of its first cell, bits is the
-    auxiliaries' code length, and masses maps each x, ascending, to the
-    numerator of P(U = u, X = x) over `den`. Transcript g * pad_size + j of
-    group g is ((x0 + j) mod pad_size, u) by definition, the rotation that
-    the one-time pad makes of a block, and its cell with x has mass
-    masses[x] / (den * pad_size). `x_mass[x]` is the numerator of P(X = x)
-    over `den`, and `length_sum / den` is E[len(C)], the same under every
-    key value.
+    to its row: each x, ascending, mapped to the numerator of
+    P(U = u, X = x) over `den`. Transcript g * pad_size + j of group g is
+    ((x0 + j) mod pad_size, u) for x0 the row's first x, by definition, the
+    rotation that the one-time pad makes of a block, and its cell with x has
+    mass row[x] / (den * pad_size). `length_sum / den` is E[len(C)], the
+    same under every key value.
 
     The audits read only these fields. The (C, X, W) `joint` and the
     `transcripts`, written with the stage `books` and a fixed-width pad slot,
@@ -281,9 +279,8 @@ class TranscriptDistribution:
 
     books: Books = field(repr=False)
     pad_size: int
-    groups: dict[tuple[int, ...], Group] = field(repr=False)
+    groups: dict[tuple[int, ...], dict[int, int]] = field(repr=False)
     den: int
-    x_mass: tuple[int, ...] = field(repr=False)
     length_sum: int  # sum of mass * length over the cells under one key value, over den
 
     @property
@@ -295,25 +292,26 @@ class TranscriptDistribution:
     def joint(self) -> JointDist:
         """The (C, X, W) joint in sorted cell order: copy j of a group pads
         its first x to x0 + j mod pad_size, and its cell with x has the key
-        value w = x0 + j - x mod pad_size."""
+        value w = x0 + j - x mod pad_size. X has pad_size symbols."""
         size = self.pad_size
         cells = {}
         c = 0
-        for x0, _, masses in self.groups.values():
+        for masses in self.groups.values():
+            x0 = next(iter(masses))
             for xt in range(x0, x0 + size):
                 for x, n in masses.items():
                     cells[c, x, (xt - x) % size] = n
                 c += 1
         return JointDist._exact(
-            (Alphabet("C", self.support), Alphabet("X", len(self.x_mass)), Alphabet("W", size)),
+            (Alphabet("C", self.support), Alphabet("X", size), Alphabet("W", size)),
             cells, self.den * size)
 
     @property
     def transcripts(self) -> tuple[Transcript, ...]:
         """Transcript c, written with `books` from its padded x and u vector."""
         size = self.pad_size
-        return tuple(_write_slots(self.books, size, xt % size, u_vec)
-                     for u_vec, (x0, _, _) in self.groups.items() for xt in range(x0, x0 + size))
+        return tuple(_write_slots(self.books, size, (next(iter(masses)) + j) % size, u_vec)
+                     for u_vec, masses in self.groups.items() for j in range(size))
 
 
 def transcript_distribution(chain: MechanismChain, books: Books,
@@ -325,12 +323,13 @@ def transcript_distribution(chain: MechanismChain, books: Books,
     `limit`. Each cell of the chain's joint (x, demanded files, auxiliaries)
     fans out over the uniform key into one transcript per padded symbol
     x + w mod |X|, each with 1/|X| of its mass, so the walk keeps only the
-    (u vector, x) masses, grouped by u vector in the order first met over the
-    chain joint's sorted cells; X is its first variable, so each group meets
-    its x in ascending order. A u vector's block of transcript indices pads
-    its first x by each key value in turn. The length sum adds the
-    books' code lengths and the pad slot's ceil(log2 |X|) bits, by mass. A
-    chain with no stages (a fully cached delivery) gives the pad slot alone.
+    (u vector, x) masses, one {x: mass} row per u vector in the order first
+    met over the chain joint's sorted cells; X is its first variable, so each
+    row meets its x in ascending order. A u vector's block of transcript
+    indices pads its row's first x by each key value in turn. The length sum
+    is each u vector's code length in the books times its row's mass, plus
+    the pad slot's ceil(log2 |X|) bits times `den`. A chain with no stages
+    (a fully cached delivery) gives the pad slot alone.
     """
     _check_books(chain, books)
     x_size = chain.private_size
@@ -339,23 +338,16 @@ def transcript_distribution(chain: MechanismChain, books: Books,
         raise LimitError(f"{states} weighted states exceed the limit {limit}")
 
     u_start = len(chain.joint.variables) - len(chain.stages)  # the stages' U variables come last
-    groups: dict[tuple[int, ...], Group] = {}
-    x_mass = [0] * x_size
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
     num, den = chain.joint._ints()
     for cell, n in num.items():
-        x = cell[0]
-        u_vec = cell[u_start:]
-        group = groups.get(u_vec)
-        if group is None:
-            groups[u_vec] = (x, sum(map(Codebook.length, books, u_vec)), {x: n})
-        else:
-            masses = group[2]
-            masses[x] = masses.get(x, 0) + n
-        x_mass[x] += n
+        masses = groups.setdefault(cell[u_start:], {})
+        masses[cell[0]] = masses.get(cell[0], 0) + n
 
-    u_bits_mass = sum(bits * sum(masses.values()) for _, bits, masses in groups.values())
-    length_sum = u_bits_mass + fixed_width(x_size) * den
-    return TranscriptDistribution(books, x_size, groups, den, tuple(x_mass), length_sum)
+    length_sum = fixed_width(x_size) * den + sum(
+        sum(map(Codebook.length, books, u_vec)) * sum(masses.values())
+        for u_vec, masses in groups.items())
+    return TranscriptDistribution(books, x_size, groups, den, length_sum)
 
 
 @dataclass(frozen=True)
@@ -377,14 +369,16 @@ def leakage_audit(td: TranscriptDistribution) -> LeakageReport:
     vectors ascending and the x ascending within each, the order of the
     sorted (U, X) table.
     """
-    den = td.den
-    rows = {u_vec: masses for u_vec, (_, _, masses) in td.groups.items()}
+    rows, den = td.groups, td.den
     exact, u_mass = _product_test(rows)
     if exact:
         return LeakageReport(exact_zero=True, bits=0.0)
+    x_mass: Counter[int] = Counter()
+    for masses in rows.values():
+        x_mass.update(masses)
     order = sorted(rows)
     bits = (_entropy_bits((u_mass[u_vec] for u_vec in order), den)
-            + _entropy_bits((m for m in td.x_mass if m), den)
+            + _entropy_bits((x_mass[x] for x in sorted(x_mass)), den)
             - _entropy_bits((n for u_vec in order for n in rows[u_vec].values()), den))
     return LeakageReport(exact_zero=False, bits=max(0.0, bits))
 

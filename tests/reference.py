@@ -525,11 +525,9 @@ def explicit_distribution(joint, lengths):
     length is the joint's only when W has one value."""
     num, den = joint.marginalize(["C", "X"])._ints()
     groups = {}
-    x_mass = [0] * joint.variables[1].size
     for (c, x), n in num.items():
-        groups.setdefault((c,), (x, lengths[c], {}))[2][x] = n
-        x_mass[x] += n
-    return TranscriptDistribution(None, 1, groups, den, tuple(x_mass),
+        groups.setdefault((c,), {})[x] = n
+    return TranscriptDistribution(None, 1, groups, den,
                                   sum(n * lengths[c] for (c, _), n in num.items()))
 
 

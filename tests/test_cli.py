@@ -324,15 +324,19 @@ class TestBoundsSweep:
                       "of 10000000 bits\n"
 
     def test_k_range_read_one_value_at_a_time(self, capsys):
-        # 10^9 k values: the table stops at the first cap past the limit, before
-        # any list of the values or of a row's file sizes could be formed
-        for k_range, rows in [("1..1000000000", 4), ("1000000000", 0)]:
+        # 10^9 k values: the table stops at the first row past the limit, before
+        # any list of the values or of a row's file sizes could be formed; a row
+        # with k = 10^9 stops at its first cap past the limit
+        for k_range, rows, err_end in [
+            ("1..1000000000", 2, "the table's cardinality bounds need more than the limit "
+                                 "of 20 bits together\n"),
+            ("1000000000", 0, "the stage 5 cardinality cap needs more than the limit of 20 bits\n"),
+        ]:
             assert main(["bounds", "sweep", "--k-range", k_range, "--f-range", "1",
                          "--limit", "20"]) == 3
             out, err = capsys.readouterr()
             assert len(out.splitlines()) == rows
-            assert err == "resource limit: the stage 5 cardinality cap needs more than the limit " \
-                          "of 20 bits\n"
+            assert err == "resource limit: " + err_end
 
     def test_f_refused_before_its_alphabet_is_formed(self, capsys):
         # the stage-1 cap of f = 10^9 has 10^9 + 1 bits; 2^f alone would take 119 MiB
@@ -347,21 +351,36 @@ class TestBoundsSweep:
                                            "than the limit of 10000000 bits\n")
 
     def test_rows_bounded_before_the_first(self, capsys):
-        # each row's caps fit the limit, but their stage-1 caps (f + 1 bits each)
-        # pass it together near f = 4,470: no row is printed or kept
+        # each row's caps fit the limit, but their bounds (f + 2 bits each) pass
+        # it together at f = 4,470: the 4,469 rows before it are printed
         start = time.perf_counter()
         assert main(["bounds", "sweep", "--k-range", "1", "--f-range", "1..9999999"]) == 3
         assert time.perf_counter() - start < 1
-        assert capsys.readouterr() == ("", "resource limit: the rows' stage-1 cardinality caps need "
-                                           "more than the limit of 10000000 bits together\n")
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 4469
+        assert out.splitlines()[-1] == "k=1 f=4469: upper=4471 ratio=1.000448"
+        assert err == "resource limit: the table's cardinality bounds need more than the limit " \
+                      "of 10000000 bits together\n"
         assert main(["bounds", "sweep", "--k-range", "1", "--f-range", "1..4000"]) == 0
 
     def test_small_limit_stops_an_early_row(self, capsys):
+        # the bounds of k = 1, 2, 3 need 3 + 6 + 12 = 21 bits together
         assert main(["bounds", "sweep", "--k-range", "1..10", "--f-range", "1",
                      "--limit", "20"]) == 3
         out, err = capsys.readouterr()
-        assert out.splitlines()[-1] == "k=4 f=1: upper=23 ratio=5.750000"
-        assert "stage 5 cardinality cap needs more than the limit of 20 bits" in err
+        assert out.splitlines()[-1] == "k=2 f=1: upper=6 ratio=3.000000"
+        assert "the table's cardinality bounds need more than the limit of 20 bits together" in err
+
+    def test_every_cap_counted_against_one_limit(self, capsys):
+        # each row's caps fit the limit alone; the first five rows' bounds need
+        # 4,817 bits together and the sixth passes 5,000
+        assert main(["bounds", "sweep", "--k-range", "8", "--f-range", "1..50",
+                     "--limit", "5000"]) == 3
+        out, err = capsys.readouterr()
+        uppers = [int(line.split("upper=")[1].split()[0]) for line in out.splitlines()]
+        assert uppers == [350, 695, 987, 1261, 1524] and sum(uppers) == 4817
+        assert err == "resource limit: the table's cardinality bounds need more than the limit " \
+                      "of 5000 bits together\n"
 
 
 class TestCacheDemo:

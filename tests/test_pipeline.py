@@ -517,7 +517,7 @@ class TestFactoredLaw:
             sampled = encode_walk(chain, books, row[0], PadKey(w, x_size),
                                   (row[d] for d in demands), draws)
             u_vec = tuple(draws.picks)
-            x0 = td.groups[u_vec][0]
+            x0 = min(td.groups[u_vec])
             assert sampled == transcripts[index[u_vec] * x_size + (row[0] + w - x0) % x_size]
 
 
