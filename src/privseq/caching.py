@@ -259,7 +259,7 @@ def block_joint(cfg: CacheConfig, database_dist: JointDist, demands: Sequence[in
 
 @dataclass(frozen=True)
 class PublicCache:
-    """Append-only log of the emitted auxiliary slots; adversary-readable."""
+    """Append-only log of the emitted auxiliary slots' bitstrings; adversary-readable."""
 
     entries: tuple[str, ...]
 
@@ -291,8 +291,8 @@ def private_wrap(session: CacheSession, stream: Iterable[int], x: int, key: PadK
     `stream` is consumed lazily: the slot for block i is emitted before block
     i+1 is read, matching a one-block encoder buffer. A stream that ends
     early, or has a block past the last, is a ValidationError. The public
-    cache logs every auxiliary slot, which is what lets later stages
-    condition on the earlier auxiliaries.
+    cache logs every auxiliary slot's bitstring, which is what lets later
+    stages condition on the earlier auxiliaries.
     """
     top = 2 ** session.cfg.block_bits - 1
     blocks = (check_index(block, 0, top, "block value") for block in stream)
@@ -339,7 +339,7 @@ def adversary_view_distribution(session: CacheSession, key_size: int,
                                 limit: int = DEFAULT_STATE_LIMIT) -> pipeline.TranscriptDistribution:
     """Exact joint of ((transcript, public cache), X, W); `key_size` must be |X|.
 
-    `private_wrap` logs the transcript's auxiliary slots verbatim, so the
+    `private_wrap` logs the transcript's auxiliary bitstrings verbatim, so the
     public cache is a one-to-one function of the transcript and each view
     has its transcript's law: the result is the wrapped transcripts' law,
     whose `transcripts` index the views by their transcript part. A view is

@@ -5,14 +5,16 @@ are directly printable. A slot holds exactly one codeword, so it is decoded by
 one whole-codeword lookup (`Codebook.decode`); no prefix of it is scanned. The
 pad slot's fixed-length word is written and read from |X|, with no book.
 Packed binary output uses big-endian bit order within bytes with the final
-partial byte zero-padded. Slot bit-lengths travel in a header, so each slot's
-bits are known before decoding, and nonzero padding is rejected: a transcript
-has one packed form.
+partial byte zero-padded. Slot labels and bit-lengths travel in a header, so
+each slot's bits are known before decoding; the reader checks each label
+against its position (`slot_label`), and nonzero padding is rejected: a
+transcript has one packed form.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -162,53 +164,58 @@ def entropy_codebook(weights: Sequence[int]) -> Codebook:
     return Codebook(words)
 
 
+def slot_label(i: int) -> str:
+    """The slot layout: slot 0 is "pad" (the padded private symbol), slot i is "u<i>"."""
+    return f"u{i}" if i else "pad"
+
+
 # ---------------------------------------------------------------------------
-# Packed transcript file format: magic, slot count, per-slot label and bit
-# length, then one continuous big-endian bit stream zero-padded to a byte.
+# Packed transcript file format: magic, slot count, per-slot label (checked
+# against `slot_label`) and bit length, then one continuous big-endian bit
+# stream zero-padded to a byte.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"PSQ1"
 
 
-def pack_slots(slots: Sequence[tuple[str, str]]) -> bytes:
-    if len(slots) > 0xFFFF:
-        raise ValidationError(f"{len(slots)} slots exceed the format's 65535")
+def pack_slots(bitstrings: Sequence[str]) -> bytes:
+    if len(bitstrings) > 0xFFFF:
+        raise ValidationError(f"{len(bitstrings)} slots exceed the format's 65535")
     head = bytearray(_MAGIC)
-    head += struct.pack(">H", len(slots))
-    stream = []
-    for label, bits in slots:
-        if not label.isascii() or len(label) > 255:
-            raise ValidationError(f"slot label {label!r} is not ASCII of at most 255 bytes")
+    head += struct.pack(">H", len(bitstrings))
+    for i, bits in enumerate(bitstrings):
         if bits.strip("01"):
-            raise ValidationError(f"slot {label!r} carries a non-binary string {bits!r}")
-        raw = label.encode("ascii")
+            raise ValidationError(f"slot {slot_label(i)!r} carries a non-binary string {bits!r}")
+        raw = slot_label(i).encode("ascii")
         head += struct.pack(">B", len(raw)) + raw + struct.pack(">I", len(bits))
-        stream.append(bits)
-    allbits = "".join(stream)
+    allbits = "".join(bitstrings)
     pad = -len(allbits) % 8
     body = (int(allbits, 2) << pad).to_bytes((len(allbits) + pad) // 8, "big") if allbits else b""
     return bytes(head) + body
 
 
-def unpack_slots(data: bytes) -> list[tuple[str, str]]:
+def unpack_slots(data: bytes) -> tuple[str, ...]:
     if data[:4] != _MAGIC:
         raise ValidationError("not a packed transcript (bad magic)")
     pos = 4
-    meta = []
+    lengths = []
     try:
         (count,) = struct.unpack_from(">H", data, pos)
         pos += 2
-        for _ in range(count):
+        for i in range(count):
             (llen,) = struct.unpack_from(">B", data, pos)
             pos += 1
-            label = data[pos:pos + llen].decode("ascii")
+            # a non-ASCII byte reads as a backslash escape, which no slot label has
+            label = data[pos:pos + llen].decode("ascii", "backslashreplace")
             pos += llen
             (blen,) = struct.unpack_from(">I", data, pos)
             pos += 4
-            meta.append((label, blen))
-    except (struct.error, UnicodeDecodeError):
+            if label != slot_label(i):
+                raise ValidationError(f"slot {i} is labelled {label!r}, expected {slot_label(i)!r}")
+            lengths.append(blen)
+    except struct.error:
         raise ValidationError("truncated or corrupt packed-transcript header") from None
-    total = sum(b for _, b in meta)
+    total = sum(lengths)
     body = data[pos:]
     if len(body) != (total + 7) // 8:
         raise ValidationError("packed payload length disagrees with the header")
@@ -217,9 +224,5 @@ def unpack_slots(data: bytes) -> list[tuple[str, str]]:
     if stream & ((1 << pad) - 1):
         raise ValidationError("nonzero padding bits after the last slot")
     allbits = format(stream >> pad, f"0{total}b") if total else ""
-    out = []
-    at = 0
-    for label, blen in meta:
-        out.append((label, allbits[at:at + blen]))
-        at += blen
-    return out
+    starts = itertools.accumulate(lengths, initial=0)
+    return tuple(allbits[at:at + blen] for at, blen in zip(starts, lengths))

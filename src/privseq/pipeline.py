@@ -52,20 +52,18 @@ from .probability import Alphabet, JointDist, _entropy_bits, _product_test
 
 @dataclass(frozen=True)
 class Transcript:
-    """Delivered message: ordered (label, bitstring) slots."""
+    """Delivered message: the pad slot's bits, then one slot's bits per stage
+    in stage order. A slot's label follows from its position
+    (`coding.slot_label`), so only the packed form writes and checks it."""
 
-    slots: tuple[tuple[str, str], ...]
-
-    @property
-    def bitstrings(self) -> tuple[str, ...]:
-        return tuple(bits for _, bits in self.slots)
+    bitstrings: tuple[str, ...]
 
     def pack(self) -> bytes:
-        return pack_slots(self.slots)
+        return pack_slots(self.bitstrings)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Transcript":
-        return cls(tuple(unpack_slots(data)))
+        return cls(unpack_slots(data))
 
 
 class Draws(Protocol):
@@ -158,14 +156,8 @@ def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismC
 Books = tuple[Codebook, ...]  # one per stage, in stage order
 
 
-def _slot_label(i: int) -> str:
-    """The slot layout: slot 0 is "pad" (the padded private symbol), slot i is "u<i>"."""
-    return f"u{i}" if i else "pad"
-
-
 def _write_slots(books: Books, x_size: int, xt: int, u_vec: Sequence[int]) -> Transcript:
-    return Transcript(((_slot_label(0), fixed_encode(xt, x_size)),) + tuple(
-        (_slot_label(i), book.encode(u)) for i, (book, u) in enumerate(zip(books, u_vec), 1)))
+    return Transcript((fixed_encode(xt, x_size), *map(Codebook.encode, books, u_vec)))
 
 
 def _check_key(chain: MechanismChain, key: PadKey) -> None:
@@ -207,21 +199,21 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
 
 def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
                 key: PadKey) -> tuple[int, tuple[int, ...]]:
-    """The sequential decoder: recover x, then each stage's target value."""
+    """The sequential decoder: recover x, then each stage's target value.
+
+    Slot 0 is the pad slot and slot i stage i's, by position; a packed
+    transcript's labels were checked by `Transcript.unpack`."""
     _check_key(chain, key)
     _check_books(chain, books)
-    if len(transcript.slots) != len(chain.stages) + 1:
+    if len(transcript.bitstrings) != len(chain.stages) + 1:
         raise ValidationError(
-            f"transcript has {len(transcript.slots)} slots, expected {len(chain.stages) + 1}"
+            f"transcript has {len(transcript.bitstrings)} slots, expected {len(chain.stages) + 1}"
         )
-    for i, (label, _) in enumerate(transcript.slots):
-        if label != _slot_label(i):
-            raise ValidationError(f"slot {i} is labelled {label!r}, expected {_slot_label(i)!r}")
-    (_, pad_bits), *rest = transcript.slots
+    pad_bits, *rest = transcript.bitstrings
     x = otp_decrypt(fixed_decode(pad_bits, chain.private_size), key)
     ys = []
     prefix: tuple[int, ...] = ()
-    for stage, book, (_, bits) in zip(chain.stages, books, rest):
+    for stage, book, bits in zip(chain.stages, books, rest):
         u = book.decode(bits)
         ys.append(stage.decode(x, prefix, u))
         prefix += (u,)

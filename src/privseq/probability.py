@@ -147,19 +147,16 @@ class JointDist:
         self._den = den
 
     @classmethod
-    def _exact(cls, variables: tuple[Alphabet, ...], num: dict[Cell, int], den: int,
-               ordered: bool = True) -> "JointDist":
+    def _exact(cls, variables: tuple[Alphabet, ...], num: dict[Cell, int], den: int) -> "JointDist":
         """Wrap a table built by exact operations, without validation.
 
-        `num` holds positive integers summing to `den`; they are reduced by
-        their common gcd here. With `ordered` false the cells are sorted.
+        `num` holds positive integers summing to `den`, in sorted cell order;
+        they are reduced by their common gcd here.
         """
         g = math.gcd(den, *num.values())
         if g != 1:
             num = {cell: n // g for cell, n in num.items()}
             den //= g
-        if not ordered:
-            num = dict(sorted(num.items()))
         self = object.__new__(cls)
         self.variables = variables
         self._table = None
@@ -233,9 +230,10 @@ class JointDist:
         for cell, n in num.items():
             key = project(cell)
             out[key] = get(key, 0) + n
-        # a prefix of the axes keeps the cells' sorted order
-        ordered = axes == tuple(range(len(axes)))
-        return JointDist._exact(tuple(self.variables[a] for a in axes), out, den, ordered)
+        # a prefix of the axes keeps the cells' sorted order; any other projection is sorted
+        if axes != tuple(range(len(axes))):
+            out = dict(sorted(out.items()))
+        return JointDist._exact(tuple(self.variables[a] for a in axes), out, den)
 
     def max_entropy_given(self, of: Sequence[str]) -> float:
         """max over the symbols x of the first variable X of H(of | X = x),

@@ -486,7 +486,7 @@ def td_law(td):
 
 
 def total_length(transcript):
-    return sum(len(bits) for _, bits in transcript.slots)
+    return sum(map(len, transcript.bitstrings))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +582,7 @@ def ref_transcript_distribution(chain, books):
             totals[w] += n * lengths[c]
             mass[w] += n
     cx = JointDist._exact((Alphabet("C", len(parts)), Alphabet("X", x_size)),
-                          table, den * x_size, ordered=False)
+                          dict(sorted(table.items())), den * x_size)
     return RefTranscriptLaw(tuple(lengths), tuple(parts), cx, tuple(zip(totals, mass)))
 
 

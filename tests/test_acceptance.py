@@ -275,7 +275,7 @@ def test_c10_sequentiality():
         x_size = p.variables[0].size
         ta = encode_session(p, cell, (d1, futures[0]), PadKey(0, x_size), a, ForceFirst())
         tb = encode_session(p, cell, (d1, futures[1]), PadKey(0, x_size), b, ForceFirst())
-        if ta.slots[:2] != tb.slots[:2]:
+        if ta.bitstrings[:2] != tb.bitstrings[:2]:
             bad += 1
     report("sequentiality: mutating future demands never changes earlier slots",
            bad == 0, f"{trials} randomized trials")

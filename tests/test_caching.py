@@ -44,6 +44,7 @@ from reference import (
     law,
     outcomes,
     ref_block_plan,
+    ref_pack_slots,
     ref_placement,
     ref_user_decode,
     td_law,
@@ -324,7 +325,7 @@ class TestWrapAndDecode:
         db_dist = masked_db("1/2", 2, 2)
         session = make_cache_session(cfg, db_dist, (1, 2))
         transcript, log = private_wrap(session, (), 1, PadKey(1, 2), RandomDraws(0))
-        assert len(transcript.slots) == 1
+        assert len(transcript.bitstrings) == 1
         assert log.entries == ()
         caches = placement(cfg, [2, 3])
         for cache in caches:
@@ -341,7 +342,7 @@ class TestWrapAndDecode:
         stream = delivery_blocks(cfg, [3, 3], (1, 2))
         transcript, _ = private_wrap(session, stream.blocks, 1, PadKey(0, 2),
                                      RandomDraws(0))
-        assert [len(b) for _, b in transcript.slots] == [1, 0]
+        assert [len(b) for b in transcript.bitstrings] == [1, 0]
 
     def test_buffer_discipline_one_block_at_a_time(self):
         cfg = CacheConfig(2, 2, 1, 2)
@@ -368,7 +369,7 @@ class TestWrapAndDecode:
         session = make_cache_session(cfg, masked_db("1/2", 2, 2), (1, 2))
         blocks = delivery_blocks(cfg, [1, 2], (1, 2)).blocks
         transcript, _ = private_wrap(session, blocks, 0, PadKey(0, 2), RandomDraws(4))
-        assert len(transcript.slots) == cfg.block_count + 1
+        assert len(transcript.bitstrings) == cfg.block_count + 1
         with pytest.raises(ValidationError, match=f"a symbol past stage {cfg.block_count}, the last"):
             private_wrap(session, blocks + (0,), 0, PadKey(0, 2), RandomDraws(4))
         # the extra block is read, so its range check runs too
@@ -565,10 +566,9 @@ class TestUserDecodeValidation:
         t, _ = private_wrap(session, stream.blocks, 1, PadKey(0, 2), RandomDraws(0))
         got = Transcript.unpack(t.pack())
         assert user_decode(session, 1, got, caches[0], PadKey(0, 2)) == 1
-        relabelled = Transcript(tuple(("zz", bits) for _, bits in got.slots))
+        # the labels live in the packed header only, so the reader rejects a forged one
         with pytest.raises(ValidationError, match="slot 0 is labelled 'zz', expected 'pad'"):
-            user_decode(session, 1, relabelled, caches[0], PadKey(0, 2))
-        last = len(got.slots) - 1
-        misplaced = Transcript(got.slots[:-1] + (("pad", got.slots[-1][1]),))
-        with pytest.raises(ValidationError, match=f"expected 'u{last}'"):
-            user_decode(session, 2, misplaced, caches[1], PadKey(0, 2))
+            Transcript.unpack(ref_pack_slots([("zz", bits) for bits in got.bitstrings]))
+        *head, last = [(coding.slot_label(i), bits) for i, bits in enumerate(got.bitstrings)]
+        with pytest.raises(ValidationError, match=f"expected '{last[0]}'"):
+            Transcript.unpack(ref_pack_slots(head + [("pad", last[1])]))

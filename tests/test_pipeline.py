@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import privseq.pipeline as pipeline_mod
 from privseq import caching, coding
 from privseq.bounds import Example1Params, example1_build
-from privseq.coding import ENTROPY, FIXED, Codebook, PadKey
+from privseq.coding import ENTROPY, FIXED, Codebook, PadKey, slot_label
 from privseq.errors import InvariantError, LimitError, ValidationError
 from privseq.frl import MechanismChain, build_chain
 from privseq.pipeline import (
@@ -50,6 +50,7 @@ from reference import (
     outcomes,
     plaintext_baseline,
     ref_leakage_audit,
+    ref_pack_slots,
     ref_pick,
     ref_transcript_distribution,
     stage_conditional_u,
@@ -83,7 +84,7 @@ class TestEncodeDecode:
         p = deterministic_db()
         chain = session_chain(p, (1,))
         t = encode_session(p, (1, 1), (1,), PadKey(1, 2), chain, RandomDraws(0))
-        assert [len(b) for _, b in t.slots] == [1, 0]
+        assert [len(b) for b in t.bitstrings] == [1, 0]
         assert total_length(t) == 1
         x, ys = decode_session(t, PadKey(1, 2), (1,), chain)
         assert (x, ys) == (1, (1,))
@@ -147,7 +148,7 @@ class TestEncodeDecode:
         )
         chain = session_chain(p, (1,))
         t = encode_session(p, (0, 0), (1,), PadKey(0, 2), chain, RandomDraws(1))
-        bad = Transcript(((t.slots[0][0], t.slots[0][1] + "1"),) + t.slots[1:])
+        bad = Transcript((t.bitstrings[0] + "1",) + t.bitstrings[1:])
         with pytest.raises(ValidationError):
             decode_session(bad, PadKey(0, 2), (1,), chain)
 
@@ -164,32 +165,36 @@ class TestEncodeDecode:
         got = Transcript.unpack(t.pack())
         assert decode_session(got, PadKey(1, 2), (1, 2), chain) == (1, (0, 1))
 
+    # the labels live in the packed header only: each forged file is the
+    # session's packed bytes with its labels rewritten, and the reader rejects it
+
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_relabelled_slot_rejected(self, slot):
         p = masked_bits("1/2", 3, 3, 1)
         chain = session_chain(p, (1, 2))
         t = encode_session(p, (1, 0, 1, 1), (1, 2), PadKey(1, 2), chain, RandomDraws(4))
-        slots = list(t.slots)
+        slots = [(slot_label(i), bits) for i, bits in enumerate(t.bitstrings)]
+        assert ref_pack_slots(slots) == t.pack()
         want, bits = slots[slot]
         slots[slot] = ("zz", bits)
         with pytest.raises(ValidationError, match=f"slot {slot} .*'zz'.*'{want}'"):
-            decode_session(Transcript(tuple(slots)), PadKey(1, 2), (1, 2), chain)
+            Transcript.unpack(ref_pack_slots(slots))
 
     def test_all_labels_replaced_rejected(self):
         p = masked_bits("1/2", 3, 3, 1)
         chain = session_chain(p, (1, 2))
         t = encode_session(p, (1, 0, 1, 1), (1, 2), PadKey(1, 2), chain, RandomDraws(4))
-        packed = Transcript(tuple(("zz", bits) for _, bits in t.slots)).pack()
+        packed = ref_pack_slots([("zz", bits) for bits in t.bitstrings])
         with pytest.raises(ValidationError, match="expected 'pad'"):
-            decode_session(Transcript.unpack(packed), PadKey(1, 2), (1, 2), chain)
+            Transcript.unpack(packed)
 
     def test_swapped_stage_labels_rejected(self):
         p = masked_bits("1/2", 3, 3, 1)
         chain = session_chain(p, (1, 2))
         t = encode_session(p, (1, 0, 1, 1), (1, 2), PadKey(1, 2), chain, RandomDraws(4))
-        pad, (l1, b1), (l2, b2) = t.slots
+        pad, b1, b2 = t.bitstrings
         with pytest.raises(ValidationError, match="slot 1"):
-            decode_session(Transcript((pad, (l2, b1), (l1, b2))), PadKey(1, 2), (1, 2), chain)
+            Transcript.unpack(ref_pack_slots([("pad", pad), ("u2", b1), ("u1", b2)]))
 
 
 class EnumeratingRng:
@@ -271,7 +276,7 @@ class TestBooksMatchTheChain:
         cell, key = next(iter(p._ints()[0])), PadKey(0, 2)
         assert expected_length(transcript_distribution(chain, books)).max_over_w == 9.0
         transcript = encode_session(p, cell, (1, 2, 3), key, chain, RandomDraws(0), FIXED, books)
-        assert len(transcript.slots) == 4
+        assert len(transcript.bitstrings) == 4
         with pytest.raises(ValidationError, match="^2 codebooks for a chain of 3 stages$"):
             if entry == "transcript_distribution":
                 transcript_distribution(chain, short)
@@ -446,7 +451,7 @@ def leaky_chain(chain, index=0):
     moved[cell] -= n
     other = ((cell[0] + 1) % chain.private_size,) + cell[1:]
     moved[other] = moved.get(other, 0) + n
-    return MechanismChain(JointDist._exact(chain.joint.variables, moved, 2 * den, ordered=False),
+    return MechanismChain(JointDist._exact(chain.joint.variables, dict(sorted(moved.items())), 2 * den),
                           chain.stages)
 
 
@@ -715,8 +720,8 @@ class TestSequentiality:
             for u in cond:
                 ta = encode_session(p, cell, (1, 2), PadKey(1, 2), chain_a, ForceFirst(u))
                 tb = encode_session(p, cell, (1, 3), PadKey(1, 2), chain_b, ForceFirst(u))
-                assert ta.slots[0] == tb.slots[0]
-                assert ta.slots[1] == tb.slots[1]
+                assert ta.bitstrings[0] == tb.bitstrings[0]
+                assert ta.bitstrings[1] == tb.bitstrings[1]
 
 
 class TestWorstCaseSweep:
