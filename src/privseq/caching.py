@@ -321,6 +321,8 @@ def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcrip
             chunk = 0 if b is None else blocks[b]
             for j, sub in xors:
                 cached = contents[demands[j - 1], sub]
+                if type(cached) is not int:  # a bool is not an integer chunk either
+                    raise ValidationError(f"cache of user {user} holds a chunk that is not an integer")
                 read |= cached
                 chunk ^= cached
             out = (out << bits) | chunk
@@ -328,8 +330,6 @@ def user_decode(session: CacheSession, user: int, transcript: pipeline.Transcrip
         file, subset = err.args[0]
         raise ValidationError(f"cache of user {user} lacks file {file}'s chunk "
                               f"for subset {subset}") from None
-    except TypeError:
-        raise ValidationError(f"cache of user {user} holds a chunk that is not an integer") from None
     if not 0 <= read < 1 << bits:
         raise ValidationError(f"cache of user {user} holds a chunk outside [0, 2^{bits})")
     return out

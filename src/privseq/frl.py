@@ -13,16 +13,16 @@ variable and run the construction again. One function builds every stage
 from one walk of its parent, keyed by the given state: x for a pair and a
 chain's first stage, (x, u_1..u_k) after it, so a pair is a chain's first
 stage under another name. Each extension multiplies the chain joint by the
-new stage's conditionals P(U_{k+1} | X, U_1..U_k, Y_next); every row of
-those must sum to exactly 1, so every earlier marginal, and with it every
-earlier stage's guarantee, is left unchanged and needs no re-check. The new
-stage alone is then checked once: U_{k+1} independent of (X, U_1..U_k) and
-U_1..U_{k+1} of X, Y_next a function of (X, U_1..U_{k+1}), and |U_{k+1}|
-within its cap. The first check reads the stage's (given state, U_{k+1})
-marginal, gathered as its product table is written; the second reads the
-state marginal P(x, u_1..u_k) that the first returns, which is exact once
-the first has passed; the function check reads the Y_next that each
-(given state, U_{k+1}) cell meets in the stage's rows.
+new stage's conditionals P(U_{k+1} | X, U_1..U_k, Y_next), in a table written
+once, reduced; every conditional row must sum to exactly 1, so every earlier
+marginal, and with it every earlier stage's guarantee, is left unchanged and
+needs no re-check. The new stage alone is then checked once: U_{k+1}
+independent of (X, U_1..U_k) and U_1..U_{k+1} of X, Y_next a function of
+(X, U_1..U_{k+1}), and |U_{k+1}| within its cap. The first check reads the
+stage's (given state, U_{k+1}) marginal, gathered as its product table is
+written; the second reads the state marginal P(x, u_1..u_k) that the first
+returns, which is exact once the first has passed; the function check reads
+the Y_next that each (given state, U_{k+1}) cell meets in the stage's rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import bisect
 import dataclasses
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -211,7 +210,8 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
     is built if it would.
 
     Each parent cell is read once, as one key (given state, target); the
-    masses, the cell counts and the product walk all use those keys. A
+    masses, the rows, the cell count, the table's gcd and the product walk
+    all use those keys, so the table is written once, already reduced. A
     parent cell of key (s, y) writes exactly row (s, y)'s atoms, so whether
     the target is a function of (s, U) is read off the rows: it is unless
     an atom lies in two rows of one state.
@@ -251,16 +251,19 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
             if bounds[i0] != start or bounds[i1] != end:
                 raise InvariantError("refinement atom crosses a segment boundary")
             spans[(x, y)] = range(i0, i1)
-    del mass, pair_mass, supports, orders, px, ends  # freed before the product table sets the peak memory
+    del pair_mass, supports, orders, px, ends  # freed before the product table sets the peak memory
     mech = FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds, dropped_x=(), spans=spans)
 
     u_alpha, y_alpha = mech.u_alphabet, parent.variables[target_axis]
     # one conditional row per positive (given state, target): atom widths over
     # the segment length, reduced by their gcd; a row summing to 1 keeps the
-    # marginal of every parent variable unchanged
-    count = Counter(keys)  # the parent cells behind each positive (given state, target)
-    rows: dict[tuple, tuple[Hashable, range, list[int], int]] = {}
-    for key in count:
+    # marginal of every parent variable unchanged. Each row's atoms open its
+    # state's row of `head`, the (given state, U) marginal the checks read;
+    # an atom in two rows of a state meets two targets
+    head: dict[Hashable, dict[int, int]] = {}
+    rows: dict[tuple, tuple[range, list[int], int, dict[int, int]]] = {}
+    forked = False
+    for key in mass:
         state, y = key
         span, widths, length = mech.row(state, y)
         total = sum(widths)
@@ -269,35 +272,32 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
             shown = state if len(given_axes) > 1 else (state,)
             raise InvariantError(f"{where}: P({u_name} | {shown}, {y_alpha.name}={y}) {fault}")
         g = math.gcd(length, *widths)
-        rows[key] = (state, span, [w // g for w in widths], length // g)
-    stage_den = math.lcm(*(length for _, _, _, length in rows.values()))
-
-    cells = sum(count[key] * len(span) for key, (_, span, _, _) in rows.items())
-    if cells > limit:
-        raise LimitError(f"{where}: the product needs {cells} cells, over the limit {limit}")
-    # the stage checks' input, the (given state, U) marginal, as one row per
-    # state; each conditional row's atoms u carry their scaled width and
-    # their state's row, and an atom in two rows of a state meets two targets
-    head: dict[Hashable, dict[int, int]] = {}
-    scaled: dict[tuple, list[tuple[int, dict[int, int], int]]] = {}
-    forked = False
-    for key, (state, span, widths, length) in rows.items():
-        factor = stage_den // length
         row = head.setdefault(state, {})
         forked = forked or not row.keys().isdisjoint(span)
         row.update(dict.fromkeys(span, 0))
-        scaled[key] = [(u, row, w * factor) for u, w in zip(span, widths)]
-    del rows, count  # its widths, one per row atom, are freed before the product table is written
+        rows[key] = (span, [w // g for w in widths], length // g, row)
+    del mass
+    stage_den = math.lcm(*(length for _, _, length, _ in rows.values()))
+
+    cells = sum(len(rows[key][0]) for key in keys)
+    if cells > limit:
+        raise LimitError(f"{where}: the product needs {cells} cells, over the limit {limit}")
+    # a reduced row's widths sum to its length, so their gcd is 1 and parent
+    # cell n writes masses of gcd n * (stage_den // length); g divides them all
+    cell_gcds = [n * (stage_den // rows[key][2]) for n, key in zip(num.values(), keys)]
+    g = math.gcd(den * stage_den, *cell_gcds)
     # the product table, each written mass added to its (given state, U) cell
     table: dict[Cell, int] = {}
-    for (cell, n), key in zip(num.items(), keys):
-        for u, row, m in scaled[key]:
-            mass_u = n * m
+    for cell, key, n in zip(num, keys, cell_gcds):
+        span, widths, _, row = rows[key]
+        n //= g
+        for u, w in zip(span, widths):
+            mass_u = n * w
             table[cell + (u,)] = mass_u
             row[u] += mass_u
-    del keys, scaled
+    del keys, rows, cell_gcds
     _check_stage(head, forked, [parent.variables[a].name for a in given_axes], u_alpha, y_alpha)
-    return mech, JointDist._exact(parent.variables + (u_alpha,), table, den * stage_den)
+    return mech, JointDist._exact(parent.variables + (u_alpha,), table, den * stage_den // g)
 
 
 def _check_stage(head: Mapping[Hashable, Mapping[int, int]], forked: bool,

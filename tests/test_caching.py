@@ -531,7 +531,7 @@ class TestUserDecodeValidation:
         with pytest.raises(ValidationError, match=r"user 1 holds a chunk outside \[0, 2\^1\)"):
             user_decode(session, 1, t, bad, PadKey(1, 2))
 
-    @pytest.mark.parametrize("chunk", [1.0, "1"])
+    @pytest.mark.parametrize("chunk", [1.0, "1", True])
     def test_chunk_not_an_integer(self, wrapped_4414, chunk):
         session, t = wrapped_4414
         contents = placement(session.cfg, [9, 4, 15, 2])[0].contents

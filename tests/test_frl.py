@@ -32,6 +32,7 @@ from reference import (
     mechanism_joint,
     prob,
     ref_stage_mechanisms,
+    stage_conditional_u,
 )
 
 GOLDEN_PAIR = Path(__file__).parent / "golden" / "pair.dist"
@@ -379,6 +380,63 @@ class TestChain:
             build_chain(designed_2x2, ["Z"])
         with pytest.raises(ValidationError, match="cannot target"):
             build_chain(designed_2x2, ["X"])
+
+
+class TestChainProduct:
+    """The chain joint against its product built as Fractions, apart from
+    `_stage`'s integer write: each base cell's probability times
+    P(U_k | x, u_1..u_{k-1}, y_k) at every stage. `==` compares the reduced
+    integer tables, so it pins the reduction too; a spy on `_exact` pins that
+    each stage's table is written reduced, with nothing left to divide out."""
+
+    @staticmethod
+    def reference_joint(base, chain):
+        table = dict(base.items())
+        n_base = len(base.variables)
+        for stage, y_axis in zip(chain.stages, base._axes(chain.targets)):
+            table = {cell + (u,): q * qu for cell, q in table.items()
+                     for u, qu in stage_conditional_u(stage, cell[0], cell[n_base:], cell[y_axis]).items()}
+        return JointDist(chain.joint.variables, table)
+
+    def check(self, base, targets):
+        chain = build_chain(base, targets)
+        reference = self.reference_joint(base, chain)
+        assert reference == chain.joint
+        assert list(chain.joint._ints()[0]) == list(reference._ints()[0])  # sorted cell order
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.booleans())
+    def test_random_databases(self, seed, x_size, n_files, file_bits, sparse):
+        # dense and sparse databases, where a (given state, target) key has several parent cells
+        if file_bits == 2:
+            n_files = min(n_files, 2)
+        rng = random.Random(seed)
+        targets = [f"Y{i}" for i in range(1, n_files + 1)]
+        rng.shuffle(targets)
+        self.check(random_database(rng, x_size, n_files, file_bits, sparse), targets)
+
+    @pytest.mark.parametrize("p, n_files, file_bits", [("1/2", 2, 1), ("1/3", 3, 1), ("3/4", 2, 2)])
+    def test_masked_family(self, p, n_files, file_bits):
+        db = example1_build(Example1Params(F(p), n_files, 1, file_bits))
+        for demands in itertools.permutations(range(1, n_files + 1)):
+            targets = [f"Y{d}" for d in demands]
+            self.check(db.marginalize(["X", *targets]), targets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    def test_stage_tables_reach_exact_reduced(self, seed, x_size, n_files, sparse):
+        p = random_database(random.Random(seed), x_size, n_files, 1, sparse)
+        gcds = []
+        original = JointDist._exact.__func__
+
+        def recording(cls, variables, num, den):
+            gcds.append(math.gcd(den, *num.values()))
+            return original(cls, variables, num, den)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(JointDist, "_exact", classmethod(recording))
+            build_chain(p, [f"Y{i}" for i in range(n_files, 0, -1)])
+        assert gcds == [1] * n_files
 
 
 class TestOneStageConstruction:
