@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import pipeline
 from .bounds import upper_bound_cardinality
-from .coding import PadKey, fixed_width
+from .coding import FIXED, PadKey, fixed_width
 from .errors import DEFAULT_STATE_LIMIT, LimitError, ValidationError, check_index
 from .frl import MechanismChain, build_chain
 from .probability import Alphabet, JointDist
@@ -275,7 +275,7 @@ class CacheSession:
 
 
 def make_cache_session(cfg: CacheConfig, database_dist: JointDist, demands: Sequence[int],
-                       mode: str = "fixed", limit: int = DEFAULT_STATE_LIMIT) -> CacheSession:
+                       mode: str = FIXED, limit: int = DEFAULT_STATE_LIMIT) -> CacheSession:
     demands = _user_demands(cfg, demands)
     bj = block_joint(cfg, database_dist, demands, limit)
     targets = [a.name for a in bj.variables[1:]]

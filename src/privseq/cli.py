@@ -272,7 +272,7 @@ def cmd_bounds_sweep(args) -> int:
         }
         # the audit enumerates 2^(k*f + 1) weighted states: skip larger rows, unbuilt and unformed
         if args.measure and k * f + 1 < args.limit.bit_length():
-            params = bounds_mod.Example1Params(prior, k, k, f)
+            params = bounds_mod.Example1Params(prior, k, 1, f)
             p = bounds_mod.example1_build(params, args.limit)
             try:
                 audit, _chain, _books = pipeline.audit_demands(
@@ -315,8 +315,7 @@ def _parse_range(text: str) -> list[range]:
 def cmd_cache_demo(args) -> int:
     cfg = caching.CacheConfig(n_files=args.n, k_users=args.k,
                               cache_files=args.m, file_bits=args.f)
-    params = bounds_mod.Example1Params(_parse_prior(args.p), args.n, min(args.n, args.k),
-                                       args.f)
+    params = bounds_mod.Example1Params(_parse_prior(args.p), args.n, 1, args.f)
     database_dist = bounds_mod.example1_build(params, args.limit)
     demands = _parse_demands(args.demands)
     if demands is None:

@@ -400,10 +400,6 @@ class ChainStage:
     target: str
     mechanism: FrlMechanism
 
-    @property
-    def u_name(self) -> str:
-        return self.mechanism.u_alphabet.name
-
     def _given_state(self, x: int, u_prefix: Sequence[int]) -> Hashable:
         state = (x, *u_prefix) if u_prefix else x
         if state not in self.mechanism._segments:
@@ -428,11 +424,7 @@ class MechanismChain:
     """
 
     joint: JointDist
-    stages: tuple[ChainStage, ...] = ()
-
-    @property
-    def u_names(self) -> tuple[str, ...]:
-        return tuple(s.u_name for s in self.stages)
+    stages: tuple[ChainStage, ...]
 
     @property
     def targets(self) -> tuple[str, ...]:
@@ -453,39 +445,31 @@ def _u_name(stage: int) -> str:
     return f"U{stage}"
 
 
-def _extend(chain: MechanismChain, target: str, limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
-    """Add one stage given X, the joint's first variable, and U_1..U_k; the
-    caller guarantees U_1..U_k is independent of X.
-
-    Raises LimitError before the stage's mechanism or product table is built
-    if it would hold more than `limit` cells.
-    """
-    given = [chain.joint.names[0], *chain.u_names]
-    if target in given:
-        raise ValidationError(f"cannot target {target!r}")
-    *given_axes, target_axis = chain.joint._axes([*given, target])
-    k = len(chain.stages)
-    u_name = _u_name(k + 1)
-    if u_name in chain.joint.names:
-        raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
-    mech, joint = _stage(chain.joint, given_axes, target_axis, u_name, None,
-                         f"chain stage {k + 1} ({target})", limit)
-    stage = ChainStage(target=target, mechanism=mech)
-    return MechanismChain(joint=joint, stages=chain.stages + (stage,))
-
-
 def build_chain(base: JointDist, targets: Sequence[str],
                 limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Run the sequential construction over `targets` in order; X is the
     base joint's first variable.
 
-    Stage i only reads the marginal over (X, U_1..U_{i-1}, targets[i]),
-    so the first i stages are identical for any continuation of the target
-    list. A repeated target yields a constant (zero-entropy) stage. Segments
-    are laid in the canonical ascending order. A stage whose joint would pass
-    `limit` cells raises LimitError before it is built.
+    Stage i is built given X and U_1..U_{i-1}, which the stages before it
+    made independent of X, so that independence is not re-checked. Stage i
+    only reads the marginal over (X, U_1..U_{i-1}, targets[i]), so the first
+    i stages are identical for any continuation of the target list. A
+    repeated target yields a constant (zero-entropy) stage. Segments are
+    laid in the canonical ascending order. A stage whose mechanism or joint
+    would pass `limit` cells raises LimitError before it is built.
     """
-    chain = MechanismChain(base)
-    for t in targets:
-        chain = _extend(chain, t, limit)
-    return chain
+    joint = base
+    given = [base.names[0]]
+    stages: list[ChainStage] = []
+    for k, target in enumerate(targets, 1):
+        if target in given:
+            raise ValidationError(f"cannot target {target!r}")
+        *given_axes, target_axis = joint._axes([*given, target])
+        u_name = _u_name(k)
+        if u_name in base.names:
+            raise ValidationError(f"variable name {u_name!r} already taken in the base joint")
+        mech, joint = _stage(joint, given_axes, target_axis, u_name, None,
+                             f"chain stage {k} ({target})", limit)
+        stages.append(ChainStage(target=target, mechanism=mech))
+        given.append(u_name)
+    return MechanismChain(joint=joint, stages=tuple(stages))

@@ -144,15 +144,6 @@ def session_codebooks(chain: MechanismChain, mode: str) -> Books:
     return tuple(entropy_codebook(stage.mechanism.widths) for stage in chain.stages)
 
 
-def _check_chain_matches(p: JointDist, demands: Sequence[int], chain: MechanismChain) -> None:
-    """Check a chain against demands that `demand_vector` has already checked."""
-    names = tuple(p.variables[d].name for d in demands)
-    if chain.targets != names:
-        raise ValidationError(f"chain targets {chain.targets} do not match demands {names}")
-    if chain.joint.variables[0] != p.variables[0]:
-        raise ValidationError("chain private variable does not match the database joint")
-
-
 Books = tuple[Codebook, ...]  # one per stage, in stage order
 
 
@@ -232,7 +223,11 @@ def encode_session(p: JointDist, realization: Sequence[int], demands: Sequence[i
     realizations can pass the stage books from session_codebooks once.
     """
     demands = demand_vector(p, demands)
-    _check_chain_matches(p, demands, chain)
+    names = tuple(p.variables[d].name for d in demands)
+    if chain.targets != names:
+        raise ValidationError(f"chain targets {chain.targets} do not match demands {names}")
+    if chain.joint.variables[0] != p.variables[0]:
+        raise ValidationError("chain private variable does not match the database joint")
     realization = tuple(realization)
     for s, alpha in zip(realization, p.variables):
         check_index(s, 0, alpha.size - 1, f"{alpha.name!r} symbol")
@@ -468,13 +463,13 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
     vectors = list(itertools.permutations(range(1, n_files + 1), k))
     # a demanded file named like a stage's auxiliary fails the build, so
     # which of those names are taken is part of the key
-    u_names = [_u_name(i) for i in range(1, k + 1)]
+    stage_names = [_u_name(i) for i in range(1, k + 1)]
     groups: dict[tuple, tuple[JointDist, list[str], list[int]]] = {}
     for i, demands in enumerate(vectors):
         base, names = _demanded_base(p, demands)
         num, den = base._ints()
         key = (tuple(v.size for v in base.variables), den, tuple(num.items()),
-               tuple(u in base.names for u in u_names))
+               tuple(u in base.names for u in stage_names))
         groups.setdefault(key, (base, names, []))[2].append(i)
     rows: dict[int, SweepRow] = {}
     for base, names, members in groups.values():

@@ -126,6 +126,8 @@ class JointDist:
             for s, (top, what) in zip(cell, tops):
                 check_index(s, 0, top, what)
             if type(p) is not Fraction:
+                if type(p) is not int:
+                    raise ValidationError(f"probability {p!r} at {cell} is not an int or a Fraction")
                 p = Fraction(p)
             if p.numerator < 0:
                 raise ValidationError(f"negative probability {p} at {cell}")

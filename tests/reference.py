@@ -176,8 +176,9 @@ def ref_stage_mechanisms(chain):
     the compound states numbered in sorted order, passed to `frl_construct`.
     Its spans are read back by state, x alone at the first stage."""
     out = []
+    u_names = [stage.mechanism.u_alphabet.name for stage in chain.stages]
     for k, target in enumerate(chain.targets):
-        marg = chain.joint.marginalize([chain.joint.names[0], *chain.u_names[:k], target])
+        marg = chain.joint.marginalize([chain.joint.names[0], *u_names[:k], target])
         index, pair = {}, {}
         for cell, q in marg.items():
             pair[(index.setdefault(cell[:-1], len(index)), cell[-1])] = q

@@ -3,6 +3,7 @@ symbol, size and count boundary, the error branches of the spec parser,
 the CLI and the library that no other test reaches, and a fuzz of the spec
 format."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -107,6 +108,14 @@ class TestLibraryErrors:
             JointDist([], {(): 1})
         with pytest.raises(ValidationError, match=r"cell \(0,\) does not index every variable"):
             JointDist([Alphabet("X", 2), Alphabet("Y", 2)], {(0,): 1})
+
+    @pytest.mark.parametrize("value", ["1", True, 1.0, None, "abc", float("nan")],
+                             ids=["str", "bool", "float", "none", "text", "nan"])
+    def test_joint_dist_probability_type(self, value):
+        # a cell is an exact rational: an int (not a bool) or a Fraction, nothing Fraction() parses
+        with pytest.raises(ValidationError,
+                           match=rf"^probability {re.escape(repr(value))} at \(0,\) is not an int or a Fraction$"):
+            JointDist([Alphabet("X", 1)], {(0,): value})
 
     def test_repeated_variable(self):
         with pytest.raises(ValidationError, match="repeated variable"):

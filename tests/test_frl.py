@@ -352,7 +352,8 @@ class TestChain:
         p = random_database(random.Random(seed), x_size, n_files, 1, sparse)
         targets = [f"Y{i}" for i in range(n_files, 0, -1)]
         chain = build_chain(p, targets)
-        x_axis, *u_axes = chain.joint._axes(["X", *chain.u_names])
+        x_axis, *u_axes = chain.joint._axes(
+            ["X", *(stage.mechanism.u_alphabet.name for stage in chain.stages)])
         y_axes = chain.joint._axes(targets)
         for cell in chain.joint.table:
             us = [cell[a] for a in u_axes]
@@ -374,12 +375,23 @@ class TestChain:
         assert getattr(stage1, method)(0, (), 0) is not None
         assert getattr(stage2, method)(0, (0,), 0) is not None
 
-    def test_unknown_private_or_target_rejected(self, designed_2x2):
-        # X is the base joint's first variable; an unknown target and X itself are rejected
-        with pytest.raises(ValidationError):
-            build_chain(designed_2x2, ["Z"])
-        with pytest.raises(ValidationError, match="cannot target"):
-            build_chain(designed_2x2, ["X"])
+    @pytest.mark.parametrize("taken, targets, match", [
+        (None, ["Z"], "unknown variable 'Z'"),
+        (None, ["X"], "cannot target 'X'"),
+        (None, ["Y", "U1"], "cannot target 'U1'"),
+        ("U2", ["Y", "Y"], "variable name 'U2' already taken in the base joint"),
+    ], ids=["unknown", "private", "earlier-aux", "taken-aux-name"])
+    def test_unknown_private_or_target_rejected(self, designed_2x2, taken, targets, match):
+        # X is the base joint's first variable, and a base variable may not
+        # bear a later stage's auxiliary name; every stage before the
+        # faulty last one builds
+        base = designed_2x2
+        if taken is not None:
+            base = JointDist([*base.variables, Alphabet(taken, 1)],
+                             {cell + (0,): q for cell, q in base.items()})
+        assert len(build_chain(base, targets[:-1]).stages) == len(targets) - 1
+        with pytest.raises(ValidationError, match=match):
+            build_chain(base, targets)
 
 
 class TestChainProduct:
@@ -767,7 +779,7 @@ class TestBuiltStagesMatchTheReference:
 
     @staticmethod
     def reference(chain):
-        u_names = chain.u_names
+        u_names = [stage.mechanism.u_alphabet.name for stage in chain.stages]
         return [stage_outcome(reference_verify_stage, chain.joint,
                               [chain.joint.names[0], *u_names[:i]], u_names[i], target)
                 for i, target in enumerate(chain.targets)]

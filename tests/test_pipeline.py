@@ -457,7 +457,8 @@ def leaky_chain(chain, index=0):
 
 def chain_leakage(chain, exact_zero):
     """The leakage a chain's audit reports: 0.0 on a pass, else I(U; X) of its joint."""
-    return 0.0 if exact_zero else mutual_information(chain.joint, chain.u_names, ["X"])
+    return 0.0 if exact_zero else mutual_information(
+        chain.joint, [stage.mechanism.u_alphabet.name for stage in chain.stages], ["X"])
 
 
 class RecordingDraws(RandomDraws):
