@@ -61,6 +61,12 @@ def _parse_prior(text: str) -> Fraction:
 FAMILY_DEFAULTS = {"p": "1/2", "n": 2, "f": 1}
 
 
+def _masked_family(prior: Fraction, n: int, f: int, limit: int) -> JointDist:
+    """The masked-bits database over (X, Y_1..Y_n) of f-bit files."""
+    return bounds_mod.example1_build(
+        bounds_mod.Example1Params(p=prior, n_files=n, k_demands=1, file_bits=f), limit)
+
+
 def _load_database(args) -> JointDist:
     if args.spec:
         for name in FAMILY_DEFAULTS:
@@ -69,8 +75,7 @@ def _load_database(args) -> JointDist:
         return load_dist(args.spec)
     p, n, f = (FAMILY_DEFAULTS[name] if getattr(args, name) is None else getattr(args, name)
                for name in FAMILY_DEFAULTS)
-    params = bounds_mod.Example1Params(p=_parse_prior(p), n_files=n, k_demands=1, file_bits=f)
-    return bounds_mod.example1_build(params, limit=args.limit)
+    return _masked_family(_parse_prior(p), n, f, args.limit)
 
 
 def _add_family_args(sp) -> None:
@@ -89,24 +94,28 @@ def cmd_frl_build(args) -> int:
     dist = load_dist(args.spec)
     if len(dist.variables) != 2:
         raise ValidationError("frl build needs a two-variable spec (private, target)")
+    x_alpha, y_alpha = dist.variables
+    if x_alpha.size > frl.DEFAULT_STATE_LIMIT:  # listing the zero-mass x symbols walks all of X
+        raise LimitError(f"the U mechanism's {x_alpha.name} has {x_alpha.size} symbols, "
+                         f"over the limit {frl.DEFAULT_STATE_LIMIT}")
     policy = None
     searched_h = None
     if args.optimize:
         policy, searched_h = frl.min_entropy_search(dist, args.optimize)
     mech = frl.frl_construct(dist, policy)
-    print(f"variables: {dist.variables[0].name} (size {dist.variables[0].size}) -> "
-          f"{dist.variables[1].name} (size {dist.variables[1].size})")
-    if mech.dropped_x:
-        rest = len(mech.dropped_x) - DROPPED_SHOWN
-        print(f"warning: dropped zero-mass private symbols {list(mech.dropped_x[:DROPPED_SHOWN])}"
+    positive = sorted({x for x, _ in mech.spans})
+    dropped = sorted(set(x_alpha.symbols()).difference(positive))
+    print(f"variables: {x_alpha.name} (size {x_alpha.size}) -> {y_alpha.name} (size {y_alpha.size})")
+    if dropped:
+        rest = len(dropped) - DROPPED_SHOWN
+        print(f"warning: dropped zero-mass private symbols {dropped[:DROPPED_SHOWN]}"
               + (f" and {rest} more" if rest > 0 else ""))
-    print(f"atoms: {mech.u_size} (cap {frl.cardinality_bound(dist.variables[0].size, dist.variables[1].size)})")
+    print(f"atoms: {mech.u_size} (cap {frl.cardinality_bound(x_alpha.size, y_alpha.size)})")
     for u, ((a, b), q) in enumerate(zip(mech.atoms, mech.p_u)):
         print(f"  u{u}: [{a!s}, {b!s})  p={q!s}")
     print(f"H(U) = {mech.entropy():.6f} bits" + (
         f" (ordering-optimized, search min {searched_h:.6f})" if searched_h is not None else ""))
     print("map (u, x) -> y:")
-    positive = sorted({x for x, _ in mech.spans})
     for x in positive:
         row = " ".join(f"u{u}->{mech.apply(u, x)}" for u in range(mech.u_size))
         print(f"  x={x}: {row}")
@@ -115,7 +124,7 @@ def cmd_frl_build(args) -> int:
         "p_u": [str(q) for q in mech.p_u],
         "entropy_bits": mech.entropy(),
         "map": {f"{u},{x}": mech.apply(u, x) for u in range(mech.u_size) for x in positive},
-        "dropped_x": list(mech.dropped_x),
+        "dropped_x": dropped,
     }
     _write_json(args.out, payload)
     return EXIT_OK
@@ -182,7 +191,7 @@ def _print_run_report(rep: dict) -> None:
 
 
 def cmd_pipeline_run(args) -> int:
-    p = _load_database(args)
+    # the arguments are checked before the database is built, which may be over the limit
     demands = _parse_demands(args.demands)
     if demands is not None and args.k is not None:
         raise ValidationError("--k needs --demands sweep: a demand vector sets its own length")
@@ -192,6 +201,8 @@ def cmd_pipeline_run(args) -> int:
                                   "a sweep encodes no sample transcript")
         if args.seed is not None:
             raise ValidationError("--seed needs an explicit demand vector: a sweep draws no sample session")
+    p = _load_database(args)
+    if demands is None:
         k = len(p.variables) - 1 if args.k is None else args.k
         sweep = pipeline.worst_case_sweep(p, k, args.mode, args.limit)
         rows = []
@@ -221,10 +232,10 @@ def cmd_pipeline_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    p = _load_database(args)
     demands = _parse_demands(args.demands)
     if demands is None:
         raise ValidationError("audit needs an explicit demand vector")
+    p = _load_database(args)
     row, _chain, _books = pipeline.audit_demands(p, demands, args.mode, args.limit)
     print(f"transcript support: {row.transcript_support}")
     print(f"leakage: exact_zero={row.leakage_exact_zero}  I = {row.leakage_bits:.3g} bits")
@@ -272,8 +283,7 @@ def cmd_bounds_sweep(args) -> int:
         }
         # the audit enumerates 2^(k*f + 1) weighted states: skip larger rows, unbuilt and unformed
         if args.measure and k * f + 1 < args.limit.bit_length():
-            params = bounds_mod.Example1Params(prior, k, 1, f)
-            p = bounds_mod.example1_build(params, args.limit)
+            p = _masked_family(prior, k, f, args.limit)
             try:
                 audit, _chain, _books = pipeline.audit_demands(
                     p, range(1, k + 1), args.mode, args.limit)
@@ -315,11 +325,12 @@ def _parse_range(text: str) -> list[range]:
 def cmd_cache_demo(args) -> int:
     cfg = caching.CacheConfig(n_files=args.n, k_users=args.k,
                               cache_files=args.m, file_bits=args.f)
-    params = bounds_mod.Example1Params(_parse_prior(args.p), args.n, 1, args.f)
-    database_dist = bounds_mod.example1_build(params, args.limit)
+    prior = _parse_prior(args.p)
     demands = _parse_demands(args.demands)
     if demands is None:
         raise ValidationError("cache demo needs an explicit demand vector")
+    demands = caching._user_demands(cfg, demands)  # checked before the database is built
+    database_dist = _masked_family(prior, args.n, args.f, args.limit)
     session = caching.make_cache_session(cfg, database_dist, demands, args.mode, args.limit)
     x_size = database_dist.variables[0].size
 

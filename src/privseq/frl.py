@@ -28,7 +28,6 @@ the Y_next that each (given state, U_{k+1}) cell meets in the stage's rows.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -56,21 +55,21 @@ class FrlMechanism:
     the private symbol for a pair and a chain's first stage, the tuple
     (x, u_1..u_{k-1}) at stage k >= 2.
 
-    bounds    -- atom boundaries 0 = b_0 < ... < b_n on [0,1), as integers
-                 over the common denominator b_n; atom u is [b_u, b_{u+1})
-    dropped_x -- a pair's zero-mass x symbols, which get no segments
-    spans     -- (given state, y) -> the range of atom indices its segment
-                 covers; the segments of one positive state tile the atoms
-                 0..n-1 in order
+    bounds -- atom boundaries 0 = b_0 < ... < b_n on [0,1), as integers
+              over the common denominator b_n; atom u is [b_u, b_{u+1})
+    spans  -- (given state, y) -> the range of atom indices its segment
+              covers; the segments of one positive state tile the atoms
+              0..n-1 in order, and are written state by state in that order
 
     The spans are the whole map: `apply(u, x)` is the y whose segment covers
     atom u, and `row` the integer P(U | x, y). `atoms` and `p_u` are the
-    Fraction views of `bounds`.
+    Fraction views of `bounds`. A zero-mass state has no spans, and the
+    mechanism does not list such states: `frl build` reports a pair's
+    zero-mass x symbols.
     """
 
     u_alphabet: Alphabet
     bounds: tuple[int, ...]
-    dropped_x: tuple[int, ...]
     spans: Mapping[tuple[Hashable, int], range] = field(repr=False)
 
     @property
@@ -101,9 +100,10 @@ class FrlMechanism:
 
     @cached_property
     def _segments(self) -> dict[Hashable, tuple[list[int], list[int]]]:
-        """Positive given state -> the ends of its segments, ascending, and their y symbols."""
+        """Positive given state -> the ends of its segments, ascending, and
+        their y symbols: `spans` grouped in the order it was written."""
         segments: dict[Hashable, tuple[list[int], list[int]]] = {}
-        for (x, y), span in sorted(self.spans.items(), key=lambda item: (item[0][0], item[1].stop)):
+        for (x, y), span in self.spans.items():
             stops, ys = segments.setdefault(x, ([], []))
             stops.append(span.stop)
             ys.append(y)
@@ -117,18 +117,12 @@ class FrlMechanism:
             return ys[i]
         raise ValidationError(f"(u={u}, x={x}) outside the positive support")
 
-    def _span(self, x: Hashable, y: int) -> range:
-        span = self.spans.get((x, y))
-        if span is None:
-            if x in self.dropped_x:
-                raise ValidationError(f"x={x} has zero mass (dropped)")
-            raise ValidationError(f"(x={x}, y={y}) outside the positive support")
-        return span
-
     def row(self, x: Hashable, y: int) -> Row:
         """P(U | X=x, Y=y) on integers: the atoms the (x, y) segment covers,
         their widths b[u+1] - b[u], and the segment length they sum to."""
-        span = self._span(x, y)
+        span = self.spans.get((x, y))
+        if span is None:
+            raise ValidationError(f"(x={x}, y={y}) outside the positive support")
         b = self.bounds
         return span, self.widths[span.start:span.stop], b[span.stop] - b[span.start]
 
@@ -181,21 +175,14 @@ def frl_construct(pxy: JointDist, policy: OrderingPolicy | None = None) -> FrlMe
     """Build the interval mechanism U for a pair distribution (X, Y): the
     first stage of a chain over X, built and checked by the same function.
 
-    Zero-mass x symbols are dropped (recorded in `dropped_x`); zero-mass
-    (x, y) pairs produce no segment. LimitError is raised before any
-    segment is laid if X has more than DEFAULT_STATE_LIMIT symbols, and
-    before the mechanism's spans are found if they would cover more
-    (x, U) cells.
+    Zero-mass (x, y) pairs, and so zero-mass x symbols, produce no segment;
+    `frl build` reports the zero-mass x symbols. LimitError is raised before
+    the mechanism's spans are found if they would cover more than
+    DEFAULT_STATE_LIMIT (x, U) cells.
     """
     if len(pxy.variables) != 2:
         raise ValidationError(f"need a pair distribution, got variables {pxy.names}")
-    x_alpha = pxy.variables[0]
-    if x_alpha.size > DEFAULT_STATE_LIMIT:  # listing the zero-mass x symbols walks the whole alphabet
-        raise LimitError(f"the U mechanism's {x_alpha.name} has {x_alpha.size} symbols, "
-                         f"over the limit {DEFAULT_STATE_LIMIT}")
-    mech, _ = _stage(pxy, (0,), 1, "U", policy, f"pair ({', '.join(pxy.names)})", DEFAULT_STATE_LIMIT)
-    return dataclasses.replace(
-        mech, dropped_x=tuple(x for x in x_alpha.symbols() if x not in mech._segments))
+    return _stage(pxy, (0,), 1, "U", policy, f"pair ({', '.join(pxy.names)})", DEFAULT_STATE_LIMIT)[0]
 
 
 def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_name: str,
@@ -252,7 +239,7 @@ def _stage(parent: JointDist, given_axes: Sequence[int], target_axis: int, u_nam
                 raise InvariantError("refinement atom crosses a segment boundary")
             spans[(x, y)] = range(i0, i1)
     del pair_mass, supports, orders, px, ends  # freed before the product table sets the peak memory
-    mech = FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds, dropped_x=(), spans=spans)
+    mech = FrlMechanism(u_alphabet=Alphabet(u_name, n_atoms), bounds=bounds, spans=spans)
 
     u_alpha, y_alpha = mech.u_alphabet, parent.variables[target_axis]
     # one conditional row per positive (given state, target): atom widths over

@@ -190,10 +190,13 @@ def encode_walk(chain: MechanismChain, books: Books, x: int, key: PadKey,
 
 def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
                 key: PadKey) -> tuple[int, tuple[int, ...]]:
-    """The sequential decoder: recover x, then each stage's target value.
+    """The decoder: recover x, then each stage's target value.
 
     Slot 0 is the pad slot and slot i stage i's, by position; a packed
-    transcript's labels were checked by `Transcript.unpack`."""
+    transcript's labels were checked by `Transcript.unpack`. The transcript
+    carries x and every auxiliary, and stage i's target is a function of
+    (x, u_1..u_i), so every slot is decoded first and the stages are a map
+    over them: only the encoder walks the stages."""
     _check_key(chain, key)
     _check_books(chain, books)
     if len(transcript.bitstrings) != len(chain.stages) + 1:
@@ -202,12 +205,10 @@ def decode_walk(chain: MechanismChain, books: Books, transcript: Transcript,
         )
     pad_bits, *rest = transcript.bitstrings
     x = otp_decrypt(fixed_decode(pad_bits, chain.private_size), key)
+    us = tuple(map(Codebook.decode, books, rest))
     ys = []
-    prefix: tuple[int, ...] = ()
-    for stage, book, bits in zip(chain.stages, books, rest):
-        u = book.decode(bits)
-        ys.append(stage.decode(x, prefix, u))
-        prefix += (u,)
+    for i, stage in enumerate(chain.stages):
+        ys.append(stage.decode(x, us[:i], us[i]))
     return x, tuple(ys)
 
 

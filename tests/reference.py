@@ -158,7 +158,7 @@ def product_extend(d, fresh, marginal):
 
 def conditional_u(mech, x, y):
     """Exact P(U=u | X=x, Y=y) of a mechanism: atom length over segment length."""
-    span = mech._span(x, y)
+    span = mech.row(x, y)[0]  # its ValidationError names an (x, y) outside the support
     b = mech.bounds
     length = b[span.stop] - b[span.start]
     return {u: F(b[u + 1] - b[u], length) for u in span}

@@ -443,6 +443,29 @@ class TestAudit:
         assert "--demands" in capsys.readouterr().out
 
 
+class TestArgumentsBeforeTheDatabase:
+    # a masked family of 2^30 + 1 or 2^32 + 1 cells is over the default
+    # limit: a fault in the arguments alone is reported before it is built
+    @pytest.mark.parametrize("argv, message", [
+        (["pipeline", "run", "--n", "30", "--f", "1", "--demands", "1", "--k", "2"],
+         "--k needs --demands sweep"),
+        (["pipeline", "run", "--n", "30", "--f", "1", "--demands", "sweep", "--seed", "1"],
+         "--seed needs an explicit demand vector"),
+        (["audit", "--n", "30", "--f", "1", "--demands", "sweep"],
+         "audit needs an explicit demand vector"),
+        (["cache", "demo", "--n", "4", "--k", "4", "--m", "1", "--f", "8", "--demands", "sweep"],
+         "cache demo needs an explicit demand vector"),
+        (["cache", "demo", "--n", "4", "--k", "4", "--m", "1", "--f", "8", "--demands", "1,2"],
+         "need one demand per user (4), got 2"),
+        (["cache", "demo", "--n", "4", "--k", "4", "--m", "1", "--f", "8", "--demands", "1,2,3,5"],
+         "demand 5 outside the integers 1..4"),
+    ], ids=["run-k", "run-seed", "audit-sweep", "cache-sweep", "cache-count", "cache-range"])
+    def test_usage_fault_exits_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 class TestLimitBeforeAlphabetWork:
     # one positive cell over a declared X of 10^9 symbols: a pad book or a
     # list of the dropped x symbols would hold 10^9 entries

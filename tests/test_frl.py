@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -22,6 +23,7 @@ from privseq.frl import (
     min_entropy_search,
 )
 from privseq.bounds import Example1Params, example1_build
+from privseq.cli import main
 from privseq.probability import Alphabet, JointDist, load_dist
 
 from conftest import random_pair, random_database
@@ -112,14 +114,14 @@ class TestConstruct:
             {(0, 0): F(1, 2), (1, 0): F(1, 4), (1, 1): F(1, 4)},
         )
         m = frl_construct(d)
-        assert m.dropped_x == (2,)
+        assert {x for x, _ in m.spans} == {0, 1}  # x=2 gets no segment
         assert {(u, x): m.apply(u, x) for u in range(m.u_size) for x in (0, 1)} == \
             {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
         # the dropped x, and atoms past either end of a kept x's segments
         for u, x in [(0, 2), (1, 2), (-1, 0), (m.u_size, 1)]:
             with pytest.raises(ValidationError, match=rf"\(u={u}, x={x}\) outside the positive support"):
                 m.apply(u, x)
-        with pytest.raises(ValidationError, match="x=2 has zero mass"):
+        with pytest.raises(ValidationError, match=r"\(x=2, y=0\) outside the positive support"):
             conditional_u(m, 2, 0)
         with pytest.raises(ValidationError, match=r"\(x=0, y=1\) outside the positive support"):
             conditional_u(m, 0, 1)
@@ -470,8 +472,34 @@ class TestOneStageConstruction:
         pxy = load_dist(GOLDEN_PAIR)
         stage = build_chain(pxy, ["Y"]).stages[0].mechanism
         pair = frl_construct(pxy)
-        assert (stage.bounds, stage.spans) == (pair.bounds, pair.spans)
-        assert pair.dropped_x == (2,)
+        # the whole mechanism, up to U's name, spans in written order included
+        assert pair == dataclasses.replace(stage, u_alphabet=Alphabet("U", stage.u_size))
+        assert list(pair.spans.items()) == list(stage.spans.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.booleans())
+    def test_segments_are_the_sorted_spans(self, seed, x_size, n_files, y_size, sparse):
+        # `_segments` groups the spans as written, unsorted: `_stage` writes
+        # them state by state with ascending stops, under any policy too
+        rng = random.Random(seed)
+        targets = [f"Y{i}" for i in range(1, n_files + 1)]
+        rng.shuffle(targets)
+        p = random_database(rng, min(x_size, 3), n_files, 1, sparse)
+        mechs = [s.mechanism for s in build_chain(p, targets).stages]
+        pxy = random_pair(rng, x_size, y_size, sparse)
+        policy = {}
+        for x, y in pxy.table:
+            policy.setdefault(x, []).append(y)
+        for ys in policy.values():
+            rng.shuffle(ys)
+        mechs += [frl_construct(pxy), frl_construct(pxy, policy)]
+        for m in mechs:
+            segments = {}
+            for (x, y), span in sorted(m.spans.items(), key=lambda item: (item[0][0], item[1].stop)):
+                stops, ys = segments.setdefault(x, ([], []))
+                stops.append(span.stop)
+                ys.append(y)
+            assert m._segments == segments
 
 
 class TestStageChecks:
@@ -920,12 +948,17 @@ class TestStageLimit:
         with pytest.raises(LimitError, match=f"needs {cells} cells, over the limit {cells - 1}"):
             build_chain(p, targets, limit=cells - 1)
 
-    def test_private_alphabet_over_the_limit(self, monkeypatch):
-        # one positive cell: the mechanism needs 1 cell, but listing the
-        # dropped x symbols walks all 101
-        pair = JointDist([Alphabet("X", 101), Alphabet("Y", 2)], {(0, 0): F(1)})
+    def test_private_alphabet_over_the_limit(self, monkeypatch, tmp_path, capsys):
+        # one positive cell: the mechanism needs 1 cell, but `frl build`'s
+        # list of the dropped x symbols walks all 101
+        spec, out = tmp_path / "pair.dist", tmp_path / "mech.json"
+        spec.write_text("var X 101\nvar Y 2\np 0 0 1\n")
+        argv = ["frl", "build", "--spec", str(spec), "--out", str(out)]
         monkeypatch.setattr(frl_mod, "DEFAULT_STATE_LIMIT", 100)
-        with pytest.raises(LimitError, match="X has 101 symbols, over the limit 100"):
-            frl_construct(pair)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == \
+            "resource limit: the U mechanism's X has 101 symbols, over the limit 100\n"
+        assert not out.exists()
         monkeypatch.setattr(frl_mod, "DEFAULT_STATE_LIMIT", 101)
-        assert frl_construct(pair).dropped_x == tuple(range(1, 101))
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["dropped_x"] == list(range(1, 101))
