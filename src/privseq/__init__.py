@@ -39,6 +39,7 @@ from .pipeline import (
 )
 from .bounds import (
     Example1Params,
+    demanded_base,
     example1_build,
     lower_bound,
     upper_bound_cardinality,

@@ -5,7 +5,7 @@ auxiliary-alphabet caps, so it evaluates cheaply at any file size. The
 entropy route sums ceilinged construction entropies, which only upper-bound
 the best feasible per-stage entropies; every report labels it an estimate.
 The converse is the largest conditional entropy of the demanded files given
-a private realization.
+a private realization, read off the demanded marginal a chain is built on.
 """
 
 from __future__ import annotations
@@ -14,18 +14,32 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .coding import fixed_width
 from .errors import DEFAULT_STATE_LIMIT, InvariantError, LimitError, ValidationError, check_index
 from .frl import MechanismChain, cardinality_bound
-from .probability import Alphabet, JointDist
+from .probability import Alphabet, JointDist, _entropy_bits
 
 
-def demand_names(p: JointDist, demands: Sequence[int]) -> list[str]:
-    """Map 1-based file indices onto variable names (first variable is private)."""
-    n_files = len(p.variables) - 1
-    return [p.variables[check_index(d, 1, n_files, "demand")].name for d in demands]
+def demand_vector(n_files: int, demands: Iterable[int]) -> tuple[int, ...]:
+    """The one demand check, from the file count alone: at least one demand,
+    each an int in 1..n_files, pairwise distinct."""
+    demands = tuple(demands)
+    if not demands:
+        raise ValidationError("empty demand vector")
+    for d in demands:
+        check_index(d, 1, n_files, "demand")
+    if len(set(demands)) != len(demands):
+        raise ValidationError(f"demands must be pairwise distinct: {demands}")
+    return demands
+
+
+def demanded_base(p: JointDist, demands: Iterable[int]) -> tuple[JointDist, list[str]]:
+    """The exact (private, demanded files) marginal of `p` in demand order, which
+    the chain, a sweep's grouping and the converse read, and the files' names."""
+    names = [p.variables[d].name for d in demand_vector(len(p.variables) - 1, demands)]
+    return p.marginalize([p.variables[0].name, *names]), names
 
 
 def cap_limit_error(stage: int, limit: int) -> LimitError:
@@ -71,9 +85,14 @@ def upper_bound_entropy_estimate(chain: MechanismChain) -> int:
     return total
 
 
-def lower_bound(p: JointDist, demands: Sequence[int]) -> float:
-    """Converse: max over private realizations of H(demanded files | X=x)."""
-    return p.max_entropy_given(demand_names(p, demands))
+def lower_bound(base: JointDist) -> float:
+    """Converse: max over private realizations x of H(demanded files | X=x),
+    on the demanded marginal `base` from `demanded_base`. Its cells are in
+    sorted order, so each run of one x is x's conditional table, summed in
+    sorted order by `_entropy_bits`."""
+    by_x = itertools.groupby(base._ints()[0].items(), key=lambda item: item[0][0])
+    return max(_entropy_bits(masses, sum(masses))
+               for masses in ([n for _, n in cells] for _, cells in by_x))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import bounds as bounds_mod
 from . import caching, coding, frl, pipeline
@@ -61,21 +61,26 @@ def _parse_prior(text: str) -> Fraction:
 FAMILY_DEFAULTS = {"p": "1/2", "n": 2, "f": 1}
 
 
-def _masked_family(prior: Fraction, n: int, f: int, limit: int) -> JointDist:
-    """The masked-bits database over (X, Y_1..Y_n) of f-bit files."""
-    return bounds_mod.example1_build(
-        bounds_mod.Example1Params(p=prior, n_files=n, k_demands=1, file_bits=f), limit)
+def _masked_family(prior: Fraction, n: int, f: int, limit: int, check_files=lambda n: None) -> JointDist:
+    """The masked-bits database over (X, Y_1..Y_n) of f-bit files; `check_files`
+    reads n once the parameters are valid, before the size is checked on `limit`."""
+    params = bounds_mod.Example1Params(p=prior, n_files=n, k_demands=1, file_bits=f)
+    check_files(n)
+    return bounds_mod.example1_build(params, limit)
 
 
-def _load_database(args) -> JointDist:
+def _load_database(args, check_files: Callable[[int], object]) -> JointDist:
+    """The --spec database or the built-in family, its file count checked first."""
     if args.spec:
         for name in FAMILY_DEFAULTS:
             if getattr(args, name) is not None:
                 raise ValidationError(f"--{name} sets the built-in family; it cannot be given with --spec")
-        return load_dist(args.spec)
+        p = load_dist(args.spec)
+        check_files(len(p.variables) - 1)
+        return p
     p, n, f = (FAMILY_DEFAULTS[name] if getattr(args, name) is None else getattr(args, name)
                for name in FAMILY_DEFAULTS)
-    return _masked_family(_parse_prior(p), n, f, args.limit)
+    return _masked_family(_parse_prior(p), n, f, args.limit, check_files)
 
 
 def _add_family_args(sp) -> None:
@@ -201,10 +206,9 @@ def cmd_pipeline_run(args) -> int:
                                   "a sweep encodes no sample transcript")
         if args.seed is not None:
             raise ValidationError("--seed needs an explicit demand vector: a sweep draws no sample session")
-    p = _load_database(args)
-    if demands is None:
-        k = len(p.variables) - 1 if args.k is None else args.k
-        sweep = pipeline.worst_case_sweep(p, k, args.mode, args.limit)
+        sweep_k = lambda n: n if args.k is None else args.k  # the default k is the file count
+        p = _load_database(args, lambda n: pipeline.sweep_vectors(n, sweep_k(n), args.limit))
+        sweep = pipeline.worst_case_sweep(p, sweep_k(len(p.variables) - 1), args.mode, args.limit)
         rows = []
         for row in sweep.rows:
             rows.append({
@@ -223,6 +227,7 @@ def cmd_pipeline_run(args) -> int:
         if not all(r.leakage_exact_zero for r in sweep.rows):
             return EXIT_INVARIANT
         return EXIT_OK
+    p = _load_database(args, lambda n: bounds_mod.demand_vector(n, demands))
     rep = _run_report(p, demands, args)
     _print_run_report(rep)
     _write_json(args.out, rep)
@@ -235,7 +240,7 @@ def cmd_audit(args) -> int:
     demands = _parse_demands(args.demands)
     if demands is None:
         raise ValidationError("audit needs an explicit demand vector")
-    p = _load_database(args)
+    p = _load_database(args, lambda n: bounds_mod.demand_vector(n, demands))
     row, _chain, _books = pipeline.audit_demands(p, demands, args.mode, args.limit)
     print(f"transcript support: {row.transcript_support}")
     print(f"leakage: exact_zero={row.leakage_exact_zero}  I = {row.leakage_bits:.3g} bits")

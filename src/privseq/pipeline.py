@@ -27,7 +27,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from . import bounds as bounds_mod
 from .coding import (
@@ -103,31 +103,13 @@ class RandomDraws:
         return span[bisect.bisect_right(cumulative, self._rng.randrange(length // g) * g)]
 
 
-def demand_vector(p: JointDist, demands: Sequence[int]) -> tuple[int, ...]:
-    """Validate a demand vector: distinct 1-based file indices."""
-    demands = tuple(demands)
-    if not demands:
-        raise ValidationError("empty demand vector")
-    bounds_mod.demand_names(p, demands)  # each an int in 1..n_files
-    if len(set(demands)) != len(demands):
-        raise ValidationError(f"demands must be pairwise distinct: {demands}")
-    return demands
-
-
-def _demanded_base(p: JointDist, demands: Sequence[int]) -> tuple[JointDist, list[str]]:
-    """The exact (private, demanded files) marginal a chain is built on, and
-    the demanded files' names in demand order."""
-    names = bounds_mod.demand_names(p, demands)
-    return p.marginalize([p.variables[0].name, *names]), names
-
-
 def session_chain(p: JointDist, demands: Sequence[int],
                   limit: int = DEFAULT_STATE_LIMIT) -> MechanismChain:
     """Build the mechanism chain for a demand vector over database joint `p`.
 
     A stage whose joint would pass `limit` cells raises LimitError.
     """
-    base, names = _demanded_base(p, demand_vector(p, demands))
+    base, names = bounds_mod.demanded_base(p, demands)
     return build_chain(base, names, limit=limit)
 
 
@@ -223,7 +205,7 @@ def encode_session(p: JointDist, realization: Sequence[int], demands: Sequence[i
     current demand's file is read at each step. Callers looping over many
     realizations can pass the stage books from session_codebooks once.
     """
-    demands = demand_vector(p, demands)
+    demands = bounds_mod.demand_vector(len(p.variables) - 1, demands)
     names = tuple(p.variables[d].name for d in demands)
     if chain.targets != names:
         raise ValidationError(f"chain targets {chain.targets} do not match demands {names}")
@@ -403,19 +385,20 @@ class SweepRow:
                 and self.expected_len <= self.upper_cardinality + 1e-9)
 
 
-def _audit_row(p: JointDist, demands: tuple[int, ...], chain: MechanismChain,
+def _audit_row(demands: tuple[int, ...], base: JointDist, chain: MechanismChain,
                books: Books, limit: int) -> SweepRow:
-    """The row of a valid demand vector on its built chain and books: the
-    transcript distribution, leakage audit, expected length and bounds."""
+    """The row of a valid demand vector, read only from its demanded marginal
+    `base` (the converse and cardinality bound), the chain built on it and the
+    chain's books (the transcript law, audit, length and entropy estimate)."""
     td = transcript_distribution(chain, books, limit)
     el = expected_length(td)
     leak = leakage_audit(td)
     return SweepRow(
         demands=demands,
         expected_len=el.max_over_w,
-        lower=bounds_mod.lower_bound(p, demands),
+        lower=bounds_mod.lower_bound(base),
         upper_cardinality=bounds_mod.upper_bound_cardinality(
-            chain.private_size, [p.variables[d].size for d in demands]),
+            chain.private_size, [v.size for v in base.variables[1:]]),
         upper_entropy_estimate=bounds_mod.upper_bound_entropy_estimate(chain),
         leakage_exact_zero=leak.exact_zero,
         leakage_bits=leak.bits,
@@ -429,16 +412,28 @@ def audit_demands(p: JointDist, demands: Sequence[int], mode: str = FIXED,
     """One demand vector end to end: chain, transcript distribution, leakage
     audit, expected length and bounds. Returns the row, the chain it built
     and the chain's codebooks, for sessions over the same chain."""
-    demands = demand_vector(p, demands)
-    chain = session_chain(p, demands, limit=limit)
+    demands = tuple(demands)  # checked by `demanded_base`
+    base, names = bounds_mod.demanded_base(p, demands)
+    chain = build_chain(base, names, limit=limit)
     books = session_codebooks(chain, mode)
-    return _audit_row(p, demands, chain, books, limit), chain, books
+    return _audit_row(demands, base, chain, books, limit), chain, books
 
 
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
     worst: SweepRow  # maximizes expected length
+
+
+def sweep_vectors(n_files: int, k: int, limit: int) -> Iterator[tuple[int, ...]]:
+    """Every length-k demand vector over `n_files` files, lazily, in lexicographic
+    order, for k in 1..n_files; a count over `limit` raises at the call, and stops
+    growing there, so a huge file count raises in about log2(limit) products."""
+    check_index(k, 1, n_files, "k")
+    counts = itertools.accumulate(range(n_files, n_files - k, -1), lambda a, b: a * b)
+    if any(count > limit for count in counts):
+        raise LimitError(f"perm({n_files}, {k}) demand vectors exceed the limit {limit}")
+    return itertools.permutations(range(1, n_files + 1), k)
 
 
 def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
@@ -451,23 +446,19 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
     integer cells) and one chain, and one set of codebooks, is built per
     group, from its first vector's files: exchangeable files, as in the
     masked family, share one chain across every ordering. Every vector
-    still enumerates and audits its own transcript law on the group's
-    chain, and gets its own bounds. The groups are built and
+    still gets its own row, read only from what the group shares: its
+    demanded marginal, its chain and its books. The groups are built and
     audited one at a time, in the order of their first vectors, so at most
     one built chain is alive, and the first vector that raises is the one
     that would without the sharing.
     """
-    n_files = len(p.variables) - 1
-    check_index(k, 1, n_files, "k")
-    if math.perm(n_files, k) > limit:
-        raise LimitError(f"perm({n_files}, {k}) demand vectors exceed the limit {limit}")
-    vectors = list(itertools.permutations(range(1, n_files + 1), k))
+    vectors = list(sweep_vectors(len(p.variables) - 1, k, limit))
     # a demanded file named like a stage's auxiliary fails the build, so
     # which of those names are taken is part of the key
     stage_names = [_u_name(i) for i in range(1, k + 1)]
     groups: dict[tuple, tuple[JointDist, list[str], list[int]]] = {}
     for i, demands in enumerate(vectors):
-        base, names = _demanded_base(p, demands)
+        base, names = bounds_mod.demanded_base(p, demands)
         num, den = base._ints()
         key = (tuple(v.size for v in base.variables), den, tuple(num.items()),
                tuple(u in base.names for u in stage_names))
@@ -477,7 +468,7 @@ def worst_case_sweep(p: JointDist, k: int, mode: str = FIXED,
         chain = build_chain(base, names, limit=limit)
         books = session_codebooks(chain, mode)
         for i in members:
-            rows[i] = _audit_row(p, vectors[i], chain, books, limit)
+            rows[i] = _audit_row(vectors[i], base, chain, books, limit)
         del chain, books  # freed before the next group's chain is built
     ordered = tuple(rows[i] for i in range(len(vectors)))
     return SweepResult(rows=ordered, worst=max(ordered, key=lambda r: r.expected_len))

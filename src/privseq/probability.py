@@ -2,7 +2,7 @@
 
 A joint table is stored as integer numerators over one common denominator,
 reduced so that the numerators and the denominator share no factor; the
-kernel (marginals, per-symbol conditional entropies, independence tests)
+kernel (marginals and independence tests)
 adds and multiplies plain integers, so every check is an exact equality,
 never a float comparison. `fractions.Fraction` appears only at the API
 edges: `table`, `items()` and the constructor's table. A table
@@ -216,15 +216,11 @@ class JointDist:
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.table.items())
 
-    def _kept_axes(self, keep: Sequence[str]) -> tuple[int, ...]:
+    def marginalize(self, keep: Sequence[str]) -> "JointDist":
+        """Sum out everything but `keep`; result variables follow `keep` order."""
         axes = self._axes(keep)
         if not axes:
             raise ValidationError("keep at least one variable")
-        return axes
-
-    def marginalize(self, keep: Sequence[str]) -> "JointDist":
-        """Sum out everything but `keep`; result variables follow `keep` order."""
-        axes = self._kept_axes(keep)
         num, den = self._ints()
         project = _projector(axes)
         out: dict[Cell, int] = {}
@@ -236,19 +232,6 @@ class JointDist:
         if axes != tuple(range(len(axes))):
             out = dict(sorted(out.items()))
         return JointDist._exact(tuple(self.variables[a] for a in axes), out, den)
-
-    def max_entropy_given(self, of: Sequence[str]) -> float:
-        """max over the symbols x of the first variable X of H(of | X = x),
-        from one walk grouped by x; each group's masses are summed in sorted
-        order, as `_entropy_bits` sums the sorted table of `of` given x."""
-        project = _projector(self._kept_axes(of))
-        groups: dict[int, dict[Cell, int]] = {}
-        for cell, n in self._ints()[0].items():
-            masses = groups.setdefault(cell[0], {})
-            key = project(cell)
-            masses[key] = masses.get(key, 0) + n
-        return max(_entropy_bits((masses[k] for k in sorted(masses)), sum(masses.values()))
-                   for masses in groups.values())
 
 
 # ---------------------------------------------------------------------------

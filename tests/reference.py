@@ -35,7 +35,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction as F
 
-from privseq.bounds import upper_bound_cardinality
+from privseq.bounds import demand_vector, upper_bound_cardinality
 from privseq.caching import UserCache, delivery_blocks, placement, private_wrap, user_decode
 from privseq.coding import FIXED, PadKey, fixed_length_codebook
 from privseq.errors import InvariantError, ValidationError
@@ -46,7 +46,6 @@ from privseq.pipeline import (
     Transcript,
     TranscriptDistribution,
     decode_walk,
-    demand_vector,
     encode_session,
     session_codebooks,
 )
@@ -444,7 +443,7 @@ def outcomes(chain, x, targets, prob, encode):
 
 def enumerate_outcomes(p, demands, chain, mode=FIXED):
     """Every (realization, coupling, key) outcome, each encoded by `encode_session`."""
-    demands = demand_vector(p, demands)
+    demands = demand_vector(len(p.variables) - 1, demands)
     books = session_codebooks(chain, mode)
     for cell, prob in p.items():
         yield from outcomes(chain, cell[0], [cell[d] for d in demands], prob,
@@ -596,7 +595,7 @@ def ref_leakage_audit(law):
 def plaintext_baseline(p, demand):
     """Uncoded single-demand baseline, the file symbol itself as the message:
     its explicit (C, X, W) joint, with a one-symbol key, and the messages' lengths."""
-    (demand,) = demand_vector(p, [demand])
+    (demand,) = demand_vector(len(p.variables) - 1, [demand])
     y_alpha = p.variables[demand]
     book = fixed_length_codebook(y_alpha.size)
     pair = p.marginalize([p.variables[0].name, y_alpha.name])

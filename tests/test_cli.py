@@ -459,11 +459,45 @@ class TestArgumentsBeforeTheDatabase:
          "need one demand per user (4), got 2"),
         (["cache", "demo", "--n", "4", "--k", "4", "--m", "1", "--f", "8", "--demands", "1,2,3,5"],
          "demand 5 outside the integers 1..4"),
-    ], ids=["run-k", "run-seed", "audit-sweep", "cache-sweep", "cache-count", "cache-range"])
+        (["audit", "--n", "30", "--f", "1", "--demands", "31"],
+         "demand 31 outside the integers 1..30"),
+        (["audit", "--n", "30", "--f", "1", "--demands", "1,1"],
+         "demands must be pairwise distinct: (1, 1)"),
+        (["audit", "--n", "30", "--f", "1", "--demands", ","], "empty demand vector"),
+        (["pipeline", "run", "--n", "30", "--f", "1", "--demands", "31"],
+         "demand 31 outside the integers 1..30"),
+        (["pipeline", "run", "--n", "30", "--f", "1", "--demands", "sweep", "--k", "0"],
+         "k 0 outside the integers 1..30"),
+        (["pipeline", "run", "--n", "30", "--f", "1", "--demands", "sweep", "--k", "31"],
+         "k 31 outside the integers 1..30"),
+        # the family's own parameters are checked before the demands that read them
+        (["audit", "--n", "0", "--demands", "1"], "file count 0 outside the integers >= 1"),
+        (["pipeline", "run", "--n", "0", "--demands", "sweep"],
+         "file count 0 outside the integers >= 1"),
+        (["pipeline", "run", "--n", "-3", "--demands", "1"],
+         "file count -3 outside the integers >= 1"),
+    ], ids=["run-k", "run-seed", "audit-sweep", "cache-sweep", "cache-count", "cache-range",
+            "audit-range", "audit-repeated", "audit-empty", "run-range", "run-k-low", "run-k-high",
+            "audit-n-zero", "run-sweep-n-zero", "run-n-negative"])
     def test_usage_fault_exits_1(self, argv, message, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_sweep_count_exits_3_with_its_own_message(self, capsys):
+        argv = ["pipeline", "run", "--n", "30", "--f", "1", "--demands", "sweep", "--k", "15"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ")
+        assert "perm(30, 15) demand vectors exceed the limit" in err and "cells" not in err
+
+    def test_sweep_count_over_huge_file_count_is_bounded(self, capsys):
+        # k defaults to n: (10^9)! is never formed, the count stops at the limit
+        argv = ["pipeline", "run", "--n", "1000000000", "--f", "1", "--demands", "sweep"]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1
+        assert "perm(1000000000, 1000000000) demand vectors exceed the limit" in capsys.readouterr().err
 
 
 class TestLimitBeforeAlphabetWork:

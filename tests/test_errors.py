@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privseq.bounds import Example1Params, example1_build
+from privseq.bounds import Example1Params, demand_vector, demanded_base, example1_build
 from privseq.caching import (
     CacheConfig,
     block_joint,
@@ -29,7 +29,6 @@ from privseq.pipeline import (
     Transcript,
     audit_demands,
     decode_walk,
-    demand_vector,
     encode_session,
     session_chain,
     session_codebooks,
@@ -55,7 +54,8 @@ def cache():
 # each boundary as (name, call with the value under test, an int outside its range)
 BOUNDARIES = [
     ("audit_demands", lambda v, c: audit_demands(MASKED, (v, 2)), 3),
-    ("demand_vector", lambda v, c: demand_vector(MASKED, (2, v)), 0),
+    ("demand_vector", lambda v, c: demand_vector(2, (2, v)), 0),
+    ("demanded_base", lambda v, c: demanded_base(MASKED, (v,)), -1),
     ("worst_case_sweep k", lambda v, c: worst_case_sweep(MASKED, v), 3),
     ("encode_session realization", lambda v, c: encode_session(
         MASKED, (1, v, 0), (1, 2), PadKey(0, 2), session_chain(MASKED, (1, 2)), RandomDraws(0)), 2),
@@ -149,7 +149,14 @@ class TestLibraryErrors:
 
     def test_empty_demand_vector(self):
         with pytest.raises(ValidationError, match="empty demand vector"):
-            demand_vector(MASKED, [])
+            demand_vector(2, [])
+
+    def test_demanded_base_checks_its_demands(self):
+        # the one demand check, not the marginal's "repeated variable" or "keep at least one"
+        with pytest.raises(ValidationError, match=r"^demands must be pairwise distinct: \(1, 1\)$"):
+            demanded_base(MASKED, (1, 1))
+        with pytest.raises(ValidationError, match="^empty demand vector$"):
+            demanded_base(MASKED, ())
 
     def test_block_joint_variable_count(self):
         with pytest.raises(ValidationError, match="must cover X plus every file"):
